@@ -1,97 +1,13 @@
-"""Hot kernels for repeated-round trajectories: numba and numpy twins.
+"""Hot kernel for repeated-round trajectories.
 
 The round loop multiplies a D x D ensemble matrix by a per-round
 contraction operator up to a few hundred times per parameter point, and
-figure-grade sweeps run thousands of points.  The numba path is used
-when available; set ``LOGIPURE_NUMBA=0`` to force the pure-numpy twin
-(both produce bit-identical trajectories up to BLAS rounding).
+figure-grade sweeps run thousands of points.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-def _env_enabled() -> bool:
-    flag = os.environ.get("LOGIPURE_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = HAS_NUMBA and _env_enabled()
-
-
-def _trajectory_numpy(k_first, k_later, ensemble, target, max_rounds, p_floor):
-    """Reference loop: returns (fidelity, p_round, p_cum, n_done, truncated)."""
-    fid = np.zeros(max_rounds)
-    p_round = np.zeros(max_rounds)
-    p_cum = np.zeros(max_rounds)
-    v = ensemble.copy()
-    prev = 1.0
-    n_done = 0
-    truncated = False
-    for r in range(max_rounds):
-        v = (k_first if r == 0 else k_later) @ v
-        w = float(np.sum(np.abs(v) ** 2))
-        pr = w / prev
-        if pr < p_floor:
-            truncated = True
-            break
-        tv = target.conj() @ v
-        fid[r] = float(np.sum(np.abs(tv) ** 2)) / w
-        p_round[r] = pr
-        p_cum[r] = w
-        prev = w
-        n_done = r + 1
-    return fid, p_round, p_cum, n_done, truncated
-
-
-@njit(cache=True)
-def _trajectory_njit(k_first, k_later, ensemble, target, max_rounds, p_floor):  # pragma: no cover
-    fid = np.zeros(max_rounds)
-    p_round = np.zeros(max_rounds)
-    p_cum = np.zeros(max_rounds)
-    v = ensemble.copy()
-    prev = 1.0
-    n_done = 0
-    truncated = False
-    for r in range(max_rounds):
-        if r == 0:
-            v = np.dot(k_first, v)
-        else:
-            v = np.dot(k_later, v)
-        w = 0.0
-        for i in range(v.shape[0]):
-            for j in range(v.shape[1]):
-                w += v[i, j].real ** 2 + v[i, j].imag ** 2
-        pr = w / prev
-        if pr < p_floor:
-            truncated = True
-            break
-        tv = np.dot(np.conj(target), v)
-        fw = 0.0
-        for j in range(tv.shape[0]):
-            fw += tv[j].real ** 2 + tv[j].imag ** 2
-        fid[r] = fw / w
-        p_round[r] = pr
-        p_cum[r] = w
-        prev = w
-        n_done = r + 1
-    return fid, p_round, p_cum, n_done, truncated
 
 
 def trajectory_kernel(
@@ -101,29 +17,36 @@ def trajectory_kernel(
     target: np.ndarray,
     max_rounds: int,
     p_floor: float,
-    backend: str | None = None,
 ):
-    """Run the round loop on the selected backend.
+    """Run the round loop.
 
-    ``backend`` is ``None`` (module default), ``"numba"`` or ``"numpy"``.
     Returns (fidelity, p_round, p_cum, truncated) with arrays trimmed to
-    the rounds actually completed.
+    the rounds actually completed.  A round whose conditional probability
+    is below ``p_floor``, or is NaN, truncates the run.
     """
-    if backend is None:
-        backend = "numba" if NUMBA_ENABLED else "numpy"
-    if backend == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
+    k_first = np.ascontiguousarray(k_first, dtype=np.complex128)
+    k_later = np.ascontiguousarray(k_later, dtype=np.complex128)
+    v = np.array(ensemble, dtype=np.complex128, order="C")
+    target_conj = np.ascontiguousarray(target, dtype=np.complex128).conj()
+    max_rounds, p_floor = int(max_rounds), float(p_floor)
 
-    args = (
-        np.ascontiguousarray(k_first, dtype=np.complex128),
-        np.ascontiguousarray(k_later, dtype=np.complex128),
-        np.ascontiguousarray(ensemble, dtype=np.complex128),
-        np.ascontiguousarray(target, dtype=np.complex128),
-        int(max_rounds),
-        float(p_floor),
-    )
-    fn = _trajectory_njit if backend == "numba" else _trajectory_numpy
-    fid, p_round, p_cum, n_done, truncated = fn(*args)
-    return fid[:n_done], p_round[:n_done], p_cum[:n_done], bool(truncated)
+    fid = np.zeros(max_rounds)
+    p_round = np.zeros(max_rounds)
+    p_cum = np.zeros(max_rounds)
+    prev = 1.0
+    n_done = 0
+    truncated = False
+    for r in range(max_rounds):
+        v = (k_first if r == 0 else k_later) @ v
+        w = float(np.sum(np.abs(v) ** 2))
+        pr = w / prev
+        if not pr >= p_floor:
+            truncated = True
+            break
+        tv = target_conj @ v
+        fid[r] = float(np.sum(np.abs(tv) ** 2)) / w
+        p_round[r] = pr
+        p_cum[r] = w
+        prev = w
+        n_done = r + 1
+    return fid[:n_done], p_round[:n_done], p_cum[:n_done], truncated

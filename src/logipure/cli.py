@@ -214,7 +214,7 @@ def cmd_fig2(cfg: dict) -> str:
             f"or set it to the summed gap {delta_sum}"
         )
     g, beta = float(cfg["g"]), float(cfg["beta"])
-    pw = p_beta(codes, beta)
+    pw = thermal.p_weight
     h_tot = build_total(codes, build_interaction(codes, spec), aux)
     spectral = hermitian_eig(h_tot)
     rho0 = initial_state(codes, thermal, aux)

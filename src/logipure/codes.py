@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    SpectralDecomposition,
     basis_state,
     embed,
     hermitian_eig,
@@ -57,7 +59,9 @@ class CodeModel:
     (logical-qubit codes, ordered as ``(|0_S>, |1_S>)``).  ``es_basis``
     spans the first excited manifold at energy ``gap``.  ``hamiltonian``
     already includes the ``ground_offset`` constant that places the
-    ground manifold at exactly zero energy.
+    ground manifold at exactly zero energy.  ``spectrum`` is its full
+    eigendecomposition, solved once on first use and shared by every
+    thermal quantity of the code.
     """
 
     n_qubits: int
@@ -91,6 +95,10 @@ class CodeModel:
     @property
     def dimension(self) -> int:
         return 2**self.n_qubits
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        return hermitian_eig(self.hamiltonian)
 
     @property
     def es_degeneracy(self) -> int:
@@ -161,7 +169,7 @@ def spectral_split(h: np.ndarray, tol: float | None = None) -> SpectralSplit:
         w = np.real(np.diag(h)).copy()
         order = np.argsort(w, kind="stable")
         w = w[order]
-        vecs = [basis_vec(dim, int(i)) for i in order]
+        vecs = list(np.eye(dim, dtype=complex)[order])
     else:
         spec = hermitian_eig(h)
         w = spec.eigenvalues
@@ -195,12 +203,6 @@ def spectral_split(h: np.ndarray, tol: float | None = None) -> SpectralSplit:
         degeneracies=tuple(len(c) for c in clusters),
         ground_energy=e0,
     )
-
-
-def basis_vec(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def build_stabilizer_code(stabilizers: list[PauliString | str], strength: float = 1.0) -> CodeModel:

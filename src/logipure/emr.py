@@ -13,7 +13,7 @@ probability.  Two implementations are provided:
   known product state, the conditioned joint state stays of the form
   rho_S (x) |chi><chi| and the whole trajectory reduces to repeated
   D_S x D_S matrix products on a square root ("ensemble") factor of the
-  thermal state.  This is the hot path run by the numba kernels.
+  thermal state.
 
 The module also builds the anisotropic-XY auxiliary couplings for
 Heisenberg chains and reproduces the reference benchmark table for that
@@ -241,7 +241,7 @@ def thermal_ensemble(codes: list[CodeModel], beta: float) -> np.ndarray:
     """Square-root factor V of the joint thermal state: V V^dagger = rho_S(0)."""
     factors = []
     for code in codes:
-        spec = hermitian_eig(code.hamiltonian)
+        spec = code.spectrum
         w = spec.eigenvalues
         weights = np.exp(-beta * (w - w[0]))
         weights /= weights.sum()
@@ -274,7 +274,6 @@ def fast_trajectory(
     max_rounds: int,
     aq_reset: str = KEEP,
     p_floor: float = UNATTAINABLE_P,
-    backend: str | None = None,
 ) -> EmrTrajectory:
     """Exact trajectory via per-round contraction operators.
 
@@ -293,7 +292,7 @@ def fast_trajectory(
     k_later = k_first if aq_reset == RESET else round_contraction(u, d_s, settings, psi_out)
 
     fid, p_round, p_cum, truncated = trajectory_kernel(
-        k_first, k_later, ensemble, target, max_rounds, p_floor, backend=backend
+        k_first, k_later, ensemble, target, max_rounds, p_floor
     )
     reason = None
     if truncated:
@@ -417,7 +416,6 @@ def reproduce_table1(
     j_1: float = 1.0,
     aux_energy: float | None = None,
     max_rounds: int = 500,
-    backend: str | None = None,
 ) -> dict:
     """Recompute the chain benchmark table and report deltas.
 
@@ -466,9 +464,7 @@ def reproduce_table1(
         for sign in ("+", "-"):
             target = cardinal_state(code, row.axis + sign)
             for policy in policies:
-                traj = fast_trajectory(
-                    u, ensemble, settings, target, max_rounds, aq_reset=policy, backend=backend
-                )
+                traj = fast_trajectory(u, ensemble, settings, target, max_rounds, aq_reset=policy)
                 metrics = _row_metrics(traj, max_rounds)
                 candidates.append({"cardinal": row.axis + sign, "policy": policy, **metrics})
 

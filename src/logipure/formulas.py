@@ -46,23 +46,7 @@ def p_beta(codes: list[CodeModel], beta: float) -> float:
     prod_i exp(-beta gap_i) / Z_i, computed from the full spectrum of
     each code Hamiltonian.  At beta=0 this is prod_i 1/D_i.
     """
-    if beta < 0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
-    out = 1.0
-    for code in codes:
-        w = np.linalg.eigvalsh(code.hamiltonian)
-        z = float(np.exp(-beta * w).sum())
-        out *= float(np.exp(-beta * code.gap)) / z
-    return out
-
-
-def z_total(codes: list[CodeModel], beta: float) -> float:
-    """Product of the per-code partition functions."""
-    out = 1.0
-    for code in codes:
-        w = np.linalg.eigvalsh(code.hamiltonian)
-        out *= float(np.exp(-beta * w).sum())
-    return out
+    return ThermalSpec.from_codes(codes, beta).p_weight
 
 
 def p_plus_general(ctx: ResonanceContext, thermal: ThermalSpec, t: float) -> float:
@@ -93,11 +77,12 @@ def f_plus_resonant(a: float, t: float, g: float, beta: float, codes: list[CodeM
     f = p^{-1} [Z_L^{-1} cos^2(a/2) + p_w sin^2(gt) sin^2(a/2)].
     Raises at zero-probability points (a = pi at a Rabi node).
     """
-    pw = p_beta(codes, beta)
+    thermal = ThermalSpec.from_codes(codes, beta)
+    pw = thermal.p_weight
     p = p_plus_resonant(a, t, g, pw)
     if p < NODE_TOL:
         raise ValueError(f"outcome probability {p:.3e} vanishes at (a={a}, t={t}): fidelity undefined")
-    zl = z_total(codes, beta)
+    zl = thermal.z_total
     s2 = np.sin(a / 2) ** 2
     c2 = np.cos(a / 2) ** 2
     return float((c2 / zl + pw * np.sin(g * t) ** 2 * s2) / p)
@@ -118,7 +103,7 @@ def a_for_fidelity(f_target: float, g: float, t: float, beta: float, codes: list
     if not 0.0 <= f_target <= 1.0:
         raise ValueError(f"target fidelity must lie in [0, 1], got {f_target}")
     delta_sum = float(sum(c.gap for c in codes))
-    zl = z_total(codes, beta)
+    zl = ThermalSpec.from_codes(codes, beta).z_total
     boltz = float(np.exp(beta * delta_sum))
     s2 = float(np.sin(g * t) ** 2)
     disc = 2.0 * boltz * zl * f_target - 2.0 * boltz + 2.0 * (1.0 - 2.0 * f_target) * s2

@@ -29,7 +29,8 @@ class ThermalSpec:
 
     ``z_factors`` are the per-code partition functions and ``p_weight``
     is the joint Boltzmann weight of the uniform excited product state,
-    prod_i exp(-beta gap_i) / Z_i.  Build with :meth:`from_codes`.
+    prod_i exp(-beta gap_i) / Z_i.  Build with :meth:`from_codes`, the
+    one place both are computed from the codes' spectra.
     """
 
     beta: float
@@ -51,8 +52,7 @@ class ThermalSpec:
         zs = []
         weight = 1.0
         for code in codes:
-            w = np.linalg.eigvalsh(code.hamiltonian)
-            z = float(np.exp(-beta * w).sum())
+            z = float(np.exp(-beta * code.spectrum.eigenvalues).sum())
             zs.append(z)
             weight *= float(np.exp(-beta * code.gap)) / z
         return cls(beta=beta, z_factors=tuple(zs), p_weight=weight)
@@ -129,7 +129,7 @@ class BlockCoefficients:
 
 def initial_state(codes: list[CodeModel], thermal: ThermalSpec, aux: AuxiliarySpec) -> np.ndarray:
     """prod_i Gibbs(H_i, beta) (x) |0...0_A><0...0_A|."""
-    factors = [gibbs(c.hamiltonian, thermal.beta)[0] for c in codes]
+    factors = [gibbs(c.hamiltonian, thermal.beta, spectral=c.spectrum)[0] for c in codes]
     ket0 = kron_all([np.outer(KET_0, KET_0.conj())] * aux.count)
     return kron_all(factors + [ket0])
 

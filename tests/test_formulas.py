@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from logipure.codes import LogicalTarget, build_repetition_code
+from logipure.emr import thermal_ensemble
 from logipure.formulas import (
     a_for_fidelity,
     f_plus_resonant,
     p_beta,
     p_plus_general,
     p_plus_resonant,
-    z_total,
 )
 from logipure.interaction import AuxiliarySpec, InteractionSpec
 from logipure.measurement import MeasurementSetting, purify_once
@@ -27,7 +27,6 @@ def test_p_beta_oracles():
     z = 2.0 + 6.0 * np.exp(-0.4)
     assert abs(p_beta([CODE], 0.1) - np.exp(-0.4) / z) < 1e-14
     assert abs(p_beta([CODE], 0.1) - 0.1113) < 5e-5
-    assert abs(z_total([CODE], 0.1) - z) < 1e-12
     # colder is rarer
     betas = np.linspace(0.0, 3.0, 13)
     vals = [p_beta([CODE], b) for b in betas]
@@ -40,6 +39,27 @@ def test_p_beta_matches_thermal_spec():
     for beta in (0.0, 0.1, 1.0):
         spec = ThermalSpec.from_codes([CODE, CODE], beta)
         assert abs(p_beta([CODE, CODE], beta) - spec.p_weight) < 1e-14
+
+
+def test_one_eigensolve_per_code(monkeypatch):
+    """Every thermal quantity of a code reads one cached spectrum."""
+    code = build_repetition_code(1.5)
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            solves.append(_solver.__name__)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    p_beta([code], 0.3)
+    ThermalSpec.from_codes([code, code], 0.3)
+    thermal_ensemble([code], 0.3)
+    for a in np.linspace(0.1, 3.0, 50):
+        f_plus_resonant(a, 0.7, 1.0, 0.3, [code])
+    assert len(solves) == 1
+    assert code.spectrum is code.spectrum
 
 
 def test_resonant_probability_limits():

@@ -10,16 +10,15 @@ from logipure.interaction import (
     aux_hamiltonian,
     build_interaction,
     build_total,
-    compare_term_lists,
     es_superposition,
     es_uniform_state,
     joint_target_state,
     pauli_decompose,
     pauli_reconstruct,
     system_hamiltonian,
-    three_qubit_coupling_reference,
 )
 from logipure.operators import KET_0, KET_1, kron, pauli_operator
+from oracles import compare_term_lists, three_qubit_coupling_reference
 
 
 def rep_code():

@@ -1,13 +1,8 @@
-"""Backend parity for the round-trajectory kernel."""
-
-import os
-import subprocess
-import sys
+"""Round-trajectory kernel: truncation at the probability floor."""
 
 import numpy as np
-import pytest
 
-from logipure._kernels import HAS_NUMBA, trajectory_kernel
+from logipure._kernels import trajectory_kernel
 
 
 def random_problem(dim=6, n_cols=3, seed=0):
@@ -24,24 +19,12 @@ def random_problem(dim=6, n_cols=3, seed=0):
     return k_first, k_later, ensemble, target
 
 
-def test_backends_agree():
-    args = random_problem()
-    f_np, pr_np, pc_np, tr_np = trajectory_kernel(*args, 40, 0.0, backend="numpy")
-    if not HAS_NUMBA:
-        pytest.skip("numba not installed")
-    f_nb, pr_nb, pc_nb, tr_nb = trajectory_kernel(*args, 40, 0.0, backend="numba")
-    assert tr_np == tr_nb
-    assert np.allclose(f_np, f_nb, atol=1e-12, rtol=1e-12)
-    assert np.allclose(pr_np, pr_nb, atol=1e-12, rtol=1e-12)
-    assert np.allclose(pc_np, pc_nb, atol=1e-12, rtol=1e-12)
-
-
 def test_truncation_at_floor():
     k_first, k_later, ensemble, target = random_problem(seed=3)
     # later rounds shrink the weight below the floor; round one passes
     k_later *= 0.01
     fid, p_round, p_cum, truncated = trajectory_kernel(
-        k_first, k_later, ensemble, target, 100, 1e-3, backend="numpy"
+        k_first, k_later, ensemble, target, 100, 1e-3
     )
     assert truncated
     assert 1 <= len(fid) < 100
@@ -50,32 +33,19 @@ def test_truncation_at_floor():
 
 def test_no_truncation_without_floor():
     args = random_problem(seed=4)
-    fid, p_round, p_cum, truncated = trajectory_kernel(*args, 25, 0.0, backend="numpy")
+    fid, p_round, p_cum, truncated = trajectory_kernel(*args, 25, 0.0)
     assert not truncated
     assert len(fid) == len(p_round) == len(p_cum) == 25
     # cumulative weight is the running product of per-round weights
     assert np.allclose(np.cumprod(p_round), p_cum, rtol=1e-12)
 
 
-def test_unknown_backend():
-    args = random_problem()
-    with pytest.raises(ValueError):
-        trajectory_kernel(*args, 10, 0.0, backend="fortran")
-
-
-def test_env_flag_disables_numba():
-    """LOGIPURE_NUMBA=0 must flip the module default to the numpy twin."""
-    code = (
-        "import logipure._kernels as k;"
-        "print(k.NUMBA_ENABLED)"
+def test_nan_probability_truncates():
+    """A NaN round probability must trip the floor, not pass it."""
+    k_first, k_later, ensemble, target = random_problem(seed=5)
+    k_first[0, 0] = np.nan
+    fid, p_round, p_cum, truncated = trajectory_kernel(
+        k_first, k_later, ensemble, target, 5, 1e-14
     )
-    env = dict(os.environ, LOGIPURE_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
-    env_on = {k: v for k, v in os.environ.items() if k != "LOGIPURE_NUMBA"}
-    out_on = subprocess.run(
-        [sys.executable, "-c", code], env=env_on, capture_output=True, text=True, check=True
-    )
-    assert out_on.stdout.strip() == ("True" if HAS_NUMBA else "False")
+    assert truncated
+    assert len(fid) == len(p_round) == len(p_cum) == 0
