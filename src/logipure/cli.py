@@ -40,7 +40,7 @@ from .interaction import (
 )
 from .measurement import MeasurementSetting, measure_aq
 from .operators import evolve, hermitian_eig
-from .thermal import ThermalSpec, initial_state
+from .thermal import ThermalSpec, evolved_joint_state, initial_state
 
 REPETITION_DOC = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
 
@@ -318,13 +318,11 @@ def cmd_table1(cfg: dict) -> str:
 
 
 def cmd_purify(cfg: dict) -> str:
-    from .measurement import purify_once
-
     codes, spec, aux, thermal = _build_engine(cfg)
     setting = MeasurementSetting(a=float(cfg["a"]), b=float(cfg["b"]), k=int(cfg["k"]))
-    rec = purify_once(codes, spec, aux, thermal, float(cfg["t"]), setting)
-    flip = MeasurementSetting(a=setting.a, b=setting.b, k=-setting.k)
-    rec_other = purify_once(codes, spec, aux, thermal, float(cfg["t"]), flip)
+    rho_t = evolved_joint_state(codes, spec, aux, thermal, float(cfg["t"]))
+    records = measure_aq(rho_t, aux.count, (setting,), target=joint_target_state(codes, spec.targets))
+    rec, rec_other = records[(setting.k,)], records[(-setting.k,)]
 
     def pack(r):
         return {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +40,8 @@ class SpectralSplit:
 
     ``ls_basis`` spans the ground cluster (shifted to zero energy),
     ``es_basis`` the first excited cluster.  ``degeneracies`` lists every
-    cluster size in energy order.
+    cluster size in energy order.  ``spectrum`` is the decomposition that
+    was clustered; the basis vectors are its columns.
     """
 
     ls_basis: tuple[np.ndarray, ...]
@@ -49,6 +49,7 @@ class SpectralSplit:
     gap: float
     degeneracies: tuple[int, ...]
     ground_energy: float
+    spectrum: SpectralDecomposition
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,9 @@ class CodeModel:
     ``ls_basis`` holds one state (ground-state-preparation hosts) or two
     (logical-qubit codes, ordered as ``(|0_S>, |1_S>)``).  ``es_basis``
     spans the first excited manifold at energy ``gap``.  ``hamiltonian``
-    already includes the ``ground_offset`` constant that places the
-    ground manifold at exactly zero energy.  ``spectrum`` is its full
-    eigendecomposition, solved once on first use and shared by every
-    thermal quantity of the code.
+    has its ground manifold at exactly zero energy.  ``spectrum`` is its
+    full eigendecomposition: the one the builder clustered to find the
+    two manifolds, shared by every thermal quantity of the code.
     """
 
     n_qubits: int
@@ -69,7 +69,7 @@ class CodeModel:
     ls_basis: tuple[np.ndarray, ...]
     es_basis: tuple[np.ndarray, ...]
     gap: float
-    ground_offset: float = 0.0
+    spectrum: SpectralDecomposition
 
     def __post_init__(self):
         h = self.hamiltonian
@@ -95,10 +95,6 @@ class CodeModel:
     @property
     def dimension(self) -> int:
         return 2**self.n_qubits
-
-    @cached_property
-    def spectrum(self) -> SpectralDecomposition:
-        return hermitian_eig(self.hamiltonian)
 
     @property
     def es_degeneracy(self) -> int:
@@ -158,22 +154,20 @@ def spectral_split(h: np.ndarray, tol: float | None = None) -> SpectralSplit:
     ``tol`` is the absolute clustering tolerance; by default it is
     ``1e-8`` times the spectral radius.  Raises when only one cluster
     exists or when the ground gap is below ``10 * tol`` (unresolvable).
-    For diagonal ``h`` the returned bases are computational-basis
-    vectors ordered by index, which keeps downstream state labels
-    deterministic.
+    For diagonal ``h`` no eigensolve is made: the spectrum is the sorted
+    diagonal and the bases are computational-basis vectors ordered by
+    index, which keeps downstream state labels deterministic.
     """
     h = require_hermitian(h, "hamiltonian")
     dim = h.shape[0]
     diagonal = np.max(np.abs(h - np.diag(np.diag(h)))) <= 1e-14 * max(1.0, np.max(np.abs(h)))
     if diagonal:
-        w = np.real(np.diag(h)).copy()
+        w = np.real(np.diag(h))
         order = np.argsort(w, kind="stable")
-        w = w[order]
-        vecs = list(np.eye(dim, dtype=complex)[order])
+        spec = SpectralDecomposition(w[order], np.eye(dim, dtype=complex)[:, order])
     else:
         spec = hermitian_eig(h)
-        w = spec.eigenvalues
-        vecs = [spec.eigenvectors[:, i] for i in range(dim)]
+    w, vecs = spec.eigenvalues, spec.eigenvectors
 
     scale = float(np.max(np.abs(w)))
     if tol is None:
@@ -197,11 +191,12 @@ def spectral_split(h: np.ndarray, tol: float | None = None) -> SpectralSplit:
         raise ValueError(f"gap {gap:.3e} below 10x cluster tolerance {tol:.3e}: unresolvable split")
 
     return SpectralSplit(
-        ls_basis=tuple(vecs[i] for i in clusters[0]),
-        es_basis=tuple(vecs[i] for i in clusters[1]),
+        ls_basis=tuple(vecs[:, i] for i in clusters[0]),
+        es_basis=tuple(vecs[:, i] for i in clusters[1]),
         gap=gap,
         degeneracies=tuple(len(c) for c in clusters),
         ground_energy=e0,
+        spectrum=spec,
     )
 
 
@@ -245,7 +240,7 @@ def build_stabilizer_code(stabilizers: list[PauliString | str], strength: float 
         ls_basis=split.ls_basis,
         es_basis=split.es_basis,
         gap=split.gap,
-        ground_offset=-split0.ground_energy,
+        spectrum=split.spectrum,
     )
 
 
@@ -265,7 +260,8 @@ def build_heisenberg_code(spec: HeisenbergSpec) -> CodeModel:
     periodic boundaries (a single bond for the two-site chain).  With the
     field rule of :class:`HeisenbergSpec` the polarized state |0...0> and
     the staggered one-magnon state are exactly degenerate at zero energy
-    and form the logical basis.
+    and form the logical basis, so E_g is the diagonal element
+    <0...0| H |0...0> and no eigensolve is needed to find it.
     """
     n = spec.n_qubits
     j, h_field = spec.exchange, spec.field
@@ -279,10 +275,13 @@ def build_heisenberg_code(spec: HeisenbergSpec) -> CodeModel:
     for s in range(n):
         h0 += (h_field / 2.0) * embed(SIGMA_Z, n, [s])
 
-    e_g = float(np.linalg.eigvalsh(h0)[0])
-    ham = h0 - e_g * np.eye(dim)
+    ham = h0 - h0[0, 0].real * np.eye(dim)
 
     split = spectral_split(ham)
+    if abs(split.ground_energy) > RESIDUAL_TOL * max(1.0, j):
+        raise ValueError(
+            f"chain ground energy {split.ground_energy:.3e} lies below |0...0>: convention is broken"
+        )
     if len(split.ls_basis) != 2:
         raise ValueError(
             f"chain ground manifold is {len(split.ls_basis)}-fold degenerate; "
@@ -303,7 +302,7 @@ def build_heisenberg_code(spec: HeisenbergSpec) -> CodeModel:
         ls_basis=(zero, one),
         es_basis=split.es_basis,
         gap=split.gap,
-        ground_offset=-e_g,
+        spectrum=split.spectrum,
     )
 
 
@@ -319,18 +318,16 @@ def code_from_hamiltonian(h: np.ndarray, tol: float | None = None) -> CodeModel:
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of 2")
     split = spectral_split(h, tol)
-    ham = h - split.ground_energy * np.eye(dim)
-    # re-split so stored basis residuals are checked against the shifted matrix
-    split = spectral_split(ham, tol)
     if len(split.ls_basis) > 2:
         raise ValueError(f"ground manifold is {len(split.ls_basis)}-fold degenerate")
+    e0 = split.ground_energy
     return CodeModel(
         n_qubits=n,
-        hamiltonian=ham,
+        hamiltonian=h - e0 * np.eye(dim),
         ls_basis=split.ls_basis,
         es_basis=split.es_basis,
         gap=split.gap,
-        ground_offset=float(-split.ground_energy),
+        spectrum=SpectralDecomposition(split.spectrum.eigenvalues - e0, split.spectrum.eigenvectors),
     )
 
 

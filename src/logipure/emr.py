@@ -80,13 +80,6 @@ class RoundSpec:
             return tuple(self.outcomes[r])
         return tuple(s.k for s in self.settings)
 
-    @property
-    def constant_outcomes(self) -> bool:
-        if self.outcomes is None:
-            return True
-        first = tuple(s.k for s in self.settings)
-        return all(tuple(row) == first for row in self.outcomes)
-
 
 @dataclass(frozen=True)
 class XYSetup:
@@ -331,7 +324,11 @@ def build_xy_setup(setup: XYSetup, heisenberg: HeisenbergSpec) -> np.ndarray:
         raise ValueError(
             f"setup is wired for {setup.n_system} sites but the chain has {heisenberg.n_qubits}"
         )
-    code = build_heisenberg_code(heisenberg)
+    return _xy_hamiltonian(setup, build_heisenberg_code(heisenberg))
+
+
+def _xy_hamiltonian(setup: XYSetup, code: CodeModel) -> np.ndarray:
+    """:func:`build_xy_setup` on an already built chain code."""
     n, n_aux = setup.n_system, setup.n_aux
     n_tot = n + n_aux
     e_a = code.gap if setup.aux_energy is None else setup.aux_energy
@@ -440,7 +437,7 @@ def reproduce_table1(
         "rows": [],
     }
     for row in selected:
-        spec = HeisenbergSpec(n_qubits=row.n_sites)
+        code = build_heisenberg_code(HeisenbergSpec(n_qubits=row.n_sites))
         setup = XYSetup(
             n_system=row.n_sites,
             n_aux=len(row.settings),
@@ -449,9 +446,7 @@ def reproduce_table1(
             gamma=row.gamma,
             aux_energy=e_a,
         )
-        h_tot = build_xy_setup(setup, spec)
-        code = build_heisenberg_code(spec)
-        u = hermitian_eig(h_tot).unitary(duration)
+        u = hermitian_eig(_xy_hamiltonian(setup, code)).unitary(duration)
         ensemble = thermal_ensemble([code], beta)
         settings = tuple(MeasurementSetting(a=a, b=b, k=k) for a, b, k in row.settings)
 

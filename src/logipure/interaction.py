@@ -25,6 +25,7 @@ from .operators import (
     KET_1,
     PAULI_MATRICES,
     PauliString,
+    embed,
     kron,
     kron_all,
     pauli_operator,
@@ -124,30 +125,6 @@ def joint_target_state(codes: list[CodeModel], targets: tuple[LogicalTarget, ...
     return kron_all(factors) if len(factors) > 1 else factors[0]
 
 
-def system_hamiltonian(codes: list[CodeModel]) -> np.ndarray:
-    """Sum of per-code Hamiltonians, each identity-padded to the joint register."""
-    dims = [c.dimension for c in codes]
-    total = int(np.prod(dims))
-    h = np.zeros((total, total), dtype=complex)
-    for i, code in enumerate(codes):
-        left = int(np.prod(dims[:i])) if i else 1
-        right = int(np.prod(dims[i + 1 :])) if i + 1 < len(dims) else 1
-        h += kron_all([np.eye(left), code.hamiltonian, np.eye(right)])
-    return h
-
-
-def aux_hamiltonian(aux: AuxiliarySpec) -> np.ndarray:
-    """sum_j E_A |1><1|_j on the auxiliary register (ground energy exactly 0)."""
-    single = aux.energy * np.outer(KET_1, KET_1.conj())
-    dim = 2**aux.count
-    h = np.zeros((dim, dim), dtype=complex)
-    for j in range(aux.count):
-        left = 2**j
-        right = 2 ** (aux.count - j - 1)
-        h += kron_all([np.eye(left), single, np.eye(right)])
-    return h
-
-
 def build_interaction(codes: list[CodeModel], spec: InteractionSpec) -> np.ndarray:
     """Engineered coupling on (joint system) x (one auxiliary qubit).
 
@@ -189,19 +166,28 @@ def build_interaction(codes: list[CodeModel], spec: InteractionSpec) -> np.ndarr
 def build_total(codes: list[CodeModel], interaction: np.ndarray, aux: AuxiliarySpec) -> np.ndarray:
     """H_tot = H_S + H_A + H_SA on (joint system) x (auxiliary register).
 
-    ``interaction`` acts on the system plus the *first* auxiliary qubit;
-    remaining auxiliary qubits are identity-padded.
+    H_S is the sum of the code Hamiltonians, each on its own qubits in
+    code order; H_A is ``sum_j E_A |1><1|_j`` over the auxiliary qubits,
+    whose ground energy is exactly 0.  ``interaction`` acts on the system
+    plus the *first* auxiliary qubit; remaining auxiliary qubits are
+    identity-padded.
     """
-    d_s = int(np.prod([c.dimension for c in codes]))
+    n_s = sum(c.n_qubits for c in codes)
     interaction = require_hermitian(interaction, "interaction")
-    if interaction.shape[0] != 2 * d_s:
+    if interaction.shape[0] != 2 ** (n_s + 1):
         raise ValueError(
-            f"interaction dimension {interaction.shape[0]} does not match system {d_s} x one AQ"
+            f"interaction dimension {interaction.shape[0]} does not match system {2**n_s} x one AQ"
         )
-    d_a = 2**aux.count
-    h = kron(system_hamiltonian(codes), np.eye(d_a))
-    h += kron(np.eye(d_s), aux_hamiltonian(aux))
-    h += kron(interaction, np.eye(d_a // 2))
+    n_tot = n_s + aux.count
+    h = np.zeros((2**n_tot, 2**n_tot), dtype=complex)
+    first = 0
+    for code in codes:
+        h += embed(code.hamiltonian, n_tot, range(first, first + code.n_qubits))
+        first += code.n_qubits
+    excited = aux.energy * np.outer(KET_1, KET_1.conj())
+    for j in range(n_s, n_tot):
+        h += embed(excited, n_tot, [j])
+    h += embed(interaction, n_tot, range(n_s + 1))
     return h
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .codes import CodeModel
 from .interaction import AuxiliarySpec, InteractionSpec, build_interaction, build_total
-from .operators import KET_0, KET_1, evolve, gibbs, hermitian_eig, kron, kron_all
+from .operators import KET_0, KET_1, evolve, gibbs, kron, kron_all
 
 # Residual tolerance for closed-form eigenpairs against the dense matrix.
 EIGENPAIR_TOL = 1e-9
@@ -196,4 +196,4 @@ def evolved_joint_state(
     """Exact rho(t) = U rho_thermal (x) |0_A><0_A| U^dagger on the joint register."""
     h_tot = build_total(codes, build_interaction(codes, spec), aux)
     rho0 = initial_state(codes, thermal, aux)
-    return evolve(h_tot, t, rho0, spectral=hermitian_eig(h_tot))
+    return evolve(h_tot, t, rho0)

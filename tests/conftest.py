@@ -1,5 +1,8 @@
 """Shared fixtures and the acceptance-criteria summary reporter."""
 
+import numpy as np
+import pytest
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -19,3 +22,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Names of the dense ``np.linalg`` eigensolves made while the test runs."""
+    solves: list[str] = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            solves.append(_solver.__name__)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return solves

@@ -17,9 +17,10 @@ from logipure.codes import (
     logical_state,
     spectral_split,
 )
-from logipure.operators import pauli_operator
+from logipure.operators import kron_all, pauli_operator
 
 GOLDEN_GAP_N6 = 0.3819660112501064  # exact-diagonalization value, N=6 chain
+HADAMARDS = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * 3)
 
 
 def test_repetition_spectrum_oracle():
@@ -123,6 +124,31 @@ def test_spectral_split_diagonal_determinism():
     assert split.degeneracies == (2, 3, 1)
     assert abs(split.gap - 1.0) < 1e-12
     assert abs(split.ground_energy) < 1e-12
+
+
+def test_spectral_split_diagonal_spectrum(eigensolves):
+    """A diagonal input is its own spectrum: sorted diagonal, identity columns, no solve."""
+    diag = np.array([3.0, 1.0, 0.0, 1.0, 0.0, 2.0])
+    split = spectral_split(np.diag(diag).astype(complex))
+    assert np.array_equal(split.spectrum.eigenvalues, np.sort(diag))
+    # ties keep their index order
+    assert np.array_equal(split.spectrum.eigenvectors, np.eye(6)[:, [2, 4, 1, 3, 5, 0]])
+    assert eigensolves == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_heisenberg_code(HeisenbergSpec(n_qubits=2)),
+        lambda: build_heisenberg_code(HeisenbergSpec(n_qubits=4)),
+        # the bit-flip code in the X basis
+        lambda: code_from_hamiltonian(HADAMARDS @ build_repetition_code(1.0).hamiltonian @ HADAMARDS),
+    ],
+    ids=["chain-2", "chain-4", "non-diagonal-host"],
+)
+def test_stored_spectrum_reconstructs_hamiltonian(build):
+    code = build()
+    assert np.max(np.abs(code.spectrum.reconstruct() - code.hamiltonian)) < 1e-12
 
 
 def test_spectral_split_errors():

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from logipure.codes import LogicalTarget, build_repetition_code
+from logipure.codes import (
+    HeisenbergSpec,
+    LogicalTarget,
+    build_heisenberg_code,
+    build_repetition_code,
+    code_from_hamiltonian,
+)
 from logipure.emr import thermal_ensemble
 from logipure.formulas import (
     a_for_fidelity,
@@ -14,7 +20,8 @@ from logipure.formulas import (
 )
 from logipure.interaction import AuxiliarySpec, InteractionSpec
 from logipure.measurement import MeasurementSetting, purify_once
-from logipure.thermal import ResonanceContext, ThermalSpec
+from logipure.operators import kron_all
+from logipure.thermal import ResonanceContext, ThermalSpec, initial_state
 
 CODE = build_repetition_code(1.0)
 
@@ -41,25 +48,29 @@ def test_p_beta_matches_thermal_spec():
         assert abs(p_beta([CODE, CODE], beta) - spec.p_weight) < 1e-14
 
 
-def test_one_eigensolve_per_code(monkeypatch):
-    """Every thermal quantity of a code reads one cached spectrum."""
-    code = build_repetition_code(1.5)
-    solves = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
+def test_one_eigensolve_per_code(eigensolves):
+    """A code solves its Hamiltonian at most once, while it is built.
 
-        def counted(*args, _solver=solver, **kwargs):
-            solves.append(_solver.__name__)
-            return _solver(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    p_beta([code], 0.3)
-    ThermalSpec.from_codes([code, code], 0.3)
-    thermal_ensemble([code], 0.3)
-    for a in np.linspace(0.1, 3.0, 50):
-        f_plus_resonant(a, 0.7, 1.0, 0.3, [code])
-    assert len(solves) == 1
-    assert code.spectrum is code.spectrum
+    Every thermal quantity afterwards reads the spectrum the builder
+    clustered; a diagonal Hamiltonian needs no solve at all.
+    """
+    hadamards = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * 3)
+    builders = (
+        (lambda: build_repetition_code(1.5), 0),
+        (lambda: build_heisenberg_code(HeisenbergSpec(n_qubits=4)), 1),
+        # the bit-flip code in the X basis: a non-diagonal host
+        (lambda: code_from_hamiltonian(hadamards @ build_repetition_code(1.5).hamiltonian @ hadamards), 1),
+    )
+    for build, expected in builders:
+        eigensolves.clear()
+        code = build()
+        p_beta([code], 0.3)
+        ThermalSpec.from_codes([code, code], 0.3)
+        thermal_ensemble([code], 0.3)
+        initial_state([code], ThermalSpec.from_codes([code], 0.3), AuxiliarySpec())
+        for a in np.linspace(0.1, 3.0, 50):
+            f_plus_resonant(a, 0.7, 1.0, 0.3, [code])
+        assert len(eigensolves) == expected, (code.n_qubits, eigensolves)
 
 
 def test_resonant_probability_limits():

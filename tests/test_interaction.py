@@ -7,7 +7,6 @@ from logipure.codes import HeisenbergSpec, LogicalTarget, build_heisenberg_code,
 from logipure.interaction import (
     AuxiliarySpec,
     InteractionSpec,
-    aux_hamiltonian,
     build_interaction,
     build_total,
     es_superposition,
@@ -15,9 +14,8 @@ from logipure.interaction import (
     joint_target_state,
     pauli_decompose,
     pauli_reconstruct,
-    system_hamiltonian,
 )
-from logipure.operators import KET_0, KET_1, kron, pauli_operator
+from logipure.operators import KET_0, KET_1, kron, kron_all, pauli_operator
 from oracles import compare_term_lists, three_qubit_coupling_reference
 
 
@@ -101,7 +99,7 @@ def test_build_total_structure():
     aux = AuxiliarySpec(count=1, energy=4.0)
     h_tot = build_total([code], h_sa, aux)
     assert h_tot.shape == (16, 16)
-    want = kron(code.hamiltonian, np.eye(2)) + kron(np.eye(8), aux_hamiltonian(aux)) + h_sa
+    want = kron(code.hamiltonian, np.eye(2)) + kron(np.eye(8), np.diag([0.0, 4.0])) + h_sa
     assert np.allclose(h_tot, want, atol=1e-12)
     # auxiliary ground energy is exactly zero: acting on |000, 0_A> gives the coupling only
     ground = kron(code.ls_basis[0], KET_0)
@@ -110,17 +108,32 @@ def test_build_total_structure():
         build_total([code], h_sa[:8, :8], aux)
 
 
-def test_system_hamiltonian_two_codes():
-    code = rep_code()
-    h = system_hamiltonian([code, code])
-    want = kron(code.hamiltonian, np.eye(8)) + kron(np.eye(8), code.hamiltonian)
-    assert np.allclose(h, want, atol=1e-12)
+def two_code_total(energy):
+    """Two different codes, two auxiliary qubits, and the coupling on the first."""
+    codes = [rep_code(), build_heisenberg_code(HeisenbergSpec(n_qubits=2))]
+    spec = InteractionSpec(coupling=0.7, targets=(LogicalTarget(0.4, 0.0), LogicalTarget(1.2, 2.0)))
+    h_sa = build_interaction(codes, spec)
+    return codes, h_sa, build_total(codes, h_sa, AuxiliarySpec(count=2, energy=energy))
 
 
-def test_aux_hamiltonian_two_qubits():
-    aux = AuxiliarySpec(count=2, energy=3.0)
-    h = aux_hamiltonian(aux)
-    assert np.allclose(np.diag(h), [0.0, 3.0, 3.0, 6.0], atol=1e-12)
+def test_build_total_two_codes():
+    (rep, chain), h_sa, h_tot = two_code_total(3.0)
+    assert h_tot.shape == (128, 128)
+    want = (
+        kron_all([rep.hamiltonian, np.eye(4), np.eye(4)])
+        + kron_all([np.eye(8), chain.hamiltonian, np.eye(4)])
+        + kron_all([np.eye(32), np.diag([0.0, 3.0, 3.0, 6.0])])
+        + kron(h_sa, np.eye(2))
+    )
+    assert np.allclose(h_tot, want, atol=1e-12)
+
+
+def test_build_total_two_aux_qubits():
+    _, _, h_tot = two_code_total(3.0)
+    _, _, h_bare = two_code_total(0.0)
+    # the auxiliary term alone: E_A per excited auxiliary qubit, ground energy exactly 0
+    h_a = h_tot - h_bare
+    assert np.allclose(h_a, kron(np.eye(32), np.diag([0.0, 3.0, 3.0, 6.0])), atol=1e-12)
 
 
 def test_pauli_decompose_roundtrip():
