@@ -138,8 +138,10 @@ class EmrTrajectory:
     """Per-round record of a postselected purification run.
 
     Arrays are trimmed to the rounds actually completed; ``truncated``
-    flags an outcome whose conditional probability fell below the floor,
-    with the offending round in ``reason``.
+    flags a run that stopped early, because an outcome's conditional
+    probability fell below the floor or (fast path) the cumulative
+    probability left the normal float range; ``reason`` names the cause
+    and the offending round.
     """
 
     fidelity: np.ndarray
@@ -275,6 +277,19 @@ def fast_trajectory(
     Only constant outcome strings are supported here; anything else
     needs :func:`run_emr`.
     """
+    return _trajectories(u, ensemble, settings, [target], max_rounds, aq_reset, p_floor)[0]
+
+
+def _trajectories(
+    u: np.ndarray,
+    ensemble: np.ndarray,
+    settings: tuple[MeasurementSetting, ...],
+    targets: list[np.ndarray],
+    max_rounds: int,
+    aq_reset: str = KEEP,
+    p_floor: float = UNATTAINABLE_P,
+) -> list[EmrTrajectory]:
+    """:func:`fast_trajectory` for several targets from one kernel pass."""
     if aq_reset not in POLICIES:
         raise ValueError(f"unknown reset policy {aq_reset!r}; expected one of {POLICIES}")
     n_aux = len(settings)
@@ -284,15 +299,20 @@ def fast_trajectory(
     k_first = round_contraction(u, d_s, settings, ket0)
     k_later = k_first if aq_reset == RESET else round_contraction(u, d_s, settings, psi_out)
 
-    fid, p_round, p_cum, truncated = trajectory_kernel(
-        k_first, k_later, ensemble, target, max_rounds, p_floor
+    fid, p_round, p_cum, truncated, why = trajectory_kernel(
+        k_first, k_later, ensemble, np.stack(targets), max_rounds, p_floor
     )
-    reason = None
-    if truncated:
-        reason = f"round {len(fid) + 1}: outcome probability below {p_floor:.0e}"
-    return EmrTrajectory(
-        fidelity=fid, p_round=p_round, p_cumulative=p_cum, truncated=truncated, reason=reason
-    )
+    reason = f"round {len(p_round) + 1}: {why}" if truncated else None
+    return [
+        EmrTrajectory(
+            fidelity=fid[:, i].copy(),
+            p_round=p_round.copy(),
+            p_cumulative=p_cum.copy(),
+            truncated=truncated,
+            reason=reason,
+        )
+        for i in range(len(targets))
+    ]
 
 
 def find_m_min(trajectory: EmrTrajectory, f_target: float, max_rounds: int = 200) -> int | None:
@@ -436,8 +456,12 @@ def reproduce_table1(
         },
         "rows": [],
     }
+    chains: dict[int, tuple[CodeModel, np.ndarray]] = {}
     for row in selected:
-        code = build_heisenberg_code(HeisenbergSpec(n_qubits=row.n_sites))
+        if row.n_sites not in chains:
+            chain = build_heisenberg_code(HeisenbergSpec(n_qubits=row.n_sites))
+            chains[row.n_sites] = (chain, thermal_ensemble([chain], beta))
+        code, ensemble = chains[row.n_sites]
         setup = XYSetup(
             n_system=row.n_sites,
             n_aux=len(row.settings),
@@ -447,7 +471,6 @@ def reproduce_table1(
             aux_energy=e_a,
         )
         u = hermitian_eig(_xy_hamiltonian(setup, code)).unitary(duration)
-        ensemble = thermal_ensemble([code], beta)
         settings = tuple(MeasurementSetting(a=a, b=b, k=k) for a, b, k in row.settings)
 
         pole_angles = all(
@@ -455,13 +478,17 @@ def reproduce_table1(
         )
         policies = (KEEP,) if pole_angles else (KEEP, RESET)
 
-        candidates = []
-        for sign in ("+", "-"):
-            target = cardinal_state(code, row.axis + sign)
-            for policy in policies:
-                traj = fast_trajectory(u, ensemble, settings, target, max_rounds, aq_reset=policy)
-                metrics = _row_metrics(traj, max_rounds)
-                candidates.append({"cardinal": row.axis + sign, "policy": policy, **metrics})
+        signs = ("+", "-")
+        targets = [cardinal_state(code, row.axis + sign) for sign in signs]
+        runs = {
+            policy: _trajectories(u, ensemble, settings, targets, max_rounds, aq_reset=policy)
+            for policy in policies
+        }
+        candidates = [
+            {"cardinal": row.axis + sign, "policy": policy, **_row_metrics(runs[policy][i], max_rounds)}
+            for i, sign in enumerate(signs)
+            for policy in policies
+        ]
 
         matched = max(candidates, key=lambda c: c["max_fidelity"])
         reference = {

@@ -26,13 +26,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Names of the dense ``np.linalg`` eigensolves made while the test runs."""
-    solves: list[str] = []
+    """Dimension of each ``np.linalg`` eigensolve made while the test runs.
+
+    ``hermitian_eig`` solves one block at a time, so one Hamiltonian may
+    take several calls; the dimensions of one full solve add up to the
+    Hamiltonian's dimension, and solving it twice doubles the sum.
+    """
+    solves: list[int] = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
         def counted(*args, _solver=solver, **kwargs):
-            solves.append(_solver.__name__)
+            solves.append(np.shape(args[0])[0])
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

@@ -1,9 +1,11 @@
-"""Test-only oracles: a hand-derived Pauli expansion of the coupling.
+"""Test-only oracles.
 
-The three-qubit rank-one coupling of the repetition code is expanded
-here in projector algebra, independently of
-:func:`logipure.interaction.pauli_decompose`, and compared term by term
-against the decomposition pipeline.
+* A hand-derived Pauli expansion of the coupling: the three-qubit
+  rank-one coupling of the repetition code is expanded here in projector
+  algebra, independently of :func:`logipure.interaction.pauli_decompose`,
+  and compared term by term against the decomposition pipeline.
+* A plain dense round loop, the reference for the block-split
+  trajectory kernel.
 """
 
 from itertools import product
@@ -100,3 +102,22 @@ def compare_term_lists(
         "mismatches": mismatches,
         "agree": not mismatches,
     }
+
+
+def dense_trajectory(k_first, k_later, ensemble, targets, n_rounds):
+    """Fidelities (one column per target), round and cumulative probabilities.
+
+    The whole ensemble is multiplied by the full contraction operator each
+    round, with no block structure and no stopping rule.
+    """
+    v = np.asarray(ensemble, dtype=complex)
+    fid, p_round, p_cum = [], [], []
+    prev = 1.0
+    for r in range(n_rounds):
+        v = (k_first if r == 0 else k_later) @ v
+        w = float(np.sum(np.abs(v) ** 2))
+        fid.append([float(np.sum(np.abs(np.conj(t) @ v) ** 2)) / w for t in targets])
+        p_round.append(w / prev)
+        p_cum.append(w)
+        prev = w
+    return np.array(fid), np.array(p_round), np.array(p_cum)

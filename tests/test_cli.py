@@ -135,6 +135,35 @@ def test_table1_report_schema(tmp_path):
     assert {"reference", "candidates", "deltas"} <= set(rows[0])
 
 
+def assert_matches_golden(got, want, path="$"):
+    """Non-floats equal; floats within 1e-10 relative plus 1e-14 absolute."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), path
+        assert abs(got - want) <= 1e-10 * abs(want) + 1e-14, (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_table1_default_matches_golden(tmp_path):
+    """The default table against a report saved before the sector-block split.
+
+    Eigensolves and round loops now run per conserved block, so the
+    floats move in their last digits; nothing else may move.
+    """
+    golden = json.loads((Path(__file__).parent / "data" / "table1_default.json").read_text())
+    rc, out = run_cli(tmp_path, "table1")
+    assert rc == 0
+    assert_matches_golden(json.loads(out.read_text()), golden)
+
+
 def test_purify_payload(tmp_path):
     rc, out = run_cli(tmp_path, "purify", {"t": 0.7, "beta": 0.1})
     assert rc == 0

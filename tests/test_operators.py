@@ -8,6 +8,7 @@ from logipure.operators import (
     KET_1,
     PauliString,
     SIGMA_X,
+    SPLIT_MIN_ROWS,
     SIGMA_Y,
     SIGMA_Z,
     basis_state,
@@ -131,6 +132,28 @@ def test_spectral_decomposition_roundtrip():
     u1, u2 = spec.unitary(0.3), spec.unitary(0.7)
     assert np.allclose(u1 @ u1.conj().T, np.eye(6), atol=1e-10)
     assert np.allclose(u1 @ u2, spec.unitary(1.0), atol=1e-10)
+
+
+def test_hermitian_eig_splits_only_large_matrices():
+    """A small matrix is solved whole, bit for bit as ``eigh``; a large one per block."""
+    small = random_hermitian(16, 21)
+    small[:8, 8:] = small[8:, :8] = 0.0  # two blocks
+    spec = hermitian_eig(small)
+    w, v = np.linalg.eigh(small)
+    assert np.array_equal(spec.eigenvalues, w)
+    assert np.array_equal(spec.eigenvectors, v)
+
+    half = SPLIT_MIN_ROWS // 2
+    h = np.zeros((2 * half, 2 * half), dtype=complex)
+    h[:half, :half] = random_hermitian(half, 22)
+    h[half:, half:] = random_hermitian(half, 23)
+    perm = np.random.default_rng(24).permutation(2 * half)
+    h = h[np.ix_(perm, perm)]
+    labels = perm >= half
+    spec = hermitian_eig(h)
+    assert np.allclose(spec.reconstruct(), h, atol=1e-12)
+    for col in spec.eigenvectors.T:
+        assert np.unique(labels[col != 0]).size == 1
 
 
 def test_evolve_matches_rabi_oracle():

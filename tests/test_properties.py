@@ -1,0 +1,170 @@
+"""Property tests of the block-split eigensolve and round kernel.
+
+Random block-diagonal problems are hidden behind a random permutation of
+the basis, so the blocks are only visible through the exactly-zero
+pattern; each fast path is checked against a dense reference.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from logipure import _kernels, operators
+from logipure._kernels import trajectory_kernel
+from logipure.codes import HeisenbergSpec, build_heisenberg_code, cardinal_state
+from logipure.emr import (
+    CALIBRATED_AUX_ENERGY,
+    CHAIN_BENCHMARK,
+    POLICIES,
+    RoundSpec,
+    XYSetup,
+    build_xy_setup,
+    fast_trajectory,
+    run_emr,
+    thermal_ensemble,
+)
+from logipure.measurement import MeasurementSetting
+from logipure.operators import gibbs, hermitian_eig, kron
+
+from oracles import dense_trajectory
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
+
+block_sizes = st.lists(st.integers(1, 5), min_size=1, max_size=4)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def cmat(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def shuffled_blocks(blocks, perm):
+    """Block-diagonal matrix of ``blocks`` with its basis reordered by ``perm``."""
+    n = perm.size
+    full = np.zeros((n, n), dtype=complex)
+    start = 0
+    for b in blocks:
+        m = b.shape[0]
+        full[start : start + m, start : start + m] = b
+        start += m
+    return full[np.ix_(perm, perm)]
+
+
+def shuffled_labels(sizes, perm):
+    """Block label of each row of :func:`shuffled_blocks`."""
+    return np.repeat(np.arange(len(sizes)), sizes)[perm]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=block_sizes, seed=seeds, repeat=st.booleans(), t=st.floats(0.0, 3.0))
+def test_hermitian_eig_on_hidden_blocks(sizes, seed, repeat, t):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for m in sizes:
+        a = cmat(rng, m, m)
+        blocks.append(a + a.conj().T)
+    if repeat:  # a copy of the first block degenerates with it across blocks
+        blocks.append(blocks[0].copy())
+    sizes = [b.shape[0] for b in blocks]
+    perm = rng.permutation(sum(sizes))
+    h, labels = shuffled_blocks(blocks, perm), shuffled_labels(sizes, perm)
+
+    with mock.patch.object(operators, "SPLIT_MIN_ROWS", 1):  # so small matrices split too
+        spec = hermitian_eig(h)
+    assert np.max(np.abs(spec.reconstruct() - h)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
+    assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-12 * max(
+        1.0, np.max(np.abs(spec.eigenvalues))
+    )
+    w, v = np.linalg.eigh(h)
+    dense_u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    assert np.max(np.abs(spec.unitary(t) - dense_u)) <= 1e-12
+    for col in spec.eigenvectors.T:
+        assert np.unique(labels[col != 0]).size == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=block_sizes,
+    seed=seeds,
+    n_targets=st.integers(1, 3),
+    n_rounds=st.integers(1, 12),
+    spanning_column=st.booleans(),
+    min_part_rows=st.integers(1, 6),
+)
+def test_split_kernel_matches_dense_loop(
+    sizes, seed, n_targets, n_rounds, spanning_column, min_part_rows
+):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    labels = shuffled_labels(sizes, perm)
+    k_first, k_later = (
+        shuffled_blocks([cmat(rng, m, m) / np.sqrt(2 * m) for m in sizes], perm) for _ in range(2)
+    )
+    columns = []
+    for b, m in enumerate(sizes):  # ensemble columns supported on one block each
+        for _ in range(rng.integers(1, m + 1)):
+            col = np.zeros(n, dtype=complex)
+            col[labels == b] = rng.normal(size=m) + 1j * rng.normal(size=m)
+            columns.append(col)
+    if spanning_column:  # couples every block into one
+        columns.append(rng.normal(size=n) + 1j * rng.normal(size=n))
+    ensemble = np.column_stack(columns)
+    ensemble /= np.linalg.norm(ensemble)
+    targets = cmat(rng, n_targets, n)
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+
+    # small part sizes, so these small problems take the split path too
+    with mock.patch.object(_kernels, "MIN_PART_ROWS", min_part_rows):
+        fid, p_round, p_cum, truncated, _ = trajectory_kernel(
+            k_first, k_later, ensemble, targets, n_rounds, 0.0
+        )
+    ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first, k_later, ensemble, targets, n_rounds)
+    assert not truncated
+    assert fid.shape == (n_rounds, n_targets)
+    assert np.max(np.abs(fid - ref_fid)) <= 1e-12
+    assert np.max(np.abs(p_round / ref_p_round - 1.0)) <= 1e-12
+    assert np.max(np.abs(p_cum / ref_p_cum - 1.0)) <= 1e-12
+
+
+SMALL_ROWS = [row for row in CHAIN_BENCHMARK if row.n_sites <= 4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    row=st.sampled_from(SMALL_ROWS),
+    policy=st.sampled_from(POLICIES),
+    sign=st.sampled_from("+-"),
+    beta=st.floats(0.0, 1.0),
+    duration=st.floats(0.2, 2.0),
+)
+def test_fast_trajectory_matches_dense_loop_on_chain_rows(row, policy, sign, beta, duration):
+    spec = HeisenbergSpec(n_qubits=row.n_sites)
+    code = build_heisenberg_code(spec)
+    n_aux = len(row.settings)
+    setup = XYSetup(
+        row.n_sites, n_aux, j_2=row.j_2, gamma=row.gamma, aux_energy=CALIBRATED_AUX_ENERGY
+    )
+    h_tot = build_xy_setup(setup, spec)
+    settings_ = tuple(MeasurementSetting(a=a, b=b, k=k) for a, b, k in row.settings)
+    target = cardinal_state(code, row.axis + sign)
+    ground = np.zeros((2**n_aux, 2**n_aux))
+    ground[0, 0] = 1.0
+    rho0 = kron(gibbs(code.hamiltonian, beta)[0], ground)
+
+    ref = run_emr(h_tot, rho0, RoundSpec(duration, settings_), target, 8, policy)
+    fast = fast_trajectory(
+        hermitian_eig(h_tot).unitary(duration),
+        thermal_ensemble([code], beta),
+        settings_,
+        target,
+        8,
+        aq_reset=policy,
+    )
+    assert (fast.n_rounds, fast.truncated) == (ref.n_rounds, ref.truncated)
+    assert np.allclose(fast.fidelity, ref.fidelity, rtol=0.0, atol=1e-10)
+    assert np.allclose(fast.p_round, ref.p_round, rtol=1e-10, atol=0.0)
+    assert np.allclose(fast.p_cumulative, ref.p_cumulative, rtol=1e-10, atol=0.0)
