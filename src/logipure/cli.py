@@ -45,15 +45,15 @@ from .thermal import ThermalSpec, evolved_joint_state, initial_state
 
 REPETITION_DOC = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
 
+# Host code, coupling and logical target shared by every engine command.
+ENGINE_DEFAULTS = {"code": REPETITION_DOC, "L": 1, "g": 1.0, "theta": 0.0, "phi": 0.0}
+# The commands that also evolve need the auxiliary splitting (null: on
+# resonance) and the bath temperature.
+EVOLVE_DEFAULTS = {**ENGINE_DEFAULTS, "e_a": None, "beta": 0.1}
+
 DEFAULTS: dict[str, dict] = {
     "fig2": {
-        "code": REPETITION_DOC,
-        "L": 1,
-        "g": 1.0,
-        "e_a": None,
-        "beta": 0.1,
-        "theta": 0.0,
-        "phi": 0.0,
+        **EVOLVE_DEFAULTS,
         "a_range": [0.0, float(np.pi)],
         "a_points": 60,
         "t_range": [0.0, float(2 * np.pi)],
@@ -66,13 +66,7 @@ DEFAULTS: dict[str, dict] = {
         "beta_points": 60,
     },
     "fig4": {
-        "code": REPETITION_DOC,
-        "L": 1,
-        "g": 1.0,
-        "e_a": None,
-        "beta": 0.1,
-        "theta": 0.0,
-        "phi": 0.0,
+        **EVOLVE_DEFAULTS,
         "b": 0.0,
         "k": 1,
         "a_range": [0.0, float(np.pi)],
@@ -92,26 +86,13 @@ DEFAULTS: dict[str, dict] = {
         "max_rounds": 500,
     },
     "purify": {
-        "code": REPETITION_DOC,
-        "L": 1,
-        "g": 1.0,
-        "e_a": None,
-        "beta": 0.1,
-        "theta": 0.0,
-        "phi": 0.0,
+        **EVOLVE_DEFAULTS,
         "t": float(np.pi / 2),
         "a": float(np.pi),
         "b": 0.0,
         "k": 1,
     },
-    "decompose": {
-        "code": REPETITION_DOC,
-        "L": 1,
-        "g": 1.0,
-        "theta": 0.0,
-        "phi": 0.0,
-        "variant": "rank-one",
-    },
+    "decompose": {**ENGINE_DEFAULTS, "variant": "rank-one"},
 }
 
 

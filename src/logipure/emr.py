@@ -1,10 +1,12 @@
 """Evolve-measure-repeat purification and the XY-coupled chain setups.
 
 One round evolves the joint state for a fixed time, measures every
-auxiliary qubit along its configured direction, and postselects a fixed
-outcome string.  Repeating the round drives the system toward a logical
-target at the price of an exponentially shrinking cumulative success
-probability.  Two implementations are provided:
+auxiliary qubit along its configured direction, and postselects the
+settings' own outcome string, the same in every round.  Repeating the
+round drives the system toward a logical target at the price of an
+exponentially shrinking cumulative success probability.  Two
+implementations are provided, both stopping a run at the same
+probability floor:
 
 * :func:`run_emr` - the reference density-matrix loop on the full joint
   register;
@@ -54,31 +56,20 @@ CALIBRATED_AUX_ENERGY = 0.98
 
 @dataclass(frozen=True)
 class RoundSpec:
-    """One purification round, repeated verbatim unless ``outcomes`` is set.
+    """One purification round, repeated verbatim.
 
-    ``settings`` holds one measurement direction per auxiliary qubit; the
-    postselected outcome of round r is ``outcomes[r]`` when provided and
-    the settings' own ``k`` otherwise.
+    ``settings`` holds one measurement direction per auxiliary qubit;
+    every round postselects the settings' own outcomes ``k``.
     """
 
     duration: float
     settings: tuple[MeasurementSetting, ...]
-    outcomes: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError(f"round duration must be positive, got {self.duration}")
         if not self.settings:
             raise ValueError("need at least one measurement setting")
-        if self.outcomes is not None:
-            for row in self.outcomes:
-                if len(row) != len(self.settings) or any(k not in (+1, -1) for k in row):
-                    raise ValueError(f"bad outcome row {row!r}")
-
-    def outcome_for(self, r: int) -> tuple[int, ...]:
-        if self.outcomes is not None and r < len(self.outcomes):
-            return tuple(self.outcomes[r])
-        return tuple(s.k for s in self.settings)
 
 
 @dataclass(frozen=True)
@@ -138,10 +129,10 @@ class EmrTrajectory:
     """Per-round record of a postselected purification run.
 
     Arrays are trimmed to the rounds actually completed; ``truncated``
-    flags a run that stopped early, because an outcome's conditional
-    probability fell below the floor or (fast path) the cumulative
-    probability left the normal float range; ``reason`` names the cause
-    and the offending round.
+    flags a run that stopped early, because the outcome's conditional
+    probability fell below :data:`UNATTAINABLE_P` or (fast path) the
+    cumulative probability left the normal float range; ``reason`` names
+    the cause and the offending round.
     """
 
     fidelity: np.ndarray
@@ -149,19 +140,10 @@ class EmrTrajectory:
     p_cumulative: np.ndarray
     truncated: bool = False
     reason: str | None = None
-    states: list[np.ndarray] | None = None
 
     @property
     def n_rounds(self) -> int:
         return int(self.fidelity.shape[0])
-
-    def csv_rows(self) -> list[str]:
-        rows = ["round,f,p_round,p_cumulative"]
-        for r in range(self.n_rounds):
-            rows.append(
-                f"{r + 1},{self.fidelity[r]:.17g},{self.p_round[r]:.17g},{self.p_cumulative[r]:.17g}"
-            )
-        return rows
 
 
 def run_emr(
@@ -171,8 +153,6 @@ def run_emr(
     target: np.ndarray,
     max_rounds: int,
     aq_reset: str = KEEP,
-    keep_states: bool = False,
-    p_floor: float = UNATTAINABLE_P,
 ) -> EmrTrajectory:
     """Reference implementation: full joint-space density-matrix loop.
 
@@ -187,28 +167,25 @@ def run_emr(
         raise ValueError(f"unknown reset policy {aq_reset!r}; expected one of {POLICIES}")
     n_aux = len(rounds.settings)
     dim = h_tot.shape[0]
-    d_s = dim // 2**n_aux
-    if d_s * 2**n_aux != dim:
+    if dim % 2**n_aux:
         raise ValueError(f"joint dimension {dim} does not factor into system x {n_aux} qubits")
-    dims = [d_s] + [2] * n_aux
 
     u = hermitian_eig(h_tot).unitary(rounds.duration)
     ket0 = kron_all([np.outer(KET_0, KET_0.conj())] * n_aux)
+    outcome = tuple(s.k for s in rounds.settings)
 
     rho = np.asarray(rho0, dtype=complex)
-    fid, p_round, p_cum, states = [], [], [], []
+    fid, p_round, p_cum = [], [], []
     cumulative = 1.0
     truncated, reason = False, None
     for r in range(max_rounds):
         rho = u @ rho @ u.conj().T
-        outcome = rounds.outcome_for(r)
-        records = measure_aq(rho, n_aux, rounds.settings, target=None)
-        rec = records[outcome]
+        rec = measure_aq(rho, n_aux, rounds.settings, target=None)[outcome]
         if not rec.attainable:
             truncated = True
             reason = (
                 f"round {r + 1}: outcome {outcome} probability {rec.probability:.3e} "
-                f"below {p_floor:.0e}"
+                f"below {UNATTAINABLE_P:.0e}"
             )
             break
         rho = rec.post_joint_state
@@ -217,8 +194,6 @@ def run_emr(
         fid.append(fidelity_pure(rho_s, target))
         p_round.append(rec.probability)
         p_cum.append(cumulative)
-        if keep_states:
-            states.append(rho_s)
         if aq_reset == RESET:
             rho = kron(rho_s, ket0)
 
@@ -228,7 +203,6 @@ def run_emr(
         p_cumulative=np.array(p_cum),
         truncated=truncated,
         reason=reason,
-        states=states if keep_states else None,
     )
 
 
@@ -241,7 +215,7 @@ def thermal_ensemble(codes: list[CodeModel], beta: float) -> np.ndarray:
         weights = np.exp(-beta * (w - w[0]))
         weights /= weights.sum()
         factors.append(spec.eigenvectors * np.sqrt(weights))
-    return kron_all(factors) if len(factors) > 1 else factors[0]
+    return kron_all(factors)
 
 
 def round_contraction(
@@ -256,7 +230,7 @@ def round_contraction(
     d_a = 2**n_aux
     if u.shape[0] != d_s * d_a:
         raise ValueError(f"unitary dimension {u.shape[0]} does not match system {d_s} x {n_aux} AQs")
-    psi_out = kron_all([s.state() for s in settings]) if n_aux > 1 else settings[0].state()
+    psi_out = kron_all([s.state() for s in settings])
     ur = u.reshape(d_s, d_a, d_s, d_a)
     return np.einsum("a,iajb,b->ij", psi_out.conj(), ur, aq_in)
 
@@ -268,16 +242,15 @@ def fast_trajectory(
     target: np.ndarray,
     max_rounds: int,
     aq_reset: str = KEEP,
-    p_floor: float = UNATTAINABLE_P,
 ) -> EmrTrajectory:
     """Exact trajectory via per-round contraction operators.
 
     ``u`` is the one-round joint unitary and ``ensemble`` a square-root
     factor of the initial system state (see :func:`thermal_ensemble`).
-    Only constant outcome strings are supported here; anything else
-    needs :func:`run_emr`.
+    Gives the same record as :func:`run_emr` on the same round, with the
+    same probability floor :data:`UNATTAINABLE_P`.
     """
-    return _trajectories(u, ensemble, settings, [target], max_rounds, aq_reset, p_floor)[0]
+    return _trajectories(u, ensemble, settings, [target], max_rounds, aq_reset)[0]
 
 
 def _trajectories(
@@ -287,20 +260,19 @@ def _trajectories(
     targets: list[np.ndarray],
     max_rounds: int,
     aq_reset: str = KEEP,
-    p_floor: float = UNATTAINABLE_P,
 ) -> list[EmrTrajectory]:
     """:func:`fast_trajectory` for several targets from one kernel pass."""
     if aq_reset not in POLICIES:
         raise ValueError(f"unknown reset policy {aq_reset!r}; expected one of {POLICIES}")
     n_aux = len(settings)
     d_s = ensemble.shape[0]
-    ket0 = kron_all([KET_0] * n_aux) if n_aux > 1 else KET_0
-    psi_out = kron_all([s.state() for s in settings]) if n_aux > 1 else settings[0].state()
+    ket0 = kron_all([KET_0] * n_aux)
+    psi_out = kron_all([s.state() for s in settings])
     k_first = round_contraction(u, d_s, settings, ket0)
     k_later = k_first if aq_reset == RESET else round_contraction(u, d_s, settings, psi_out)
 
     fid, p_round, p_cum, truncated, why = trajectory_kernel(
-        k_first, k_later, ensemble, np.stack(targets), max_rounds, p_floor
+        k_first, k_later, ensemble, np.stack(targets), max_rounds, UNATTAINABLE_P
     )
     reason = f"round {len(p_round) + 1}: {why}" if truncated else None
     return [
@@ -441,8 +413,13 @@ def reproduce_table1(
     reset policy whenever any measurement angle is away from 0 or pi,
     where the two differ); the candidate with the highest trajectory
     fidelity is reported as the match.  ``aux_energy=None`` applies the
-    fitted :data:`CALIBRATED_AUX_ENERGY`.
+    fitted :data:`CALIBRATED_AUX_ENERGY`.  ``rows`` holds 1-based table
+    indices (all rows when None); an index the table lacks raises.
     """
+    if rows is not None:
+        unknown = sorted(set(rows) - {r.index for r in CHAIN_BENCHMARK})
+        if unknown:
+            raise ValueError(f"unknown table1 rows {unknown}; the table has rows 1-{len(CHAIN_BENCHMARK)}")
     e_a = CALIBRATED_AUX_ENERGY if aux_energy is None else aux_energy
     selected = [r for r in CHAIN_BENCHMARK if rows is None or r.index in rows]
     report = {

@@ -9,8 +9,9 @@ superposition |Phi_S>, conditioned on flipping one auxiliary qubit:
 Three flavors are built here: the rank-one form above, a targeted form
 that couples |Psi_S> to every first-excited basis state with equal
 strength, and a ground-preparation form for hosts with a unique ground
-state.  The module also provides exact Pauli-string decompositions of
-arbitrary register operators.
+state.  |Phi_S> is always the uniform superposition.  The module also
+provides exact Pauli-string decompositions of arbitrary register
+operators.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .operators import (
     embed,
     kron,
     kron_all,
-    pauli_operator,
     require_hermitian,
 )
 
@@ -47,24 +47,17 @@ class InteractionSpec:
 
     ``targets`` holds one :class:`LogicalTarget` per code (ignored by the
     ground-preparation variant, which always addresses the unique ground
-    state).  ``es_amplitudes`` optionally replaces the uniform
-    excited-state superposition of each code with custom amplitudes;
-    each array must be normalized to unit 2-norm.
+    state).  Every variant couples to the uniform excited-state
+    superposition of :func:`es_uniform_state`.
     """
 
     coupling: float
     targets: tuple[LogicalTarget, ...] = ()
-    es_amplitudes: tuple[np.ndarray, ...] | None = None
     variant: str = RANK_ONE
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.es_amplitudes is not None:
-            for amps in self.es_amplitudes:
-                nrm = np.linalg.norm(np.asarray(amps))
-                if abs(nrm - 1.0) > 1e-12:
-                    raise ValueError(f"excited-state amplitudes have norm {nrm!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -93,43 +86,28 @@ def es_uniform_state(codes: list[CodeModel]) -> np.ndarray:
     For each code this is (1/sqrt(d_i)) sum_mu |mu_i> over its excited
     manifold basis.
     """
-    return es_superposition(codes, None)
-
-
-def es_superposition(codes: list[CodeModel], amplitudes: tuple[np.ndarray, ...] | None) -> np.ndarray:
-    """Excited-state superposition with given (or uniform) amplitudes per code."""
     if not codes:
         raise ValueError("need at least one code")
-    if amplitudes is not None and len(amplitudes) != len(codes):
-        raise ValueError("need one amplitude vector per code")
     factors = []
-    for i, code in enumerate(codes):
+    for code in codes:
         d = code.es_degeneracy
-        if amplitudes is None:
-            amps = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
-        else:
-            amps = np.asarray(amplitudes[i], dtype=complex).reshape(-1)
-            if amps.shape[0] != d:
-                raise ValueError(
-                    f"code {i} has {d} excited basis states but {amps.shape[0]} amplitudes"
-                )
+        amps = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
         factors.append(sum(a * v for a, v in zip(amps, code.es_basis)))
-    return kron_all(factors) if len(factors) > 1 else factors[0]
+    return kron_all(factors)
 
 
 def joint_target_state(codes: list[CodeModel], targets: tuple[LogicalTarget, ...]) -> np.ndarray:
     """Product of per-code logical target states."""
     if len(targets) != len(codes):
         raise ValueError(f"{len(codes)} codes but {len(targets)} targets")
-    factors = [logical_state(c, t) for c, t in zip(codes, targets)]
-    return kron_all(factors) if len(factors) > 1 else factors[0]
+    return kron_all(logical_state(c, t) for c, t in zip(codes, targets))
 
 
 def build_interaction(codes: list[CodeModel], spec: InteractionSpec) -> np.ndarray:
     """Engineered coupling on (joint system) x (one auxiliary qubit).
 
-    rank-one:    g |Psi><Phi| (x) |1><0| + h.c. with |Phi> the (possibly
-                 re-weighted) excited superposition.
+    rank-one:    g |Psi><Phi| (x) |1><0| + h.c. with |Phi> the uniform
+                 excited superposition.
     targeted:    couples |Psi> to every excited product basis state with
                  matrix element g; equivalent to the rank-one form with
                  the coupling scaled by sqrt(prod d_i).
@@ -147,15 +125,12 @@ def build_interaction(codes: list[CodeModel], spec: InteractionSpec) -> np.ndarr
                     f"host {i} has a {len(code.ls_basis)}-fold degenerate ground manifold; "
                     "ground-prep needs a unique ground state"
                 )
-        factors = [c.ls_basis[0] for c in codes]
-        psi = kron_all(factors) if len(factors) > 1 else factors[0]
+        psi = kron_all(c.ls_basis[0] for c in codes)
     else:
         psi = joint_target_state(codes, spec.targets)
 
-    phi = es_superposition(codes, spec.es_amplitudes)
+    phi = es_uniform_state(codes)
     if spec.variant == TARGETED:
-        if spec.es_amplitudes is not None:
-            raise ValueError("targeted variant fixes the excited amplitudes; do not pass any")
         phi = phi * np.sqrt(float(np.prod([c.es_degeneracy for c in codes])))
 
     flip = np.outer(KET_1, KET_0.conj())
@@ -229,16 +204,3 @@ def pauli_decompose(h: np.ndarray, cutoff: float = COEFF_CUTOFF) -> list[PauliSt
         digits = np.unravel_index(idx, coeffs.shape)
         out.append(PauliString("".join(letters[d] for d in digits), complex(c)))
     return out
-
-
-def pauli_reconstruct(terms: list[PauliString]) -> np.ndarray:
-    """Sum of coefficient-weighted Pauli strings as a dense matrix."""
-    if not terms:
-        raise ValueError("nothing to reconstruct")
-    n = terms[0].n_qubits
-    if any(t.n_qubits != n for t in terms):
-        raise ValueError("terms act on different register sizes")
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for t in terms:
-        h += pauli_operator(t)
-    return h

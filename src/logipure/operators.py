@@ -26,13 +26,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Relative tolerance for input validation (hermiticity, trace checks).
+# Relative tolerance for the hermiticity check of input matrices.
 VALIDATION_TOL = 1e-12
 # Absolute tolerance for postconditions on computed states.
 POST_TOL = 1e-10
-# Most negative eigenvalue a matrix may have and still count as positive
-# semidefinite for validation purposes.
-EIG_FLOOR = -1e-10
 # Fewest rows of a matrix that :func:`hermitian_eig` splits into blocks.
 # Below it, finding the blocks and solving them costs as much as one
 # ``eigh`` of the whole matrix or more (measured on the package's
@@ -78,11 +75,6 @@ class PauliString:
     def n_qubits(self) -> int:
         return len(self.letters)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return sum(1 for c in self.letters if c != "I")
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -90,10 +82,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def unitary(self, t: float) -> np.ndarray:
         """Time-evolution operator exp(-i H t) assembled from the spectrum."""
@@ -137,18 +125,6 @@ def require_hermitian(h: np.ndarray, name: str = "matrix", tol: float = VALIDATI
     if asym > tol * scale:
         raise ValueError(f"{name} is not hermitian: max |H - H^dag| = {asym:.3e}")
     return h
-
-
-def require_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Validate a density matrix: hermitian, unit trace, positive semidefinite."""
-    rho = require_hermitian(rho, name)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > VALIDATION_TOL * max(1.0, abs(tr)):
-        raise ValueError(f"{name} has trace {tr!r}, expected 1")
-    wmin = np.linalg.eigvalsh(rho)[0]
-    if wmin < EIG_FLOOR:
-        raise ValueError(f"{name} has negative eigenvalue {wmin:.3e}")
-    return rho
 
 
 def coupled_blocks(pattern: np.ndarray) -> list[np.ndarray]:

@@ -19,9 +19,6 @@ from .codes import CodeModel
 from .interaction import AuxiliarySpec, InteractionSpec, build_interaction, build_total
 from .operators import KET_0, KET_1, evolve, gibbs, kron, kron_all
 
-# Residual tolerance for closed-form eigenpairs against the dense matrix.
-EIGENPAIR_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ThermalSpec:

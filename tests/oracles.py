@@ -4,6 +4,7 @@
   rank-one coupling of the repetition code is expanded here in projector
   algebra, independently of :func:`logipure.interaction.pauli_decompose`,
   and compared term by term against the decomposition pipeline.
+* :func:`pauli_reconstruct`, the dense sum of a decomposition's terms.
 * A plain dense round loop, the reference for the block-split
   trajectory kernel.
 """
@@ -12,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from logipure.operators import PauliString
+from logipure.operators import PauliString, pauli_operator
 
 
 def three_qubit_coupling_reference(theta: float, phi: float, coupling: float) -> dict[str, complex]:
@@ -102,6 +103,19 @@ def compare_term_lists(
         "mismatches": mismatches,
         "agree": not mismatches,
     }
+
+
+def pauli_reconstruct(terms: list[PauliString]) -> np.ndarray:
+    """Sum of coefficient-weighted Pauli strings as a dense matrix."""
+    if not terms:
+        raise ValueError("nothing to reconstruct")
+    n = terms[0].n_qubits
+    if any(t.n_qubits != n for t in terms):
+        raise ValueError("terms act on different register sizes")
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for t in terms:
+        h += pauli_operator(t)
+    return h
 
 
 def dense_trajectory(k_first, k_later, ensemble, targets, n_rounds):

@@ -6,6 +6,11 @@ expected red: the two-site keep-policy protocol saturates its success
 probability as advertised but does not reach unit fidelity for either
 pole target within the first 14 rounds; the recorded detail carries the
 measured deficits.
+
+The lines of criteria 1-6 and 11 state their bounds, not the measured
+residuals: roundoff moves with any change of eigensolver arithmetic
+while every verdict holds.  Those tests print their residuals on lines
+of their own instead.
 """
 
 import json
@@ -48,7 +53,7 @@ from logipure.interaction import (
     pauli_decompose,
 )
 from logipure.measurement import MeasurementSetting, measure_aq, purify_once
-from logipure.operators import KET_0, evolve, hermitian_eig, kron, pauli_operator
+from logipure.operators import KET_0, evolve, hermitian_eig, kron
 from logipure.thermal import (
     ResonanceContext,
     ThermalSpec,
@@ -56,10 +61,15 @@ from logipure.thermal import (
     evolution_coefficients,
     initial_state,
 )
-from oracles import compare_term_lists, three_qubit_coupling_reference
+from oracles import compare_term_lists, pauli_reconstruct, three_qubit_coupling_reference
 
 REP = build_repetition_code(1.0)
 CHAIN4 = build_heisenberg_code(HeisenbergSpec(n_qubits=4))
+
+
+def print_measured(capsys, number, text):
+    with capsys.disabled():
+        print(f"\ncriterion {number} measured: {text}")
 
 
 def random_angles(n, seed):
@@ -79,7 +89,7 @@ def coupled_blocks(rho, psi, phi):
     return p0, p1, p10
 
 
-def test_criterion_01_pole_measurement_purifies_exactly():
+def test_criterion_01_pole_measurement_purifies_exactly(capsys):
     angles = random_angles(20, seed=2026)
     dev_f = dev_p = 0.0
     for code in (REP, CHAIN4):
@@ -103,16 +113,17 @@ def test_criterion_01_pole_measurement_purifies_exactly():
                         dev_f = max(dev_f, abs(rec.fidelity - 1.0))
                         dev_p = max(dev_p, abs(rec.probability - p_exp))
     ok = dev_f <= 1e-10 and dev_p <= 1e-10
+    print_measured(capsys, 1, f"max|f-1|={dev_f:.2e}, max|p-p_exp|={dev_p:.2e} over 2400 points")
     record_criterion(
         1,
         "pole measurement purifies exactly",
         ok,
-        f"max|f-1|={dev_f:.2e}, max|p-p_exp|={dev_p:.2e} over 2400 points",
+        "max|f-1| <= 1e-10, max|p-p_exp| <= 1e-10 over 2400 points",
     )
     assert ok
 
 
-def test_criterion_02_two_code_joint_purification():
+def test_criterion_02_two_code_joint_purification(capsys):
     codes = [REP, REP]
     aux = AuxiliarySpec(count=1, energy=8.0)  # summed gap of two J=1 codes
     targets = (LogicalTarget(0.6, 1.1), LogicalTarget(2.2, 4.0))
@@ -126,16 +137,17 @@ def test_criterion_02_two_code_joint_purification():
             rec = purify_once(codes, spec, aux, thermal, t, MeasurementSetting(a=np.pi))
             dev_f = max(dev_f, abs(rec.fidelity - 1.0))
     ok = dev_f <= 1e-10 and dev_pw <= 1e-12
+    print_measured(capsys, 2, f"max|f-1|={dev_f:.2e}, max|p_joint-p_single^2|={dev_pw:.2e}")
     record_criterion(
         2,
         "two-code joint purification",
         ok,
-        f"max|f-1|={dev_f:.2e}, max|p_joint-p_single^2|={dev_pw:.2e}",
+        "max|f-1| <= 1e-10, max|p_joint-p_single^2| <= 1e-12",
     )
     assert ok
 
 
-def test_criterion_03_closed_forms_match_pipeline():
+def test_criterion_03_closed_forms_match_pipeline(capsys):
     targets = (LogicalTarget(0.7, 0.2),)
     psi = joint_target_state([REP], targets)
     phi = es_uniform_state([REP])
@@ -188,17 +200,22 @@ def test_criterion_03_closed_forms_match_pipeline():
                 dev_fid = max(dev_fid, abs(rec.fidelity - f_plus_resonant(a, t, g, beta, [REP])))
                 n_fid += 1
     ok = dev_blocks <= 1e-8 and dev_p <= 1e-8 and dev_fid <= 1e-8 and dev_sum <= 1e-10
+    print_measured(
+        capsys,
+        3,
+        f"blocks {dev_blocks:.2e} ({n_grid} pts incl. detuned), p {dev_p:.2e}, "
+        f"f {dev_fid:.2e} ({n_fid} pts), p0+p1 {dev_sum:.2e}",
+    )
     record_criterion(
         3,
         "closed forms match dense pipeline",
         ok,
-        f"blocks {dev_blocks:.2e} ({n_grid} pts incl. detuned), p {dev_p:.2e}, "
-        f"f {dev_fid:.2e} ({n_fid} pts), p0+p1 {dev_sum:.2e}",
+        f"blocks <= 1e-8 ({n_grid} pts incl. detuned), p <= 1e-8, f <= 1e-8, p0+p1 <= 1e-10",
     )
     assert ok
 
 
-def test_criterion_04_coupled_eigenpair_residuals():
+def test_criterion_04_coupled_eigenpair_residuals(capsys):
     targets = (LogicalTarget(0.4, 2.2),)
     psi = joint_target_state([REP], targets)
     phi = es_uniform_state([REP])
@@ -214,11 +231,12 @@ def test_criterion_04_coupled_eigenpair_residuals():
         for pair in pairs:
             worst = max(worst, float(np.linalg.norm(h_tot @ pair.vector - pair.value * pair.vector)))
     ok = worst <= 1e-9
-    record_criterion(4, "coupled eigenpair residuals", ok, f"max residual {worst:.2e} at 3 points")
+    print_measured(capsys, 4, f"max residual {worst:.2e} at 3 points")
+    record_criterion(4, "coupled eigenpair residuals", ok, "max residual <= 1e-9 at 3 points")
     assert ok
 
 
-def test_criterion_05_inversion_round_trip():
+def test_criterion_05_inversion_round_trip(capsys):
     rng = np.random.default_rng(14)
     g, beta = 1.0, 0.1
     checked = 0
@@ -235,16 +253,17 @@ def test_criterion_05_inversion_round_trip():
         checked += 1
     no_solution = a_for_fidelity(0.05, g, 0.5, 0.0, [REP])
     ok = worst <= 1e-8 and not no_solution.attainable and no_solution.discriminant <= 0
+    print_measured(capsys, 5, f"max|f_back-f|={worst:.2e} over 20 pairs")
     record_criterion(
         5,
         "fidelity-angle inversion round trip",
         ok,
-        f"max|f_back-f|={worst:.2e} over 20 pairs; non-positive branch reports no solution",
+        "max|f_back-f| <= 1e-8 over 20 pairs; non-positive branch reports no solution",
     )
     assert ok
 
 
-def test_criterion_06_infinite_temperature_weight():
+def test_criterion_06_infinite_temperature_weight(capsys):
     devs = [
         abs(p_beta([REP], 0.0) - 1 / 8),
         abs(p_beta([REP, REP], 0.0) - 1 / 64),
@@ -253,7 +272,8 @@ def test_criterion_06_infinite_temperature_weight():
     ]
     worst = max(devs)
     ok = worst <= 1e-14
-    record_criterion(6, "infinite-temperature weight", ok, f"max|p - D^-L|={worst:.2e}")
+    print_measured(capsys, 6, f"max|p - D^-L|={worst:.2e}")
+    record_criterion(6, "infinite-temperature weight", ok, "max|p - D^-L| <= 1e-14")
     assert ok
 
 
@@ -373,10 +393,7 @@ def test_criterion_11_coupling_decomposition(capsys):
     spec = InteractionSpec(coupling=1.0, targets=(LogicalTarget(0.0, 0.0),))
     h_sa = build_interaction([REP], spec)
     terms = pauli_decompose(h_sa)
-    recon = np.zeros_like(h_sa)
-    for term in terms:
-        recon = recon + term.coefficient * pauli_operator(term.letters)
-    recon_err = float(np.max(np.abs(recon - h_sa)))
+    recon_err = float(np.max(np.abs(pauli_reconstruct(terms) - h_sa)))
 
     reference = three_qubit_coupling_reference(0.0, 0.0, 1.0)
     report = compare_term_lists(terms, reference)
@@ -391,12 +408,15 @@ def test_criterion_11_coupling_decomposition(capsys):
             print("  all strings agree within 1e-10")
 
     ok = recon_err <= 1e-10
+    print_measured(
+        capsys, 11, f"reconstruction error {recon_err:.2e}; max delta {report['max_delta']:.2e}"
+    )
     record_criterion(
         11,
         "coupling decomposition reconstructs",
         ok,
-        f"reconstruction error {recon_err:.2e}; reference comparison: "
+        f"reconstruction error <= 1e-10; reference comparison: "
         f"{report['n_computed']}/{report['n_reference']} terms, "
-        f"max delta {report['max_delta']:.2e}, agree={report['agree']}",
+        f"every coefficient within 1e-10: {report['agree']}",
     )
     assert ok

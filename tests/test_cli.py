@@ -135,6 +135,14 @@ def test_table1_report_schema(tmp_path):
     assert {"reference", "candidates", "deltas"} <= set(rows[0])
 
 
+def test_table1_rejects_unknown_rows(tmp_path, capsys):
+    rc, out = run_cli(tmp_path, "table1", {"rows": [1, 13, 0], "max_rounds": 5})
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[0, 13]" in err
+    assert not out.exists()
+
+
 def assert_matches_golden(got, want, path="$"):
     """Non-floats equal; floats within 1e-10 relative plus 1e-14 absolute."""
     if isinstance(want, dict):

@@ -21,7 +21,6 @@ from logipure.operators import (
     kron_all,
     partial_trace,
     pauli_operator,
-    require_density,
     require_hermitian,
 )
 
@@ -71,8 +70,6 @@ def test_pauli_operator_qubit0_is_leftmost():
 def test_pauli_string_dataclass():
     p = PauliString("XZY", coefficient=0.5)
     assert p.n_qubits == 3
-    assert p.weight == 3
-    assert PauliString("IZI").weight == 1
     with pytest.raises(ValueError):
         PauliString("XQ")
 
@@ -117,12 +114,6 @@ def test_require_hermitian():
     assert require_hermitian(h, "h") is not None
     with pytest.raises(ValueError):
         require_hermitian(h + 1e-6 * 1j * np.eye(4), "h")
-
-
-def test_require_density():
-    require_density(random_density(4, 6))
-    with pytest.raises(ValueError):
-        require_density(np.diag([2.0, -1.0]).astype(complex))
 
 
 def test_spectral_decomposition_roundtrip():
