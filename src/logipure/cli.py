@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .codes import LogicalTarget, code_from_json
-from .emr import KEEP, POLICIES, fast_trajectory, find_m_min, reproduce_table1, thermal_ensemble
+from .emr import KEEP, POLICIES, plane_m_min, reproduce_table1, thermal_ensemble
 from .formulas import f_plus_resonant, p_beta, p_plus_resonant
 from .interaction import (
     AuxiliarySpec,
@@ -248,38 +248,32 @@ def cmd_fig3(cfg: dict) -> str:
 
 
 def cmd_fig4(cfg: dict) -> str:
+    """m_min over the (a, t) plane: one :func:`plane_m_min` pass, then one row per cell."""
     codes, spec, aux, thermal = _build_engine(cfg)
     if cfg["aq_reset"] not in POLICIES:
         raise ValueError(f"unknown aq_reset {cfg['aq_reset']!r}; expected one of {POLICIES}")
     f_targets = [float(f) for f in cfg["f_targets"]]
     if not f_targets:
         raise ValueError("f_targets must be non-empty")
-    max_rounds = int(cfg["max_rounds"])
     h_tot = build_total(codes, build_interaction(codes, spec), aux)
-    spectral = hermitian_eig(h_tot)
-    ensemble = thermal_ensemble(codes, thermal.beta)
-    target_vec = joint_target_state(codes, spec.targets)
     b, k = float(cfg["b"]), int(cfg["k"])
-
     a_grid = _grid(cfg["a_range"], cfg["a_points"])
     t_grid = _grid(cfg["t_range"], cfg["t_points"])
+    m_min = plane_m_min(
+        hermitian_eig(h_tot),
+        thermal_ensemble(codes, thermal.beta),
+        [(MeasurementSetting(a=a, b=b, k=k),) for a in a_grid],
+        t_grid,
+        joint_target_state(codes, spec.targets),
+        f_targets,
+        int(cfg["max_rounds"]),
+        cfg["aq_reset"],
+    )
+    a_text = [_fmt(a) for a in a_grid.tolist()]
     lines = []
-    for t in t_grid:
-        u = spectral.unitary(t)
-        for a in a_grid:
-            traj = fast_trajectory(
-                u,
-                ensemble,
-                (MeasurementSetting(a=a, b=b, k=k),),
-                target_vec,
-                max_rounds,
-                aq_reset=cfg["aq_reset"],
-            )
-            cells = [a, t]
-            for f_t in f_targets:
-                m = find_m_min(traj, f_t, max_rounds=max_rounds)
-                cells.append(-1 if m is None else m)
-            lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in cells))
+    for t, row in zip(t_grid.tolist(), m_min.tolist()):
+        t_text = _fmt(t)
+        lines += [f"{a},{t_text}," + ",".join(map(str, cell)) for a, cell in zip(a_text, row)]
     header = "a,t," + ",".join(f"m_min_{f:g}" for f in f_targets)
     return "\n".join([_config_line(cfg), header] + lines) + "\n"
 

@@ -5,17 +5,19 @@ auxiliary qubit along its configured direction, and postselects the
 settings' own outcome string, the same in every round.  Repeating the
 round drives the system toward a logical target at the price of an
 exponentially shrinking cumulative success probability.  Two
-implementations are provided, both stopping a run at the same
-probability floor:
+formulations are provided, both stopping a run at the same probability
+floor:
 
 * :func:`run_emr` - the reference density-matrix loop on the full joint
   register;
-* :func:`fast_trajectory` - an exact contraction-operator formulation.
-  Because each round's measurement leaves the auxiliary register in a
-  known product state, the conditioned joint state stays of the form
-  rho_S (x) |chi><chi| and the whole trajectory reduces to repeated
-  D_S x D_S matrix products on a square root ("ensemble") factor of the
-  thermal state.
+* exact contraction operators.  Because each round's measurement leaves
+  the auxiliary register in a known product state, the conditioned
+  joint state stays of the form rho_S (x) |chi><chi| and the whole
+  trajectory reduces to repeated D_S x D_S matrix products on a square
+  root ("ensemble") factor of the thermal state.
+  :func:`fast_trajectory` runs one trajectory this way, and
+  :func:`plane_m_min` a whole plane of (duration, setting) cells in one
+  batched kernel pass.
 
 The module also builds the anisotropic-XY auxiliary couplings for
 Heisenberg chains and reproduces the reference benchmark table for that
@@ -28,13 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import trajectory_kernel
+from ._kernels import batch_trajectory_kernel, trajectory_kernel
 from .codes import CodeModel, HeisenbergSpec, build_heisenberg_code, cardinal_state
 from .measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from .operators import (
     KET_0,
     SIGMA_X,
     SIGMA_Y,
+    SpectralDecomposition,
     embed,
     fidelity_pure,
     hermitian_eig,
@@ -146,6 +149,13 @@ class EmrTrajectory:
         return int(self.fidelity.shape[0])
 
 
+def _check_run(max_rounds: int, aq_reset: str) -> None:
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    if aq_reset not in POLICIES:
+        raise ValueError(f"unknown reset policy {aq_reset!r}; expected one of {POLICIES}")
+
+
 def run_emr(
     h_tot: np.ndarray,
     rho0: np.ndarray,
@@ -161,10 +171,7 @@ def run_emr(
     each measurement: keep its post-measurement state or reset it to
     |0...0>.
     """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    if aq_reset not in POLICIES:
-        raise ValueError(f"unknown reset policy {aq_reset!r}; expected one of {POLICIES}")
+    _check_run(max_rounds, aq_reset)
     n_aux = len(rounds.settings)
     dim = h_tot.shape[0]
     if dim % 2**n_aux:
@@ -262,8 +269,7 @@ def _trajectories(
     aq_reset: str = KEEP,
 ) -> list[EmrTrajectory]:
     """:func:`fast_trajectory` for several targets from one kernel pass."""
-    if aq_reset not in POLICIES:
-        raise ValueError(f"unknown reset policy {aq_reset!r}; expected one of {POLICIES}")
+    _check_run(max_rounds, aq_reset)
     n_aux = len(settings)
     d_s = ensemble.shape[0]
     ket0 = kron_all([KET_0] * n_aux)
@@ -287,6 +293,56 @@ def _trajectories(
     ]
 
 
+def plane_m_min(
+    spectral: SpectralDecomposition,
+    ensemble: np.ndarray,
+    settings: list[tuple[MeasurementSetting, ...]],
+    durations: np.ndarray,
+    target: np.ndarray,
+    f_targets: list[float],
+    max_rounds: int,
+    aq_reset: str,
+) -> np.ndarray:
+    """:func:`find_m_min` over a plane of (duration, settings) cells, from one kernel pass.
+
+    ``spectral`` decomposes the joint Hamiltonian, ``settings`` holds one
+    measurement tuple per column of the plane and ``durations`` one
+    round duration per row.  Every cell runs the trajectory that
+    :func:`fast_trajectory` runs for it, and all of them advance
+    together through :func:`batch_trajectory_kernel`.  Returns an
+    integer array of shape (len(durations), len(settings),
+    len(f_targets)): the first round (1-based, within the cell's
+    completed rounds) with fidelity >= each target, or -1 where none is.
+    """
+    _check_run(max_rounds, aq_reset)
+    for f_target in f_targets:
+        _check_f_target(f_target)
+    psi_out = np.stack([kron_all([s.state() for s in cell]) for cell in settings])
+    ket0 = kron_all([KET_0] * len(settings[0]))
+    d_s, d_a = ensemble.shape[0], psi_out.shape[1]
+
+    k_first, k_later = [], []
+    for t in durations:
+        ur = spectral.unitary(t).reshape(d_s, d_a, d_s, d_a)
+        first = np.einsum("xa,iajb,b->xij", psi_out.conj(), ur, ket0)
+        k_first.append(first)
+        k_later.append(first if aq_reset == RESET else np.einsum("xa,iajb,xb->xij", psi_out.conj(), ur, psi_out))
+    fid, _, _, n_rounds, _ = batch_trajectory_kernel(
+        np.concatenate(k_first), np.concatenate(k_later), ensemble, target[None], max_rounds, UNATTAINABLE_P
+    )
+    completed = np.arange(max_rounds) < n_rounds[:, None]
+    m_min = np.empty((n_rounds.size, len(f_targets)), dtype=int)
+    for j, f_target in enumerate(f_targets):
+        hits = completed & (fid[:, :, 0] >= f_target)
+        m_min[:, j] = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, -1)
+    return m_min.reshape(len(durations), len(settings), len(f_targets))
+
+
+def _check_f_target(f_target: float) -> None:
+    if not 0.0 < f_target <= 1.0:
+        raise ValueError(f"target fidelity must lie in (0, 1], got {f_target}")
+
+
 def find_m_min(trajectory: EmrTrajectory, f_target: float, max_rounds: int = 200) -> int | None:
     """Smallest round index (1-based) with fidelity >= ``f_target``.
 
@@ -294,8 +350,7 @@ def find_m_min(trajectory: EmrTrajectory, f_target: float, max_rounds: int = 200
     when the target is never reached.  The protocol fixes one outcome
     string, so this is an upper bound on the optimum over all strings.
     """
-    if not 0.0 < f_target <= 1.0:
-        raise ValueError(f"target fidelity must lie in (0, 1], got {f_target}")
+    _check_f_target(f_target)
     upto = min(trajectory.n_rounds, max_rounds)
     hits = np.nonzero(trajectory.fidelity[:upto] >= f_target)[0]
     return int(hits[0]) + 1 if hits.size else None

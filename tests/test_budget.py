@@ -29,3 +29,28 @@ def test_cli_eigensolve_budget(command, config, expected, tmp_path, eigensolves)
     cfg_path.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert sum(eigensolves) == expected, eigensolves
+
+
+def test_fig4_plane_is_one_kernel_pass(tmp_path, monkeypatch):
+    """The whole fig4 plane runs as one batched kernel pass with one block search."""
+    from logipure import _kernels, emr
+
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("trajectory_kernel", "batch_trajectory_kernel"):
+        if hasattr(emr, name):
+            counted(emr, name)
+    counted(_kernels, "coupled_blocks")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"a_points": 3, "t_points": 3, "max_rounds": 10}))
+    assert main(["fig4", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"batch_trajectory_kernel": 1, "coupled_blocks": 1}

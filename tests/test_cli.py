@@ -172,6 +172,24 @@ def test_table1_default_matches_golden(tmp_path):
     assert_matches_golden(json.loads(out.read_text()), golden)
 
 
+@pytest.mark.parametrize(
+    "name,cfg",
+    [
+        ("fig4_default.csv", None),
+        ("fig4_reset_12x12.csv", {"a_points": 12, "t_points": 12, "aq_reset": "reset-to-ground"}),
+    ],
+)
+def test_fig4_matches_golden(tmp_path, name, cfg):
+    """fig4 planes byte for byte against files saved before the cell-batched kernel.
+
+    The default plane holds the t = 0 cells, where a = pi stops at the
+    probability floor in round 1, and cells that never reach a target.
+    """
+    rc, out = run_cli(tmp_path, "fig4", cfg)
+    assert rc == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 def test_purify_payload(tmp_path):
     rc, out = run_cli(tmp_path, "purify", {"t": 0.7, "beta": 0.1})
     assert rc == 0
@@ -230,6 +248,14 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["not-a-command", "--out", "x"])
     capsys.readouterr()
+
+    for command in ("fig4", "table1"):
+        for rounds in (0, -3):
+            cfg = {"a_points": 2, "t_points": 2} if command == "fig4" else {"rows": [1]}
+            rc, out = run_cli(tmp_path, command, {**cfg, "max_rounds": rounds}, name=f"{command}{rounds}")
+            assert rc == 2
+            assert f"max_rounds must be >= 1, got {rounds}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def check_purify_shot(proc, out):

@@ -1,9 +1,9 @@
-"""Round-trajectory kernel: stopping causes and the block-split loop."""
+"""Round-trajectory kernel: stopping causes, the block-split loop and cell batches."""
 
 import numpy as np
 
 from logipure import _kernels
-from logipure._kernels import _round_blocks, trajectory_kernel
+from logipure._kernels import _round_blocks, batch_trajectory_kernel, trajectory_kernel
 
 
 def random_problem(dim=6, n_cols=3, seed=0):
@@ -106,3 +106,37 @@ def test_small_blocks_pack_into_parts(monkeypatch):
     monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 2)
     assert n_parts(block_diagonal(rng, [1, 3]), eye4) == 1  # the single row packs with the next block
     assert n_parts(block_diagonal(rng, [3, 1]), eye4) == 1  # the single row joins as a tail
+
+
+def test_batch_cells_match_their_one_cell_runs():
+    """Cells that stop leave the batch; every other cell runs on as if alone.
+
+    The stopped cells sit between live ones: a zero operator (floor at
+    round 1), a NaN entry in the later operator (floor at round 2) and a
+    steady 1e-6 contraction that underflows after 51 rounds.
+    """
+    dim, max_rounds, p_floor = 6, 60, 1e-14
+    problems = [random_problem(dim, seed=seed) for seed in (11, 12)]
+    ensemble, targets = problems[0][2], problems[0][3]
+    live = []
+    for k_first, k_later, _, _ in problems:
+        live.append((k_first / np.linalg.norm(k_first, 2), k_later / np.linalg.norm(k_later, 2)))
+    zero = np.zeros((dim, dim), dtype=complex)
+    nan_later = live[0][1].copy()
+    nan_later[2, 3] = np.nan
+    tiny = 1e-3 * np.eye(dim, dtype=complex)
+    cells = [live[0], (zero, zero), (live[0][0], nan_later), live[1], (tiny, tiny)]
+    expected = [(max_rounds, None), (0, "outcome"), (1, "outcome"), (max_rounds, None), (51, "cumulative")]
+
+    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(
+        np.stack([k for k, _ in cells]), np.stack([k for _, k in cells]), ensemble, targets, max_rounds, p_floor
+    )
+    assert fid.shape == (len(cells), max_rounds, 1)
+    for c, ((k_first, k_later), (rounds, why)) in enumerate(zip(cells, expected)):
+        one = trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds, p_floor)
+        assert n_rounds[c] == rounds == len(one[1])
+        assert reasons[c] == one[4]
+        assert reasons[c] is None if why is None else reasons[c].startswith(why)
+        for got, want in zip((fid[c], p_round[c], p_cum[c]), one[:3]):
+            assert np.max(np.abs(got[:rounds] - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
+            assert not np.any(got[rounds:])  # rounds after the stop stay empty

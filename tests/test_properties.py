@@ -1,4 +1,4 @@
-"""Property tests of the block-split eigensolve and round kernel.
+"""Property tests of the block-split eigensolve and round kernel, one cell or a batch.
 
 Random block-diagonal problems are hidden behind a random permutation of
 the basis, so the blocks are only visible through the exactly-zero
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from logipure import _kernels, operators
-from logipure._kernels import trajectory_kernel
+from logipure._kernels import batch_trajectory_kernel, trajectory_kernel
 from logipure.codes import HeisenbergSpec, build_heisenberg_code, cardinal_state
 from logipure.emr import (
     CALIBRATED_AUX_ENERGY,
@@ -128,6 +128,60 @@ def test_split_kernel_matches_dense_loop(
     assert np.max(np.abs(fid - ref_fid)) <= 1e-12
     assert np.max(np.abs(p_round / ref_p_round - 1.0)) <= 1e-12
     assert np.max(np.abs(p_cum / ref_p_cum - 1.0)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=block_sizes,
+    seed=seeds,
+    n_cells=st.integers(1, 4),
+    n_targets=st.integers(1, 3),
+    n_rounds=st.integers(1, 12),
+    min_part_rows=st.integers(1, 6),
+    fading=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_batched_cells_match_dense_loop(
+    sizes, seed, n_cells, n_targets, n_rounds, min_part_rows, fading
+):
+    """Each cell of a batch follows the dense loop up to its own stopping round.
+
+    Every cell has its own operators on the same hidden blocks and some
+    drop a block entirely; a fading cell's later operator is scaled down
+    so that it usually trips the floor inside the batch.
+    """
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    p_floor = 1e-3
+    k_first, k_later = [], []
+    for c in range(n_cells):
+        blocks = [cmat(rng, m, m) / np.sqrt(2 * m) for m in sizes]
+        if len(sizes) > 1:  # maybe drop a block; the ensemble keeps the weight nonzero
+            blocks[int(rng.integers(len(sizes)))] *= rng.integers(0, 2)
+        k_first.append(shuffled_blocks(blocks, perm))
+        later = shuffled_blocks([cmat(rng, m, m) / np.sqrt(2 * m) for m in sizes], perm)
+        k_later.append(later * (1e-3 if fading[c] else 1.0))
+    ensemble = cmat(rng, n, n)[:, perm] * (shuffled_blocks([np.ones((m, m)) for m in sizes], perm) != 0)
+    ensemble /= np.linalg.norm(ensemble)
+    targets = cmat(rng, n_targets, n)
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+
+    # small part sizes, so these small problems take the split path too
+    with mock.patch.object(_kernels, "MIN_PART_ROWS", min_part_rows):
+        fid, p_round, p_cum, done, reasons = batch_trajectory_kernel(
+            np.stack(k_first), np.stack(k_later), ensemble, targets, n_rounds, p_floor
+        )
+    for c in range(n_cells):
+        ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first[c], k_later[c], ensemble, targets, n_rounds)
+        below = np.flatnonzero(~(ref_p_round >= p_floor))
+        stop = int(below[0]) if below.size else n_rounds
+        assert done[c] == stop
+        assert (reasons[c] is None) == (stop == n_rounds)
+        assert np.max(np.abs(fid[c, :stop] - ref_fid[:stop]), initial=0.0) <= 1e-12
+        assert np.max(np.abs(p_round[c, :stop] / ref_p_round[:stop] - 1.0), initial=0.0) <= 1e-12
+        assert np.max(np.abs(p_cum[c, :stop] / ref_p_cum[:stop] - 1.0), initial=0.0) <= 1e-12
+        assert np.max(np.abs(p_cum[c, :stop] / np.cumprod(p_round[c, :stop]) - 1.0), initial=0.0) <= 1e-12
+        assert not (np.any(fid[c, stop:]) or np.any(p_round[c, stop:]) or np.any(p_cum[c, stop:]))
 
 
 SMALL_ROWS = [row for row in CHAIN_BENCHMARK if row.n_sites <= 4]
