@@ -5,8 +5,8 @@ auxiliary qubit along its configured direction, and postselects the
 settings' own outcome string, the same in every round.  Repeating the
 round drives the system toward a logical target at the price of an
 exponentially shrinking cumulative success probability.  Two
-formulations are provided, both stopping a run at the same probability
-floor:
+formulations take the same :class:`RoundSpec`, both stopping a run at
+the same probability floor:
 
 * :func:`run_emr` - the reference density-matrix loop on the full joint
   register;
@@ -14,7 +14,9 @@ floor:
   the auxiliary register in a known product state, the conditioned
   joint state stays of the form rho_S (x) |chi><chi| and the whole
   trajectory reduces to repeated D_S x D_S matrix products on a square
-  root ("ensemble") factor of the thermal state.
+  root ("ensemble") factor of the thermal state.  The operators
+  <psi_out| exp(-iHt) |chi> come straight from the joint spectrum
+  (:func:`round_contraction`); no joint unitary is formed.
   :func:`fast_trajectory` runs one trajectory this way, and
   :func:`plane_m_min` a whole plane of (duration, setting) cells in one
   batched kernel pass.
@@ -226,59 +228,74 @@ def thermal_ensemble(codes: list[CodeModel], beta: float) -> np.ndarray:
 
 
 def round_contraction(
-    u: np.ndarray, d_s: int, settings: tuple[MeasurementSetting, ...], aq_in: np.ndarray
+    spectral: SpectralDecomposition, durations: np.ndarray, psi_out: np.ndarray, aq_in: np.ndarray
 ) -> np.ndarray:
-    """System-space operator <psi_out| U |aq_in> for one round.
+    """System-space operators <psi_out| exp(-iHt) |aq_in>, straight from the joint spectrum.
 
-    ``aq_in`` is the auxiliary register state entering the round;
-    ``psi_out`` is the product of the settings' own postselected states.
+    ``psi_out`` (postselected) and ``aq_in`` (entering the round) are
+    auxiliary states; leading axes stack cells and broadcast against
+    each other.  With A and B the eigenvector rows of ``spectral``
+    contracted on the auxiliary factor with <psi_out| and <aq_in|, each
+    operator is A diag(exp(-iwt)) B^dagger, so no joint unitary is
+    formed.  Returns shape (len(durations), *cells, D_S, D_S).
     """
-    n_aux = len(settings)
-    d_a = 2**n_aux
-    if u.shape[0] != d_s * d_a:
-        raise ValueError(f"unitary dimension {u.shape[0]} does not match system {d_s} x {n_aux} AQs")
-    psi_out = kron_all([s.state() for s in settings])
-    ur = u.reshape(d_s, d_a, d_s, d_a)
-    return np.einsum("a,iajb,b->ij", psi_out.conj(), ur, aq_in)
+    dim, d_a = spectral.eigenvectors.shape[0], np.shape(psi_out)[-1]
+    if np.shape(aq_in)[-1] != d_a or dim % d_a:
+        shapes = f"{np.shape(psi_out)} and {np.shape(aq_in)}"
+        raise ValueError(f"auxiliary states {shapes} do not factor the joint dimension {dim}")
+    psi_out, aq_in = np.broadcast_arrays(psi_out, aq_in)
+    v = spectral.eigenvectors.reshape(dim // d_a, d_a, dim)
+    a = np.einsum("...a,iak->...ik", psi_out.conj(), v)
+    b = np.einsum("...b,ibk->...ik", aq_in.conj(), v)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(durations, dtype=float), spectral.eigenvalues))
+    return (a * phases.reshape(-1, *[1] * (a.ndim - 1), dim)) @ b.conj().swapaxes(-1, -2)
+
+
+def _round_operators(spectral, durations, cells, aq_reset) -> tuple[np.ndarray, np.ndarray]:
+    """First- and later-round operators, one per (duration, cell), duration-major.
+
+    A later round starts from the postselected state under the keep
+    policy and, like the first, from |0...0> under the reset policy.
+    """
+    psi_out = np.stack([kron_all([s.state() for s in cell]) for cell in cells])
+    ket0 = np.broadcast_to(kron_all([KET_0] * len(cells[0])), psi_out.shape)
+    aq_in = np.stack([ket0] if aq_reset == RESET else [ket0, psi_out])
+    ops = round_contraction(spectral, durations, psi_out, aq_in)
+    return ops[:, 0].reshape(-1, *ops.shape[-2:]), ops[:, -1].reshape(-1, *ops.shape[-2:])
 
 
 def fast_trajectory(
-    u: np.ndarray,
+    spectral: SpectralDecomposition,
     ensemble: np.ndarray,
-    settings: tuple[MeasurementSetting, ...],
+    rounds: RoundSpec,
     target: np.ndarray,
     max_rounds: int,
     aq_reset: str = KEEP,
 ) -> EmrTrajectory:
     """Exact trajectory via per-round contraction operators.
 
-    ``u`` is the one-round joint unitary and ``ensemble`` a square-root
-    factor of the initial system state (see :func:`thermal_ensemble`).
-    Gives the same record as :func:`run_emr` on the same round, with the
-    same probability floor :data:`UNATTAINABLE_P`.
+    ``spectral`` decomposes the joint Hamiltonian and ``ensemble`` is a
+    square-root factor of the initial system state (see
+    :func:`thermal_ensemble`).  Takes the round :func:`run_emr` takes and
+    gives the same record, with the same probability floor
+    :data:`UNATTAINABLE_P`, from :func:`round_contraction` operators.
     """
-    return _trajectories(u, ensemble, settings, [target], max_rounds, aq_reset)[0]
+    return _trajectories(spectral, ensemble, rounds, [target], max_rounds, aq_reset)[0]
 
 
 def _trajectories(
-    u: np.ndarray,
+    spectral: SpectralDecomposition,
     ensemble: np.ndarray,
-    settings: tuple[MeasurementSetting, ...],
+    rounds: RoundSpec,
     targets: list[np.ndarray],
     max_rounds: int,
     aq_reset: str = KEEP,
 ) -> list[EmrTrajectory]:
     """:func:`fast_trajectory` for several targets from one kernel pass."""
     _check_run(max_rounds, aq_reset)
-    n_aux = len(settings)
-    d_s = ensemble.shape[0]
-    ket0 = kron_all([KET_0] * n_aux)
-    psi_out = kron_all([s.state() for s in settings])
-    k_first = round_contraction(u, d_s, settings, ket0)
-    k_later = k_first if aq_reset == RESET else round_contraction(u, d_s, settings, psi_out)
-
+    k_first, k_later = _round_operators(spectral, [rounds.duration], [rounds.settings], aq_reset)
     fid, p_round, p_cum, truncated, why = trajectory_kernel(
-        k_first, k_later, ensemble, np.stack(targets), max_rounds, UNATTAINABLE_P
+        k_first[0], k_later[0], ensemble, np.stack(targets), max_rounds, UNATTAINABLE_P
     )
     reason = f"round {len(p_round) + 1}: {why}" if truncated else None
     return [
@@ -308,27 +325,21 @@ def plane_m_min(
     ``spectral`` decomposes the joint Hamiltonian, ``settings`` holds one
     measurement tuple per column of the plane and ``durations`` one
     round duration per row.  Every cell runs the trajectory that
-    :func:`fast_trajectory` runs for it, and all of them advance
-    together through :func:`batch_trajectory_kernel`.  Returns an
-    integer array of shape (len(durations), len(settings),
-    len(f_targets)): the first round (1-based, within the cell's
-    completed rounds) with fidelity >= each target, or -1 where none is.
+    :func:`fast_trajectory` runs for it, on operators from one
+    :func:`round_contraction` call, and all of them advance together
+    through :func:`batch_trajectory_kernel`.  Returns an integer array
+    of shape (len(durations), len(settings), len(f_targets)): the first
+    round (1-based, within the cell's completed rounds) with fidelity >=
+    each target, or -1 where none is.
     """
     _check_run(max_rounds, aq_reset)
+    if not f_targets:
+        raise ValueError("f_targets must be non-empty")
     for f_target in f_targets:
         _check_f_target(f_target)
-    psi_out = np.stack([kron_all([s.state() for s in cell]) for cell in settings])
-    ket0 = kron_all([KET_0] * len(settings[0]))
-    d_s, d_a = ensemble.shape[0], psi_out.shape[1]
-
-    k_first, k_later = [], []
-    for t in durations:
-        ur = spectral.unitary(t).reshape(d_s, d_a, d_s, d_a)
-        first = np.einsum("xa,iajb,b->xij", psi_out.conj(), ur, ket0)
-        k_first.append(first)
-        k_later.append(first if aq_reset == RESET else np.einsum("xa,iajb,xb->xij", psi_out.conj(), ur, psi_out))
+    k_first, k_later = _round_operators(spectral, durations, settings, aq_reset)
     fid, _, _, n_rounds, _ = batch_trajectory_kernel(
-        np.concatenate(k_first), np.concatenate(k_later), ensemble, target[None], max_rounds, UNATTAINABLE_P
+        k_first, k_later, ensemble, target[None], max_rounds, UNATTAINABLE_P
     )
     completed = np.arange(max_rounds) < n_rounds[:, None]
     m_min = np.empty((n_rounds.size, len(f_targets)), dtype=int)
@@ -502,8 +513,8 @@ def reproduce_table1(
             gamma=row.gamma,
             aux_energy=e_a,
         )
-        u = hermitian_eig(_xy_hamiltonian(setup, code)).unitary(duration)
-        settings = tuple(MeasurementSetting(a=a, b=b, k=k) for a, b, k in row.settings)
+        spectral = hermitian_eig(_xy_hamiltonian(setup, code))
+        rounds = RoundSpec(duration, tuple(MeasurementSetting(a=a, b=b, k=k) for a, b, k in row.settings))
 
         pole_angles = all(
             abs(a) < 1e-12 or abs(a - np.pi) < 1e-12 for a, _, _ in row.settings
@@ -513,7 +524,7 @@ def reproduce_table1(
         signs = ("+", "-")
         targets = [cardinal_state(code, row.axis + sign) for sign in signs]
         runs = {
-            policy: _trajectories(u, ensemble, settings, targets, max_rounds, aq_reset=policy)
+            policy: _trajectories(spectral, ensemble, rounds, targets, max_rounds, aq_reset=policy)
             for policy in policies
         }
         candidates = [
@@ -523,17 +534,9 @@ def reproduce_table1(
         ]
 
         matched = max(candidates, key=lambda c: c["max_fidelity"])
-        reference = {
-            "m_min_066": row.m_min_066,
-            "p_066": row.p_066,
-            "m_min_090": row.m_min_090,
-            "p_090": row.p_090,
-            "max_fidelity": row.max_fidelity,
-        }
-        deltas = {}
-        for key, ref in reference.items():
-            got = matched[key]
-            deltas[key] = None if got is None else float(got - ref)
+        keys = ("m_min_066", "p_066", "m_min_090", "p_090", "max_fidelity")
+        reference = {key: getattr(row, key) for key in keys}
+        deltas = {k: None if matched[k] is None else float(matched[k] - ref) for k, ref in reference.items()}
         report["rows"].append(
             {
                 "row": row.index,

@@ -31,6 +31,7 @@ from logipure.codes import (
 from logipure.emr import (
     KEEP,
     RESET,
+    RoundSpec,
     XYSetup,
     build_xy_setup,
     fast_trajectory,
@@ -325,14 +326,14 @@ def test_criterion_08_two_site_full_purification():
     spec = HeisenbergSpec(n_qubits=2)
     code = build_heisenberg_code(spec)
     h_tot = build_xy_setup(XYSetup(n_system=2, j_1=1.0, j_2=0.0, gamma=0.0), spec)
-    u = hermitian_eig(h_tot).unitary(1.0)
+    spectral = hermitian_eig(h_tot)
     ensemble = thermal_ensemble([code], 0.1)
     settings = (MeasurementSetting(a=0.0, b=0.0, k=+1),)
 
     deficits = {}
     p_final = None
     for label in ("z-", "z+"):  # polarized and single-magnon targets
-        traj = fast_trajectory(u, ensemble, settings, cardinal_state(code, label), 30)
+        traj = fast_trajectory(spectral, ensemble, RoundSpec(1.0, settings), cardinal_state(code, label), 30)
         window = traj.fidelity[:14]
         deficits[label] = float(1.0 - np.max(window))
         p_final = float(traj.p_cumulative[-1])

@@ -3,7 +3,8 @@
 Every code solves its Hamiltonian at most once (a diagonal one not at
 all) and every joint Hamiltonian is solved once.  A solve may split into
 one call per block, so the budget is the summed dimension of the
-distinct Hamiltonians a command needs, not a count of calls.
+distinct Hamiltonians a command needs, not a count of calls.  The
+fast paths also run in one kernel pass and form no joint unitary.
 """
 
 import json
@@ -54,3 +55,26 @@ def test_fig4_plane_is_one_kernel_pass(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps({"a_points": 3, "t_points": 3, "max_rounds": 10}))
     assert main(["fig4", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert calls == {"batch_trajectory_kernel": 1, "coupled_blocks": 1}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}), ("table1", {"rows": [1], "max_rounds": 20})],
+    ids=["fig4", "table1"],
+)
+def test_fast_paths_form_no_joint_unitary(command, config, tmp_path, monkeypatch):
+    """fig4 and table1 build their round operators from the joint spectrum alone."""
+    from logipure.operators import SpectralDecomposition
+
+    calls = []
+    unitary = SpectralDecomposition.unitary
+
+    def counted(self, t):
+        calls.append(t)
+        return unitary(self, t)
+
+    monkeypatch.setattr(SpectralDecomposition, "unitary", counted)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == []

@@ -256,6 +256,20 @@ def test_bad_configs_exit_2(tmp_path, capsys):
             assert rc == 2
             assert f"max_rounds must be >= 1, got {rounds}" in capsys.readouterr().err
             assert not out.exists()
+    for duration in (0, -1):
+        rc, out = run_cli(tmp_path, "table1", {"rows": [1], "duration": duration}, name=f"table1t{duration}")
+        assert rc == 2
+        assert "round duration must be positive" in capsys.readouterr().err
+        assert not out.exists()
+    fig4 = {"a_points": 2, "t_points": 2, "max_rounds": 5}
+    for key, value, message in (
+        ("aq_reset", "discard", "unknown reset policy 'discard'"),
+        ("f_targets", [], "f_targets must be non-empty"),
+    ):
+        rc, out = run_cli(tmp_path, "fig4", {**fig4, key: value}, name=f"fig4{key}")
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def check_purify_shot(proc, out):

@@ -36,14 +36,14 @@ def two_site_problem(j_2=0.3, gamma=0.4):
 def test_fast_matches_reference_loop():
     code, h_tot = two_site_problem()
     target = cardinal_state(code, "z-")
-    u = hermitian_eig(h_tot).unitary(1.0)
+    spectral = hermitian_eig(h_tot)
     ensemble = thermal_ensemble([code], BETA)
     rho0 = kron(gibbs(code.hamiltonian, BETA)[0], np.diag([1.0, 0.0]).astype(complex))
     settings = (MeasurementSetting(a=np.pi / 2, b=0.3, k=+1),)
     rounds = RoundSpec(duration=1.0, settings=settings)
     for policy in (KEEP, RESET):
         ref = run_emr(h_tot, rho0, rounds, target, 6, aq_reset=policy)
-        fast = fast_trajectory(u, ensemble, settings, target, 6, aq_reset=policy)
+        fast = fast_trajectory(spectral, ensemble, rounds, target, 6, aq_reset=policy)
         assert ref.n_rounds == fast.n_rounds == 6
         assert np.allclose(ref.fidelity, fast.fidelity, atol=1e-10)
         assert np.allclose(ref.p_round, fast.p_round, atol=1e-10)
@@ -54,11 +54,11 @@ def test_policies_coincide_at_poles():
     """a=0, k=+1 leaves the auxiliary qubit in |0>, so keep == reset."""
     code, h_tot = two_site_problem(j_2=1.0, gamma=1.0)
     target = cardinal_state(code, "z+")
-    u = hermitian_eig(h_tot).unitary(1.0)
+    spectral = hermitian_eig(h_tot)
     ensemble = thermal_ensemble([code], BETA)
     settings = (MeasurementSetting(a=0.0, b=0.0, k=+1),)
-    keep = fast_trajectory(u, ensemble, settings, target, 10, aq_reset=KEEP)
-    reset = fast_trajectory(u, ensemble, settings, target, 10, aq_reset=RESET)
+    keep = fast_trajectory(spectral, ensemble, RoundSpec(1.0, settings), target, 10, aq_reset=KEEP)
+    reset = fast_trajectory(spectral, ensemble, RoundSpec(1.0, settings), target, 10, aq_reset=RESET)
     assert np.allclose(keep.fidelity, reset.fidelity, atol=1e-12)
     assert np.allclose(keep.p_cumulative, reset.p_cumulative, atol=1e-12)
 
@@ -66,20 +66,20 @@ def test_policies_coincide_at_poles():
 def test_policies_differ_off_pole():
     code, h_tot = two_site_problem()
     target = cardinal_state(code, "x+")
-    u = hermitian_eig(h_tot).unitary(1.0)
+    spectral = hermitian_eig(h_tot)
     ensemble = thermal_ensemble([code], BETA)
     settings = (MeasurementSetting(a=np.pi / 2, b=0.0, k=+1),)
-    keep = fast_trajectory(u, ensemble, settings, target, 8, aq_reset=KEEP)
-    reset = fast_trajectory(u, ensemble, settings, target, 8, aq_reset=RESET)
+    keep = fast_trajectory(spectral, ensemble, RoundSpec(1.0, settings), target, 8, aq_reset=KEEP)
+    reset = fast_trajectory(spectral, ensemble, RoundSpec(1.0, settings), target, 8, aq_reset=RESET)
     assert np.max(np.abs(keep.fidelity - reset.fidelity)) > 1e-6
 
 
 def test_cumulative_is_product_of_rounds():
     code, h_tot = two_site_problem()
     target = cardinal_state(code, "z-")
-    u = hermitian_eig(h_tot).unitary(1.0)
+    spectral = hermitian_eig(h_tot)
     traj = fast_trajectory(
-        u, thermal_ensemble([code], BETA), (MeasurementSetting(a=0.0),), target, 12
+        spectral, thermal_ensemble([code], BETA), RoundSpec(1.0, (MeasurementSetting(a=0.0),)), target, 12
     )
     assert np.allclose(np.cumprod(traj.p_round), traj.p_cumulative, rtol=1e-12)
     assert traj.n_rounds == 12
@@ -88,9 +88,9 @@ def test_cumulative_is_product_of_rounds():
 def test_find_m_min_edges():
     code, h_tot = two_site_problem(j_2=0.0, gamma=0.0)
     target = cardinal_state(code, "z-")
-    u = hermitian_eig(h_tot).unitary(1.0)
+    spectral = hermitian_eig(h_tot)
     traj = fast_trajectory(
-        u, thermal_ensemble([code], BETA), (MeasurementSetting(a=0.0),), target, 30
+        spectral, thermal_ensemble([code], BETA), RoundSpec(1.0, (MeasurementSetting(a=0.0),)), target, 30
     )
     m = find_m_min(traj, 0.66)
     assert m is not None and traj.fidelity[m - 1] >= 0.66
@@ -116,18 +116,32 @@ def test_thermal_ensemble_factorization():
 
 def test_round_contraction_against_dense():
     rng = np.random.default_rng(5)
-    d_s = 4
-    h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    d_s, n_aux = 4, 2
+    dim = d_s * 2**n_aux
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = h + h.conj().T
-    u = hermitian_eig(h).unitary(0.6)
-    s = MeasurementSetting(a=1.2, b=0.4, k=-1)
-    chi = np.array([0.6, 0.8], dtype=complex)
-    k_op = round_contraction(u, d_s, (s,), chi)
-    psi_out = s.state()
-    dense = np.kron(np.eye(d_s), psi_out.conj()[None, :]) @ u @ np.kron(np.eye(d_s), chi[:, None])
-    assert np.allclose(k_op, dense, atol=1e-12)
-    with pytest.raises(ValueError):
-        round_contraction(u, 3, (s,), chi)
+    w, v = np.linalg.eigh(h)
+    cells = [
+        (MeasurementSetting(a=1.2, b=0.4, k=-1), MeasurementSetting(a=0.3, b=2.0, k=+1)),
+        (MeasurementSetting(a=0.0), MeasurementSetting(a=np.pi / 2, b=0.7, k=-1)),
+    ]
+    psi_out = np.stack([kron_all([s.state() for s in cell]) for cell in cells])
+    ket0 = basis_state(n_aux, 0)
+    durations = np.array([0.0, 0.6, 2.5])
+    spectral = hermitian_eig(h)
+    for aq_in in (ket0, psi_out):  # one shared input, or one per cell
+        ops = round_contraction(spectral, durations, psi_out, aq_in)
+        assert ops.shape == (len(durations), len(cells), d_s, d_s)
+        for i, t in enumerate(durations):
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            for c, psi in enumerate(psi_out):
+                chi = np.broadcast_to(aq_in, psi_out.shape)[c]
+                dense = np.kron(np.eye(d_s), psi.conj()[None, :]) @ u @ np.kron(np.eye(d_s), chi[:, None])
+                assert np.max(np.abs(ops[i, c] - dense)) <= 1e-12
+    with pytest.raises(ValueError):  # three-dimensional states do not factor 16
+        round_contraction(spectral, durations, psi_out[:, :3], ket0[:3])
+    with pytest.raises(ValueError):  # nor do states of different dimensions
+        round_contraction(spectral, durations, psi_out, ket0[:2])
 
 
 def test_magnetization_conserved_iff_isotropic():
@@ -160,9 +174,9 @@ def test_two_site_magnon_bound_from_magnetization_conservation():
 
     ensemble = thermal_ensemble([code], BETA)
     w_polarized = float(np.sum(np.abs(ensemble[0]) ** 2))  # <00|V V^dagger|00>
-    u = hermitian_eig(h_tot).unitary(1.0)
+    spectral = hermitian_eig(h_tot)
     settings = (MeasurementSetting(a=0.0, b=0.0, k=+1),)
-    traj = fast_trajectory(u, ensemble, settings, cardinal_state(code, "z+"), 100)
+    traj = fast_trajectory(spectral, ensemble, RoundSpec(1.0, settings), cardinal_state(code, "z+"), 100)
     assert not traj.truncated
     assert np.all(traj.p_cumulative >= w_polarized - 1e-12)
     assert abs(traj.p_cumulative[-1] - w_polarized) < 1e-12
@@ -195,10 +209,10 @@ def test_truncation_when_decoupled():
     spec = HeisenbergSpec(n_qubits=2)
     code = build_heisenberg_code(spec)
     h_tot = build_xy_setup(XYSetup(n_system=2, j_1=0.0, j_2=0.0), spec)
-    u = hermitian_eig(h_tot).unitary(1.0)
+    spectral = hermitian_eig(h_tot)
     settings = (MeasurementSetting(a=np.pi, k=+1),)
     target = cardinal_state(code, "z+")
-    fast = fast_trajectory(u, thermal_ensemble([code], BETA), settings, target, 10)
+    fast = fast_trajectory(spectral, thermal_ensemble([code], BETA), RoundSpec(1.0, settings), target, 10)
     rho0 = kron(gibbs(code.hamiltonian, BETA)[0], np.diag([1.0, 0.0]).astype(complex))
     dense = run_emr(h_tot, rho0, RoundSpec(duration=1.0, settings=settings), target, 10)
     for traj in (fast, dense):
@@ -235,9 +249,9 @@ def test_validation_errors():
         run_emr(h_tot, rho0, rounds, target, 0)
     with pytest.raises(ValueError):
         run_emr(h_tot, rho0, rounds, target, 5, aq_reset="discard")
-    u = hermitian_eig(h_tot).unitary(1.0)
+    spectral = hermitian_eig(h_tot)
     with pytest.raises(ValueError):
-        fast_trajectory(u, thermal_ensemble([code], BETA), rounds.settings, target, 5, aq_reset="discard")
+        fast_trajectory(spectral, thermal_ensemble([code], BETA), rounds, target, 5, aq_reset="discard")
 
 
 def test_reproduce_first_row():

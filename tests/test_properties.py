@@ -21,11 +21,12 @@ from logipure.emr import (
     XYSetup,
     build_xy_setup,
     fast_trajectory,
+    round_contraction,
     run_emr,
     thermal_ensemble,
 )
 from logipure.measurement import MeasurementSetting
-from logipure.operators import gibbs, hermitian_eig, kron
+from logipure.operators import gibbs, hermitian_eig, kron, kron_all
 
 from oracles import dense_trajectory
 
@@ -184,6 +185,52 @@ def test_batched_cells_match_dense_loop(
         assert not (np.any(fid[c, stop:]) or np.any(p_round[c, stop:]) or np.any(p_cum[c, stop:]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=block_sizes,
+    seed=seeds,
+    n_aux=st.integers(1, 2),
+    n_cells=st.integers(1, 3),
+    polar=st.lists(st.sampled_from([0.0, 0.4, np.pi / 2, 2.9]), min_size=6, max_size=6),
+    durations=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3),
+)
+def test_round_contraction_matches_dense_on_hidden_blocks(sizes, seed, n_aux, n_cells, polar, durations):
+    """Spectrum-built operators equal <psi_out| U |aq_in> with the same exact zeros.
+
+    The joint basis is a random permutation of a block-diagonal problem,
+    so the blocks cut across the system and auxiliary factors; an equal
+    zero pattern means the kernel finds the same parts in either operator.
+    """
+    rng = np.random.default_rng(seed)
+    d_a = 2**n_aux
+    sizes = sizes + ([-sum(sizes) % d_a] if sum(sizes) % d_a else [])
+    blocks = []
+    for m in sizes:
+        a = cmat(rng, m, m)
+        blocks.append(a + a.conj().T)
+    dim = sum(sizes)
+    h = shuffled_blocks(blocks, rng.permutation(dim))
+    d_s = dim // d_a
+    angles = iter(polar)
+    cells = [
+        tuple(MeasurementSetting(a=next(angles), b=float(rng.uniform(0, 2 * np.pi))) for _ in range(n_aux))
+        for _ in range(n_cells)
+    ]
+    psi_out = np.stack([kron_all([s.state() for s in cell]) for cell in cells])
+    ket0 = np.zeros(d_a, dtype=complex)
+    ket0[0] = 1.0
+
+    with mock.patch.object(operators, "SPLIT_MIN_ROWS", 1):  # so small matrices split too
+        spec = hermitian_eig(h)
+    for aq_in in (ket0, psi_out):
+        ops = round_contraction(spec, durations, psi_out, aq_in)
+        for i, t in enumerate(durations):
+            ur = spec.unitary(t).reshape(d_s, d_a, d_s, d_a)
+            dense = np.einsum("xa,iajb,xb->xij", psi_out.conj(), ur, np.broadcast_to(aq_in, psi_out.shape))
+            assert np.max(np.abs(ops[i] - dense)) <= 1e-12
+            assert np.array_equal(ops[i] != 0, dense != 0)
+
+
 SMALL_ROWS = [row for row in CHAIN_BENCHMARK if row.n_sites <= 4]
 
 
@@ -211,9 +258,9 @@ def test_fast_trajectory_matches_dense_loop_on_chain_rows(row, policy, sign, bet
 
     ref = run_emr(h_tot, rho0, RoundSpec(duration, settings_), target, 8, policy)
     fast = fast_trajectory(
-        hermitian_eig(h_tot).unitary(duration),
+        hermitian_eig(h_tot),
         thermal_ensemble([code], beta),
-        settings_,
+        RoundSpec(duration, settings_),
         target,
         8,
         aq_reset=policy,
