@@ -205,26 +205,23 @@ def cmd_fig2(cfg: dict) -> str:
     a_grid = _grid(cfg["a_range"], cfg["a_points"])
     t_grid = _grid(cfg["t_range"], cfg["t_points"])
     crossings = {"f>=0.66,p>0": 0, "f>=0.9,p>0": 0}
+    columns = [((MeasurementSetting(a=a),), a, _fmt(a)) for a in a_grid]
     lines = []
     for t in t_grid:
         rho_t = evolve(h_tot, t, rho0, spectral=spectral)
-        for a in a_grid:
+        t_text = _fmt(t)
+        for setting, a, a_text in columns:
             p_ana = p_plus_resonant(a, t, g, pw)
             try:
                 f_ana = f_plus_resonant(a, t, g, beta, codes)
             except ValueError:
                 f_ana = float("nan")
-            rec = measure_aq(rho_t, 1, (MeasurementSetting(a=a),), target=target_vec)[(+1,)]
-            p_num = rec.probability
-            f_num = rec.fidelity if rec.attainable else float("nan")
-            if p_num > 0 and not np.isnan(f_num):
-                if f_num >= 0.66:
-                    crossings["f>=0.66,p>0"] += 1
-                if f_num >= 0.9:
-                    crossings["f>=0.9,p>0"] += 1
-            lines.append(
-                ",".join(_fmt(x) for x in (a, t, f_ana, p_ana, f_num, p_num))
-            )
+            rec = measure_aq(rho_t, 1, setting, target=target_vec)[(+1,)]
+            if rec.attainable:
+                crossings["f>=0.66,p>0"] += rec.fidelity >= 0.66
+                crossings["f>=0.9,p>0"] += rec.fidelity >= 0.9
+            f_num, p_num = rec.fidelity, rec.probability
+            lines.append(f"{a_text},{t_text},{f_ana:.17g},{p_ana:.17g},{f_num:.17g},{p_num:.17g}")
     head = [
         _config_line(cfg),
         "# crossings: " + json.dumps(crossings, sort_keys=True),
@@ -276,8 +273,10 @@ def cmd_fig4(cfg: dict) -> str:
 
 def cmd_table1(cfg: dict) -> str:
     rows = cfg["rows"]
-    if rows is not None:
-        rows = [int(r) for r in rows]
+    if rows is not None and not (
+        isinstance(rows, list) and all(isinstance(r, int) and not isinstance(r, bool) for r in rows)
+    ):
+        raise ValueError(f"rows must be null or a list of integers, got {json.dumps(rows)}")
     report = reproduce_table1(
         rows=rows,
         beta=float(cfg["beta"]),

@@ -204,8 +204,9 @@ def build_stabilizer_code(stabilizers: list[PauliString | str], strength: float 
     """Code Hamiltonian ``-J sum_i S_i + const`` with a two-fold ground manifold.
 
     The stabilizers must mutually commute and square to the identity.
-    The constant shift places the ground (code-space) energy at exactly
-    zero; for a consistent stabilizer set it equals ``len(stabilizers) * J``.
+    The spectrum is split once, by :func:`code_from_hamiltonian`, which
+    shifts the ground (code-space) energy to zero; for a consistent
+    stabilizer set the shift is ``len(stabilizers) * J``.
     """
     if strength <= 0:
         raise ValueError(f"coupling must be positive, got {strength}")
@@ -225,23 +226,13 @@ def build_stabilizer_code(stabilizers: list[PauliString | str], strength: float 
                     f"stabilizers {strings[j].letters!r} and {strings[i].letters!r} do not commute"
                 )
 
-    h0 = -strength * sum(mats)
-    split0 = spectral_split(h0)
-    h = h0 - split0.ground_energy * np.eye(2**n)
-    split = spectral_split(h)
-    if len(split.ls_basis) != 2:
+    code = code_from_hamiltonian(-strength * sum(mats))
+    if len(code.ls_basis) != 2:
         raise ValueError(
-            f"ground manifold is {len(split.ls_basis)}-fold degenerate; "
+            f"ground manifold is {len(code.ls_basis)}-fold degenerate; "
             "a single logical qubit needs exactly 2 ground states"
         )
-    return CodeModel(
-        n_qubits=n,
-        hamiltonian=h,
-        ls_basis=split.ls_basis,
-        es_basis=split.es_basis,
-        gap=split.gap,
-        spectrum=split.spectrum,
-    )
+    return code
 
 
 def build_repetition_code(j_s: float = 1.0) -> CodeModel:

@@ -41,7 +41,6 @@ from .operators import (
     SIGMA_Y,
     SpectralDecomposition,
     embed,
-    fidelity_pure,
     hermitian_eig,
     kron,
     kron_all,
@@ -171,7 +170,8 @@ def run_emr(
     ``target`` is the pure system state the fidelity is taken against.
     ``aq_reset`` chooses what happens to the auxiliary register after
     each measurement: keep its post-measurement state or reset it to
-    |0...0>.
+    |0...0>.  Either way the next round starts from rho_S (x) |chi><chi|,
+    with chi the measured product state or |0...0>.
     """
     _check_run(max_rounds, aq_reset)
     n_aux = len(rounds.settings)
@@ -180,8 +180,9 @@ def run_emr(
         raise ValueError(f"joint dimension {dim} does not factor into system x {n_aux} qubits")
 
     u = hermitian_eig(h_tot).unitary(rounds.duration)
-    ket0 = kron_all([np.outer(KET_0, KET_0.conj())] * n_aux)
     outcome = tuple(s.k for s in rounds.settings)
+    chi = kron_all([s.state() for s in rounds.settings] if aq_reset == KEEP else [KET_0] * n_aux)
+    aq_state = np.outer(chi, chi.conj())
 
     rho = np.asarray(rho0, dtype=complex)
     fid, p_round, p_cum = [], [], []
@@ -189,7 +190,7 @@ def run_emr(
     truncated, reason = False, None
     for r in range(max_rounds):
         rho = u @ rho @ u.conj().T
-        rec = measure_aq(rho, n_aux, rounds.settings, target=None)[outcome]
+        rec = measure_aq(rho, n_aux, rounds.settings, target=target)[outcome]
         if not rec.attainable:
             truncated = True
             reason = (
@@ -197,14 +198,11 @@ def run_emr(
                 f"below {UNATTAINABLE_P:.0e}"
             )
             break
-        rho = rec.post_joint_state
-        rho_s = rec.post_system_state
+        rho = kron(rec.post_system_state, aq_state)
         cumulative *= rec.probability
-        fid.append(fidelity_pure(rho_s, target))
+        fid.append(rec.fidelity)
         p_round.append(rec.probability)
         p_cum.append(cumulative)
-        if aq_reset == RESET:
-            rho = kron(rho_s, ket0)
 
     return EmrTrajectory(
         fidelity=np.array(fid),
@@ -217,6 +215,8 @@ def run_emr(
 
 def thermal_ensemble(codes: list[CodeModel], beta: float) -> np.ndarray:
     """Square-root factor V of the joint thermal state: V V^dagger = rho_S(0)."""
+    if beta < 0:
+        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
     factors = []
     for code in codes:
         spec = code.spectrum

@@ -6,9 +6,12 @@ Each auxiliary qubit is measured along an arbitrary Bloch direction
     |psi^(+1)> = cos(a/2)|0> + e^{ib} sin(a/2)|1>
 
 and ``k = -1`` onto its orthogonal complement.  Conditioning the evolved
-joint state on an outcome steers the system toward the logical target;
-the records returned here carry the outcome probability and the
-post-measurement fidelity.
+joint state on an outcome steers the system toward the logical target.
+The measurement is rank one on the auxiliary factor, so the conditioned
+system state is the contraction <psi|rho|psi> over the auxiliary axes
+alone; no joint-dimension projector is formed.  The records returned
+here carry the outcome probability, the conditioned system state and
+its fidelity.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .codes import CodeModel
 from .interaction import AuxiliarySpec, InteractionSpec, joint_target_state
-from .operators import fidelity_pure, kron, kron_all, partial_trace
+from .operators import fidelity_pure, kron_all
 from .thermal import ThermalSpec, evolved_joint_state
 
 # Outcomes with conditional probability below this are physically
@@ -54,26 +57,19 @@ class MeasurementSetting:
         return np.array([s, -ph * c], dtype=complex)
 
 
-def projector(setting: MeasurementSetting, k: int | None = None) -> np.ndarray:
-    """Rank-one projector |psi^(k)><psi^(k)| for one auxiliary qubit."""
-    v = setting.state(k)
-    return np.outer(v, v.conj())
-
-
 @dataclass(frozen=True)
 class PurificationRecord:
-    """One conditioned outcome: probability, fidelity, and post states.
+    """One conditioned outcome: probability, fidelity, and post system state.
 
     ``fidelity`` is NaN when no target was supplied.  Unattainable
     outcomes (probability below :data:`UNATTAINABLE_P`) carry no post
-    states.
+    state and a NaN fidelity.
     """
 
     outcome: tuple[int, ...]
     probability: float
     fidelity: float
     post_system_state: np.ndarray | None
-    post_joint_state: np.ndarray | None
     attainable: bool
 
 
@@ -87,23 +83,24 @@ def measure_aq(
 
     Returns one record per outcome tuple in {+1, -1}^n_aux, keyed by the
     outcomes.  Probabilities sum to one; each attainable record carries
-    the renormalized post-measurement joint state, the reduced system
-    state, and its fidelity against ``target`` (NaN if none given).
+    the renormalized system state <psi|rho|psi> / p, contracted on the
+    auxiliary axes with the outcome's product state psi, and its
+    fidelity against ``target`` (NaN if none given).
     """
     settings = tuple(settings)
     if len(settings) != n_aux:
         raise ValueError(f"{n_aux} auxiliary qubits need {n_aux} settings, got {len(settings)}")
     dim = rho_joint.shape[0]
-    d_s = dim // 2**n_aux
-    if d_s * 2**n_aux != dim:
+    d_a = 2**n_aux
+    d_s = dim // d_a
+    if d_s * d_a != dim:
         raise ValueError(f"joint dimension {dim} does not factor into system x {n_aux} qubits")
 
-    eye_s = np.eye(d_s)
+    blocks = np.asarray(rho_joint).reshape(d_s, d_a, d_s, d_a)
     records: dict[tuple[int, ...], PurificationRecord] = {}
     for outcome in product((+1, -1), repeat=n_aux):
-        proj_a = kron_all([projector(s, k) for s, k in zip(settings, outcome)])
-        proj = kron(eye_s, proj_a)
-        unnorm = proj @ rho_joint @ proj
+        psi = kron_all([s.state(k) for s, k in zip(settings, outcome)])
+        unnorm = np.einsum("a,iajb,b->ij", psi.conj(), blocks, psi)
         prob = float(np.real(np.trace(unnorm)))
         if prob < UNATTAINABLE_P:
             records[outcome] = PurificationRecord(
@@ -111,19 +108,16 @@ def measure_aq(
                 probability=max(prob, 0.0),
                 fidelity=float("nan"),
                 post_system_state=None,
-                post_joint_state=None,
                 attainable=False,
             )
             continue
-        post_joint = unnorm / prob
-        post_system = partial_trace(post_joint, [d_s] + [2] * n_aux, keep=[0])
+        post_system = unnorm / prob
         fid = float("nan") if target is None else fidelity_pure(post_system, target)
         records[outcome] = PurificationRecord(
             outcome=outcome,
             probability=prob,
             fidelity=fid,
             post_system_state=post_system,
-            post_joint_state=post_joint,
             attainable=True,
         )
     return records

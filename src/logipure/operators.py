@@ -200,34 +200,6 @@ def evolve(
     return out
 
 
-def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    ``dims`` are the subsystem dimensions in tensor order; ``keep`` holds
-    the (sorted) indices of the subsystems to retain.  The result lives on
-    the kept subsystems in their original relative order.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dims = list(dims)
-    n = len(dims)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(f"state of shape {rho.shape} does not match dims {dims}")
-    keep = sorted(keep)
-    if keep and (keep[0] < 0 or keep[-1] >= n):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate subsystem index in keep")
-
-    tensor = rho.reshape(dims + dims)
-    # Trace out the discarded subsystems from highest index down so the
-    # remaining axis numbering stays valid.
-    for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        tensor = np.trace(tensor, axis1=idx, axis2=idx + tensor.ndim // 2)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return tensor.reshape(d_keep, d_keep)
-
-
 def gibbs(h: np.ndarray, beta: float, spectral: SpectralDecomposition | None = None) -> tuple[np.ndarray, float]:
     """Thermal state ``exp(-beta H)/Z`` and the partition function ``Z``.
 

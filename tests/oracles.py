@@ -7,13 +7,19 @@
 * :func:`pauli_reconstruct`, the dense sum of a decomposition's terms.
 * A plain dense round loop, the reference for the block-split
   trajectory kernel.
+* :func:`projector_measurement`, the auxiliary measurement done at the
+  joint dimension: a ``kron(I_S, |psi><psi|)`` sandwich followed by
+  :func:`partial_trace`, the reference for
+  :func:`logipure.measurement.measure_aq`.
 """
 
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
-from logipure.operators import PauliString, pauli_operator
+from logipure.measurement import UNATTAINABLE_P
+from logipure.operators import PauliString, fidelity_pure, kron, kron_all, pauli_operator
 
 
 def three_qubit_coupling_reference(theta: float, phi: float, coupling: float) -> dict[str, complex]:
@@ -135,3 +141,59 @@ def dense_trajectory(k_first, k_later, ensemble, targets, n_rounds):
         p_cum.append(w)
         prev = w
     return np.array(fid), np.array(p_round), np.array(p_cum)
+
+
+def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Trace out all subsystems not listed in ``keep``.
+
+    ``dims`` are the subsystem dimensions in tensor order; ``keep`` holds
+    the (sorted) indices of the subsystems to retain.  The result lives on
+    the kept subsystems in their original relative order.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dims = list(dims)
+    n = len(dims)
+    total = int(np.prod(dims))
+    if rho.shape != (total, total):
+        raise ValueError(f"state of shape {rho.shape} does not match dims {dims}")
+    keep = sorted(keep)
+    if keep and (keep[0] < 0 or keep[-1] >= n):
+        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
+    if len(set(keep)) != len(keep):
+        raise ValueError("duplicate subsystem index in keep")
+
+    tensor = rho.reshape(dims + dims)
+    # Trace out the discarded subsystems from highest index down so the
+    # remaining axis numbering stays valid.
+    for idx in sorted(set(range(n)) - set(keep), reverse=True):
+        tensor = np.trace(tensor, axis1=idx, axis2=idx + tensor.ndim // 2)
+    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    return tensor.reshape(d_keep, d_keep)
+
+
+def projector_measurement(rho_joint, n_aux, settings, target=None):
+    """Outcome records of measuring the trailing ``n_aux`` qubits, at the joint dimension.
+
+    Each outcome's projector ``kron(I_S, |psi><psi|)`` sandwiches the
+    joint state; the trace gives the probability and a partial trace of
+    the renormalized result gives the system state.  Returns
+    ``{outcome: (probability, fidelity, post_system_state, attainable)}``
+    with the floor and NaN conventions of ``measure_aq``.
+    """
+    dim = rho_joint.shape[0]
+    d_s = dim // 2**n_aux
+    eye_s = np.eye(d_s)
+    records = {}
+    for outcome in product((+1, -1), repeat=n_aux):
+        proj_a = kron_all([np.outer(s.state(k), s.state(k).conj()) for s, k in zip(settings, outcome)])
+        proj = kron(eye_s, proj_a)
+        unnorm = proj @ rho_joint @ proj
+        prob = float(np.real(np.trace(unnorm)))
+        if prob < UNATTAINABLE_P:
+            records[outcome] = (max(prob, 0.0), float("nan"), None, False)
+            continue
+        post_joint = unnorm / prob
+        post_system = partial_trace(post_joint, [d_s] + [2] * n_aux, keep=[0])
+        fid = float("nan") if target is None else fidelity_pure(post_system, target)
+        records[outcome] = (prob, fid, post_system, True)
+    return records

@@ -1,4 +1,4 @@
-"""The library names the benchmark harness in perfbench/ relies on.
+"""The library's export list and the names the benchmark harness in perfbench/ relies on.
 
 The harness imports them lazily, inside its check functions, and its
 tracer finds layers and spans by name, so a renamed or removed name
@@ -57,6 +57,12 @@ def is_traced_callable(module, name):
         for attr, cls in vars(module).items()
         if not attr.startswith("_") and inspect.isclass(cls) and cls.__module__ == module.__name__
     )
+
+
+def test_all_names_resolve_once():
+    missing = [name for name in logipure.__all__ if not hasattr(logipure, name)]
+    assert not missing, f"logipure.__all__ names {missing}, which the package does not define"
+    assert len(set(logipure.__all__)) == len(logipure.__all__)
 
 
 def test_harness_imports_resolve():

@@ -190,6 +190,56 @@ def test_fig4_matches_golden(tmp_path, name, cfg):
     assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
+def golden_rows(out, name):
+    """Row pairs (got, golden) split on commas, once the comment lines and headers agree."""
+
+    def split(text):
+        lines = text.splitlines()
+        n_head = sum(line.startswith("#") for line in lines) + 1
+        return lines[:n_head], [line.split(",") for line in lines[n_head:]]
+
+    got_head, got = split(out.read_text())
+    want_head, want = split((Path(__file__).parent / "data" / name).read_text())
+    assert got_head == want_head
+    assert len(got) == len(want)
+    return zip(got, want)
+
+
+@pytest.mark.parametrize(
+    "name,cfg",
+    [
+        ("fig2_20x20.csv", {"a_points": 20, "t_points": 20}),
+        ("fig2_L2_8x8.csv", {"L": 2, "a_points": 8, "t_points": 8, "beta": 0.5}),
+    ],
+)
+def test_fig2_matches_golden(tmp_path, name, cfg):
+    """fig2 planes against files saved before the measurement contracted the auxiliary axes.
+
+    The comments (config and crossings), the header and the grid and
+    analytic columns must not move; the numeric columns may move in their
+    last digits only, with NaN in the same cells.
+    """
+    rc, out = run_cli(tmp_path, "fig2", cfg)
+    assert rc == 0
+    for g, w in golden_rows(out, name):
+        assert g[:4] == w[:4], (g, w)
+        for x, y in zip(map(float, g[4:]), map(float, w[4:])):
+            assert np.isnan(x) == np.isnan(y), (g, w)
+            assert np.isnan(x) or abs(x - y) <= 1e-12, (g, w)
+
+
+def test_fig3_matches_golden(tmp_path):
+    """fig3 against a file saved before stabilizer codes split their spectrum once.
+
+    The grid columns must not move; ``p_beta`` may move in its last digits.
+    """
+    rc, out = run_cli(tmp_path, "fig3", {"j_points": 20, "beta_points": 20})
+    assert rc == 0
+    for g, w in golden_rows(out, "fig3_20x20.csv"):
+        assert g[:2] == w[:2], (g, w)
+        assert abs(float(g[2]) - float(w[2])) <= 1e-13 * abs(float(w[2])), (g, w)
+
+
 def test_purify_payload(tmp_path):
     rc, out = run_cli(tmp_path, "purify", {"t": 0.7, "beta": 0.1})
     assert rc == 0
@@ -261,6 +311,15 @@ def test_bad_configs_exit_2(tmp_path, capsys):
         assert rc == 2
         assert "round duration must be positive" in capsys.readouterr().err
         assert not out.exists()
+    for rows in ("12", [1.5], [True], 1):
+        rc, out = run_cli(tmp_path, "table1", {"rows": rows, "max_rounds": 5}, name="table1rows")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: rows must be null or a list of integers")
+        assert not out.exists()
+    rc, out = run_cli(tmp_path, "table1", {"rows": [1], "beta": -1, "max_rounds": 5}, name="table1beta")
+    assert rc == 2
+    assert "inverse temperature must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
     fig4 = {"a_points": 2, "t_points": 2, "max_rounds": 5}
     for key, value, message in (
         ("aq_reset", "discard", "unknown reset policy 'discard'"),

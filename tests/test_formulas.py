@@ -8,6 +8,7 @@ from logipure.codes import (
     LogicalTarget,
     build_heisenberg_code,
     build_repetition_code,
+    build_stabilizer_code,
     code_from_hamiltonian,
 )
 from logipure.emr import thermal_ensemble
@@ -61,6 +62,7 @@ def test_one_eigensolve_per_code(eigensolves):
         (lambda: build_heisenberg_code(HeisenbergSpec(n_qubits=4)), 16),
         # the bit-flip code in the X basis: a non-diagonal host
         (lambda: code_from_hamiltonian(hadamards @ build_repetition_code(1.5).hamiltonian @ hadamards), 8),
+        (lambda: build_stabilizer_code(["XXI", "IXX"]), 8),
     )
     for build, expected in builders:
         eigensolves.clear()

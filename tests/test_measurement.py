@@ -8,7 +8,6 @@ from logipure.interaction import AuxiliarySpec, InteractionSpec
 from logipure.measurement import (
     MeasurementSetting,
     measure_aq,
-    projector,
     purify_once,
 )
 from logipure.operators import kron
@@ -29,6 +28,10 @@ def test_setting_states():
     # the two outcome states are orthonormal
     assert abs(np.vdot(tilted.state(+1), tilted.state(-1))) < 1e-15
     assert abs(np.linalg.norm(tilted.state(-1)) - 1.0) < 1e-15
+    # the two outcome projectors resolve the identity
+    s = MeasurementSetting(a=0.77, b=1.9)
+    completeness = sum(np.outer(s.state(k), s.state(k).conj()) for k in (+1, -1))
+    assert np.allclose(completeness, np.eye(2), atol=1e-14)
 
 
 def test_setting_validation():
@@ -40,13 +43,6 @@ def test_setting_validation():
         MeasurementSetting(a=1.0, b=7.0)
     with pytest.raises(ValueError):
         MeasurementSetting(a=1.0, k=0)
-
-
-def test_projector_completeness():
-    s = MeasurementSetting(a=0.77, b=1.9)
-    assert np.allclose(projector(s, +1) + projector(s, -1), np.eye(2), atol=1e-14)
-    p = projector(s)
-    assert np.allclose(p @ p, p, atol=1e-14)
 
 
 def test_probabilities_sum_to_one():
@@ -76,7 +72,6 @@ def test_unattainable_outcome():
     bad = records[(-1,)]
     assert not bad.attainable
     assert bad.post_system_state is None
-    assert bad.post_joint_state is None
     assert np.isnan(bad.fidelity)
 
 

@@ -1,4 +1,5 @@
-"""Property tests of the block-split eigensolve and round kernel, one cell or a batch.
+"""Property tests of the block-split eigensolve and round kernel, one cell or a batch,
+and of the auxiliary measurement.
 
 Random block-diagonal problems are hidden behind a random permutation of
 the basis, so the blocks are only visible through the exactly-zero
@@ -25,10 +26,10 @@ from logipure.emr import (
     run_emr,
     thermal_ensemble,
 )
-from logipure.measurement import MeasurementSetting
+from logipure.measurement import MeasurementSetting, measure_aq
 from logipure.operators import gibbs, hermitian_eig, kron, kron_all
 
-from oracles import dense_trajectory
+from oracles import dense_trajectory, projector_measurement
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -269,3 +270,53 @@ def test_fast_trajectory_matches_dense_loop_on_chain_rows(row, policy, sign, bet
     assert np.allclose(fast.fidelity, ref.fidelity, rtol=0.0, atol=1e-10)
     assert np.allclose(fast.p_round, ref.p_round, rtol=1e-10, atol=0.0)
     assert np.allclose(fast.p_cumulative, ref.p_cumulative, rtol=1e-10, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d_s=st.integers(1, 8),
+    n_aux=st.integers(1, 3),
+    seed=seeds,
+    polar=st.lists(st.floats(0.0, np.pi), min_size=3, max_size=3),
+    azimuth=st.lists(st.floats(0.1, 2 * np.pi), min_size=3, max_size=3),
+    outcomes=st.lists(st.sampled_from([+1, -1]), min_size=3, max_size=3),
+    product_state=st.booleans(),
+)
+def test_measure_aq_matches_projector_oracle(d_s, n_aux, seed, polar, azimuth, outcomes, product_state):
+    """The auxiliary-axis contraction equals the joint-dimension projector sandwich.
+
+    The azimuths stay away from 0, so a missing conjugate on the bra
+    side shows.  A product state rho_S (x) |chi><chi|, with chi the
+    settings' own outcome states, makes every other outcome unattainable.
+    """
+    rng = np.random.default_rng(seed)
+    aq_settings = [MeasurementSetting(a=a, b=b, k=k) for a, b, k in zip(polar, azimuth, outcomes)][:n_aux]
+    dim = d_s * 2**n_aux
+    if product_state:
+        m = cmat(rng, d_s, d_s)
+        chi = kron_all([s.state() for s in aq_settings])
+        rho = kron(m @ m.conj().T, np.outer(chi, chi.conj()))
+    else:
+        m = cmat(rng, dim, dim)
+        rho = m @ m.conj().T
+    rho /= np.trace(rho)
+    target = rng.normal(size=d_s) + 1j * rng.normal(size=d_s)
+    target /= np.linalg.norm(target)
+
+    records = measure_aq(rho, n_aux, aq_settings, target=target)
+    reference = projector_measurement(rho, n_aux, aq_settings, target=target)
+    assert sorted(records) == sorted(reference)
+    assert abs(sum(r.probability for r in records.values()) - 1.0) <= 1e-12
+    for outcome, (prob, fid, post, attainable) in reference.items():
+        rec = records[outcome]
+        assert rec.attainable == attainable
+        assert abs(rec.probability - prob) <= 1e-12
+        if attainable:
+            assert abs(rec.fidelity - fid) <= 1e-12
+            assert 0.0 <= rec.fidelity <= 1.0
+            assert np.max(np.abs(rec.post_system_state - post)) <= 1e-12
+        else:
+            assert np.isnan(rec.fidelity) and rec.post_system_state is None
+    if product_state:
+        assert records[tuple(s.k for s in aq_settings)].attainable
+        assert sum(r.attainable for r in records.values()) == 1
