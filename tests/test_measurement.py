@@ -28,10 +28,6 @@ def test_setting_states():
     # the two outcome states are orthonormal
     assert abs(np.vdot(tilted.state(+1), tilted.state(-1))) < 1e-15
     assert abs(np.linalg.norm(tilted.state(-1)) - 1.0) < 1e-15
-    # the two outcome projectors resolve the identity
-    s = MeasurementSetting(a=0.77, b=1.9)
-    completeness = sum(np.outer(s.state(k), s.state(k).conj()) for k in (+1, -1))
-    assert np.allclose(completeness, np.eye(2), atol=1e-14)
 
 
 def test_setting_validation():
@@ -43,6 +39,15 @@ def test_setting_validation():
         MeasurementSetting(a=1.0, b=7.0)
     with pytest.raises(ValueError):
         MeasurementSetting(a=1.0, k=0)
+
+
+def test_projector_completeness():
+    """The rank-one outcome projectors |psi^(k)><psi^(k)| resolve the identity."""
+    s = MeasurementSetting(a=0.77, b=1.9)
+    projs = {k: np.outer(s.state(k), s.state(k).conj()) for k in (+1, -1)}
+    assert np.allclose(projs[+1] + projs[-1], np.eye(2), atol=1e-14)
+    p = projs[s.k]
+    assert np.allclose(p @ p, p, atol=1e-14)
 
 
 def test_probabilities_sum_to_one():
