@@ -23,17 +23,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
 
-from .codes import LogicalTarget, code_from_json
+from .codes import LogicalTarget, build_repetition_code, code_from_json
 from .emr import KEEP, plane_m_min, reproduce_table1, thermal_ensemble
 from .formulas import f_plus_resonant, p_beta, p_plus_resonant
 from .interaction import (
     AuxiliarySpec,
     InteractionSpec,
-    VARIANTS,
     build_interaction,
     build_total,
     joint_target_state,
@@ -100,12 +100,13 @@ def load_config(experiment: str, path: str | None) -> dict:
     """Merge the user's JSON document over the experiment defaults.
 
     Unknown keys are rejected so typos fail loudly instead of silently
-    running the default.
+    running the default, and so are ``NaN``, ``Infinity`` and numbers
+    that overflow a float.
     """
     cfg = json.loads(json.dumps(DEFAULTS[experiment]))  # deep copy
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+            user = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
         if not isinstance(user, dict):
             raise ValueError(f"config {path} must hold a JSON object")
         unknown = sorted(set(user) - set(cfg))
@@ -116,11 +117,31 @@ def load_config(experiment: str, path: str | None) -> dict:
     return cfg
 
 
-def _grid(rng, points) -> np.ndarray:
+def _finite_float(text: str) -> float:
+    """A JSON number or constant as a float; NaN, Infinity and overflow raise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"config numbers must be finite, got {text}")
+    return value
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; booleans and floats such as 2.0 are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(cfg: dict, key: str) -> int:
+    if not _is_int(cfg[key]):
+        raise ValueError(f"{key} must be an integer, got {json.dumps(cfg[key])}")
+    return cfg[key]
+
+
+def _grid(cfg: dict, axis: str) -> np.ndarray:
+    """The ``<axis>_points`` evenly spaced values over ``<axis>_range``."""
+    rng, n = cfg[f"{axis}_range"], _int(cfg, f"{axis}_points")
     lo, hi = float(rng[0]), float(rng[1])
-    n = int(points)
     if n < 2 or hi <= lo:
-        raise ValueError(f"bad grid: range {rng} with {points} points")
+        raise ValueError(f"bad grid: range {rng} with {n} points")
     return np.linspace(lo, hi, n)
 
 
@@ -166,7 +187,7 @@ def _json_dump(obj: dict) -> str:
 
 def _build_engine(cfg: dict, need_aux: bool = True):
     """Shared setup: codes, interaction, thermal state, total Hamiltonian."""
-    n_codes = int(cfg["L"])
+    n_codes = _int(cfg, "L")
     if n_codes < 1:
         raise ValueError(f"L must be >= 1, got {n_codes}")
     code = code_from_json(cfg["code"])
@@ -202,8 +223,7 @@ def cmd_fig2(cfg: dict) -> str:
     rho0 = initial_state(codes, thermal, aux)
     target_vec = joint_target_state(codes, spec.targets)
 
-    a_grid = _grid(cfg["a_range"], cfg["a_points"])
-    t_grid = _grid(cfg["t_range"], cfg["t_points"])
+    a_grid, t_grid = _grid(cfg, "a"), _grid(cfg, "t")
     crossings = {"f>=0.66,p>0": 0, "f>=0.9,p>0": 0}
     columns = [((MeasurementSetting(a=a),), a, _fmt(a)) for a in a_grid]
     lines = []
@@ -231,10 +251,7 @@ def cmd_fig2(cfg: dict) -> str:
 
 
 def cmd_fig3(cfg: dict) -> str:
-    from .codes import build_repetition_code
-
-    j_grid = _grid(cfg["j_range"], cfg["j_points"])
-    b_grid = _grid(cfg["beta_range"], cfg["beta_points"])
+    j_grid, b_grid = _grid(cfg, "j"), _grid(cfg, "beta")
     lines = []
     for j_s in j_grid:
         code = build_repetition_code(float(j_s))
@@ -249,9 +266,8 @@ def cmd_fig4(cfg: dict) -> str:
     codes, spec, aux, thermal = _build_engine(cfg)
     f_targets = [float(f) for f in cfg["f_targets"]]
     h_tot = build_total(codes, build_interaction(codes, spec), aux)
-    b, k = float(cfg["b"]), int(cfg["k"])
-    a_grid = _grid(cfg["a_range"], cfg["a_points"])
-    t_grid = _grid(cfg["t_range"], cfg["t_points"])
+    b, k = float(cfg["b"]), _int(cfg, "k")
+    a_grid, t_grid = _grid(cfg, "a"), _grid(cfg, "t")
     m_min = plane_m_min(
         hermitian_eig(h_tot),
         thermal_ensemble(codes, thermal.beta),
@@ -259,7 +275,7 @@ def cmd_fig4(cfg: dict) -> str:
         t_grid,
         joint_target_state(codes, spec.targets),
         f_targets,
-        int(cfg["max_rounds"]),
+        _int(cfg, "max_rounds"),
         cfg["aq_reset"],
     )
     a_text = [_fmt(a) for a in a_grid.tolist()]
@@ -273,9 +289,7 @@ def cmd_fig4(cfg: dict) -> str:
 
 def cmd_table1(cfg: dict) -> str:
     rows = cfg["rows"]
-    if rows is not None and not (
-        isinstance(rows, list) and all(isinstance(r, int) and not isinstance(r, bool) for r in rows)
-    ):
+    if rows is not None and not (isinstance(rows, list) and all(map(_is_int, rows))):
         raise ValueError(f"rows must be null or a list of integers, got {json.dumps(rows)}")
     report = reproduce_table1(
         rows=rows,
@@ -283,14 +297,14 @@ def cmd_table1(cfg: dict) -> str:
         duration=float(cfg["duration"]),
         j_1=float(cfg["j_1"]),
         aux_energy=None if cfg["aux_energy"] is None else float(cfg["aux_energy"]),
-        max_rounds=int(cfg["max_rounds"]),
+        max_rounds=_int(cfg, "max_rounds"),
     )
     return _json_dump({"config": cfg, "report": _round_floats(report)})
 
 
 def cmd_purify(cfg: dict) -> str:
     codes, spec, aux, thermal = _build_engine(cfg)
-    setting = MeasurementSetting(a=float(cfg["a"]), b=float(cfg["b"]), k=int(cfg["k"]))
+    setting = MeasurementSetting(a=float(cfg["a"]), b=float(cfg["b"]), k=_int(cfg, "k"))
     rho_t = evolved_joint_state(codes, spec, aux, thermal, float(cfg["t"]))
     records = measure_aq(rho_t, aux.count, (setting,), target=joint_target_state(codes, spec.targets))
     rec, rec_other = records[(setting.k,)], records[(-setting.k,)]
@@ -308,8 +322,6 @@ def cmd_purify(cfg: dict) -> str:
 
 
 def cmd_decompose(cfg: dict) -> str:
-    if cfg["variant"] not in VARIANTS:
-        raise ValueError(f"unknown variant {cfg['variant']!r}; expected one of {VARIANTS}")
     codes, spec, _, _ = _build_engine(cfg, need_aux=False)
     h_sa = build_interaction(codes, spec)
     terms = pauli_decompose(h_sa)

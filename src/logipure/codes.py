@@ -17,20 +17,18 @@ import numpy as np
 
 from .operators import (
     PauliString,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     SpectralDecomposition,
     basis_state,
-    embed,
     hermitian_eig,
+    pauli_on_sites,
     pauli_operator,
+    pauli_sum,
     require_hermitian,
 )
 
 # Residual tolerance for "is an eigenstate" checks at construction time.
 RESIDUAL_TOL = 1e-9
-# Default eigenvalue-cluster tolerance, relative to the spectral radius.
+# Eigenvalue-cluster tolerance, relative to the spectral radius.
 CLUSTER_RTOL = 1e-8
 
 
@@ -121,39 +119,34 @@ class LogicalTarget:
 
 @dataclass(frozen=True)
 class HeisenbergSpec:
-    """Chain parameters: size, exchange, and the polarizing field.
+    """Chain parameters: size and exchange.
 
-    The field follows a fixed rule (J_S for the two-site chain, 2 J_S
-    otherwise); that rule makes the one-magnon state exactly degenerate
-    with the polarized state.  Passing an explicit ``field`` that breaks
-    the rule raises.
+    The polarizing field follows from them (J_S for the two-site chain,
+    2 J_S otherwise); that rule makes the one-magnon state exactly
+    degenerate with the polarized state.
     """
 
     n_qubits: int
     exchange: float = 1.0
-    field: float | None = None
 
     def __post_init__(self):
         if self.n_qubits < 2 or self.n_qubits % 2:
             raise ValueError(f"chain length must be even and >= 2, got {self.n_qubits}")
         if self.exchange <= 0:
             raise ValueError(f"exchange must be positive, got {self.exchange}")
-        rule = self.exchange if self.n_qubits == 2 else 2.0 * self.exchange
-        if self.field is None:
-            object.__setattr__(self, "field", rule)
-        elif abs(self.field - rule) > 1e-12 * max(1.0, rule):
-            raise ValueError(
-                f"field {self.field} breaks the degeneracy rule (expected {rule}); "
-                "the ground manifold would not host a logical qubit"
-            )
+
+    @property
+    def field(self) -> float:
+        return self.exchange if self.n_qubits == 2 else 2.0 * self.exchange
 
 
-def spectral_split(h: np.ndarray, tol: float | None = None) -> SpectralSplit:
+def spectral_split(h: np.ndarray) -> SpectralSplit:
     """Cluster the spectrum of ``h`` into degenerate manifolds.
 
-    ``tol`` is the absolute clustering tolerance; by default it is
-    ``1e-8`` times the spectral radius.  Raises when only one cluster
-    exists or when the ground gap is below ``10 * tol`` (unresolvable).
+    Eigenvalues within :data:`CLUSTER_RTOL` times the spectral radius of
+    a cluster's first one join it.  Raises when only one cluster exists
+    or when the ground gap is below ten times that tolerance
+    (unresolvable).
     For diagonal ``h`` no eigensolve is made: the spectrum is the sorted
     diagonal and the bases are computational-basis vectors ordered by
     index, which keeps downstream state labels deterministic.
@@ -169,10 +162,8 @@ def spectral_split(h: np.ndarray, tol: float | None = None) -> SpectralSplit:
         spec = hermitian_eig(h)
     w, vecs = spec.eigenvalues, spec.eigenvectors
 
-    scale = float(np.max(np.abs(w)))
-    if tol is None:
-        tol = CLUSTER_RTOL * scale
-    if scale == 0.0 or tol <= 0:
+    tol = CLUSTER_RTOL * float(np.max(np.abs(w)))
+    if tol == 0.0:
         raise ValueError("flat spectrum: no gap to split on")
 
     clusters: list[list[int]] = [[0]]
@@ -210,15 +201,11 @@ def build_stabilizer_code(stabilizers: list[PauliString | str], strength: float 
     """
     if strength <= 0:
         raise ValueError(f"coupling must be positive, got {strength}")
-    if not stabilizers:
-        raise ValueError("need at least one stabilizer")
     strings = [s if isinstance(s, PauliString) else PauliString(s) for s in stabilizers]
-    n = strings[0].n_qubits
-    if any(s.n_qubits != n for s in strings):
-        raise ValueError("stabilizers act on different register sizes")
+    h = -strength * pauli_sum(strings)  # raises on no strings or mixed lengths
     mats = [pauli_operator(s) for s in strings]
     for i, a in enumerate(mats):
-        if np.max(np.abs(a @ a - np.eye(2**n))) > 1e-12:
+        if np.max(np.abs(a @ a - np.eye(len(a)))) > 1e-12:
             raise ValueError(f"stabilizer {strings[i].letters!r} does not square to identity")
         for j in range(i):
             if np.max(np.abs(a @ mats[j] - mats[j] @ a)) > 1e-12:
@@ -226,7 +213,7 @@ def build_stabilizer_code(stabilizers: list[PauliString | str], strength: float 
                     f"stabilizers {strings[j].letters!r} and {strings[i].letters!r} do not commute"
                 )
 
-    code = code_from_hamiltonian(-strength * sum(mats))
+    code = code_from_hamiltonian(h)
     if len(code.ls_basis) != 2:
         raise ValueError(
             f"ground manifold is {len(code.ls_basis)}-fold degenerate; "
@@ -258,13 +245,10 @@ def build_heisenberg_code(spec: HeisenbergSpec) -> CodeModel:
     j, h_field = spec.exchange, spec.field
     dim = 2**n
     bonds = [(0, 1)] if n == 2 else [(s, (s + 1) % n) for s in range(n)]
-
-    h0 = np.zeros((dim, dim), dtype=complex)
-    for s, sp in bonds:
-        for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-            h0 += (j / 4.0) * embed(np.kron(pauli, pauli), n, [s, sp])
-    for s in range(n):
-        h0 += (h_field / 2.0) * embed(SIGMA_Z, n, [s])
+    h0 = pauli_sum(
+        [PauliString(pauli_on_sites(n, bond, p + p), j / 4.0) for bond in bonds for p in "XYZ"]
+        + [PauliString(pauli_on_sites(n, [s], "Z"), h_field / 2.0) for s in range(n)]
+    )
 
     ham = h0 - h0[0, 0].real * np.eye(dim)
 
@@ -297,7 +281,7 @@ def build_heisenberg_code(spec: HeisenbergSpec) -> CodeModel:
     )
 
 
-def code_from_hamiltonian(h: np.ndarray, tol: float | None = None) -> CodeModel:
+def code_from_hamiltonian(h: np.ndarray) -> CodeModel:
     """Wrap an arbitrary gapped qubit-register Hamiltonian as a host.
 
     The ground manifold may hold one state (a ground-preparation host)
@@ -308,7 +292,7 @@ def code_from_hamiltonian(h: np.ndarray, tol: float | None = None) -> CodeModel:
     n = int(round(np.log2(dim)))
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of 2")
-    split = spectral_split(h, tol)
+    split = spectral_split(h)
     if len(split.ls_basis) > 2:
         raise ValueError(f"ground manifold is {len(split.ls_basis)}-fold degenerate")
     e0 = split.ground_energy

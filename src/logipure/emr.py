@@ -37,13 +37,13 @@ from .codes import CodeModel, HeisenbergSpec, build_heisenberg_code, cardinal_st
 from .measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from .operators import (
     KET_0,
-    SIGMA_X,
-    SIGMA_Y,
+    PauliString,
     SpectralDecomposition,
-    embed,
     hermitian_eig,
     kron,
     kron_all,
+    pauli_on_sites,
+    pauli_sum,
 )
 
 KEEP = "keep-post-measurement"
@@ -392,17 +392,14 @@ def _xy_hamiltonian(setup: XYSetup, code: CodeModel) -> np.ndarray:
     e_a = code.gap if setup.aux_energy is None else setup.aux_energy
 
     h = kron(code.hamiltonian, np.eye(2**n_aux))
-    exc = np.diag([0.0, 1.0]).astype(complex)  # |1><1| on one auxiliary qubit
-    xx = np.kron(SIGMA_X, SIGMA_X)
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    bond = setup.gamma_plus * xx + setup.gamma_minus * yy
+    index = np.arange(2**n_tot)
     for j, (s, s2) in enumerate(setup.attachments):
-        aq = n + j
-        h += e_a * embed(exc, n_tot, [aq])
-        if setup.j_1 != 0.0:
-            h += setup.j_1 * embed(bond, n_tot, [s, aq])
-        if setup.j_2 != 0.0:
-            h += setup.j_2 * embed(bond, n_tot, [s2, aq])
+        h[index, index] += e_a * ((index >> (n_aux - 1 - j)) & 1)  # E_A |1><1| on qubit n + j
+        for j_bond, site in ((setup.j_1, s), (setup.j_2, s2)):
+            if j_bond != 0.0:
+                xx, yy = (pauli_on_sites(n_tot, (site, n + j), p + p) for p in "XY")
+                bond = pauli_sum([PauliString(xx, setup.gamma_plus), PauliString(yy, setup.gamma_minus)])
+                h += j_bond * bond  # summed, then scaled: scaling each term would round differently
     return h
 
 

@@ -26,7 +26,6 @@ from .operators import (
     KET_1,
     PAULI_MATRICES,
     PauliString,
-    embed,
     kron,
     kron_all,
     require_hermitian,
@@ -157,12 +156,12 @@ def build_total(codes: list[CodeModel], interaction: np.ndarray, aux: AuxiliaryS
     h = np.zeros((2**n_tot, 2**n_tot), dtype=complex)
     first = 0
     for code in codes:
-        h += embed(code.hamiltonian, n_tot, range(first, first + code.n_qubits))
+        h += kron_all([np.eye(2**first), code.hamiltonian, np.eye(2 ** (n_tot - first - code.n_qubits))])
         first += code.n_qubits
-    excited = aux.energy * np.outer(KET_1, KET_1.conj())
-    for j in range(n_s, n_tot):
-        h += embed(excited, n_tot, [j])
-    h += embed(interaction, n_tot, range(n_s + 1))
+    index = np.arange(2**n_tot)
+    for j in range(aux.count):
+        h[index, index] += aux.energy * ((index >> (aux.count - 1 - j)) & 1)  # E_A |1><1| on AQ j
+    h += kron(interaction, np.eye(2 ** (aux.count - 1)))
     return h
 
 

@@ -10,8 +10,11 @@ Conventions used throughout the package:
   this choice ``sigma_y`` picks up a sign relative to the usual textbook
   matrix; the algebra ``sigma_x sigma_y = i sigma_z`` is preserved.
 
-Operators are complex numpy arrays.  Many Hamiltonians of the package
-conserve a quantity (magnetization, Z2 parity), so they are exactly block
+Operators are complex numpy arrays.  Every Hamiltonian of the package is
+built from Pauli strings (:func:`pauli_sum`, by bit operations on the
+basis index) and from Kronecker products with identities (:func:`kron`,
+:func:`kron_all`) for blocks of contiguous qubits.  Many of them conserve
+a quantity (magnetization, Z2 parity), so they are exactly block
 diagonal in the computational basis.  :func:`coupled_blocks` finds those
 blocks from the exactly-nonzero pattern alone, and :func:`hermitian_eig`
 solves each block of a large matrix on its own; a small matrix, or one
@@ -105,24 +108,54 @@ def kron_all(ops: Iterable[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def pauli_on_sites(n_qubits: int, sites: Sequence[int], letters: str) -> str:
+    """Letters of an ``n_qubits`` Pauli string: ``letters[k]`` on ``sites[k]``, I elsewhere."""
+    placed = dict(zip(sites, letters))
+    if not (len(placed) == len(sites) == len(letters) and set(placed) <= set(range(n_qubits))):
+        raise ValueError(f"bad site list {list(sites)} for {letters!r} on {n_qubits} qubits")
+    return "".join(placed.get(q, "I") for q in range(n_qubits))
+
+
+def pauli_sum(terms: Iterable[PauliString | str]) -> np.ndarray:
+    """Dense matrix of ``sum_k c_k P_k`` over Pauli strings of one length.
+
+    A string maps each basis state to one basis state: X and Y flip their
+    bit, Y and Z give -1 on every site whose bit is 0 (``SIGMA_Z =
+    diag(-1, +1)``), and each Y adds a factor i (``SIGMA_Y = i SIGMA_X
+    SIGMA_Z``).  Each string therefore takes one pass over the basis
+    states, and the strings are added in the order given.
+    """
+    strings = [t if isinstance(t, PauliString) else PauliString(t) for t in terms]
+    if not strings:
+        raise ValueError("pauli_sum needs at least one term")
+    n = strings[0].n_qubits
+    if any(s.n_qubits != n for s in strings):
+        raise ValueError("Pauli strings act on different register sizes")
+    cols = np.arange(2**n)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for s in strings:
+        flip = int("".join("1" if c in "XY" else "0" for c in s.letters), 2)
+        signed = int("".join("1" if c in "YZ" else "0" for c in s.letters), 2)
+        weight = s.coefficient * (1, 1j, -1, -1j)[s.letters.count("Y") % 4]
+        out[cols ^ flip, cols] += weight * np.where(np.bitwise_count(~cols & signed) & 1, -1, 1)
+    return out
+
+
 def pauli_operator(pauli: PauliString | str) -> np.ndarray:
     """Dense matrix of a Pauli string on ``len(letters)`` qubits."""
-    if isinstance(pauli, str):
-        pauli = PauliString(pauli)
-    mat = kron_all(PAULI_MATRICES[c] for c in pauli.letters)
-    if pauli.coefficient != 1.0:
-        mat = pauli.coefficient * mat
-    return mat
+    return pauli_sum([pauli])
 
 
-def require_hermitian(h: np.ndarray, name: str = "matrix", tol: float = VALIDATION_TOL) -> np.ndarray:
-    """Validate hermiticity relative to the matrix scale; return as complex array."""
+def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Validate finiteness and hermiticity relative to the matrix scale; return as complex array."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"{name} must be square, got shape {h.shape}")
-    scale = max(np.max(np.abs(h)), 1.0)
+    scale = np.max(np.abs(h))
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} has non-finite entries")
     asym = np.max(np.abs(h - h.conj().T))
-    if asym > tol * scale:
+    if asym > VALIDATION_TOL * max(scale, 1.0):
         raise ValueError(f"{name} is not hermitian: max |H - H^dag| = {asym:.3e}")
     return h
 
@@ -247,34 +280,3 @@ def basis_state(n_qubits: int, index: int) -> np.ndarray:
     vec = np.zeros(dim, dtype=complex)
     vec[index] = 1.0
     return vec
-
-
-def embed(op: np.ndarray, n_qubits: int, sites: Sequence[int]) -> np.ndarray:
-    """Embed an operator acting on ``sites`` into an ``n_qubits`` register.
-
-    ``op`` must act on ``len(sites)`` qubits in the order listed; the
-    sites need not be adjacent.
-    """
-    sites = list(sites)
-    k = len(sites)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not act on {k} qubits")
-    if len(set(sites)) != k or any(s < 0 or s >= n_qubits for s in sites):
-        raise ValueError(f"bad site list {sites} for {n_qubits} qubits")
-    full = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    tensor = full.reshape([2] * (2 * n_qubits))
-    op_tensor = op.reshape([2] * (2 * k))
-    rest = [q for q in range(n_qubits) if q not in sites]
-    eye = np.eye(2 ** len(rest), dtype=complex).reshape([2] * (2 * len(rest)))
-    # place op axes at their sites, identity axes elsewhere
-    src = np.tensordot(op_tensor, eye, axes=0)
-    # current axis order: op rows, op cols, eye rows, eye cols
-    perm_rows = [None] * n_qubits
-    for axis, q in enumerate(sites):
-        perm_rows[q] = axis
-    for axis, q in enumerate(rest):
-        perm_rows[q] = 2 * k + axis
-    perm_cols = [p + k if p < 2 * k else p + len(rest) for p in perm_rows]
-    tensor[...] = src.transpose(perm_rows + perm_cols)
-    return full

@@ -11,6 +11,10 @@
   joint dimension: a ``kron(I_S, |psi><psi|)`` sandwich followed by
   :func:`partial_trace`, the reference for
   :func:`logipure.measurement.measure_aq`.
+* :func:`embed`, which places an operator on named sites by permuting
+  tensor axes, and the Hamiltonian builders written with it: the
+  references for the Pauli-sum and Kronecker-block builders of
+  ``codes``, ``emr`` and ``interaction``.
 """
 
 from itertools import product
@@ -19,7 +23,17 @@ from typing import Sequence
 import numpy as np
 
 from logipure.measurement import UNATTAINABLE_P
-from logipure.operators import PauliString, fidelity_pure, kron, kron_all, pauli_operator
+from logipure.operators import (
+    KET_1,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    PauliString,
+    fidelity_pure,
+    kron,
+    kron_all,
+    pauli_operator,
+)
 
 
 def three_qubit_coupling_reference(theta: float, phi: float, coupling: float) -> dict[str, complex]:
@@ -197,3 +211,85 @@ def projector_measurement(rho_joint, n_aux, settings, target=None):
         fid = float("nan") if target is None else fidelity_pure(post_system, target)
         records[outcome] = (prob, fid, post_system, True)
     return records
+
+
+def embed(op: np.ndarray, n_qubits: int, sites: Sequence[int]) -> np.ndarray:
+    """Embed an operator acting on ``sites`` into an ``n_qubits`` register.
+
+    ``op`` must act on ``len(sites)`` qubits in the order listed; the
+    sites need not be adjacent.
+    """
+    sites = list(sites)
+    k = len(sites)
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} does not act on {k} qubits")
+    if len(set(sites)) != k or any(s < 0 or s >= n_qubits for s in sites):
+        raise ValueError(f"bad site list {sites} for {n_qubits} qubits")
+    full = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    tensor = full.reshape([2] * (2 * n_qubits))
+    op_tensor = op.reshape([2] * (2 * k))
+    rest = [q for q in range(n_qubits) if q not in sites]
+    eye = np.eye(2 ** len(rest), dtype=complex).reshape([2] * (2 * len(rest)))
+    # place op axes at their sites, identity axes elsewhere
+    src = np.tensordot(op_tensor, eye, axes=0)
+    # current axis order: op rows, op cols, eye rows, eye cols
+    perm_rows = [None] * n_qubits
+    for axis, q in enumerate(sites):
+        perm_rows[q] = axis
+    for axis, q in enumerate(rest):
+        perm_rows[q] = 2 * k + axis
+    perm_cols = [p + k if p < 2 * k else p + len(rest) for p in perm_rows]
+    tensor[...] = src.transpose(perm_rows + perm_cols)
+    return full
+
+
+def heisenberg_hamiltonian_by_embed(spec) -> np.ndarray:
+    """The chain Hamiltonian of ``build_heisenberg_code``, one ``embed`` per term."""
+    n = spec.n_qubits
+    j, h_field = spec.exchange, spec.field
+    dim = 2**n
+    bonds = [(0, 1)] if n == 2 else [(s, (s + 1) % n) for s in range(n)]
+    h0 = np.zeros((dim, dim), dtype=complex)
+    for s, sp in bonds:
+        for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+            h0 += (j / 4.0) * embed(np.kron(pauli, pauli), n, [s, sp])
+    for s in range(n):
+        h0 += (h_field / 2.0) * embed(SIGMA_Z, n, [s])
+    return h0 - h0[0, 0].real * np.eye(dim)
+
+
+def xy_hamiltonian_by_embed(setup, code) -> np.ndarray:
+    """The joint Hamiltonian of ``build_xy_setup`` on a built chain code, by ``embed``."""
+    n, n_aux = setup.n_system, setup.n_aux
+    n_tot = n + n_aux
+    e_a = code.gap if setup.aux_energy is None else setup.aux_energy
+    h = kron(code.hamiltonian, np.eye(2**n_aux))
+    exc = np.diag([0.0, 1.0]).astype(complex)  # |1><1| on one auxiliary qubit
+    xx = np.kron(SIGMA_X, SIGMA_X)
+    yy = np.kron(SIGMA_Y, SIGMA_Y)
+    bond = setup.gamma_plus * xx + setup.gamma_minus * yy
+    for j, (s, s2) in enumerate(setup.attachments):
+        aq = n + j
+        h += e_a * embed(exc, n_tot, [aq])
+        if setup.j_1 != 0.0:
+            h += setup.j_1 * embed(bond, n_tot, [s, aq])
+        if setup.j_2 != 0.0:
+            h += setup.j_2 * embed(bond, n_tot, [s2, aq])
+    return h
+
+
+def total_hamiltonian_by_embed(codes, interaction, aux) -> np.ndarray:
+    """H_tot of ``build_total``, each code, auxiliary splitting and the coupling by ``embed``."""
+    n_s = sum(c.n_qubits for c in codes)
+    n_tot = n_s + aux.count
+    h = np.zeros((2**n_tot, 2**n_tot), dtype=complex)
+    first = 0
+    for code in codes:
+        h += embed(code.hamiltonian, n_tot, range(first, first + code.n_qubits))
+        first += code.n_qubits
+    excited = aux.energy * np.outer(KET_1, KET_1.conj())
+    for j in range(n_s, n_tot):
+        h += embed(excited, n_tot, [j])
+    h += embed(interaction, n_tot, range(n_s + 1))
+    return h

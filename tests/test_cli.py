@@ -329,6 +329,48 @@ def test_bad_configs_exit_2(tmp_path, capsys):
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+    # integer fields take JSON integers only: no truncated floats, strings or booleans
+    for key, value in (
+        ("a_points", 2.7),
+        ("a_points", "3"),
+        ("t_points", True),
+        ("k", 1.5),
+        ("L", 1.9),
+        ("max_rounds", 5.9),
+    ):
+        rc, out = run_cli(tmp_path, "fig4", {**fig4, key: value}, name=f"fig4int{key}")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be an integer")
+        assert not out.exists()
+    for command, cfg in (
+        ("fig3", {"j_points": 3.0}),
+        ("table1", {"rows": [1], "max_rounds": 5.0}),
+        ("purify", {"k": 1.0}),
+        ("decompose", {"L": 2.0}),
+    ):
+        rc, out = run_cli(tmp_path, command, cfg, name=f"{command}int")
+        assert rc == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+    rc, out = run_cli(tmp_path, "decompose", {"variant": "bogus"}, name="variant")
+    assert rc == 2
+    assert "unknown variant 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+    # NaN, Infinity and overflowing literals are rejected when the config is loaded
+    for command, text in (
+        ("purify", '{"t": NaN}'),
+        ("table1", '{"rows": [1], "beta": NaN}'),
+        ("fig3", '{"beta_range": [0, Infinity]}'),
+        ("fig3", '{"beta_range": [-Infinity, 1]}'),
+        ("decompose", '{"g": NaN}'),
+        ("purify", '{"a": 1e999}'),
+    ):
+        cfg_path = tmp_path / "nonfinite_cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / f"nonfinite_{command}.out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config numbers must be finite")
+        assert not out.exists()
 
 
 def check_purify_shot(proc, out):

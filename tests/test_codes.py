@@ -89,9 +89,8 @@ def test_heisenberg_logical_states_are_polarized_and_magnon():
 def test_heisenberg_field_rule():
     assert HeisenbergSpec(2).field == 1.0  # h = J on the two-site chain
     assert HeisenbergSpec(4).field == 2.0  # h = 2J beyond it
-    assert HeisenbergSpec(4, field=2.0).field == 2.0
-    with pytest.raises(ValueError):
-        build_heisenberg_code(HeisenbergSpec(4, field=1.0))
+    with pytest.raises(TypeError):  # the field is derived, not a parameter
+        HeisenbergSpec(4, field=2.0)
     with pytest.raises(ValueError):
         HeisenbergSpec(3)
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from logipure.emr import (
     thermal_ensemble,
 )
 from logipure.measurement import MeasurementSetting
-from logipure.operators import SIGMA_Z, basis_state, embed, gibbs, hermitian_eig, kron, kron_all
+from logipure.operators import basis_state, gibbs, hermitian_eig, kron, kron_all, pauli_operator
 
 BETA = 0.1
 
@@ -146,7 +146,7 @@ def test_round_contraction_against_dense():
 
 def test_magnetization_conserved_iff_isotropic():
     spec = HeisenbergSpec(n_qubits=2)
-    sz_tot = sum(embed(SIGMA_Z, 3, [q]) for q in range(3))
+    sz_tot = sum(pauli_operator(p) for p in ("ZII", "IZI", "IIZ"))
     h_iso = build_xy_setup(XYSetup(n_system=2, j_2=0.7, gamma=0.0), spec)
     assert np.max(np.abs(h_iso @ sz_tot - sz_tot @ h_iso)) < 1e-12
     h_aniso = build_xy_setup(XYSetup(n_system=2, j_2=0.7, gamma=0.5), spec)
@@ -163,7 +163,7 @@ def test_two_site_magnon_bound_from_magnetization_conservation():
     """
     spec = HeisenbergSpec(n_qubits=2)
     code = build_heisenberg_code(spec)
-    sz_tot = sum(embed(SIGMA_Z, 3, [q]) for q in range(3))
+    sz_tot = sum(pauli_operator(p) for p in ("ZII", "IZI", "IIZ"))
     h_aniso = build_xy_setup(XYSetup(n_system=2, j_1=1.0, j_2=0.0, gamma=0.2), spec)
     assert np.max(np.abs(h_aniso @ sz_tot - sz_tot @ h_aniso)) > 0.1
     h_tot = build_xy_setup(XYSetup(n_system=2, j_1=1.0, j_2=0.0, gamma=0.0), spec)
@@ -188,9 +188,7 @@ def test_xy_setup_structure():
     code = build_heisenberg_code(spec)
     # decoupled: chain plus the auxiliary splitting only
     h0 = build_xy_setup(XYSetup(n_system=2, j_1=0.0, j_2=0.0, aux_energy=2.5), spec)
-    expected = kron(code.hamiltonian, np.eye(2)) + 2.5 * embed(
-        np.diag([0.0, 1.0]).astype(complex), 3, [2]
-    )
+    expected = kron(code.hamiltonian, np.eye(2)) + 2.5 * kron(np.eye(4), np.diag([0.0, 1.0]))
     assert np.allclose(h0, expected, atol=1e-12)
     # resonance default equals passing the gap explicitly
     h_none = build_xy_setup(XYSetup(n_system=2), spec)

@@ -12,18 +12,19 @@ from logipure.operators import (
     SIGMA_Y,
     SIGMA_Z,
     basis_state,
-    embed,
     evolve,
     fidelity_pure,
     gibbs,
     hermitian_eig,
     kron,
     kron_all,
+    pauli_on_sites,
     pauli_operator,
+    pauli_sum,
     require_hermitian,
 )
 
-from oracles import partial_trace
+from oracles import embed, partial_trace
 
 TOL = 1e-12
 
@@ -89,6 +90,24 @@ def test_kron_all():
     assert np.allclose(kron(a, b), np.kron(a, b))
 
 
+def test_pauli_sum_adds_weighted_strings():
+    got = pauli_sum([PauliString("XZ", 0.5), "YY", PauliString("IZ", -2j)])
+    want = 0.5 * np.kron(SIGMA_X, SIGMA_Z) + np.kron(SIGMA_Y, SIGMA_Y) - 2j * np.kron(np.eye(2), SIGMA_Z)
+    assert np.allclose(got, want, atol=TOL)
+    with pytest.raises(ValueError):
+        pauli_sum([])
+    with pytest.raises(ValueError):
+        pauli_sum(["XZ", "XZI"])
+
+
+def test_pauli_on_sites():
+    assert pauli_on_sites(4, [3, 1], "XZ") == "IZIX"
+    assert pauli_on_sites(2, [], "") == "II"
+    for sites, letters in (([0, 0], "XZ"), ([4], "X"), ([-1], "X"), ([0], "XZ")):
+        with pytest.raises(ValueError):
+            pauli_on_sites(4, sites, letters)
+
+
 def test_embed_places_factors_on_named_sites():
     xz = kron(SIGMA_X, SIGMA_Z)
     assert np.allclose(embed(xz, 4, [1, 3]), pauli_operator("IXIZ"), atol=TOL)
@@ -115,6 +134,16 @@ def test_require_hermitian():
     assert require_hermitian(h, "h") is not None
     with pytest.raises(ValueError):
         require_hermitian(h + 1e-6 * 1j * np.eye(4), "h")
+    for bad in (np.nan, np.inf, -np.inf):
+        h_bad = h.copy()
+        h_bad[1, 2] = h_bad[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            require_hermitian(h_bad, "h")
+
+
+def test_hermitian_eig_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(np.full((2, 2), np.nan))
 
 
 def test_spectral_decomposition_roundtrip():

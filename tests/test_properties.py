@@ -1,5 +1,5 @@
 """Property tests of the block-split eigensolve and round kernel, one cell or a batch,
-and of the auxiliary measurement.
+of the auxiliary measurement and of the Pauli-sum builder.
 
 Random block-diagonal problems are hidden behind a random permutation of
 the basis, so the blocks are only visible through the exactly-zero
@@ -27,7 +27,7 @@ from logipure.emr import (
     thermal_ensemble,
 )
 from logipure.measurement import MeasurementSetting, measure_aq
-from logipure.operators import gibbs, hermitian_eig, kron, kron_all
+from logipure.operators import PAULI_MATRICES, PauliString, gibbs, hermitian_eig, kron, kron_all, pauli_sum
 
 from oracles import dense_trajectory, projector_measurement
 
@@ -320,3 +320,17 @@ def test_measure_aq_matches_projector_oracle(d_s, n_aux, seed, polar, azimuth, o
     if product_state:
         assert records[tuple(s.k for s in aq_settings)].attainable
         assert sum(r.attainable for r in records.values()) == 1
+
+
+finite = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_pauli_sum_matches_kron_of_pauli_matrices(n, data):
+    """Random strings with complex weights: the bit-operation build equals the sum of krons."""
+    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    term = st.builds(lambda w, re, im: PauliString(w, complex(re, im)), letters, finite, finite)
+    terms = data.draw(st.lists(term, min_size=1, max_size=6))
+    want = sum(t.coefficient * kron_all(PAULI_MATRICES[c] for c in t.letters) for t in terms)
+    assert np.max(np.abs(pauli_sum(terms) - want)) <= 1e-15
