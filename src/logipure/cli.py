@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .codes import LogicalTarget, build_repetition_code, code_from_json
+from .codes import LogicalTarget, build_repetition_code, code_from_json, is_json_int
 from .emr import KEEP, plane_m_min, reproduce_table1, thermal_ensemble
 from .formulas import f_plus_resonant, p_beta, p_plus_resonant
 from .interaction import (
@@ -125,13 +125,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer; booleans and floats such as 2.0 are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int(cfg: dict, key: str) -> int:
-    if not _is_int(cfg[key]):
+    if not is_json_int(cfg[key]):
         raise ValueError(f"{key} must be an integer, got {json.dumps(cfg[key])}")
     return cfg[key]
 
@@ -289,7 +284,7 @@ def cmd_fig4(cfg: dict) -> str:
 
 def cmd_table1(cfg: dict) -> str:
     rows = cfg["rows"]
-    if rows is not None and not (isinstance(rows, list) and all(map(_is_int, rows))):
+    if rows is not None and not (isinstance(rows, list) and all(map(is_json_int, rows))):
         raise ValueError(f"rows must be null or a list of integers, got {json.dumps(rows)}")
     report = reproduce_table1(
         rows=rows,

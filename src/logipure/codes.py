@@ -11,7 +11,8 @@ Heisenberg chains with a polarizing field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,7 +158,8 @@ def spectral_split(h: np.ndarray) -> SpectralSplit:
     if diagonal:
         w = np.real(np.diag(h))
         order = np.argsort(w, kind="stable")
-        spec = SpectralDecomposition(w[order], np.eye(dim, dtype=complex)[:, order])
+        rows = np.arange(dim)
+        spec = SpectralDecomposition(w[order], ((rows, rows, np.eye(dim, dtype=complex)[:, order]),))
     else:
         spec = hermitian_eig(h)
     w, vecs = spec.eigenvalues, spec.eigenvectors
@@ -302,7 +304,7 @@ def code_from_hamiltonian(h: np.ndarray) -> CodeModel:
         ls_basis=split.ls_basis,
         es_basis=split.es_basis,
         gap=split.gap,
-        spectrum=SpectralDecomposition(split.spectrum.eigenvalues - e0, split.spectrum.eigenvectors),
+        spectrum=replace(split.spectrum, eigenvalues=split.spectrum.eigenvalues - e0),
     )
 
 
@@ -352,6 +354,11 @@ def logical_operators(code: CodeModel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return x, y, z
 
 
+def is_json_int(value) -> bool:
+    """True for a JSON integer; booleans and floats such as 2.0 are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def code_from_json(doc: str | dict) -> CodeModel:
     """Build a code from a JSON document.
 
@@ -360,21 +367,26 @@ def code_from_json(doc: str | dict) -> CodeModel:
         {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
         {"type": "heisenberg", "n": 4, "J": 1.0}
 
-    ``J`` defaults to 1.0 in both.
+    ``J`` defaults to 1.0 in both and must be a finite number; ``n`` must
+    be an integer.  Neither may be a boolean.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ValueError("code document must be a JSON object")
     kind = doc.get("type")
-    j = float(doc.get("J", 1.0))
+    j = doc.get("J", 1.0)
+    if isinstance(j, bool) or not isinstance(j, (int, float)) or not abs(j) <= sys.float_info.max:
+        raise ValueError(f"code J must be a finite number, got {j!r}")
     if kind == "stabilizer":
         stabs = doc.get("stabilizers")
         if not stabs:
             raise ValueError("stabilizer document needs a non-empty 'stabilizers' list")
-        return build_stabilizer_code(list(stabs), j)
+        return build_stabilizer_code(list(stabs), float(j))
     if kind == "heisenberg":
         if "n" not in doc:
             raise ValueError("heisenberg document needs 'n'")
-        return build_heisenberg_code(HeisenbergSpec(n_qubits=int(doc["n"]), exchange=j))
+        if not is_json_int(doc["n"]):
+            raise ValueError(f"code n must be an integer, got {doc['n']!r}")
+        return build_heisenberg_code(HeisenbergSpec(n_qubits=doc["n"], exchange=float(j)))
     raise ValueError(f"unknown code type {kind!r}")

@@ -15,8 +15,9 @@ the same probability floor:
   joint state stays of the form rho_S (x) |chi><chi| and the whole
   trajectory reduces to repeated D_S x D_S matrix products on a square
   root ("ensemble") factor of the thermal state.  The operators
-  <psi_out| exp(-iHt) |chi> come straight from the joint spectrum
-  (:func:`round_contraction`); no joint unitary is formed.
+  <psi_out| exp(-iHt) |chi> come straight from the joint spectrum,
+  block by block (:func:`round_contraction`); neither a joint unitary
+  nor a dense eigenvector array is formed.
   :func:`fast_trajectory` runs one trajectory this way, and
   :func:`plane_m_min` a whole plane of (duration, setting) cells in one
   batched kernel pass.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import batch_trajectory_kernel, trajectory_kernel
+from ._kernels import batch_trajectory_kernel
 from .codes import CodeModel, HeisenbergSpec, build_heisenberg_code, cardinal_state
 from .measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from .operators import (
@@ -234,21 +235,53 @@ def round_contraction(
 
     ``psi_out`` (postselected) and ``aq_in`` (entering the round) are
     auxiliary states; leading axes stack cells and broadcast against
-    each other.  With A and B the eigenvector rows of ``spectral``
-    contracted on the auxiliary factor with <psi_out| and <aq_in|, each
-    operator is A diag(exp(-iwt)) B^dagger, so no joint unitary is
-    formed.  Returns shape (len(durations), *cells, D_S, D_S).
+    each other.  The spectrum is contracted block by block: with A_b and
+    B_b a block's eigenvector rows contracted on the auxiliary factor
+    with <psi_out| and <aq_in|, each operator gains A_b diag(exp(-iwt))
+    B_b^dagger on the system rows the block reaches.  Only rows whose
+    auxiliary index is nonzero in some state of the stack take part, so
+    no joint unitary and no dense eigenvector array is formed.  Returns
+    shape (len(durations), *cells, D_S, D_S).
     """
-    dim, d_a = spectral.eigenvectors.shape[0], np.shape(psi_out)[-1]
+    dim, d_a = spectral.eigenvalues.size, np.shape(psi_out)[-1]
     if np.shape(aq_in)[-1] != d_a or dim % d_a:
         shapes = f"{np.shape(psi_out)} and {np.shape(aq_in)}"
         raise ValueError(f"auxiliary states {shapes} do not factor the joint dimension {dim}")
     psi_out, aq_in = np.broadcast_arrays(psi_out, aq_in)
-    v = spectral.eigenvectors.reshape(dim // d_a, d_a, dim)
-    a = np.einsum("...a,iak->...ik", psi_out.conj(), v)
-    b = np.einsum("...b,ibk->...ik", aq_in.conj(), v)
+    cells = psi_out.shape[:-1]
     phases = np.exp(-1j * np.multiply.outer(np.asarray(durations, dtype=float), spectral.eigenvalues))
-    return (a * phases.reshape(-1, *[1] * (a.ndim - 1), dim)) @ b.conj().swapaxes(-1, -2)
+    phases = phases.reshape(-1, *[1] * len(cells), 1, dim)
+    out = np.zeros((phases.shape[0], *cells, dim // d_a, dim // d_a), dtype=complex)
+    contract_out, contract_in = _aux_contraction(psi_out, d_a), _aux_contraction(aq_in, d_a)
+    for rows, positions, vectors in spectral.blocks:
+        i, a = contract_out(rows, vectors)
+        j, b = contract_in(rows, vectors)
+        if i.size and j.size:
+            out[..., i[:, None], j] += (a * phases[..., positions]) @ b.conj().swapaxes(-1, -2)
+    return out
+
+
+def _aux_contraction(states: np.ndarray, d_a: int):
+    """Contraction of one block's eigenvector rows with <states| on the auxiliary factor.
+
+    Returns a function of (rows, vectors), a block of joint rows and its
+    eigenvectors, that gives the system rows the block reaches and the
+    contracted rows, shape (*cells, len(system rows), n_vectors).  Only
+    the auxiliary components nonzero in some state of the stack enter.
+    """
+    used = (states != 0).reshape(-1, d_a).any(axis=0)
+    slot = np.cumsum(used) - 1
+    bras = states[..., used].conj()
+
+    def contract(rows, vectors):
+        system, aux = np.divmod(rows, d_a)
+        kept = used[aux]
+        system_rows, system_slot = np.unique(system[kept], return_inverse=True)
+        grouped = np.zeros((system_rows.size, bras.shape[-1], vectors.shape[1]), dtype=vectors.dtype)
+        grouped[system_slot, slot[aux[kept]]] = vectors[kept]
+        return system_rows, np.einsum("...a,iak->...ik", bras, grouped)
+
+    return contract
 
 
 def _round_operators(spectral, durations, cells, aq_reset) -> tuple[np.ndarray, np.ndarray]:
@@ -280,33 +313,36 @@ def fast_trajectory(
     gives the same record, with the same probability floor
     :data:`UNATTAINABLE_P`, from :func:`round_contraction` operators.
     """
-    return _trajectories(spectral, ensemble, rounds, [target], max_rounds, aq_reset)[0]
+    return _group_trajectories(ensemble, np.asarray(target)[None], [(spectral, rounds, aq_reset)], max_rounds)[0][0]
 
 
-def _trajectories(
-    spectral: SpectralDecomposition,
-    ensemble: np.ndarray,
-    rounds: RoundSpec,
-    targets: list[np.ndarray],
-    max_rounds: int,
-    aq_reset: str = KEEP,
-) -> list[EmrTrajectory]:
-    """:func:`fast_trajectory` for several targets from one kernel pass."""
-    _check_run(max_rounds, aq_reset)
-    k_first, k_later = _round_operators(spectral, [rounds.duration], [rounds.settings], aq_reset)
-    fid, p_round, p_cum, truncated, why = trajectory_kernel(
-        k_first[0], k_later[0], ensemble, np.stack(targets), max_rounds, UNATTAINABLE_P
+def _group_trajectories(ensemble, targets, cells, max_rounds) -> list[list[EmrTrajectory]]:
+    """:func:`fast_trajectory` for a stack of cells sharing an ensemble, from one kernel pass.
+
+    ``cells`` holds one (spectral, rounds, policy) triple per cell and
+    ``targets`` a stack of target rows; returns, per cell, one
+    trajectory per target row, each with arrays of its own.
+    """
+    operators = []
+    for spectral, rounds, policy in cells:
+        _check_run(max_rounds, policy)
+        operators.append(_round_operators(spectral, [rounds.duration], [rounds.settings], policy))
+    k_first, k_later = (np.concatenate(ops) for ops in zip(*operators))
+    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(
+        k_first, k_later, ensemble, targets, max_rounds, UNATTAINABLE_P
     )
-    reason = f"round {len(p_round) + 1}: {why}" if truncated else None
     return [
-        EmrTrajectory(
-            fidelity=fid[:, i].copy(),
-            p_round=p_round.copy(),
-            p_cumulative=p_cum.copy(),
-            truncated=truncated,
-            reason=reason,
-        )
-        for i in range(len(targets))
+        [
+            EmrTrajectory(
+                fidelity=fid[c, :n, t].copy(),
+                p_round=p_round[c, :n].copy(),
+                p_cumulative=p_cum[c, :n].copy(),
+                truncated=why is not None,
+                reason=None if why is None else f"round {n + 1}: {why}",
+            )
+            for t in range(len(targets))
+        ]
+        for c, (n, why) in enumerate(zip(n_rounds, reasons))
     ]
 
 
@@ -478,6 +514,12 @@ def reproduce_table1(
     fidelity is reported as the match.  ``aux_energy=None`` applies the
     fitted :data:`CALIBRATED_AUX_ENERGY`.  ``rows`` holds 1-based table
     indices (all rows when None); an index the table lacks raises.
+
+    Rows with the same chain size share the thermal ensemble; those whose
+    joint spectra also split into the same blocks run all their (row,
+    policy) cells in one :func:`batch_trajectory_kernel` pass, scored
+    against every cardinal target of the group.  Rows whose blocks differ
+    run apart, since a stack takes the union of its cells' blocks.
     """
     if rows is not None:
         unknown = sorted(set(rows) - {r.index for r in CHAIN_BENCHMARK})
@@ -496,12 +538,14 @@ def reproduce_table1(
         },
         "rows": [],
     }
+    signs = ("+", "-")
     chains: dict[int, tuple[CodeModel, np.ndarray]] = {}
+    prepared = []  # (row, spectral, rounds, policies) per selected row
+    groups: dict[tuple, list] = {}  # (chain size, block partition) -> its entries of ``prepared``
     for row in selected:
         if row.n_sites not in chains:
             chain = build_heisenberg_code(HeisenbergSpec(n_qubits=row.n_sites))
             chains[row.n_sites] = (chain, thermal_ensemble([chain], beta))
-        code, ensemble = chains[row.n_sites]
         setup = XYSetup(
             n_system=row.n_sites,
             n_aux=len(row.settings),
@@ -510,23 +554,34 @@ def reproduce_table1(
             gamma=row.gamma,
             aux_energy=e_a,
         )
-        spectral = hermitian_eig(_xy_hamiltonian(setup, code))
+        spectral = hermitian_eig(_xy_hamiltonian(setup, chains[row.n_sites][0]))
         rounds = RoundSpec(duration, tuple(MeasurementSetting(a=a, b=b, k=k) for a, b, k in row.settings))
-
         pole_angles = all(
             abs(a) < 1e-12 or abs(a - np.pi) < 1e-12 for a, _, _ in row.settings
         )
         policies = (KEEP,) if pole_angles else (KEEP, RESET)
+        partition = tuple(block_rows.tobytes() for block_rows, _, _ in spectral.blocks)
+        prepared.append((row, spectral, rounds, policies))
+        groups.setdefault((row.n_sites, partition), []).append(prepared[-1])
 
-        signs = ("+", "-")
-        targets = [cardinal_state(code, row.axis + sign) for sign in signs]
-        runs = {
-            policy: _trajectories(spectral, ensemble, rounds, targets, max_rounds, aq_reset=policy)
-            for policy in policies
-        }
+    runs = {}  # (row index, policy) -> {cardinal: trajectory}
+    for (n_sites, _), members in groups.items():
+        code, ensemble = chains[n_sites]
+        labels = list(dict.fromkeys(row.axis + sign for row, *_ in members for sign in signs))
+        targets = np.stack([cardinal_state(code, label) for label in labels])
+        keys = [(row.index, policy) for row, _, _, policies in members for policy in policies]
+        cells = [(spectral, rounds, policy) for _, spectral, rounds, policies in members for policy in policies]
+        for key, per_target in zip(keys, _group_trajectories(ensemble, targets, cells, max_rounds)):
+            runs[key] = dict(zip(labels, per_target))
+
+    for row, _, _, policies in prepared:
         candidates = [
-            {"cardinal": row.axis + sign, "policy": policy, **_row_metrics(runs[policy][i], max_rounds)}
-            for i, sign in enumerate(signs)
+            {
+                "cardinal": row.axis + sign,
+                "policy": policy,
+                **_row_metrics(runs[row.index, policy][row.axis + sign], max_rounds),
+            }
+            for sign in signs
             for policy in policies
         ]
 

@@ -10,21 +10,24 @@ Conventions used throughout the package:
   this choice ``sigma_y`` picks up a sign relative to the usual textbook
   matrix; the algebra ``sigma_x sigma_y = i sigma_z`` is preserved.
 
-Operators are complex numpy arrays.  Every Hamiltonian of the package is
-built from Pauli strings (:func:`pauli_sum`, by bit operations on the
-basis index) and from Kronecker products with identities (:func:`kron`,
-:func:`kron_all`) for blocks of contiguous qubits.  Many of them conserve
+Operators are complex numpy arrays; only the spectrum of an exactly
+real Hamiltonian is solved and kept in real arithmetic.  Every
+Hamiltonian of the package is built from Pauli strings
+(:func:`pauli_sum`, by bit operations on the basis index) and from
+Kronecker products with identities (:func:`kron`, :func:`kron_all`) for
+blocks of contiguous qubits.  Many of them conserve
 a quantity (magnetization, Z2 parity), so they are exactly block
 diagonal in the computational basis.  :func:`coupled_blocks` finds those
 blocks from the exactly-nonzero pattern alone, and :func:`hermitian_eig`
-solves each block of a large matrix on its own; a small matrix, or one
+solves each block of a large matrix on its own and keeps the solution
+per block in a :class:`SpectralDecomposition`; a small matrix, or one
 without such structure, is the one-block case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,10 +84,27 @@ class PauliString:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and their orthonormal eigenvectors, kept per block.
+
+    Each entry of ``blocks`` is ``(rows, positions, vectors)``: the basis
+    rows a block spans, the positions of its eigenvalues in
+    ``eigenvalues``, and its eigenvectors restricted to those rows, one
+    column per position.  Every eigenvector is zero outside its block's
+    rows.  An unsplit matrix is the one-block case.  The vectors are
+    float64 when the decomposed matrix is real, complex otherwise.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Dense eigenvector columns, assembled from the blocks on first use."""
+        dim = self.eigenvalues.size
+        v = np.zeros((dim, dim), dtype=np.result_type(*(vb for _, _, vb in self.blocks)))
+        for rows, positions, vb in self.blocks:
+            v[np.ix_(rows, positions)] = vb
+        return v
 
     def unitary(self, t: float) -> np.ndarray:
         """Time-evolution operator exp(-i H t) assembled from the spectrum."""
@@ -146,9 +166,12 @@ def pauli_operator(pauli: PauliString | str) -> np.ndarray:
     return pauli_sum([pauli])
 
 
-def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate finiteness and hermiticity relative to the matrix scale; return as complex array."""
-    h = np.asarray(h, dtype=complex)
+def _checked_hermitian(h: np.ndarray, name: str) -> np.ndarray:
+    """Validate finiteness and hermiticity; return float64 when every imaginary entry is 0."""
+    h = np.asarray(h)
+    if np.iscomplexobj(h) and not h.imag.any():
+        h = np.ascontiguousarray(h.real)
+    h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"{name} must be square, got shape {h.shape}")
     scale = np.max(np.abs(h))
@@ -158,6 +181,15 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     if asym > VALIDATION_TOL * max(scale, 1.0):
         raise ValueError(f"{name} is not hermitian: max |H - H^dag| = {asym:.3e}")
     return h
+
+
+def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Validate finiteness and hermiticity relative to the matrix scale; return as complex array.
+
+    A matrix whose imaginary part is exactly zero is checked in real
+    arithmetic.
+    """
+    return np.asarray(_checked_hermitian(h, name), dtype=complex)
 
 
 def coupled_blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -191,12 +223,14 @@ def hermitian_eig(h: np.ndarray) -> SpectralDecomposition:
     A matrix of at least :data:`SPLIT_MIN_ROWS` rows gets one ``eigh`` per
     block of :func:`coupled_blocks` on its nonzero pattern, so every
     eigenvector column is supported on a single block; a smaller one is
-    solved whole.  Eigenvalues come back sorted ascending (a stable sort
-    of the blocks' eigenvalues in block order) with orthonormal columns,
-    so degenerate subspaces are represented by an arbitrary but
-    orthonormal basis.
+    solved whole.  A matrix whose imaginary part is exactly zero is
+    solved in real arithmetic, with float64 eigenvectors.  The blocks are
+    kept as solved (see :class:`SpectralDecomposition`).  Eigenvalues
+    come back sorted ascending (a stable sort of the blocks' eigenvalues
+    in block order) with orthonormal columns, so degenerate subspaces
+    are represented by an arbitrary but orthonormal basis.
     """
-    h = require_hermitian(h, "hamiltonian")
+    h = _checked_hermitian(h, "hamiltonian")
     dim = h.shape[0]
     blocks = coupled_blocks(h != 0) if dim >= SPLIT_MIN_ROWS else [np.arange(dim)]
     solved = [(idx, *np.linalg.eigh(h[np.ix_(idx, idx)])) for idx in blocks]
@@ -204,12 +238,11 @@ def hermitian_eig(h: np.ndarray) -> SpectralDecomposition:
     order = np.argsort(w, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
-    v = np.zeros(h.shape, dtype=complex)
-    start = 0
+    kept, start = [], 0
     for idx, wb, vb in solved:
-        v[np.ix_(idx, position[start : start + wb.size])] = vb
+        kept.append((idx, position[start : start + wb.size], vb))
         start += wb.size
-    return SpectralDecomposition(eigenvalues=w[order], eigenvectors=v)
+    return SpectralDecomposition(eigenvalues=w[order], blocks=tuple(kept))
 
 
 def evolve(

@@ -7,6 +7,9 @@
 * :func:`pauli_reconstruct`, the dense sum of a decomposition's terms.
 * A plain dense round loop, the reference for the block-split
   trajectory kernel.
+* :func:`dense_round_contraction`, the round operators from the dense
+  eigenvector array, the reference for the block-by-block
+  :func:`logipure.emr.round_contraction`.
 * :func:`projector_measurement`, the auxiliary measurement done at the
   joint dimension: a ``kron(I_S, |psi><psi|)`` sandwich followed by
   :func:`partial_trace`, the reference for
@@ -155,6 +158,22 @@ def dense_trajectory(k_first, k_later, ensemble, targets, n_rounds):
         p_cum.append(w)
         prev = w
     return np.array(fid), np.array(p_round), np.array(p_cum)
+
+
+def dense_round_contraction(spectral, durations, psi_out, aq_in):
+    """<psi_out| exp(-iHt) |aq_in> on the system, from the dense eigenvector array.
+
+    With A and B the eigenvector rows contracted on the auxiliary factor
+    with <psi_out| and <aq_in|, each operator is A diag(exp(-iwt))
+    B^dagger.  Returns shape (len(durations), *cells, D_S, D_S).
+    """
+    dim, d_a = spectral.eigenvectors.shape[0], np.shape(psi_out)[-1]
+    psi_out, aq_in = np.broadcast_arrays(psi_out, aq_in)
+    v = spectral.eigenvectors.reshape(dim // d_a, d_a, dim)
+    a = np.einsum("...a,iak->...ik", psi_out.conj(), v)
+    b = np.einsum("...b,ibk->...ik", aq_in.conj(), v)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(durations, dtype=float), spectral.eigenvalues))
+    return (a * phases.reshape(-1, *[1] * (a.ndim - 1), dim)) @ b.conj().swapaxes(-1, -2)
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

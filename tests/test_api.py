@@ -1,4 +1,5 @@
-"""The library's export list and the names the benchmark harness in perfbench/ relies on.
+"""The library's export list, its numpy-only dependency, and the names the
+benchmark harness in perfbench/ relies on.
 
 The harness imports them lazily, inside its check functions, and its
 tracer finds layers and spans by name, so a renamed or removed name
@@ -9,6 +10,11 @@ read as source, not imported.
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -89,3 +95,49 @@ def test_tracer_spans_resolve(group):
         if not is_traced_callable(layer_module(layer), name)
     ]
     assert not missing, f"tracer.{group} names {missing}, which logipure no longer defines"
+
+
+# Packages the library must run without: neither is a declared dependency.
+UNDECLARED = ("scipy", "numba")
+
+
+def test_runs_without_scipy_or_numba(tmp_path):
+    """A child process that cannot import scipy or numba still runs a table1 row."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+
+        class Blocked:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] in {UNDECLARED!r}:
+                    raise ImportError(f"import of {{name}} is blocked")
+
+        sys.meta_path.insert(0, Blocked())
+        for name in {UNDECLARED!r}:
+            try:
+                __import__(name)
+            except ImportError:
+                pass
+            else:
+                sys.exit(f"{{name}} was importable")
+        import logipure
+        from logipure.cli import main
+
+        code = main(sys.argv[1:])
+        loaded = sorted(m for m in sys.modules if m.partition(".")[0] in {UNDECLARED!r})
+        sys.exit(f"loaded {{loaded}}" if loaded else code)
+        """
+    )
+    cfg, out = tmp_path / "config.json", tmp_path / "table1.json"
+    cfg.write_text(json.dumps({"rows": [1], "max_rounds": 5}))
+    env = dict(os.environ)
+    src = str(Path(logipure.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "table1", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["report"]["rows"][0]["row"] == 1

@@ -4,7 +4,9 @@ Every code solves its Hamiltonian at most once (a diagonal one not at
 all) and every joint Hamiltonian is solved once.  A solve may split into
 one call per block, so the budget is the summed dimension of the
 distinct Hamiltonians a command needs, not a count of calls.  The
-fast paths also run in one kernel pass and form no joint unitary.
+fast paths form no joint unitary and no dense joint eigenvector array;
+fig4 runs in one kernel pass, and table1 in one pass per group of rows
+whose joint spectra split alike.
 """
 
 import json
@@ -78,3 +80,54 @@ def test_fast_paths_form_no_joint_unitary(command, config, tmp_path, monkeypatch
     cfg_path.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert calls == []
+
+
+def test_table1_groups_rows_into_kernel_passes(tmp_path, monkeypatch):
+    """Rows 1-6 (two sites) share one kernel pass and rows 7-8 (four sites) another."""
+    from logipure import _kernels, emr
+
+    calls = []
+    original = _kernels.batch_trajectory_kernel
+
+    def counted(k_first, *args, **kwargs):
+        calls.append(len(k_first))
+        return original(k_first, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "batch_trajectory_kernel", counted)
+    monkeypatch.setattr(emr, "batch_trajectory_kernel", counted)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"rows": [1, 2, 3, 4, 5, 6, 7, 8], "max_rounds": 20}))
+    assert main(["table1", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [10, 2]  # cells: one per (row, policy)
+
+
+@pytest.mark.parametrize(
+    "command,config,joint_dims",
+    [
+        ("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}, {16}),
+        ("table1", {"rows": [1, 7], "max_rounds": 20}, {8, 64}),
+    ],
+    ids=["fig4", "table1"],
+)
+def test_fast_paths_assemble_no_joint_eigenvectors(command, config, joint_dims, tmp_path, monkeypatch):
+    """fig4 and table1 contract the joint spectrum block by block.
+
+    The dense eigenvector array is assembled only for the codes' own
+    spectra (dimensions 8 for fig4, 4 and 16 for table1), never for a
+    joint one.
+    """
+    from logipure.operators import SpectralDecomposition
+
+    sizes = []
+    assemble = SpectralDecomposition.__dict__["eigenvectors"].func
+
+    def counted(self):
+        sizes.append(self.eigenvalues.size)
+        return assemble(self)
+
+    monkeypatch.setattr(SpectralDecomposition, "eigenvectors", property(counted))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert sizes  # the codes' spectra are read through the patched property
+    assert not joint_dims & set(sizes), sizes

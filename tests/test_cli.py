@@ -352,6 +352,16 @@ def test_bad_configs_exit_2(tmp_path, capsys):
         assert rc == 2
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
+    # the code document's n is a JSON integer and its J a finite number, neither a boolean
+    for code, message in (
+        ({"type": "heisenberg", "n": 2.9}, "code n must be an integer, got 2.9"),
+        ({"type": "heisenberg", "n": 2, "J": "2"}, "code J must be a finite number, got '2'"),
+        ({"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": True}, "code J must be a finite number, got True"),
+    ):
+        rc, out = run_cli(tmp_path, "decompose", {"code": code}, name="codedoc")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
     rc, out = run_cli(tmp_path, "decompose", {"variant": "bogus"}, name="variant")
     assert rc == 2
     assert "unknown variant 'bogus'" in capsys.readouterr().err

@@ -270,6 +270,66 @@ def test_reproduce_first_row():
     assert matched["max_fidelity"] > 1.0 - 1e-6
 
 
+@pytest.mark.parametrize(
+    "rows,max_rounds",
+    [(list(range(1, 9)), 60), ([1, 3, 5], 1500)],
+    ids=["rows1-8", "truncating"],
+)
+def test_grouped_table_matches_per_row_runs(rows, max_rounds, monkeypatch):
+    """Every candidate of the grouped kernel passes equals its row run on its own.
+
+    Rows 1-6 share one pass and rows 7-8 another.  At 1500 rounds the
+    cells of rows 3 and 5 stop at different rounds inside one pass, when
+    their cumulative probability leaves the normal range.
+    """
+    from logipure import emr
+
+    seen = []
+    row_metrics = emr._row_metrics
+
+    def recorded(traj, rounds):
+        seen.append(traj)
+        return row_metrics(traj, rounds)
+
+    monkeypatch.setattr(emr, "_row_metrics", recorded)
+    report = reproduce_table1(rows=rows, max_rounds=max_rounds)
+    assert [r["row"] for r in report["rows"]] == rows
+    trajectories = iter(seen)
+    truncated = 0
+    for entry in report["rows"]:
+        row = CHAIN_BENCHMARK[entry["row"] - 1]
+        spec = HeisenbergSpec(n_qubits=row.n_sites)
+        code = build_heisenberg_code(spec)
+        setup = XYSetup(
+            row.n_sites, len(row.settings), j_2=row.j_2, gamma=row.gamma, aux_energy=CALIBRATED_AUX_ENERGY
+        )
+        spectral = hermitian_eig(build_xy_setup(setup, spec))
+        rounds = RoundSpec(1.0, tuple(MeasurementSetting(a=a, b=b, k=k) for a, b, k in row.settings))
+        for candidate in entry["candidates"]:
+            grouped = next(trajectories)
+            alone = fast_trajectory(
+                spectral,
+                thermal_ensemble([code], 0.1),
+                rounds,
+                cardinal_state(code, candidate["cardinal"]),
+                max_rounds,
+                aq_reset=candidate["policy"],
+            )
+            assert (grouped.n_rounds, grouped.truncated, grouped.reason) == (
+                alone.n_rounds,
+                alone.truncated,
+                alone.reason,
+            )
+            assert candidate["n_rounds"] == alone.n_rounds
+            if alone.truncated:  # the reason names the round that failed, as run_emr's does
+                assert alone.reason.startswith(f"round {alone.n_rounds + 1}: cumulative probability below")
+            assert np.max(np.abs(grouped.fidelity - alone.fidelity)) <= 1e-12
+            assert np.max(np.abs(grouped.p_cumulative / alone.p_cumulative - 1.0)) <= 1e-12
+            truncated += alone.truncated
+    assert next(trajectories, None) is None
+    assert truncated == (0 if max_rounds == 60 else 6)
+
+
 def test_reproduce_explicit_energy():
     report = reproduce_table1(rows=[1], aux_energy=1.0, max_rounds=50)
     assert report["parameters"]["aux_energy"] == 1.0

@@ -29,7 +29,7 @@ from logipure.emr import (
 from logipure.measurement import MeasurementSetting, measure_aq
 from logipure.operators import PAULI_MATRICES, PauliString, gibbs, hermitian_eig, kron, kron_all, pauli_sum
 
-from oracles import dense_trajectory, projector_measurement
+from oracles import dense_round_contraction, dense_trajectory, projector_measurement
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -41,6 +41,12 @@ seeds = st.integers(0, 2**32 - 1)
 
 def cmat(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def hermitian_block(rng, m, real):
+    """A random m x m hermitian block; real-symmetric when ``real``."""
+    a = rng.normal(size=(m, m)) if real else cmat(rng, m, m)
+    return a + a.conj().T
 
 
 def shuffled_blocks(blocks, perm):
@@ -61,13 +67,11 @@ def shuffled_labels(sizes, perm):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=block_sizes, seed=seeds, repeat=st.booleans(), t=st.floats(0.0, 3.0))
-def test_hermitian_eig_on_hidden_blocks(sizes, seed, repeat, t):
+@given(sizes=block_sizes, seed=seeds, repeat=st.booleans(), t=st.floats(0.0, 3.0), real=st.booleans())
+def test_hermitian_eig_on_hidden_blocks(sizes, seed, repeat, t, real):
+    """Blocks hidden in a complex array; an exactly real one is solved in real arithmetic."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for m in sizes:
-        a = cmat(rng, m, m)
-        blocks.append(a + a.conj().T)
+    blocks = [hermitian_block(rng, m, real) for m in sizes]
     if repeat:  # a copy of the first block degenerates with it across blocks
         blocks.append(blocks[0].copy())
     sizes = [b.shape[0] for b in blocks]
@@ -85,6 +89,11 @@ def test_hermitian_eig_on_hidden_blocks(sizes, seed, repeat, t):
     assert np.max(np.abs(spec.unitary(t) - dense_u)) <= 1e-12
     for col in spec.eigenvectors.T:
         assert np.unique(labels[col != 0]).size == 1
+    # one-by-one complex blocks are real too, so the dtype follows H, not the draw
+    is_real = not np.any(h.imag)
+    assert is_real or not real
+    assert spec.eigenvectors.dtype == (np.float64 if is_real else np.complex128)
+    assert all(vectors.dtype == spec.eigenvectors.dtype for _, _, vectors in spec.blocks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,21 +203,22 @@ def test_batched_cells_match_dense_loop(
     n_cells=st.integers(1, 3),
     polar=st.lists(st.sampled_from([0.0, 0.4, np.pi / 2, 2.9]), min_size=6, max_size=6),
     durations=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3),
+    real=st.booleans(),
 )
-def test_round_contraction_matches_dense_on_hidden_blocks(sizes, seed, n_aux, n_cells, polar, durations):
-    """Spectrum-built operators equal <psi_out| U |aq_in> with the same exact zeros.
+def test_round_contraction_matches_dense_on_hidden_blocks(sizes, seed, n_aux, n_cells, polar, durations, real):
+    """Block-by-block operators equal <psi_out| U |aq_in> with the same exact zeros.
 
     The joint basis is a random permutation of a block-diagonal problem,
     so the blocks cut across the system and auxiliary factors; an equal
     zero pattern means the kernel finds the same parts in either operator.
+    Polar angles 0 leave auxiliary components exactly zero, which the
+    block contraction skips.  The dense-eigenvector formula of
+    :func:`dense_round_contraction` must agree as well.
     """
     rng = np.random.default_rng(seed)
     d_a = 2**n_aux
     sizes = sizes + ([-sum(sizes) % d_a] if sum(sizes) % d_a else [])
-    blocks = []
-    for m in sizes:
-        a = cmat(rng, m, m)
-        blocks.append(a + a.conj().T)
+    blocks = [hermitian_block(rng, m, real) for m in sizes]
     dim = sum(sizes)
     h = shuffled_blocks(blocks, rng.permutation(dim))
     d_s = dim // d_a
@@ -223,8 +233,13 @@ def test_round_contraction_matches_dense_on_hidden_blocks(sizes, seed, n_aux, n_
 
     with mock.patch.object(operators, "SPLIT_MIN_ROWS", 1):  # so small matrices split too
         spec = hermitian_eig(h)
+    if real:
+        assert spec.eigenvectors.dtype == np.float64
     for aq_in in (ket0, psi_out):
         ops = round_contraction(spec, durations, psi_out, aq_in)
+        reference = dense_round_contraction(spec, durations, psi_out, aq_in)
+        assert np.max(np.abs(ops - reference)) <= 1e-12
+        assert np.array_equal(ops != 0, reference != 0)
         for i, t in enumerate(durations):
             ur = spec.unitary(t).reshape(d_s, d_a, d_s, d_a)
             dense = np.einsum("xa,iajb,xb->xij", psi_out.conj(), ur, np.broadcast_to(aq_in, psi_out.shape))
