@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``fig2``      - resonant fidelity/probability over the (a, t) plane,
-                  analytic and numeric columns side by side (CSV);
+                  analytic and numeric columns side by side (CSV): the
+                  closed forms in one array evaluation, the numeric
+                  columns in one contraction of the joint spectrum;
 * ``fig3``      - thermal weight of the excited superposition over the
                   (J_S, beta) plane for the three-qubit code (CSV);
 * ``fig4``      - minimum purification rounds over the (a, t) plane for
@@ -13,9 +15,10 @@ Subcommands:
 * ``decompose`` - Pauli-string expansion of the engineered coupling (CSV).
 
 Every output embeds the fully resolved configuration, and identical
-configurations produce byte-identical files.  CSV numbers carry 17
-significant digits; JSON reports are rounded to 6 digits with
-full-precision duplicates alongside.
+configurations produce byte-identical files.  Integer keys take JSON
+integers only, and number keys JSON numbers only (no booleans or
+strings).  CSV numbers carry 17 significant digits; JSON reports are
+rounded to 6 digits with full-precision duplicates alongside.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import sys
 
 import numpy as np
 
-from .codes import LogicalTarget, build_repetition_code, code_from_json, is_json_int
-from .emr import KEEP, plane_m_min, reproduce_table1, thermal_ensemble
-from .formulas import f_plus_resonant, p_beta, p_plus_resonant
+from .codes import LogicalTarget, build_repetition_code, code_from_json, is_json_int, is_json_number
+from .emr import KEEP, plane_m_min, plane_one_round, reproduce_table1, thermal_ensemble
+from .formulas import p_beta, resonant_plus
 from .interaction import (
     AuxiliarySpec,
     InteractionSpec,
@@ -40,8 +43,8 @@ from .interaction import (
     pauli_decompose,
 )
 from .measurement import MeasurementSetting, measure_aq
-from .operators import evolve, hermitian_eig
-from .thermal import ThermalSpec, evolved_joint_state, initial_state
+from .operators import hermitian_eig
+from .thermal import ThermalSpec, evolved_joint_state
 
 REPETITION_DOC = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
 
@@ -131,13 +134,30 @@ def _int(cfg: dict, key: str) -> int:
     return cfg[key]
 
 
+def _float(cfg: dict, key: str, nullable: bool = False) -> float | None:
+    """``cfg[key]`` as a float; it must be a JSON number, or null where ``nullable``."""
+    value = cfg[key]
+    if value is None and nullable:
+        return None
+    if not is_json_number(value):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _floats(cfg: dict, key: str) -> list[float]:
+    """``cfg[key]`` as a list of floats; it must be a JSON list of numbers."""
+    values = cfg[key]
+    if not (isinstance(values, list) and all(map(is_json_number, values))):
+        raise ValueError(f"{key} must be a list of numbers, got {json.dumps(values)}")
+    return [float(v) for v in values]
+
+
 def _grid(cfg: dict, axis: str) -> np.ndarray:
     """The ``<axis>_points`` evenly spaced values over ``<axis>_range``."""
-    rng, n = cfg[f"{axis}_range"], _int(cfg, f"{axis}_points")
-    lo, hi = float(rng[0]), float(rng[1])
-    if n < 2 or hi <= lo:
-        raise ValueError(f"bad grid: range {rng} with {n} points")
-    return np.linspace(lo, hi, n)
+    rng, n = _floats(cfg, f"{axis}_range"), _int(cfg, f"{axis}_points")
+    if len(rng) != 2 or n < 2 or rng[1] <= rng[0]:
+        raise ValueError(f"bad grid: range {cfg[f'{axis}_range']} with {n} points")
+    return np.linspace(rng[0], rng[1], n)
 
 
 def _fmt(x: float) -> str:
@@ -187,23 +207,26 @@ def _build_engine(cfg: dict, need_aux: bool = True):
         raise ValueError(f"L must be >= 1, got {n_codes}")
     code = code_from_json(cfg["code"])
     codes = [code] * n_codes
-    target = LogicalTarget(float(cfg["theta"]), float(cfg["phi"]))
+    target = LogicalTarget(_float(cfg, "theta"), _float(cfg, "phi"))
     spec = InteractionSpec(
-        coupling=float(cfg["g"]),
+        coupling=_float(cfg, "g"),
         targets=(target,) * n_codes,
         variant=cfg.get("variant", "rank-one"),
     )
     if not need_aux:
         return codes, spec, None, None
     delta_sum = float(sum(c.gap for c in codes))
-    e_a = delta_sum if cfg["e_a"] is None else float(cfg["e_a"])
+    e_a = _float(cfg, "e_a", nullable=True)
+    e_a = delta_sum if e_a is None else e_a
     cfg["e_a_resolved"] = e_a
     aux = AuxiliarySpec(count=1, energy=e_a)
-    thermal = ThermalSpec.from_codes(codes, float(cfg["beta"]))
+    thermal = ThermalSpec.from_codes(codes, _float(cfg, "beta"))
     return codes, spec, aux, thermal
 
 
 def cmd_fig2(cfg: dict) -> str:
+    """One round over the (a, t) plane: one :func:`resonant_plus` and one
+    :func:`plane_one_round` call, then one row per cell."""
     codes, spec, aux, thermal = _build_engine(cfg)
     delta_sum = float(sum(c.gap for c in codes))
     if abs(aux.energy - delta_sum) > 1e-12 * max(1.0, delta_sum):
@@ -211,32 +234,25 @@ def cmd_fig2(cfg: dict) -> str:
             "fig2's closed-form columns hold at resonance only; leave e_a null "
             f"or set it to the summed gap {delta_sum}"
         )
-    g, beta = float(cfg["g"]), float(cfg["beta"])
-    pw = thermal.p_weight
     h_tot = build_total(codes, build_interaction(codes, spec), aux)
-    spectral = hermitian_eig(h_tot)
-    rho0 = initial_state(codes, thermal, aux)
-    target_vec = joint_target_state(codes, spec.targets)
-
     a_grid, t_grid = _grid(cfg, "a"), _grid(cfg, "t")
-    crossings = {"f>=0.66,p>0": 0, "f>=0.9,p>0": 0}
-    columns = [((MeasurementSetting(a=a),), a, _fmt(a)) for a in a_grid]
+    p_ana, f_ana = resonant_plus(a_grid[None, :], t_grid[:, None], spec.coupling, thermal)
+    p_num, f_num = plane_one_round(
+        hermitian_eig(h_tot),
+        thermal_ensemble(codes, thermal.beta),
+        [(MeasurementSetting(a=a),) for a in a_grid],
+        t_grid,
+        joint_target_state(codes, spec.targets),
+    )
+    # f_num is NaN on unattainable cells, so these count attainable cells only
+    crossings = {"f>=0.66,p>0": int(np.sum(f_num >= 0.66)), "f>=0.9,p>0": int(np.sum(f_num >= 0.9))}
+    a_text = [_fmt(a) for a in a_grid.tolist()]
     lines = []
-    for t in t_grid:
-        rho_t = evolve(h_tot, t, rho0, spectral=spectral)
+    rows = zip(t_grid.tolist(), f_ana.tolist(), p_ana.tolist(), f_num.tolist(), p_num.tolist())
+    for t, f_a, p_a, f_n, p_n in rows:
         t_text = _fmt(t)
-        for setting, a, a_text in columns:
-            p_ana = p_plus_resonant(a, t, g, pw)
-            try:
-                f_ana = f_plus_resonant(a, t, g, beta, codes)
-            except ValueError:
-                f_ana = float("nan")
-            rec = measure_aq(rho_t, 1, setting, target=target_vec)[(+1,)]
-            if rec.attainable:
-                crossings["f>=0.66,p>0"] += rec.fidelity >= 0.66
-                crossings["f>=0.9,p>0"] += rec.fidelity >= 0.9
-            f_num, p_num = rec.fidelity, rec.probability
-            lines.append(f"{a_text},{t_text},{f_ana:.17g},{p_ana:.17g},{f_num:.17g},{p_num:.17g}")
+        cells = zip(a_text, f_a, p_a, f_n, p_n)
+        lines += [f"{a},{t_text},{w:.17g},{x:.17g},{y:.17g},{z:.17g}" for a, w, x, y, z in cells]
     head = [
         _config_line(cfg),
         "# crossings: " + json.dumps(crossings, sort_keys=True),
@@ -259,9 +275,9 @@ def cmd_fig3(cfg: dict) -> str:
 def cmd_fig4(cfg: dict) -> str:
     """m_min over the (a, t) plane: one :func:`plane_m_min` pass, then one row per cell."""
     codes, spec, aux, thermal = _build_engine(cfg)
-    f_targets = [float(f) for f in cfg["f_targets"]]
+    f_targets = _floats(cfg, "f_targets")
     h_tot = build_total(codes, build_interaction(codes, spec), aux)
-    b, k = float(cfg["b"]), _int(cfg, "k")
+    b, k = _float(cfg, "b"), _int(cfg, "k")
     a_grid, t_grid = _grid(cfg, "a"), _grid(cfg, "t")
     m_min = plane_m_min(
         hermitian_eig(h_tot),
@@ -288,10 +304,10 @@ def cmd_table1(cfg: dict) -> str:
         raise ValueError(f"rows must be null or a list of integers, got {json.dumps(rows)}")
     report = reproduce_table1(
         rows=rows,
-        beta=float(cfg["beta"]),
-        duration=float(cfg["duration"]),
-        j_1=float(cfg["j_1"]),
-        aux_energy=None if cfg["aux_energy"] is None else float(cfg["aux_energy"]),
+        beta=_float(cfg, "beta"),
+        duration=_float(cfg, "duration"),
+        j_1=_float(cfg, "j_1"),
+        aux_energy=_float(cfg, "aux_energy", nullable=True),
         max_rounds=_int(cfg, "max_rounds"),
     )
     return _json_dump({"config": cfg, "report": _round_floats(report)})
@@ -299,8 +315,8 @@ def cmd_table1(cfg: dict) -> str:
 
 def cmd_purify(cfg: dict) -> str:
     codes, spec, aux, thermal = _build_engine(cfg)
-    setting = MeasurementSetting(a=float(cfg["a"]), b=float(cfg["b"]), k=_int(cfg, "k"))
-    rho_t = evolved_joint_state(codes, spec, aux, thermal, float(cfg["t"]))
+    setting = MeasurementSetting(a=_float(cfg, "a"), b=_float(cfg, "b"), k=_int(cfg, "k"))
+    rho_t = evolved_joint_state(codes, spec, aux, thermal, _float(cfg, "t"))
     records = measure_aq(rho_t, aux.count, (setting,), target=joint_target_state(codes, spec.targets))
     rec, rec_other = records[(setting.k,)], records[(-setting.k,)]
 

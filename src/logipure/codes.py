@@ -359,6 +359,11 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_json_number(value) -> bool:
+    """True for a JSON number, integer or not; booleans and strings are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def code_from_json(doc: str | dict) -> CodeModel:
     """Build a code from a JSON document.
 
@@ -376,7 +381,7 @@ def code_from_json(doc: str | dict) -> CodeModel:
         raise ValueError("code document must be a JSON object")
     kind = doc.get("type")
     j = doc.get("J", 1.0)
-    if isinstance(j, bool) or not isinstance(j, (int, float)) or not abs(j) <= sys.float_info.max:
+    if not is_json_number(j) or not abs(j) <= sys.float_info.max:
         raise ValueError(f"code J must be a finite number, got {j!r}")
     if kind == "stabilizer":
         stabs = doc.get("stabilizers")

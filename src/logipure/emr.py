@@ -20,7 +20,9 @@ the same probability floor:
   nor a dense eigenvector array is formed.
   :func:`fast_trajectory` runs one trajectory this way, and
   :func:`plane_m_min` a whole plane of (duration, setting) cells in one
-  batched kernel pass.
+  batched kernel pass.  :func:`plane_one_round` gives a plane's
+  one-round probability and fidelity from the same operators, taken for
+  every auxiliary basis state at once, without any trajectory.
 
 The module also builds the anisotropic-XY auxiliary couplings for
 Heisenberg chains and reproduces the reference benchmark table for that
@@ -38,6 +40,7 @@ from .codes import CodeModel, HeisenbergSpec, build_heisenberg_code, cardinal_st
 from .measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from .operators import (
     KET_0,
+    POST_TOL,
     PauliString,
     SpectralDecomposition,
     hermitian_eig,
@@ -45,6 +48,7 @@ from .operators import (
     kron_all,
     pauli_on_sites,
     pauli_sum,
+    require_unit,
 )
 
 KEEP = "keep-post-measurement"
@@ -383,6 +387,48 @@ def plane_m_min(
         hits = completed & (fid[:, :, 0] >= f_target)
         m_min[:, j] = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, -1)
     return m_min.reshape(len(durations), len(settings), len(f_targets))
+
+
+def plane_one_round(
+    spectral: SpectralDecomposition,
+    ensemble: np.ndarray,
+    settings: list[tuple[MeasurementSetting, ...]],
+    durations: np.ndarray,
+    target: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One evolve-measure-postselect round over a plane of (duration, settings) cells.
+
+    Takes the arguments :func:`plane_m_min` takes for its plane and gives
+    what :func:`measure_aq` reports for each cell's own outcome string
+    after evolving the thermal state with the auxiliary register in
+    |0...0>.  One :func:`round_contraction` call gives the operators K_b
+    = <b| exp(-iHt) |0...0> for every auxiliary basis state b; with X_b =
+    K_b V, V the ensemble and T the target,
+
+        rho_A[b, c] = tr(X_b X_c^dagger),  M[b, c] = (T^dagger X_b)(T^dagger X_c)^dagger,
+
+    and a cell measuring the product state psi has probability p =
+    psi^dagger rho_A psi and fidelity f = psi^dagger M psi / p.  Returns
+    (p, f), each of shape (len(durations), len(settings)): p clamped at
+    0, f NaN where p < :data:`UNATTAINABLE_P` and clipped to [0, 1]
+    elsewhere, where a fidelity further than ``POST_TOL`` outside raises.
+    """
+    target = require_unit(target)
+    psi = np.stack([kron_all([s.state() for s in cell]) for cell in settings])
+    basis = np.eye(psi.shape[-1], dtype=complex)
+    x = round_contraction(spectral, durations, basis, basis[0]) @ ensemble
+    rho_a = np.einsum("tbij,tcij->tbc", x, x.conj())
+    overlaps = np.einsum("i,tbij->tbj", target.conj(), x)
+    m = np.einsum("tbj,tcj->tbc", overlaps, overlaps.conj())
+    p = np.einsum("ab,tbc,ac->ta", psi.conj(), rho_a, psi).real
+    attainable = p >= UNATTAINABLE_P
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(attainable, np.einsum("ab,tbc,ac->ta", psi.conj(), m, psi).real / p, np.nan)
+    checked = f[attainable]
+    outside = checked[(checked < -POST_TOL) | (checked > 1.0 + POST_TOL)]
+    if outside.size:
+        raise ValueError(f"fidelity {float(outside[0])!r} outside [0, 1] beyond tolerance")
+    return np.maximum(p, 0.0), np.clip(f, 0.0, 1.0)
 
 
 def _check_f_target(f_target: float) -> None:

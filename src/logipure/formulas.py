@@ -5,8 +5,11 @@ measure, condition): the success probability of the +1 outcome for a
 general measurement direction, its resonant special case, the resonant
 conditioned fidelity, and the inversion that picks the measurement
 angle achieving a prescribed fidelity.  Each is used as an independent
-oracle against the dense simulation in the test suite, and as the fast
-path for large parameter sweeps.
+oracle against the dense simulation in the test suite.  The resonant
+probability and fidelity also evaluate on whole broadcast arrays of
+angles and times (:func:`resonant_plus`, one :class:`ThermalSpec` per
+call), which is how a parameter plane is swept; the scalar functions
+are its one-point case.
 """
 
 from __future__ import annotations
@@ -58,6 +61,48 @@ def p_plus_general(ctx: ResonanceContext, thermal: ThermalSpec, t: float) -> flo
     return evolution_coefficients(ctx, thermal, t).p1
 
 
+def _squared(x) -> np.ndarray:
+    """``x ** 2`` of every element, rounded as a numpy scalar's ``**`` rounds it.
+
+    A scalar's power calls C ``pow``; an array's ``** 2`` multiplies x * x,
+    which differs in the last bit about once in a thousand.  Taking the
+    scalar route element by element keeps the array evaluation
+    bit-identical to the scalar one.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _trig_squares(a, t, g: float) -> tuple[np.ndarray, ...]:
+    """sin^2(a/2), cos^2(a/2), sin^2(gt) and cos^2(gt), each on its argument's own shape."""
+    half, gt = np.divide(a, 2), np.multiply(g, t)
+    return _squared(np.sin(half)), _squared(np.cos(half)), _squared(np.sin(gt)), _squared(np.cos(gt))
+
+
+def _p_resonant(squares: tuple[np.ndarray, ...], p_weight: float) -> np.ndarray:
+    s2, c2, sg2, cg2 = squares
+    return p_weight * (sg2 * s2 + cg2 * c2) + (1.0 - p_weight) * c2
+
+
+def resonant_plus(a, t, g: float, thermal: ThermalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Resonant +1-outcome probability and conditioned fidelity on broadcast arrays.
+
+    ``a`` and ``t`` broadcast against each other (pass ``t[:, None]`` and
+    ``a[None, :]`` for a (t, a) plane); the trigonometric terms are
+    taken on each argument's own shape.  Returns (p, f) in the shape of
+    the broadcast, with f NaN wherever p < :data:`NODE_TOL` (a = pi at a
+    Rabi node).  :func:`p_plus_resonant` and :func:`f_plus_resonant` are
+    its scalar case, bit for bit.
+    """
+    squares = _trig_squares(a, t, g)
+    s2, c2, sg2, _ = squares
+    pw = thermal.p_weight
+    p = _p_resonant(squares, pw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (c2 / thermal.z_total + pw * sg2 * s2) / p
+    return p, np.where(p < NODE_TOL, np.nan, f)
+
+
 def p_plus_resonant(a: float, t: float, g: float, p_weight: float) -> float:
     """Resonant +1-outcome probability for measurement direction ``a``.
 
@@ -66,26 +111,20 @@ def p_plus_resonant(a: float, t: float, g: float, p_weight: float) -> float:
     """
     if not 0.0 <= p_weight <= 1.0:
         raise ValueError(f"thermal weight must lie in [0, 1], got {p_weight}")
-    s2, c2 = np.sin(a / 2) ** 2, np.cos(a / 2) ** 2
-    sg2, cg2 = np.sin(g * t) ** 2, np.cos(g * t) ** 2
-    return float(p_weight * (sg2 * s2 + cg2 * c2) + (1.0 - p_weight) * c2)
+    return float(_p_resonant(_trig_squares(a, t, g), p_weight))
 
 
 def f_plus_resonant(a: float, t: float, g: float, beta: float, codes: list[CodeModel]) -> float:
     """Resonant fidelity of the system conditioned on the +1 outcome.
 
     f = p^{-1} [Z_L^{-1} cos^2(a/2) + p_w sin^2(gt) sin^2(a/2)].
-    Raises at zero-probability points (a = pi at a Rabi node).
+    The scalar case of :func:`resonant_plus`; raises at zero-probability
+    points (a = pi at a Rabi node), where that gives NaN.
     """
-    thermal = ThermalSpec.from_codes(codes, beta)
-    pw = thermal.p_weight
-    p = p_plus_resonant(a, t, g, pw)
-    if p < NODE_TOL:
-        raise ValueError(f"outcome probability {p:.3e} vanishes at (a={a}, t={t}): fidelity undefined")
-    zl = thermal.z_total
-    s2 = np.sin(a / 2) ** 2
-    c2 = np.cos(a / 2) ** 2
-    return float((c2 / zl + pw * np.sin(g * t) ** 2 * s2) / p)
+    p, f = resonant_plus(a, t, g, ThermalSpec.from_codes(codes, beta))
+    if np.isnan(f):
+        raise ValueError(f"outcome probability {float(p):.3e} vanishes at (a={a}, t={t}): fidelity undefined")
+    return float(f)
 
 
 def a_for_fidelity(f_target: float, g: float, t: float, beta: float, codes: list[CodeModel]) -> InversionResult:

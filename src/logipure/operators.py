@@ -294,15 +294,21 @@ def fidelity_pure(rho: np.ndarray, psi: np.ndarray) -> float:
     result is clipped to [0, 1] only to absorb roundoff at the 1e-10
     level; a larger excursion raises.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"target state norm {nrm!r} is not 1")
+    psi = require_unit(psi)
     rho = np.asarray(rho, dtype=complex)
     val = float(np.real(psi.conj() @ rho @ psi))
     if val < -POST_TOL or val > 1.0 + POST_TOL:
         raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")
     return min(max(val, 0.0), 1.0)
+
+
+def require_unit(psi: np.ndarray) -> np.ndarray:
+    """A target state as a flat complex vector; raises unless its norm is 1 within 1e-10."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    nrm = np.linalg.norm(psi)
+    if abs(nrm - 1.0) > 1e-10:
+        raise ValueError(f"target state norm {nrm!r} is not 1")
+    return psi
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:

@@ -5,8 +5,10 @@ all) and every joint Hamiltonian is solved once.  A solve may split into
 one call per block, so the budget is the summed dimension of the
 distinct Hamiltonians a command needs, not a count of calls.  The
 fast paths form no joint unitary and no dense joint eigenvector array;
-fig4 runs in one kernel pass, and table1 in one pass per group of rows
-whose joint spectra split alike.
+fig2 takes its whole plane from one contraction of the joint spectrum,
+without evolving or measuring a joint state; fig4 runs in one kernel
+pass, and table1 in one pass per group of rows whose joint spectra
+split alike.
 """
 
 import json
@@ -61,11 +63,15 @@ def test_fig4_plane_is_one_kernel_pass(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "command,config",
-    [("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}), ("table1", {"rows": [1], "max_rounds": 20})],
-    ids=["fig4", "table1"],
+    [
+        ("fig2", {"a_points": 3, "t_points": 3}),
+        ("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}),
+        ("table1", {"rows": [1], "max_rounds": 20}),
+    ],
+    ids=["fig2", "fig4", "table1"],
 )
 def test_fast_paths_form_no_joint_unitary(command, config, tmp_path, monkeypatch):
-    """fig4 and table1 build their round operators from the joint spectrum alone."""
+    """fig2, fig4 and table1 build their round operators from the joint spectrum alone."""
     from logipure.operators import SpectralDecomposition
 
     calls = []
@@ -80,6 +86,36 @@ def test_fast_paths_form_no_joint_unitary(command, config, tmp_path, monkeypatch
     cfg_path.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert calls == []
+
+
+def test_fig2_plane_is_one_contraction(tmp_path, monkeypatch):
+    """The whole fig2 plane comes from one round_contraction call: no joint state is
+    prepared, evolved or measured."""
+    import inspect
+
+    import logipure
+
+    calls = {}
+    for module_name, name in (
+        ("measurement", "measure_aq"),
+        ("operators", "evolve"),
+        ("thermal", "initial_state"),
+        ("emr", "round_contraction"),
+    ):
+        original = getattr(getattr(logipure, module_name), name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        calls[name] = 0
+        for module in [logipure, *(v for v in vars(logipure).values() if inspect.ismodule(v))]:
+            if vars(module).get(name) is original:  # every module that binds it
+                monkeypatch.setattr(module, name, wrapper)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"a_points": 3, "t_points": 3}))
+    assert main(["fig2", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"measure_aq": 0, "evolve": 0, "initial_state": 0, "round_contraction": 1}
 
 
 def test_table1_groups_rows_into_kernel_passes(tmp_path, monkeypatch):
@@ -104,17 +140,18 @@ def test_table1_groups_rows_into_kernel_passes(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "command,config,joint_dims",
     [
+        ("fig2", {"a_points": 3, "t_points": 3}, {16}),
         ("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}, {16}),
         ("table1", {"rows": [1, 7], "max_rounds": 20}, {8, 64}),
     ],
-    ids=["fig4", "table1"],
+    ids=["fig2", "fig4", "table1"],
 )
 def test_fast_paths_assemble_no_joint_eigenvectors(command, config, joint_dims, tmp_path, monkeypatch):
-    """fig4 and table1 contract the joint spectrum block by block.
+    """fig2, fig4 and table1 contract the joint spectrum block by block.
 
     The dense eigenvector array is assembled only for the codes' own
-    spectra (dimensions 8 for fig4, 4 and 16 for table1), never for a
-    joint one.
+    spectra (dimension 8 for fig2 and fig4, 4 and 16 for table1), never
+    for a joint one.
     """
     from logipure.operators import SpectralDecomposition
 

@@ -352,6 +352,28 @@ def test_bad_configs_exit_2(tmp_path, capsys):
         assert rc == 2
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
+    # number fields take JSON numbers only (null where a key allows it): no strings or booleans
+    for command, cfg, message in (
+        ("fig2", {"beta": True}, "beta must be a number, got true"),
+        ("fig2", {"a_range": ["0", "3"]}, 'a_range must be a list of numbers, got ["0", "3"]'),
+        ("fig2", {"t_range": [0, 1, 2]}, "bad grid: range [0, 1, 2]"),
+        ("fig2", {"g": "1"}, 'g must be a number, got "1"'),
+        ("fig2", {"e_a": False}, "e_a must be a number, got false"),
+        ("fig3", {"j_range": 1.0}, "j_range must be a list of numbers, got 1.0"),
+        ("fig4", {**fig4, "b": True}, "b must be a number, got true"),
+        ("fig4", {**fig4, "f_targets": [0.66, "0.9"]}, "f_targets must be a list of numbers"),
+        ("fig4", {**fig4, "f_targets": 0.9}, "f_targets must be a list of numbers, got 0.9"),
+        ("table1", {"rows": [1], "duration": "1.0"}, 'duration must be a number, got "1.0"'),
+        ("table1", {"rows": [1], "aux_energy": True}, "aux_energy must be a number, got true"),
+        ("table1", {"rows": [1], "j_1": None}, "j_1 must be a number, got null"),
+        ("purify", {"t": "0.5"}, 't must be a number, got "0.5"'),
+        ("purify", {"a": None}, "a must be a number, got null"),
+        ("decompose", {"theta": True}, "theta must be a number, got true"),
+    ):
+        rc, out = run_cli(tmp_path, command, cfg, name=f"{command}float")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
     # the code document's n is a JSON integer and its J a finite number, neither a boolean
     for code, message in (
         ({"type": "heisenberg", "n": 2.9}, "code n must be an integer, got 2.9"),

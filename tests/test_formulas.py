@@ -18,6 +18,7 @@ from logipure.formulas import (
     p_beta,
     p_plus_general,
     p_plus_resonant,
+    resonant_plus,
 )
 from logipure.interaction import AuxiliarySpec, InteractionSpec
 from logipure.measurement import MeasurementSetting, purify_once
@@ -116,6 +117,40 @@ def test_general_probability_detuned():
 def test_fidelity_node_raises():
     with pytest.raises(ValueError):
         f_plus_resonant(np.pi, np.pi, 1.0, 0.1, [CODE])  # sin(gt)=0 and a=pi
+
+
+@pytest.mark.parametrize("g,beta,n_codes", [(1.0, 0.1, 1), (0.5, 0.7, 2)])
+def test_plane_evaluation_is_the_scalar_case_bit_for_bit(g, beta, n_codes):
+    """On a grid with Rabi nodes (a = pi, gt = k pi) the array forms equal the scalar ones exactly.
+
+    The scalar forms in turn keep the expression and order of operations
+    they have always had, squares taken by a numpy scalar's ``**``, so a
+    plane's analytic columns do not move in their last bits.  f is NaN
+    exactly where the scalar form raises.
+    """
+    codes = [CODE] * n_codes
+    thermal = ThermalSpec.from_codes(codes, beta)
+    pw, zl = thermal.p_weight, thermal.z_total
+    # at a = 2.516 and gt = 1.258 a square taken as x * x rounds differently from x ** 2
+    a = np.append(np.linspace(0.0, np.pi, 13), 2.516)
+    t = np.concatenate([np.linspace(0.0, 2 * np.pi, 17), np.pi * np.arange(4) / g, [1.258 / g]])
+    p, f = resonant_plus(a[None, :], t[:, None], g, thermal)
+    assert p.shape == f.shape == (t.size, a.size)
+    nodes = 0
+    for i, tt in enumerate(t.tolist()):
+        for j, aa in enumerate(a.tolist()):
+            s2, c2 = np.sin(aa / 2) ** 2, np.cos(aa / 2) ** 2
+            sg2, cg2 = np.sin(g * tt) ** 2, np.cos(g * tt) ** 2
+            p_expr = float(pw * (sg2 * s2 + cg2 * c2) + (1.0 - pw) * c2)
+            assert p[i, j] == p_plus_resonant(aa, tt, g, pw) == p_expr, (aa, tt)
+            try:
+                want = f_plus_resonant(aa, tt, g, beta, codes)
+            except ValueError:
+                nodes += 1
+                assert np.isnan(f[i, j]), (aa, tt)
+            else:
+                assert f[i, j] == want == float((c2 / zl + pw * np.sin(g * tt) ** 2 * s2) / p_expr), (aa, tt)
+    assert nodes >= 4  # a = pi at every gt = k pi of the grid
 
 
 def test_inversion_round_trip():

@@ -1,5 +1,5 @@
 """Property tests of the block-split eigensolve and round kernel, one cell or a batch,
-of the auxiliary measurement and of the Pauli-sum builder.
+of the one-round plane, of the auxiliary measurement and of the Pauli-sum builder.
 
 Random block-diagonal problems are hidden behind a random permutation of
 the basis, so the blocks are only visible through the exactly-zero
@@ -22,12 +22,22 @@ from logipure.emr import (
     XYSetup,
     build_xy_setup,
     fast_trajectory,
+    plane_one_round,
     round_contraction,
     run_emr,
     thermal_ensemble,
 )
 from logipure.measurement import MeasurementSetting, measure_aq
-from logipure.operators import PAULI_MATRICES, PauliString, gibbs, hermitian_eig, kron, kron_all, pauli_sum
+from logipure.operators import (
+    PAULI_MATRICES,
+    PauliString,
+    evolve,
+    gibbs,
+    hermitian_eig,
+    kron,
+    kron_all,
+    pauli_sum,
+)
 
 from oracles import dense_round_contraction, dense_trajectory, projector_measurement
 
@@ -248,6 +258,64 @@ def test_round_contraction_matches_dense_on_hidden_blocks(sizes, seed, n_aux, n_
 
 
 SMALL_ROWS = [row for row in CHAIN_BENCHMARK if row.n_sites <= 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=block_sizes,
+    seed=seeds,
+    n_aux=st.integers(1, 2),
+    n_cells=st.integers(1, 3),
+    polar=st.lists(st.sampled_from([0.0, 0.4, np.pi / 2, 2.9, np.pi]), min_size=6, max_size=6),
+    outcomes=st.lists(st.sampled_from([1, -1]), min_size=6, max_size=6),
+    durations=st.lists(st.just(0.0) | st.floats(0.1, 3.0), min_size=1, max_size=3),
+    real=st.booleans(),
+)
+def test_plane_one_round_matches_measure_aq_on_hidden_blocks(
+    sizes, seed, n_aux, n_cells, polar, outcomes, durations, real
+):
+    """One contraction per plane gives what measure_aq gives on the evolved joint state.
+
+    The host is a random block-diagonal Hamiltonian behind a random
+    permutation, so its blocks cut across the system and auxiliary
+    factors.  Polar angles 0 and pi and duration 0 make outcomes of zero
+    probability, which both paths must report as unattainable.
+    """
+    rng = np.random.default_rng(seed)
+    d_a = 2**n_aux
+    sizes = sizes + ([-sum(sizes) % d_a] if sum(sizes) % d_a else [])
+    dim = sum(sizes)
+    d_s = dim // d_a
+    h = shuffled_blocks([hermitian_block(rng, m, real) for m in sizes], rng.permutation(dim))
+    angles, signs = iter(polar), iter(outcomes)
+    cells = [
+        tuple(
+            MeasurementSetting(a=next(angles), b=float(rng.uniform(0, 2 * np.pi)), k=next(signs))
+            for _ in range(n_aux)
+        )
+        for _ in range(n_cells)
+    ]
+    ensemble = cmat(rng, d_s, d_s)
+    ensemble /= np.linalg.norm(ensemble)
+    target = cmat(rng, d_s, 1)[:, 0]
+    target /= np.linalg.norm(target)
+
+    with mock.patch.object(operators, "SPLIT_MIN_ROWS", 1):  # so small matrices split too
+        spec = hermitian_eig(h)
+    p, f = plane_one_round(spec, ensemble, cells, durations, target)
+    assert p.shape == f.shape == (len(durations), n_cells)
+    assert np.all(p >= 0.0)
+    assert np.all(np.isnan(f) | ((f >= 0.0) & (f <= 1.0)))
+    aux_ground = np.zeros((d_a, d_a))
+    aux_ground[0, 0] = 1.0
+    rho0 = kron(ensemble @ ensemble.conj().T, aux_ground)
+    for i, t in enumerate(durations):
+        rho_t = evolve(h, t, rho0, spectral=spec)
+        for j, cell in enumerate(cells):
+            rec = measure_aq(rho_t, n_aux, cell, target=target)[tuple(s.k for s in cell)]
+            assert abs(p[i, j] - rec.probability) <= 1e-12
+            assert np.isnan(f[i, j]) == (not rec.attainable)
+            assert not rec.attainable or abs(f[i, j] - rec.fidelity) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
