@@ -3,8 +3,8 @@
 The round loop multiplies a D x D ensemble matrix by a per-round
 contraction operator up to a few hundred times per cell, and a figure
 plane holds thousands of cells.  :func:`batch_trajectory_kernel` runs a
-stack of cells together: each round is one batched product over every
-cell still running, and a cell that stops leaves the stack.
+stack of cells together: each round is one batched product over the
+whole stack, and a cell that stops freezes in place.
 :func:`trajectory_kernel` is its one-cell case.  When the contraction
 operators and the ensemble split into independent blocks (a conserved
 quantity of the joint dynamics), each block runs its own products and
@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .measurement import UNATTAINABLE_P
 from .operators import coupled_blocks
 
 # Smallest positive normal double: a cumulative probability below it has
@@ -62,25 +63,21 @@ def _round_blocks(k_first, k_later, v, targets_conj):
 
 
 class _Part:
-    """One part's operators and target rows, with its ensemble rows per running cell.
+    """One part's operators and target rows, with its ensemble rows per cell.
 
-    Each round's product goes into one of two preallocated buffers, in
-    turn, so a round allocates nothing but the per-cell results; the
-    buffers are allocated again only when cells leave the stack.
+    Each round's product goes into one of two buffers allocated once, in
+    turn, so a round allocates nothing but the per-cell results.
     """
 
     __slots__ = ("k_first", "k_later", "targets", "v", "buffers", "squares", "overlap", "overlap_squares")
 
     def __init__(self, k_first, k_later, v, targets_conj):
         self.k_first, self.k_later, self.targets, self.v = k_first, k_later, targets_conj, v
-        self._allocate(k_first.shape[0])
-
-    def _allocate(self, n_cells: int) -> None:
-        rows, cols = self.v.shape[-2:]
+        n_cells, (rows, cols) = k_first.shape[0], v.shape[-2:]
         self.buffers = [np.empty((n_cells, rows, cols), dtype=np.complex128) for _ in range(2)]
         # Float views, so that |x|^2 summed per cell is one dot product.
         self.squares = [b.view(np.float64).reshape(n_cells, -1) for b in self.buffers]
-        self.overlap = np.empty((n_cells, self.targets.shape[0], cols), dtype=np.complex128)
+        self.overlap = np.empty((n_cells, targets_conj.shape[0], cols), dtype=np.complex128)
         self.overlap_squares = self.overlap.view(np.float64)
 
     def advance(self, r: int) -> np.ndarray:
@@ -95,11 +92,6 @@ class _Part:
         np.matmul(self.targets, self.v, out=self.overlap)
         return np.vecdot(self.overlap_squares, self.overlap_squares)
 
-    def keep(self, cells: np.ndarray) -> None:
-        """Drop the cells not selected by the boolean mask ``cells``."""
-        self.k_later, self.v = self.k_later[cells], self.v[cells]
-        self._allocate(self.v.shape[0])
-
 
 def batch_trajectory_kernel(
     k_first: np.ndarray,
@@ -107,7 +99,6 @@ def batch_trajectory_kernel(
     ensemble: np.ndarray,
     targets: np.ndarray,
     max_rounds: int,
-    p_floor: float,
 ):
     """Run the round loop for a stack of cells at once.
 
@@ -119,69 +110,71 @@ def batch_trajectory_kernel(
     valid for its first ``n_rounds[cell]`` rounds and zero after them;
     ``reasons[cell]`` says why the cell stopped early, or is None for a
     complete run.  A cell stops when a round's conditional probability
-    is below ``p_floor`` or NaN, or when its cumulative probability drops
-    below the smallest normal double.  A stopped cell leaves the stack
-    and its neighbours run on unchanged.
+    is below :data:`UNATTAINABLE_P` or NaN, or when its cumulative
+    probability drops below the smallest normal double.  A stopped cell
+    stays in the stack with its ensemble rows zeroed, so it costs its
+    products but never reaches subnormal numbers, and its neighbours
+    run on unchanged; its rounds from the stop on are masked afterwards.
     """
     k_first = np.asarray(k_first, dtype=np.complex128)
     k_later = np.asarray(k_later, dtype=np.complex128)
     v = np.array(ensemble, dtype=np.complex128, order="C")
     v = v.reshape(v.shape[0], -1)
     targets_conj = np.asarray(targets, dtype=np.complex128).conj()
-    max_rounds, p_floor = int(max_rounds), float(p_floor)
-    n_cells = k_first.shape[0]
+    max_rounds, n_cells = int(max_rounds), k_first.shape[0]
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     parts = [_Part(*part) for part in _round_blocks(k_first, k_later, v, targets_conj)]
     first, *rest = parts
     # Parts where every target row is zero add nothing to the overlaps.
     scoring, *more_scoring = [part for part in parts if part.targets.any()] or parts
 
-    n_rounds = np.full(n_cells, max_rounds)
-    reasons: list[str | None] = [None] * n_cells
-    # Per completed round, the weights, round probabilities and raw target
-    # overlaps of the cells running then; the running set changes only
-    # when a cell stops, and each change opens a segment.
-    weights, ratios, overlaps = [], [], []
-    segments = [(0, slice(None))]  # (first round, cells running from it)
-    prev = 1.0
-    for r in range(max_rounds):
-        w = first.advance(r)
-        for part in rest:
-            w += part.advance(r)
-        pr = w / prev
-        ok = (pr >= p_floor) & (w >= SMALLEST_NORMAL)
-        if np.count_nonzero(ok) < ok.size:
-            live = np.arange(n_cells)[segments[-1][1]]
-            for cell, passed_floor in zip(live[~ok], pr[~ok] >= p_floor):
-                n_rounds[cell] = r
-                reasons[cell] = (
-                    f"cumulative probability below {SMALLEST_NORMAL:.1e}, the smallest normal double"
-                    if passed_floor
-                    else f"outcome probability below {p_floor:.0e}"
-                )
-            live, w, pr = live[ok], w[ok], pr[ok]
-            segments.append((r, live))
-            if live.size == 0:
-                break
-            for part in parts:
-                part.keep(ok)
-        overlap = scoring.overlaps()
-        for part in more_scoring:
-            overlap += part.overlaps()
-        overlaps.append(overlap)
-        weights.append(w)
-        ratios.append(pr)
-        prev = w
+    # Per round, every cell's weight, round probability, raw target overlaps
+    # and pass mark; a frozen cell reads 0 / 0 and fails every later round,
+    # so fewer passes than running cells means some cell stopped this round.
+    weights, ratios, overlaps, passes = [], [], [], []
+    running, prev = n_cells, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(max_rounds):
+            w = first.advance(r)
+            for part in rest:
+                w += part.advance(r)
+            overlap = scoring.overlaps()
+            for part in more_scoring:
+                overlap += part.overlaps()
+            pr = w / prev
+            ok = (pr >= UNATTAINABLE_P) & (w >= SMALLEST_NORMAL)
+            weights.append(w)
+            ratios.append(pr)
+            overlaps.append(overlap)
+            passes.append(ok)
+            passed = np.count_nonzero(ok)
+            if passed < running:
+                if not passed:
+                    break
+                running = passed
+                for part in parts:
+                    part.v[~ok] = 0.0
+            prev = w
 
-    fid = np.zeros((n_cells, max_rounds, targets_conj.shape[0]))
-    p_round = np.zeros((n_cells, max_rounds))
-    p_cum = np.zeros((n_cells, max_rounds))
-    ends = [r for r, _ in segments[1:]] + [len(weights)]
-    for (begin, cells), end in zip(segments, ends):
-        if end > begin:
-            w = np.stack(weights[begin:end], axis=1)
-            fid[cells, begin:end] = np.stack(overlaps[begin:end], axis=1) / w[..., None]
-            p_round[cells, begin:end] = np.stack(ratios[begin:end], axis=1)
-            p_cum[cells, begin:end] = w
+        ok, pr = np.stack(passes, axis=1), np.stack(ratios, axis=1)
+        n_rounds = np.where(ok.all(axis=1), max_rounds, ok.argmin(axis=1))
+        fid = np.zeros((n_cells, max_rounds, targets_conj.shape[0]))
+        p_round = np.zeros((n_cells, max_rounds))
+        p_cum = np.zeros((n_cells, max_rounds))
+        w = np.stack(weights, axis=1)
+        fid[:, : len(weights)] = np.stack(overlaps, axis=1) / w[..., None]
+        p_round[:, : len(weights)], p_cum[:, : len(weights)] = pr, w
+    stopped = np.arange(max_rounds) >= n_rounds[:, None]
+    fid[stopped], p_round[stopped], p_cum[stopped] = 0.0, 0.0, 0.0
+    reasons = [
+        None
+        if n == max_rounds
+        else f"cumulative probability below {SMALLEST_NORMAL:.1e}, the smallest normal double"
+        if pr[c, n] >= UNATTAINABLE_P
+        else f"outcome probability below {UNATTAINABLE_P:.0e}"
+        for c, n in enumerate(n_rounds)
+    ]
     return fid, p_round, p_cum, n_rounds, reasons
 
 
@@ -191,7 +184,6 @@ def trajectory_kernel(
     ensemble: np.ndarray,
     targets: np.ndarray,
     max_rounds: int,
-    p_floor: float,
 ):
     """Run the round loop for one cell: :func:`batch_trajectory_kernel` on a stack of one.
 
@@ -202,7 +194,7 @@ def trajectory_kernel(
     target row and ``reason`` is None for a complete run.
     """
     fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(
-        np.asarray(k_first)[None], np.asarray(k_later)[None], ensemble, targets, max_rounds, p_floor
+        np.asarray(k_first)[None], np.asarray(k_later)[None], ensemble, targets, max_rounds
     )
     n = n_rounds[0]
     return fid[0, :n], p_round[0, :n], p_cum[0, :n], reasons[0] is not None, reasons[0]

@@ -373,7 +373,8 @@ def code_from_json(doc: str | dict) -> CodeModel:
         {"type": "heisenberg", "n": 4, "J": 1.0}
 
     ``J`` defaults to 1.0 in both and must be a finite number; ``n`` must
-    be an integer.  Neither may be a boolean.
+    be an integer.  Neither may be a boolean.  ``stabilizers`` must be a
+    non-empty list of strings.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -385,9 +386,9 @@ def code_from_json(doc: str | dict) -> CodeModel:
         raise ValueError(f"code J must be a finite number, got {j!r}")
     if kind == "stabilizer":
         stabs = doc.get("stabilizers")
-        if not stabs:
-            raise ValueError("stabilizer document needs a non-empty 'stabilizers' list")
-        return build_stabilizer_code(list(stabs), float(j))
+        if not (isinstance(stabs, list) and stabs and all(isinstance(s, str) for s in stabs)):
+            raise ValueError(f"code stabilizers must be a non-empty list of strings, got {stabs!r}")
+        return build_stabilizer_code(stabs, float(j))
     if kind == "heisenberg":
         if "n" not in doc:
             raise ValueError("heisenberg document needs 'n'")

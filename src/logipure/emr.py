@@ -85,19 +85,17 @@ class RoundSpec:
 class XYSetup:
     """Auxiliary wiring of a chain: anisotropic XY bonds to site pairs.
 
-    Auxiliary qubit j attaches to the neighboring-site pair
-    ``attachments[j] = (s, s+1)`` with coupling ``j_1`` on the first site
-    and ``j_2`` on the second; the bond operator is
+    Auxiliary qubit j attaches to the neighboring-site pair (j, j+1)
+    with coupling ``j_1`` on site j and ``j_2`` on site j+1, so the chain
+    needs ``n_aux + 1`` sites or more; the bond operator is
     ``J (gamma_+ sx sx + gamma_- sy sy)`` with ``gamma_pm = (1 +- gamma)/2``.
-    Attached pairs must be consecutive and each auxiliary qubit gets
-    exactly one pair.  ``aux_energy=None`` resolves to the spectral gap of
+    ``aux_energy=None`` resolves to the spectral gap of
     the chain at build time (the resonance default); benchmark-table runs
     pass the fitted :data:`CALIBRATED_AUX_ENERGY` instead.
     """
 
     n_system: int
     n_aux: int = 1
-    attachments: tuple[tuple[int, int], ...] | None = None
     j_1: float = 1.0
     j_2: float = 0.0
     gamma: float = 0.0
@@ -108,19 +106,11 @@ class XYSetup:
             raise ValueError(f"need at least one auxiliary qubit, got {self.n_aux}")
         if not -1.0 <= self.gamma <= 1.0:
             raise ValueError(f"anisotropy must lie in [-1, 1], got {self.gamma}")
-        if self.attachments is None:
-            object.__setattr__(
-                self, "attachments", tuple((j, j + 1) for j in range(self.n_aux))
+        if self.n_aux >= self.n_system:
+            raise ValueError(
+                f"{self.n_aux} auxiliary qubits attach to sites 0..{self.n_aux}, "
+                f"beyond a {self.n_system}-site chain"
             )
-        att = self.attachments
-        if len(att) != self.n_aux:
-            raise ValueError(f"{self.n_aux} auxiliary qubits need {self.n_aux} attachments")
-        for j, pair in enumerate(att):
-            s, s2 = pair
-            if s2 != s + 1 or s < 0 or s2 >= self.n_system:
-                raise ValueError(f"attachment {pair!r} is not a neighboring-site pair")
-            if j and att[j - 1][0] + 1 != s:
-                raise ValueError("attached pairs must be consecutive")
         if self.aux_energy is not None and self.aux_energy < 0:
             raise ValueError(f"auxiliary energy must be >= 0, got {self.aux_energy}")
 
@@ -315,9 +305,10 @@ def fast_trajectory(
     square-root factor of the initial system state (see
     :func:`thermal_ensemble`).  Takes the round :func:`run_emr` takes and
     gives the same record, with the same probability floor
-    :data:`UNATTAINABLE_P`, from :func:`round_contraction` operators.
+    :data:`UNATTAINABLE_P` and the same check that the target has norm
+    1, from :func:`round_contraction` operators.
     """
-    return _group_trajectories(ensemble, np.asarray(target)[None], [(spectral, rounds, aq_reset)], max_rounds)[0][0]
+    return _group_trajectories(ensemble, require_unit(target)[None], [(spectral, rounds, aq_reset)], max_rounds)[0][0]
 
 
 def _group_trajectories(ensemble, targets, cells, max_rounds) -> list[list[EmrTrajectory]]:
@@ -332,9 +323,7 @@ def _group_trajectories(ensemble, targets, cells, max_rounds) -> list[list[EmrTr
         _check_run(max_rounds, policy)
         operators.append(_round_operators(spectral, [rounds.duration], [rounds.settings], policy))
     k_first, k_later = (np.concatenate(ops) for ops in zip(*operators))
-    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(
-        k_first, k_later, ensemble, targets, max_rounds, UNATTAINABLE_P
-    )
+    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds)
     return [
         [
             EmrTrajectory(
@@ -370,21 +359,20 @@ def plane_m_min(
     through :func:`batch_trajectory_kernel`.  Returns an integer array
     of shape (len(durations), len(settings), len(f_targets)): the first
     round (1-based, within the cell's completed rounds) with fidelity >=
-    each target, or -1 where none is.
+    each target, or -1 where none is.  A target whose norm is not 1
+    raises, as in :func:`run_emr`.
     """
     _check_run(max_rounds, aq_reset)
     if not f_targets:
         raise ValueError("f_targets must be non-empty")
     for f_target in f_targets:
         _check_f_target(f_target)
+    target = require_unit(target)
     k_first, k_later = _round_operators(spectral, durations, settings, aq_reset)
-    fid, _, _, n_rounds, _ = batch_trajectory_kernel(
-        k_first, k_later, ensemble, target[None], max_rounds, UNATTAINABLE_P
-    )
-    completed = np.arange(max_rounds) < n_rounds[:, None]
-    m_min = np.empty((n_rounds.size, len(f_targets)), dtype=int)
+    fid = batch_trajectory_kernel(k_first, k_later, ensemble, target[None], max_rounds)[0][..., 0]
+    m_min = np.empty((fid.shape[0], len(f_targets)), dtype=int)
     for j, f_target in enumerate(f_targets):
-        hits = completed & (fid[:, :, 0] >= f_target)
+        hits = fid >= f_target  # fidelities after a stop are zero and every target is positive
         m_min[:, j] = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, -1)
     return m_min.reshape(len(durations), len(settings), len(f_targets))
 
@@ -453,7 +441,7 @@ def build_xy_setup(setup: XYSetup, heisenberg: HeisenbergSpec) -> np.ndarray:
     """Total Hamiltonian of a chain with XY-attached auxiliary qubits.
 
     System qubits occupy tensor factors 0..N-1, auxiliary qubits the
-    trailing factors in attachment order.  Bond operators enter as
+    trailing factors in the order of their sites.  Bond operators enter as
     ``J_i (gamma_+ sx sx + gamma_- sy sy)`` on the attached site; this
     bare-Pauli normalization together with
     ``aux_energy = CALIBRATED_AUX_ENERGY`` is the calibration that
@@ -475,9 +463,9 @@ def _xy_hamiltonian(setup: XYSetup, code: CodeModel) -> np.ndarray:
 
     h = kron(code.hamiltonian, np.eye(2**n_aux))
     index = np.arange(2**n_tot)
-    for j, (s, s2) in enumerate(setup.attachments):
+    for j in range(n_aux):
         h[index, index] += e_a * ((index >> (n_aux - 1 - j)) & 1)  # E_A |1><1| on qubit n + j
-        for j_bond, site in ((setup.j_1, s), (setup.j_2, s2)):
+        for j_bond, site in ((setup.j_1, j), (setup.j_2, j + 1)):
             if j_bond != 0.0:
                 xx, yy = (pauli_on_sites(n_tot, (site, n + j), p + p) for p in "XY")
                 bond = pauli_sum([PauliString(xx, setup.gamma_plus), PauliString(yy, setup.gamma_minus)])
@@ -559,7 +547,8 @@ def reproduce_table1(
     where the two differ); the candidate with the highest trajectory
     fidelity is reported as the match.  ``aux_energy=None`` applies the
     fitted :data:`CALIBRATED_AUX_ENERGY`.  ``rows`` holds 1-based table
-    indices (all rows when None); an index the table lacks raises.
+    indices (all rows when None); an empty list, or an index the table
+    lacks, raises.
 
     Rows with the same chain size share the thermal ensemble; those whose
     joint spectra also split into the same blocks run all their (row,
@@ -571,6 +560,8 @@ def reproduce_table1(
         unknown = sorted(set(rows) - {r.index for r in CHAIN_BENCHMARK})
         if unknown:
             raise ValueError(f"unknown table1 rows {unknown}; the table has rows 1-{len(CHAIN_BENCHMARK)}")
+        if not rows:
+            raise ValueError(f"rows must name at least one table1 row; the table has rows 1-{len(CHAIN_BENCHMARK)}")
     e_a = CALIBRATED_AUX_ENERGY if aux_energy is None else aux_energy
     selected = [r for r in CHAIN_BENCHMARK if rows is None or r.index in rows]
     report = {

@@ -307,7 +307,7 @@ def require_unit(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"target state norm {nrm!r} is not 1")
+        raise ValueError(f"target state norm {float(nrm)!r} is not 1")
     return psi
 
 

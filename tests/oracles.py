@@ -288,13 +288,13 @@ def xy_hamiltonian_by_embed(setup, code) -> np.ndarray:
     xx = np.kron(SIGMA_X, SIGMA_X)
     yy = np.kron(SIGMA_Y, SIGMA_Y)
     bond = setup.gamma_plus * xx + setup.gamma_minus * yy
-    for j, (s, s2) in enumerate(setup.attachments):
+    for j in range(n_aux):  # auxiliary qubit j on sites (j, j + 1)
         aq = n + j
         h += e_a * embed(exc, n_tot, [aq])
         if setup.j_1 != 0.0:
-            h += setup.j_1 * embed(bond, n_tot, [s, aq])
+            h += setup.j_1 * embed(bond, n_tot, [j, aq])
         if setup.j_2 != 0.0:
-            h += setup.j_2 * embed(bond, n_tot, [s2, aq])
+            h += setup.j_2 * embed(bond, n_tot, [j + 1, aq])
     return h
 
 

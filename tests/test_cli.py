@@ -177,6 +177,10 @@ def test_table1_default_matches_golden(tmp_path):
     [
         ("fig4_default.csv", None),
         ("fig4_reset_12x12.csv", {"a_points": 12, "t_points": 12, "aq_reset": "reset-to-ground"}),
+        (
+            "fig4_reset_12x12_1000.csv",
+            {"a_points": 12, "t_points": 12, "aq_reset": "reset-to-ground", "max_rounds": 1000},
+        ),
     ],
 )
 def test_fig4_matches_golden(tmp_path, name, cfg):
@@ -184,10 +188,25 @@ def test_fig4_matches_golden(tmp_path, name, cfg):
 
     The default plane holds the t = 0 cells, where a = pi stops at the
     probability floor in round 1, and cells that never reach a target.
+    The 1000-round reset plane was saved before stopped cells froze in
+    the stack: 72 of its cells stop, at 11 distinct rounds, 60 of them
+    when their cumulative probability leaves the normal range.
     """
     rc, out = run_cli(tmp_path, "fig4", cfg)
     assert rc == 0
     assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
+def test_table1_truncating_rows_match_golden(tmp_path):
+    """Rows 1, 3 and 5 at 1500 rounds against a report saved before stopped cells froze in the stack.
+
+    Three of their cells stop inside one kernel pass, at rounds 1276,
+    1345 and 1456, when their cumulative probability leaves the normal range.
+    """
+    golden = json.loads((Path(__file__).parent / "data" / "table1_rows135_1500.json").read_text())
+    rc, out = run_cli(tmp_path, "table1", {"rows": [1, 3, 5], "max_rounds": 1500})
+    assert rc == 0
+    assert_matches_golden(json.loads(out.read_text()), golden)
 
 
 def golden_rows(out, name):
@@ -316,6 +335,10 @@ def test_bad_configs_exit_2(tmp_path, capsys):
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: rows must be null or a list of integers")
         assert not out.exists()
+    rc, out = run_cli(tmp_path, "table1", {"rows": [], "max_rounds": 5}, name="table1norows")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: rows must name at least one table1 row")
+    assert not out.exists()
     rc, out = run_cli(tmp_path, "table1", {"rows": [1], "beta": -1, "max_rounds": 5}, name="table1beta")
     assert rc == 2
     assert "inverse temperature must be >= 0, got -1" in capsys.readouterr().err
@@ -379,6 +402,9 @@ def test_bad_configs_exit_2(tmp_path, capsys):
         ({"type": "heisenberg", "n": 2.9}, "code n must be an integer, got 2.9"),
         ({"type": "heisenberg", "n": 2, "J": "2"}, "code J must be a finite number, got '2'"),
         ({"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": True}, "code J must be a finite number, got True"),
+        ({"type": "stabilizer", "stabilizers": [1, 2]}, "code stabilizers must be a non-empty list of strings, got [1, 2]"),
+        ({"type": "stabilizer", "stabilizers": "ZZI"}, "code stabilizers must be a non-empty list of strings, got 'ZZI'"),
+        ({"type": "stabilizer", "stabilizers": []}, "code stabilizers must be a non-empty list of strings, got []"),
     ):
         rc, out = run_cli(tmp_path, "decompose", {"code": code}, name="codedoc")
         assert rc == 2

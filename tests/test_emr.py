@@ -14,6 +14,7 @@ from logipure.emr import (
     build_xy_setup,
     fast_trajectory,
     find_m_min,
+    plane_m_min,
     reproduce_table1,
     round_contraction,
     run_emr,
@@ -218,6 +219,35 @@ def test_truncation_when_decoupled():
         assert "below" in traj.reason
 
 
+def test_fast_paths_reject_a_non_unit_target():
+    """A target scaled by 2 raises on every path, as on the dense reference.
+
+    Unchecked, the fast paths scored |2 psi|^2 overlaps: a fidelity 4x
+    too large, and fig4 targets reached that the unit target never reaches.
+    """
+    code, h_tot = two_site_problem()
+    spectral = hermitian_eig(h_tot)
+    ensemble = thermal_ensemble([code], BETA)
+    rho0 = kron(gibbs(code.hamiltonian, BETA)[0], np.diag([1.0, 0.0]).astype(complex))
+    settings = (MeasurementSetting(a=0.3, b=0.0, k=+1),)
+    target = 2.0 * cardinal_state(code, "z-")
+    message = "target state norm 2.0 is not 1"
+    with pytest.raises(ValueError, match=message):
+        run_emr(h_tot, rho0, RoundSpec(1.0, settings), target, 5)
+    with pytest.raises(ValueError, match=message):
+        fast_trajectory(spectral, ensemble, RoundSpec(1.0, settings), target, 5)
+    with pytest.raises(ValueError, match=message):
+        plane_m_min(spectral, ensemble, [settings], np.array([1.0]), target, [0.66, 0.9], 5, KEEP)
+
+
+def test_empty_table1_selection_raises():
+    """An empty row list is refused, as an unknown row is: no empty report."""
+    with pytest.raises(ValueError, match="rows must name at least one table1 row; the table has rows 1-12"):
+        reproduce_table1(rows=[])
+    with pytest.raises(ValueError, match=r"unknown table1 rows \[13\]"):
+        reproduce_table1(rows=[1, 13])
+
+
 def test_validation_errors():
     spec = HeisenbergSpec(n_qubits=2)
     with pytest.raises(ValueError):
@@ -225,13 +255,9 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         XYSetup(n_system=2, gamma=1.5)
     with pytest.raises(ValueError):
-        XYSetup(n_system=2, n_aux=1, attachments=((0, 2),))
-    with pytest.raises(ValueError):
-        XYSetup(n_system=4, n_aux=2, attachments=((0, 1), (2, 3)))  # not consecutive
-    with pytest.raises(ValueError):
         XYSetup(n_system=2, aux_energy=-1.0)
     with pytest.raises(ValueError):
-        XYSetup(n_system=2, n_aux=2)  # attachment (1, 2) runs off the chain
+        XYSetup(n_system=2, n_aux=2)  # the second auxiliary qubit's pair (1, 2) runs off the chain
     with pytest.raises(ValueError):
         build_xy_setup(XYSetup(n_system=4), HeisenbergSpec(n_qubits=2))
     with pytest.raises(ValueError):

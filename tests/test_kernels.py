@@ -4,6 +4,7 @@ import numpy as np
 
 from logipure import _kernels
 from logipure._kernels import _round_blocks, batch_trajectory_kernel, trajectory_kernel
+from logipure.measurement import UNATTAINABLE_P
 
 
 def random_problem(dim=6, n_cols=3, seed=0):
@@ -22,20 +23,18 @@ def random_problem(dim=6, n_cols=3, seed=0):
 
 def test_truncation_at_floor():
     k_first, k_later, ensemble, targets = random_problem(seed=3)
-    # later rounds shrink the weight below the floor; round one passes
-    k_later *= 0.01
-    fid, p_round, p_cum, truncated, reason = trajectory_kernel(
-        k_first, k_later, ensemble, targets, 100, 1e-3
-    )
+    # later rounds shrink the weight below the 1e-14 floor; round one passes
+    k_later *= 1e-8
+    fid, p_round, p_cum, truncated, reason = trajectory_kernel(k_first, k_later, ensemble, targets, 100)
     assert truncated
-    assert reason == "outcome probability below 1e-03"
+    assert reason == f"outcome probability below {UNATTAINABLE_P:.0e}" == "outcome probability below 1e-14"
     assert 1 <= len(fid) < 100
-    assert all(p >= 1e-3 for p in p_round)
+    assert all(p >= UNATTAINABLE_P for p in p_round)
 
 
 def test_no_truncation_without_floor():
     args = random_problem(seed=4)
-    fid, p_round, p_cum, truncated, reason = trajectory_kernel(*args, 25, 0.0)
+    fid, p_round, p_cum, truncated, reason = trajectory_kernel(*args, 25)
     assert not truncated
     assert reason is None
     assert len(fid) == len(p_round) == len(p_cum) == 25
@@ -47,9 +46,7 @@ def test_nan_probability_truncates():
     """A NaN round probability must trip the floor, not pass it."""
     k_first, k_later, ensemble, targets = random_problem(seed=5)
     k_first[0, 0] = np.nan
-    fid, p_round, p_cum, truncated, reason = trajectory_kernel(
-        k_first, k_later, ensemble, targets, 5, 1e-14
-    )
+    fid, p_round, p_cum, truncated, reason = trajectory_kernel(k_first, k_later, ensemble, targets, 5)
     assert truncated
     assert reason.startswith("outcome probability")
     assert len(fid) == len(p_round) == len(p_cum) == 0
@@ -64,7 +61,7 @@ def test_underflow_stops_with_its_own_reason():
     """
     k = 1e-3 * np.eye(2)
     fid, p_round, p_cum, truncated, reason = trajectory_kernel(
-        k, k, np.eye(2) / np.sqrt(2), np.array([[1.0, 0.0]]), 100, 1e-14
+        k, k, np.eye(2) / np.sqrt(2), np.array([[1.0, 0.0]]), 100
     )
     assert truncated
     assert reason.startswith("cumulative probability below")
@@ -109,13 +106,13 @@ def test_small_blocks_pack_into_parts(monkeypatch):
 
 
 def test_batch_cells_match_their_one_cell_runs():
-    """Cells that stop leave the batch; every other cell runs on as if alone.
+    """Cells that stop freeze in the batch; every other cell runs on as if alone.
 
     The stopped cells sit between live ones: a zero operator (floor at
     round 1), a NaN entry in the later operator (floor at round 2) and a
     steady 1e-6 contraction that underflows after 51 rounds.
     """
-    dim, max_rounds, p_floor = 6, 60, 1e-14
+    dim, max_rounds = 6, 60
     problems = [random_problem(dim, seed=seed) for seed in (11, 12)]
     ensemble, targets = problems[0][2], problems[0][3]
     live = []
@@ -129,11 +126,11 @@ def test_batch_cells_match_their_one_cell_runs():
     expected = [(max_rounds, None), (0, "outcome"), (1, "outcome"), (max_rounds, None), (51, "cumulative")]
 
     fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(
-        np.stack([k for k, _ in cells]), np.stack([k for _, k in cells]), ensemble, targets, max_rounds, p_floor
+        np.stack([k for k, _ in cells]), np.stack([k for _, k in cells]), ensemble, targets, max_rounds
     )
     assert fid.shape == (len(cells), max_rounds, 1)
     for c, ((k_first, k_later), (rounds, why)) in enumerate(zip(cells, expected)):
-        one = trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds, p_floor)
+        one = trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds)
         assert n_rounds[c] == rounds == len(one[1])
         assert reasons[c] == one[4]
         assert reasons[c] is None if why is None else reasons[c].startswith(why)

@@ -27,7 +27,7 @@ from logipure.emr import (
     run_emr,
     thermal_ensemble,
 )
-from logipure.measurement import MeasurementSetting, measure_aq
+from logipure.measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from logipure.operators import (
     PAULI_MATRICES,
     PauliString,
@@ -140,9 +140,7 @@ def test_split_kernel_matches_dense_loop(
 
     # small part sizes, so these small problems take the split path too
     with mock.patch.object(_kernels, "MIN_PART_ROWS", min_part_rows):
-        fid, p_round, p_cum, truncated, _ = trajectory_kernel(
-            k_first, k_later, ensemble, targets, n_rounds, 0.0
-        )
+        fid, p_round, p_cum, truncated, _ = trajectory_kernel(k_first, k_later, ensemble, targets, n_rounds)
     ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first, k_later, ensemble, targets, n_rounds)
     assert not truncated
     assert fid.shape == (n_rounds, n_targets)
@@ -168,12 +166,11 @@ def test_batched_cells_match_dense_loop(
 
     Every cell has its own operators on the same hidden blocks and some
     drop a block entirely; a fading cell's later operator is scaled down
-    so that it usually trips the floor inside the batch.
+    so that it usually trips the fixed floor inside the batch.
     """
     rng = np.random.default_rng(seed)
     n = sum(sizes)
     perm = rng.permutation(n)
-    p_floor = 1e-3
     k_first, k_later = [], []
     for c in range(n_cells):
         blocks = [cmat(rng, m, m) / np.sqrt(2 * m) for m in sizes]
@@ -181,7 +178,7 @@ def test_batched_cells_match_dense_loop(
             blocks[int(rng.integers(len(sizes)))] *= rng.integers(0, 2)
         k_first.append(shuffled_blocks(blocks, perm))
         later = shuffled_blocks([cmat(rng, m, m) / np.sqrt(2 * m) for m in sizes], perm)
-        k_later.append(later * (1e-3 if fading[c] else 1.0))
+        k_later.append(later * (1e-8 if fading[c] else 1.0))
     ensemble = cmat(rng, n, n)[:, perm] * (shuffled_blocks([np.ones((m, m)) for m in sizes], perm) != 0)
     ensemble /= np.linalg.norm(ensemble)
     targets = cmat(rng, n_targets, n)
@@ -190,11 +187,11 @@ def test_batched_cells_match_dense_loop(
     # small part sizes, so these small problems take the split path too
     with mock.patch.object(_kernels, "MIN_PART_ROWS", min_part_rows):
         fid, p_round, p_cum, done, reasons = batch_trajectory_kernel(
-            np.stack(k_first), np.stack(k_later), ensemble, targets, n_rounds, p_floor
+            np.stack(k_first), np.stack(k_later), ensemble, targets, n_rounds
         )
     for c in range(n_cells):
         ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first[c], k_later[c], ensemble, targets, n_rounds)
-        below = np.flatnonzero(~(ref_p_round >= p_floor))
+        below = np.flatnonzero(~(ref_p_round >= UNATTAINABLE_P))
         stop = int(below[0]) if below.size else n_rounds
         assert done[c] == stop
         assert (reasons[c] is None) == (stop == n_rounds)
