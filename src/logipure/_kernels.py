@@ -8,7 +8,9 @@ whole stack, and a cell that stops freezes in place.
 :func:`trajectory_kernel` is its one-cell case.  When the contraction
 operators and the ensemble split into independent blocks (a conserved
 quantity of the joint dynamics), each block runs its own products and
-the round weight is the sum of the block weights.
+the round weight is the sum of the block weights.  Every part folds its
+target rows into its operators, so a round is one product per part,
+and runs it in real arithmetic.
 """
 
 from __future__ import annotations
@@ -63,34 +65,58 @@ def _round_blocks(k_first, k_later, v, targets_conj):
 
 
 class _Part:
-    """One part's operators and target rows, with its ensemble rows per cell.
+    """One part's fused round operators, with its ensemble rows per cell.
 
+    Each operator is stacked over its target rows, ``[K; T K]``, once at
+    setup, so one product per round gives both the next ensemble rows
+    (the buffer's leading rows) and their target overlaps (its trailing
+    rows); a part without target support gets no trailing rows.  The
+    product runs in real arithmetic: each operator row block becomes
+    ``[[Re, -Im], [Im, Re]]`` acting on the ensemble rows ``[Re; Im]``,
+    and each target row becomes its Re and Im rows in turn, so a
+    target's overlaps are one flat row of 2 * cols floats.  numpy's
+    stacked real product beats the complex one 1.3-3.4 times below 64
+    rows; from 64 rows on neither wins consistently, and keeping
+    table1's 128-row parts complex saved about 5% of its run (OpenBLAS
+    0.3.31 on an AVX-512 machine), too little for a second form.
     Each round's product goes into one of two buffers allocated once, in
     turn, so a round allocates nothing but the per-cell results.
     """
 
-    __slots__ = ("k_first", "k_later", "targets", "v", "buffers", "squares", "overlap", "overlap_squares")
+    __slots__ = ("k_first", "k_later", "v", "buffers", "leads", "norms", "scores")
 
     def __init__(self, k_first, k_later, v, targets_conj):
-        self.k_first, self.k_later, self.targets, self.v = k_first, k_later, targets_conj, v
-        n_cells, (rows, cols) = k_first.shape[0], v.shape[-2:]
-        self.buffers = [np.empty((n_cells, rows, cols), dtype=np.complex128) for _ in range(2)]
-        # Float views, so that |x|^2 summed per cell is one dot product.
-        self.squares = [b.view(np.float64).reshape(n_cells, -1) for b in self.buffers]
-        self.overlap = np.empty((n_cells, targets_conj.shape[0], cols), dtype=np.complex128)
-        self.overlap_squares = self.overlap.view(np.float64)
+        n_cells, n_targets, (rows, cols) = k_first.shape[0], targets_conj.shape[0], v.shape
+
+        def fused(k):
+            # One real row pair per target, so each target's Re and Im rows sit together.
+            target_rows = _real_rows(np.matmul(targets_conj, k)[..., None, :])
+            return np.concatenate([_real_rows(k), target_rows.reshape(n_cells, 2 * n_targets, 2 * rows)], axis=-2)
+
+        self.k_first, self.k_later = fused(k_first), fused(k_later)
+        self.v = np.concatenate([v.real, v.imag])
+        self.buffers = [np.empty((n_cells, 2 * (rows + n_targets), cols)) for _ in range(2)]
+        self.leads = [b[:, : 2 * rows] for b in self.buffers]
+        # |x|^2 summed per cell, or per cell and target, is one dot product.
+        self.norms = [lead.reshape(n_cells, 2 * rows * cols) for lead in self.leads]
+        self.scores = [b[:, 2 * rows :].reshape(n_cells, n_targets, 2 * cols) for b in self.buffers]
 
     def advance(self, r: int) -> np.ndarray:
         """Apply round ``r``'s operator; return each cell's squared norm."""
         np.matmul(self.k_first if r == 0 else self.k_later, self.v, out=self.buffers[r % 2])
-        self.v = self.buffers[r % 2]
-        flat = self.squares[r % 2]
+        self.v = self.leads[r % 2]
+        flat = self.norms[r % 2]
         return np.vecdot(flat, flat)
 
-    def overlaps(self) -> np.ndarray:
-        """|target . v|^2 summed over this part's columns, per cell and target."""
-        np.matmul(self.targets, self.v, out=self.overlap)
-        return np.vecdot(self.overlap_squares, self.overlap_squares)
+    def overlaps(self, r: int) -> np.ndarray:
+        """|target . v|^2 after round ``r``, summed over this part's columns, per cell and target."""
+        scores = self.scores[r % 2]
+        return np.vecdot(scores, scores)
+
+
+def _real_rows(k):
+    """Real rows acting on ``[Re v; Im v]`` that give ``[Re(k v); Im(k v)]``."""
+    return np.block([[k.real, -k.imag], [k.imag, k.real]])
 
 
 def batch_trajectory_kernel(
@@ -115,6 +141,10 @@ def batch_trajectory_kernel(
     stays in the stack with its ensemble rows zeroed, so it costs its
     products but never reaches subnormal numbers, and its neighbours
     run on unchanged; its rounds from the stop on are masked afterwards.
+    ``targets`` must have shape (n_targets, D); any other shape raises
+    ValueError.  Each round makes one product per part: the target
+    overlaps come out of the same product, from the target rows that
+    each part folds into its operators at setup.
     """
     k_first = np.asarray(k_first, dtype=np.complex128)
     k_later = np.asarray(k_later, dtype=np.complex128)
@@ -124,10 +154,16 @@ def batch_trajectory_kernel(
     max_rounds, n_cells = int(max_rounds), k_first.shape[0]
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    parts = [_Part(*part) for part in _round_blocks(k_first, k_later, v, targets_conj)]
+    if targets_conj.ndim != 2 or targets_conj.shape[1] != v.shape[0]:
+        raise ValueError(f"targets must have shape (n_targets, {v.shape[0]}), got {targets_conj.shape}")
+    blocks = _round_blocks(k_first, k_later, v, targets_conj)
+    # Parts where every target row is zero add nothing to the overlaps and
+    # carry no target rows; one part scores even when no part has support.
+    scored = [part_targets.any() for *_, part_targets in blocks]
+    scored[0] |= not any(scored)
+    parts = [_Part(kf, kl, pv, t if s else t[:0]) for (kf, kl, pv, t), s in zip(blocks, scored)]
     first, *rest = parts
-    # Parts where every target row is zero add nothing to the overlaps.
-    scoring, *more_scoring = [part for part in parts if part.targets.any()] or parts
+    scoring, *more_scoring = [part for part, s in zip(parts, scored) if s]
 
     # Per round, every cell's weight, round probability, raw target overlaps
     # and pass mark; a frozen cell reads 0 / 0 and fails every later round,
@@ -139,9 +175,9 @@ def batch_trajectory_kernel(
             w = first.advance(r)
             for part in rest:
                 w += part.advance(r)
-            overlap = scoring.overlaps()
+            overlap = scoring.overlaps(r)
             for part in more_scoring:
-                overlap += part.overlaps()
+                overlap += part.overlaps(r)
             pr = w / prev
             ok = (pr >= UNATTAINABLE_P) & (w >= SMALLEST_NORMAL)
             weights.append(w)

@@ -42,9 +42,9 @@ from .interaction import (
     joint_target_state,
     pauli_decompose,
 )
-from .measurement import MeasurementSetting, measure_aq
+from .measurement import MeasurementSetting, purify_records
 from .operators import hermitian_eig
-from .thermal import ThermalSpec, evolved_joint_state
+from .thermal import ThermalSpec
 
 REPETITION_DOC = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
 
@@ -316,8 +316,7 @@ def cmd_table1(cfg: dict) -> str:
 def cmd_purify(cfg: dict) -> str:
     codes, spec, aux, thermal = _build_engine(cfg)
     setting = MeasurementSetting(a=_float(cfg, "a"), b=_float(cfg, "b"), k=_int(cfg, "k"))
-    rho_t = evolved_joint_state(codes, spec, aux, thermal, _float(cfg, "t"))
-    records = measure_aq(rho_t, aux.count, (setting,), target=joint_target_state(codes, spec.targets))
+    records = purify_records(codes, spec, aux, thermal, _float(cfg, "t"), (setting,))
     rec, rec_other = records[(setting.k,)], records[(-setting.k,)]
 
     def pack(r):

@@ -123,6 +123,23 @@ def measure_aq(
     return records
 
 
+def purify_records(
+    codes: list[CodeModel],
+    spec: InteractionSpec,
+    aux: AuxiliarySpec,
+    thermal: ThermalSpec,
+    t: float,
+    settings: tuple[MeasurementSetting, ...],
+) -> dict[tuple[int, ...], PurificationRecord]:
+    """Evolve the thermal state for time ``t`` and measure the auxiliary qubits along ``settings``.
+
+    Returns the record of every outcome tuple, as :func:`measure_aq`
+    does, with fidelities against the joint logical target of ``spec``.
+    """
+    rho_t = evolved_joint_state(codes, spec, aux, thermal, t)
+    return measure_aq(rho_t, aux.count, settings, target=joint_target_state(codes, spec.targets))
+
+
 def purify_once(
     codes: list[CodeModel],
     spec: InteractionSpec,
@@ -139,7 +156,4 @@ def purify_once(
     """
     if isinstance(settings, MeasurementSetting):
         settings = (settings,)
-    rho_t = evolved_joint_state(codes, spec, aux, thermal, t)
-    target = joint_target_state(codes, spec.targets)
-    records = measure_aq(rho_t, aux.count, settings, target=target)
-    return records[tuple(s.k for s in settings)]
+    return purify_records(codes, spec, aux, thermal, t, settings)[tuple(s.k for s in settings)]

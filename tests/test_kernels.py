@@ -1,10 +1,14 @@
-"""Round-trajectory kernel: stopping causes, the block-split loop and cell batches."""
+"""Round-trajectory kernel: stopping causes, the block-split loop, its fused round products and cell batches."""
+
+import re
 
 import numpy as np
+import pytest
 
 from logipure import _kernels
 from logipure._kernels import _round_blocks, batch_trajectory_kernel, trajectory_kernel
 from logipure.measurement import UNATTAINABLE_P
+from oracles import dense_trajectory
 
 
 def random_problem(dim=6, n_cols=3, seed=0):
@@ -137,3 +141,67 @@ def test_batch_cells_match_their_one_cell_runs():
         for got, want in zip((fid[c], p_round[c], p_cum[c]), one[:3]):
             assert np.max(np.abs(got[:rounds] - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
             assert not np.any(got[rounds:])  # rounds after the stop stay empty
+
+
+def three_part_problem(n_cells=3):
+    """Parts of 8, 40 and 72 rows; the 40-row part has no target support."""
+    rng = np.random.default_rng(21)
+    sizes = [8, 40, 72]
+    ops = [block_diagonal(rng, sizes) + 1j * block_diagonal(rng, sizes) for _ in range(2 * n_cells)]
+    ops = [k / np.linalg.norm(k, 2) for k in ops]
+    ensemble = block_diagonal(rng, sizes) + 1j * block_diagonal(rng, sizes)
+    ensemble /= np.linalg.norm(ensemble)
+    targets = rng.normal(size=(2, sum(sizes))) + 1j * rng.normal(size=(2, sum(sizes)))
+    targets[:, 8:48] = 0.0
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    return np.stack(ops[:n_cells]), np.stack(ops[n_cells:]), ensemble, targets
+
+
+def test_fused_parts_match_dense_loop(monkeypatch):
+    """Parts with and without target rows, in one stack, follow the dense loop."""
+    monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 8)
+    k_first, k_later, ensemble, targets = three_part_problem()
+    assert [len(part[2]) for part in _round_blocks(k_first, k_later, ensemble, targets.conj())] == [8, 40, 72]
+    max_rounds = 30
+    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds)
+    assert list(n_rounds) == [max_rounds] * len(k_first) and reasons == [None] * len(k_first)
+    for c in range(len(k_first)):
+        ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first[c], k_later[c], ensemble, targets, max_rounds)
+        assert np.max(np.abs(fid[c] - ref_fid)) <= 1e-12
+        assert np.max(np.abs(p_round[c] / ref_p_round - 1.0)) <= 1e-12
+        assert np.max(np.abs(p_cum[c] / ref_p_cum - 1.0)) <= 1e-12
+
+
+def test_one_product_per_part_per_round(monkeypatch):
+    """Each round makes one product per part; the target scores come out of it.
+
+    Setup makes two products per part (first and later operator) to fold
+    the target rows in.  Each round operator is real, with a Re and an Im
+    row per ensemble row and per target row, except that the 40-row part,
+    without target support, has no target rows.
+    """
+    monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 8)
+    k_first, k_later, ensemble, targets = three_part_problem(n_cells=1)
+    shapes = []
+    matmul = np.matmul
+
+    def counting_matmul(*args, **kwargs):
+        shapes.append((args[0].shape[-2:], args[0].dtype))
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    max_rounds = 7
+    fid = trajectory_kernel(k_first[0], k_later[0], ensemble, targets, max_rounds)[0]
+    assert fid.shape == (max_rounds, 2)
+    parts = [((20, 16), np.float64), ((80, 80), np.float64), ((148, 144), np.float64)]
+    assert len(shapes) == 2 * len(parts) + max_rounds * len(parts)
+    assert shapes[2 * len(parts) :] == parts * max_rounds
+
+
+def test_malformed_target_stack_raises():
+    """Targets must be a (n_targets, D) stack: a 1-D target or a wrong width raises."""
+    k_first, k_later, ensemble, targets = random_problem(dim=6)
+    for bad in (targets[0], targets[:, :5], targets[None]):
+        message = f"targets must have shape (n_targets, 6), got {bad.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trajectory_kernel(k_first, k_later, ensemble, bad, 3)
