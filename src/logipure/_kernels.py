@@ -1,20 +1,23 @@
 """Hot kernel for repeated-round trajectories.
 
-The round loop multiplies a D x D ensemble matrix by a per-round
-contraction operator up to a few hundred times per cell, and a figure
-plane holds thousands of cells.  :func:`batch_trajectory_kernel` runs a
-stack of cells together: each round is one batched product over the
-whole stack, and a cell that stops freezes in place.
-:func:`trajectory_kernel` is its one-cell case.  When the contraction
-operators and the ensemble split into independent blocks (a conserved
-quantity of the joint dynamics), each block runs its own products and
-the round weight is the sum of the block weights.  Every part folds its
-target rows into its operators, so a round is one product per part,
-and runs it in real arithmetic.
+A trajectory multiplies a D x D ensemble matrix by the same contraction
+operator K, round after round, up to a few hundred times per cell, and
+a figure plane holds thousands of cells.  :func:`batch_trajectory_kernel`
+runs a stack of cells together and does not run the rounds one by one:
+it evaluates the whole series by baby and giant steps (Paterson and
+Stockmeyer, SIAM J. Comput. 2, 60 (1973)), from the Grams of the powers
+of K and of every m-th ensemble, so a series of R rounds costs about
+2 sqrt(R) stacked products, all in real arithmetic, and only products of
+contractions: no eigendecomposition.  :func:`trajectory_kernel` is its
+one-cell case.  When the contraction operators and the ensemble split
+into independent blocks (a conserved quantity of the joint dynamics),
+each part runs its own series and a round's weight is the sum of the
+part weights.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -25,9 +28,13 @@ from .operators import coupled_blocks
 # Smallest positive normal double: a cumulative probability below it has
 # lost precision and can no longer be reported.
 SMALLEST_NORMAL = sys.float_info.min
-# Fewest rows a separately run part may hold.  Each part costs a few numpy
-# calls per round, which outweighs the products it saves below about
-# this size (measured on D = 4..64 block-diagonal problems).
+# Fewest rows a separately run part may hold.  Each part costs about
+# 3 m + 4 n numpy calls (m baby and n giant steps), which outweighs the
+# products it saves below about this size.  Timed on one-cell, 500-round
+# block-diagonal problems against 1, 8, 16, 64 and no split, 32 was the
+# fastest or within noise of it: sixteen 4-row blocks 4.0 ms (8: 8.7 ms,
+# unsplit: 7.2 ms), eight 16-row blocks 9.0 ms (64: 16.2 ms, unsplit:
+# 32.2 ms), table1 row 11 18.5-24.7 ms from 8 to 32 (64: 40.5 ms).
 MIN_PART_ROWS = 32
 
 
@@ -64,59 +71,99 @@ def _round_blocks(k_first, k_later, v, targets_conj):
     return parts
 
 
-class _Part:
-    """One part's fused round operators, with its ensemble rows per cell.
+def _real_rows(re, im):
+    """Real rows acting on ``[Re v; Im v]`` that give ``[Re(k v); Im(k v)]``, for k = re + i im."""
+    rows = re.shape[-1]
+    k = np.empty((*re.shape[:-2], 2 * rows, 2 * rows))
+    k[..., :rows, :rows] = k[..., rows:, rows:] = re
+    k[..., rows:, :rows] = im
+    np.negative(im, out=k[..., :rows, rows:])
+    return k
 
-    Each operator is stacked over its target rows, ``[K; T K]``, once at
-    setup, so one product per round gives both the next ensemble rows
-    (the buffer's leading rows) and their target overlaps (its trailing
-    rows); a part without target support gets no trailing rows.  The
-    product runs in real arithmetic: each operator row block becomes
-    ``[[Re, -Im], [Im, Re]]`` acting on the ensemble rows ``[Re; Im]``,
-    and each target row becomes its Re and Im rows in turn, so a
-    target's overlaps are one flat row of 2 * cols floats.  numpy's
-    stacked real product beats the complex one 1.3-3.4 times below 64
-    rows; from 64 rows on neither wins consistently, and keeping
-    table1's 128-row parts complex saved about 5% of its run (OpenBLAS
-    0.3.31 on an AVX-512 machine), too little for a second form.
-    Each round's product goes into one of two buffers allocated once, in
-    turn, so a round allocates nothing but the per-cell results.
+
+class _PartSeries:
+    """One part's round series, by baby and giant steps.
+
+    Round r = b m + a, with m baby steps a and n giant steps b, leaves
+    the ensemble K^a V_b, where K = k_later and V_b = K^(b m) k_first V.
+    Its weight is the Frobenius product <P_a, G_b> of the Grams
+    P_a = (K^a)^dag K^a and G_b = V_b V_b^dag, and its target overlaps
+    are |t^dag K^a V_b|^2, from the target rows t^dag K^a.  Construction
+    runs the m - 1 baby steps: the powers of K, their Grams and their
+    target rows.  Each giant step then makes V_b (:meth:`advance`), its
+    Gram, one product of it with every baby Gram and one product of
+    every target row with V_b (:meth:`score`).
+
+    Everything runs in real arithmetic.  A power K^a is held as
+    ``[Re; Im]`` and multiplied by K's real rows (:func:`_real_rows`).
+    A Hermitian Gram is held as Re + Im, D^2 reals: the Frobenius
+    product of a symmetric and an antisymmetric matrix vanishes, so
+    <P, G> is the plain dot product of the two sums.  A target row is
+    held as ``[Re, -Im]``, which K's real rows map to the next power's
+    row, and V_b as ``[[Re, Im], [Im, -Re]]``, whose two column blocks
+    take such a row to the Re and the Im of its overlap.
     """
 
-    __slots__ = ("k_first", "k_later", "v", "buffers", "leads", "norms", "scores")
+    __slots__ = ("grams", "targets", "giant", "ensemble", "turned", "gram", "scores")
 
-    def __init__(self, k_first, k_later, v, targets_conj):
-        n_cells, n_targets, (rows, cols) = k_first.shape[0], targets_conj.shape[0], v.shape
+    def __init__(self, k_first, k_later, v, targets_conj, babies):
+        n_cells, (rows, cols), n_targets = k_later.shape[0], v.shape, targets_conj.shape[0]
+        self.ensemble = np.empty((n_cells, 2 * rows, 2 * cols))
+        v = np.concatenate([v.real, v.imag])
+        np.matmul(_real_rows(k_first.real, k_first.imag), v, out=self.ensemble[..., :cols])
+        k = _real_rows(k_later.real, k_later.imag)
+        grams = np.empty((n_cells, babies - 1, rows, rows))
+        targets = np.empty((n_cells, babies, n_targets, 2 * rows))
+        targets[:, 0] = np.concatenate([targets_conj.real, -targets_conj.imag], axis=-1)
+        power, turned = k[..., :rows], np.empty((n_cells, 2 * rows, rows))
+        for a in range(1, babies):
+            re, im = power[:, :rows], power[:, rows:]  # of X = K^a; Re P + Im P = [Re; Im]^T [Re + Im; Im - Re]
+            np.add(re, im, out=turned[:, :rows])
+            np.subtract(im, re, out=turned[:, rows:])
+            np.matmul(power.mT, turned, out=grams[:, a - 1])
+            if n_targets:
+                np.matmul(targets[:, a - 1], k, out=targets[:, a])
+            power = np.matmul(k, power)
+        del k, turned  # before the giant-step buffers exist, to keep the peak down
+        self.grams = grams.reshape(n_cells, babies - 1, rows * rows)
+        self.targets = targets.reshape(n_cells, babies * n_targets, 2 * rows)
+        self.giant = _real_rows(power[:, :rows], power[:, rows:])
+        self.turned = np.empty((n_cells, rows, 2 * cols))
+        self.gram = np.empty((n_cells, rows * rows, 1))
+        self.scores = np.empty((n_cells, babies * n_targets, 2 * cols)) if n_targets else None
 
-        def fused(k):
-            # One real row pair per target, so each target's Re and Im rows sit together.
-            target_rows = _real_rows(np.matmul(targets_conj, k)[..., None, :])
-            return np.concatenate([_real_rows(k), target_rows.reshape(n_cells, 2 * n_targets, 2 * rows)], axis=-2)
-
-        self.k_first, self.k_later = fused(k_first), fused(k_later)
-        self.v = np.concatenate([v.real, v.imag])
-        self.buffers = [np.empty((n_cells, 2 * (rows + n_targets), cols)) for _ in range(2)]
-        self.leads = [b[:, : 2 * rows] for b in self.buffers]
-        # |x|^2 summed per cell, or per cell and target, is one dot product.
-        self.norms = [lead.reshape(n_cells, 2 * rows * cols) for lead in self.leads]
-        self.scores = [b[:, 2 * rows :].reshape(n_cells, n_targets, 2 * cols) for b in self.buffers]
-
-    def advance(self, r: int) -> np.ndarray:
-        """Apply round ``r``'s operator; return each cell's squared norm."""
-        np.matmul(self.k_first if r == 0 else self.k_later, self.v, out=self.buffers[r % 2])
-        self.v = self.leads[r % 2]
-        flat = self.norms[r % 2]
+    def advance(self, b: int) -> np.ndarray:
+        """Step to V_b (V_0 is set up at construction); return ||V_b||^2 per cell."""
+        e = self.ensemble
+        rows, cols = (n // 2 for n in e.shape[1:])
+        if b:
+            np.matmul(self.giant, e[..., :cols], out=e[..., :cols])
+        top = e[:, :rows]
+        top[..., cols:] = e[:, rows:, :cols]
+        flat = top.reshape(len(e), -1)
         return np.vecdot(flat, flat)
 
-    def overlaps(self, r: int) -> np.ndarray:
-        """|target . v|^2 after round ``r``, summed over this part's columns, per cell and target."""
-        scores = self.scores[r % 2]
-        return np.vecdot(scores, scores)
+    def score(self, stopped: np.ndarray):
+        """Weights of rounds b m + 1 .. b m + m - 1 and target overlaps of rounds b m .. b m + m - 1.
 
-
-def _real_rows(k):
-    """Real rows acting on ``[Re v; Im v]`` that give ``[Re(k v); Im(k v)]``."""
-    return np.block([[k.real, -k.imag], [k.imag, k.real]])
+        The ensemble rows of cells in ``stopped``, which stopped by round
+        b m, are zeroed first, so that no later step makes subnormal
+        numbers.  Returns per cell the m - 1 weights and the overlaps,
+        baby-major, or None when the part has no target rows.
+        """
+        e = self.ensemble
+        rows, cols = (n // 2 for n in e.shape[1:])
+        if stopped.any():
+            e[stopped] = 0.0
+        top, bottom = e[:, :rows], e[:, rows:]  # [Re, Im] and [Im, -Re]; Re G + Im G = (top + bottom) top^T
+        np.negative(top[..., :cols], out=bottom[..., cols:])
+        np.add(top, bottom, out=self.turned)
+        np.matmul(self.turned, top.mT, out=self.gram.reshape(len(e), rows, rows))
+        weights = np.matmul(self.grams, self.gram)[..., 0]
+        if self.scores is None:
+            return weights, None
+        np.matmul(self.targets, e, out=self.scores)
+        return weights, np.vecdot(self.scores, self.scores)
 
 
 def batch_trajectory_kernel(
@@ -126,7 +173,7 @@ def batch_trajectory_kernel(
     targets: np.ndarray,
     max_rounds: int,
 ):
-    """Run the round loop for a stack of cells at once.
+    """Run the trajectories of a stack of cells at once.
 
     ``k_first`` and ``k_later`` stack one contraction operator per cell,
     shape (n_cells, D, D); the ensemble and the stack of target rows are
@@ -137,14 +184,17 @@ def batch_trajectory_kernel(
     ``reasons[cell]`` says why the cell stopped early, or is None for a
     complete run.  A cell stops when a round's conditional probability
     is below :data:`UNATTAINABLE_P` or NaN, or when its cumulative
-    probability drops below the smallest normal double.  A stopped cell
-    stays in the stack with its ensemble rows zeroed, so it costs its
-    products but never reaches subnormal numbers, and its neighbours
-    run on unchanged; its rounds from the stop on are masked afterwards.
-    ``targets`` must have shape (n_targets, D); any other shape raises
-    ValueError.  Each round makes one product per part: the target
-    overlaps come out of the same product, from the target rows that
-    each part folds into its operators at setup.
+    probability drops below the smallest normal double.  ``targets``
+    must have shape (n_targets, D); any other shape raises ValueError.
+
+    The rounds are not run one by one.  With m = ceil(sqrt(max_rounds))
+    baby steps and n = ceil(max_rounds / m) giant steps, each part
+    (:class:`_PartSeries`) makes about 3 m + 4 n products for the whole
+    series, where a round-by-round loop makes max_rounds, and the stops
+    are read off the summed series afterwards.  The giant steps of every
+    part advance together: a cell whose weight at a giant step is below
+    the smallest normal double has stopped there, and its ensemble rows
+    are zeroed in every part.
     """
     k_first = np.asarray(k_first, dtype=np.complex128)
     k_later = np.asarray(k_later, dtype=np.complex128)
@@ -156,62 +206,49 @@ def batch_trajectory_kernel(
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if targets_conj.ndim != 2 or targets_conj.shape[1] != v.shape[0]:
         raise ValueError(f"targets must have shape (n_targets, {v.shape[0]}), got {targets_conj.shape}")
+    n_targets = targets_conj.shape[0]
+    babies = math.isqrt(max_rounds - 1) + 1
+    giants = -(-max_rounds // babies)
     blocks = _round_blocks(k_first, k_later, v, targets_conj)
     # Parts where every target row is zero add nothing to the overlaps and
-    # carry no target rows; one part scores even when no part has support.
+    # are scored against no rows; one part scores even when no part has support.
     scored = [part_targets.any() for *_, part_targets in blocks]
     scored[0] |= not any(scored)
-    parts = [_Part(kf, kl, pv, t if s else t[:0]) for (kf, kl, pv, t), s in zip(blocks, scored)]
-    first, *rest = parts
-    scoring, *more_scoring = [part for part, s in zip(parts, scored) if s]
 
-    # Per round, every cell's weight, round probability, raw target overlaps
-    # and pass mark; a frozen cell reads 0 / 0 and fails every later round,
-    # so fewer passes than running cells means some cell stopped this round.
-    weights, ratios, overlaps, passes = [], [], [], []
-    running, prev = n_cells, 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r in range(max_rounds):
-            w = first.advance(r)
-            for part in rest:
-                w += part.advance(r)
-            overlap = scoring.overlaps(r)
-            for part in more_scoring:
-                overlap += part.overlaps(r)
-            pr = w / prev
-            ok = (pr >= UNATTAINABLE_P) & (w >= SMALLEST_NORMAL)
-            weights.append(w)
-            ratios.append(pr)
-            overlaps.append(overlap)
-            passes.append(ok)
-            passed = np.count_nonzero(ok)
-            if passed < running:
-                if not passed:
-                    break
-                running = passed
-                for part in parts:
-                    part.v[~ok] = 0.0
-            prev = w
+    # Per giant step, the weights and overlaps of its m rounds, summed over the parts.
+    weights = np.zeros((n_cells, giants, babies))
+    overlaps = np.zeros((n_cells, giants, babies, n_targets))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        parts = [_PartSeries(kf, kl, pv, t if s else t[:0], babies) for (kf, kl, pv, t), s in zip(blocks, scored)]
+        for b in range(giants):
+            for part in parts:
+                weights[:, b, 0] += part.advance(b)
+            stopped = ~(weights[:, b, 0] >= SMALLEST_NORMAL)
+            for part in parts:
+                w, overlap = part.score(stopped)
+                weights[:, b, 1:] += w
+                if overlap is not None:
+                    overlaps[:, b] += overlap.reshape(n_cells, babies, n_targets)
 
-        ok, pr = np.stack(passes, axis=1), np.stack(ratios, axis=1)
-        n_rounds = np.where(ok.all(axis=1), max_rounds, ok.argmin(axis=1))
-        fid = np.zeros((n_cells, max_rounds, targets_conj.shape[0]))
-        p_round = np.zeros((n_cells, max_rounds))
-        p_cum = np.zeros((n_cells, max_rounds))
-        w = np.stack(weights, axis=1)
-        fid[:, : len(weights)] = np.stack(overlaps, axis=1) / w[..., None]
-        p_round[:, : len(weights)], p_cum[:, : len(weights)] = pr, w
-    stopped = np.arange(max_rounds) >= n_rounds[:, None]
-    fid[stopped], p_round[stopped], p_cum[stopped] = 0.0, 0.0, 0.0
+        p_cum = weights.reshape(n_cells, -1)[:, :max_rounds]
+        ratio = np.empty_like(p_cum)
+        ratio[:, 0] = p_cum[:, 0]
+        np.divide(p_cum[:, 1:], p_cum[:, :-1], out=ratio[:, 1:])
+        ok = (ratio >= UNATTAINABLE_P) & (p_cum >= SMALLEST_NORMAL)
+        fid = overlaps.reshape(n_cells, -1, n_targets)[:, :max_rounds]
+        fid /= p_cum[..., None]
+    n_rounds = np.where(ok.all(axis=1), max_rounds, ok.argmin(axis=1))
     reasons = [
         None
         if n == max_rounds
         else f"cumulative probability below {SMALLEST_NORMAL:.1e}, the smallest normal double"
-        if pr[c, n] >= UNATTAINABLE_P
+        if ratio[c, n] >= UNATTAINABLE_P
         else f"outcome probability below {UNATTAINABLE_P:.0e}"
         for c, n in enumerate(n_rounds)
     ]
-    return fid, p_round, p_cum, n_rounds, reasons
+    stopped = np.arange(max_rounds) >= n_rounds[:, None]
+    fid[stopped], ratio[stopped], p_cum[stopped] = 0.0, 0.0, 0.0
+    return fid, ratio, p_cum, n_rounds, reasons
 
 
 def trajectory_kernel(
@@ -221,13 +258,15 @@ def trajectory_kernel(
     targets: np.ndarray,
     max_rounds: int,
 ):
-    """Run the round loop for one cell: :func:`batch_trajectory_kernel` on a stack of one.
+    """Run a one-cell trajectory: :func:`batch_trajectory_kernel` on a stack of one.
 
     ``targets`` is a stack of target states, one per row; the trajectory
     does not depend on them, so one pass scores every row.  Returns
     (fidelity, p_round, p_cum, truncated, reason) with arrays trimmed to
     the rounds actually completed; ``fidelity`` has one column per
-    target row and ``reason`` is None for a complete run.
+    target row and ``reason`` is None for a complete run.  As in the
+    batch, the series is evaluated by baby and giant steps, so its cost
+    grows as sqrt(max_rounds) products, not as max_rounds.
     """
     fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(
         np.asarray(k_first)[None], np.asarray(k_later)[None], ensemble, targets, max_rounds

@@ -41,13 +41,11 @@ from .measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from .operators import (
     KET_0,
     POST_TOL,
-    PauliString,
     SpectralDecomposition,
     hermitian_eig,
     kron,
     kron_all,
-    pauli_on_sites,
-    pauli_sum,
+    require_finite,
     require_unit,
 )
 
@@ -75,7 +73,7 @@ class RoundSpec:
     settings: tuple[MeasurementSetting, ...]
 
     def __post_init__(self):
-        if self.duration <= 0:
+        if require_finite("duration", self.duration) <= 0:
             raise ValueError(f"round duration must be positive, got {self.duration}")
         if not self.settings:
             raise ValueError("need at least one measurement setting")
@@ -102,6 +100,9 @@ class XYSetup:
     aux_energy: float | None = None
 
     def __post_init__(self):
+        for name in ("j_1", "j_2", "gamma", "aux_energy"):
+            if getattr(self, name) is not None:
+                require_finite(name, getattr(self, name))
         if self.n_aux < 1:
             raise ValueError(f"need at least one auxiliary qubit, got {self.n_aux}")
         if not -1.0 <= self.gamma <= 1.0:
@@ -210,7 +211,7 @@ def run_emr(
 
 def thermal_ensemble(codes: list[CodeModel], beta: float) -> np.ndarray:
     """Square-root factor V of the joint thermal state: V V^dagger = rho_S(0)."""
-    if beta < 0:
+    if require_finite("beta", beta) < 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta}")
     factors = []
     for code in codes:
@@ -456,7 +457,13 @@ def build_xy_setup(setup: XYSetup, heisenberg: HeisenbergSpec) -> np.ndarray:
 
 
 def _xy_hamiltonian(setup: XYSetup, code: CodeModel) -> np.ndarray:
-    """:func:`build_xy_setup` on an already built chain code."""
+    """:func:`build_xy_setup` on an already built chain code.
+
+    Each bond's XX and YY strings flip the same two bits, so the bond has
+    one entry per column, gamma_+ -/+ gamma_- as the two bits agree or
+    differ; it is scattered straight into ``h`` with the float operations
+    of the dense sum (its two terms summed, then scaled by the coupling).
+    """
     n, n_aux = setup.n_system, setup.n_aux
     n_tot = n + n_aux
     e_a = code.gap if setup.aux_energy is None else setup.aux_energy
@@ -467,9 +474,10 @@ def _xy_hamiltonian(setup: XYSetup, code: CodeModel) -> np.ndarray:
         h[index, index] += e_a * ((index >> (n_aux - 1 - j)) & 1)  # E_A |1><1| on qubit n + j
         for j_bond, site in ((setup.j_1, j), (setup.j_2, j + 1)):
             if j_bond != 0.0:
-                xx, yy = (pauli_on_sites(n_tot, (site, n + j), p + p) for p in "XY")
-                bond = pauli_sum([PauliString(xx, setup.gamma_plus), PauliString(yy, setup.gamma_minus)])
-                h += j_bond * bond  # summed, then scaled: scaling each term would round differently
+                flip = (1 << (n_tot - 1 - site)) | (1 << (n_aux - 1 - j))
+                differ = np.bitwise_count(index & flip) == 1
+                bond = setup.gamma_plus + np.where(differ, setup.gamma_minus, -setup.gamma_minus)
+                h[index ^ flip, index] += j_bond * bond
     return h
 
 
@@ -548,7 +556,8 @@ def reproduce_table1(
     fidelity is reported as the match.  ``aux_energy=None`` applies the
     fitted :data:`CALIBRATED_AUX_ENERGY`.  ``rows`` holds 1-based table
     indices (all rows when None); an empty list, or an index the table
-    lacks, raises.
+    lacks, raises, as does a NaN or infinite ``beta``, ``duration``,
+    ``j_1`` or ``aux_energy``.
 
     Rows with the same chain size share the thermal ensemble; those whose
     joint spectra also split into the same blocks run all their (row,
@@ -562,6 +571,9 @@ def reproduce_table1(
             raise ValueError(f"unknown table1 rows {unknown}; the table has rows 1-{len(CHAIN_BENCHMARK)}")
         if not rows:
             raise ValueError(f"rows must name at least one table1 row; the table has rows 1-{len(CHAIN_BENCHMARK)}")
+    for name, value in (("beta", beta), ("duration", duration), ("j_1", j_1), ("aux_energy", aux_energy)):
+        if value is not None:
+            require_finite(name, value)
     e_a = CALIBRATED_AUX_ENERGY if aux_energy is None else aux_energy
     selected = [r for r in CHAIN_BENCHMARK if rows is None or r.index in rows]
     report = {

@@ -26,6 +26,7 @@ without such structure, is the one-block case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
@@ -300,6 +301,13 @@ def fidelity_pure(rho: np.ndarray, psi: np.ndarray) -> float:
     if val < -POST_TOL or val > 1.0 + POST_TOL:
         raise ValueError(f"fidelity {val!r} outside [0, 1] beyond tolerance")
     return min(max(val, 0.0), 1.0)
+
+
+def require_finite(name: str, value: float) -> float:
+    """``value`` unchanged; a NaN or an infinity raises ValueError naming ``name``."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def require_unit(psi: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .codes import CodeModel
 from .interaction import AuxiliarySpec, InteractionSpec, build_interaction, build_total
-from .operators import KET_0, KET_1, evolve, gibbs, kron, kron_all
+from .operators import KET_0, KET_1, evolve, gibbs, kron, kron_all, require_finite
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class ThermalSpec:
     p_weight: float
 
     def __post_init__(self):
-        if self.beta < 0:
+        if require_finite("beta", self.beta) < 0:
             raise ValueError(f"inverse temperature must be >= 0, got {self.beta}")
         if any(z <= 0 for z in self.z_factors):
             raise ValueError("partition functions must be positive")
@@ -46,6 +46,7 @@ class ThermalSpec:
 
     @classmethod
     def from_codes(cls, codes: list[CodeModel], beta: float) -> "ThermalSpec":
+        require_finite("beta", beta)  # before the Boltzmann factors, which a NaN or infinity spoils
         zs = []
         weight = 1.0
         for code in codes:

@@ -278,6 +278,37 @@ def test_validation_errors():
         fast_trajectory(spectral, thermal_ensemble([code], BETA), rounds, target, 5, aq_reset="discard")
 
 
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_round_spec_rejects_non_finite_duration(bad):
+    with pytest.raises(ValueError, match="^duration must be finite, got "):
+        RoundSpec(duration=bad, settings=(MeasurementSetting(a=0.0),))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["j_1", "j_2", "gamma", "aux_energy"])
+def test_xy_setup_rejects_non_finite_couplings(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        XYSetup(n_system=2, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_thermal_ensemble_rejects_non_finite_beta(bad):
+    code = build_heisenberg_code(HeisenbergSpec(n_qubits=2))
+    with pytest.raises(ValueError, match="^beta must be finite, got "):
+        thermal_ensemble([code], bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["beta", "duration", "j_1", "aux_energy"])
+def test_reproduce_table1_rejects_non_finite_inputs(name, bad):
+    """A NaN or infinite parameter raises instead of reporting a false truncation."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        reproduce_table1(rows=[1], **{name: bad})
+
+
 def test_reproduce_first_row():
     report = reproduce_table1(rows=[1])
     params = report["parameters"]

@@ -1,5 +1,6 @@
-"""Round-trajectory kernel: stopping causes, the block-split loop, its fused round products and cell batches."""
+"""Round-trajectory kernel: stopping causes, the block split, its baby- and giant-step products and cell batches."""
 
+import math
 import re
 
 import numpy as np
@@ -172,30 +173,115 @@ def test_fused_parts_match_dense_loop(monkeypatch):
         assert np.max(np.abs(p_cum[c] / ref_p_cum - 1.0)) <= 1e-12
 
 
-def test_one_product_per_part_per_round(monkeypatch):
-    """Each round makes one product per part; the target scores come out of it.
+@pytest.mark.parametrize("max_rounds", [7, 49, 50])
+def test_products_grow_with_baby_and_giant_steps(monkeypatch, max_rounds):
+    """Each part makes a fixed number of products per baby and per giant step, none per round.
 
-    Setup makes two products per part (first and later operator) to fold
-    the target rows in.  Each round operator is real, with a Re and an Im
-    row per ensemble row and per target row, except that the 40-row part,
-    without target support, has no target rows.
+    With m = ceil(sqrt(R)) baby and n = ceil(R / m) giant steps (R = 7:
+    3 and 3; 49: 7 and 7; 50: 8 and 7), a part with target rows makes one
+    setup product for its first ensemble, three per baby step (the power,
+    its Gram, its target rows) and four per giant step but the first,
+    which skips the power; a part without target support skips the
+    target rows.  Every product runs in real arithmetic.
     """
     monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 8)
     k_first, k_later, ensemble, targets = three_part_problem(n_cells=1)
-    shapes = []
+    dtypes = []
     matmul = np.matmul
 
     def counting_matmul(*args, **kwargs):
-        shapes.append((args[0].shape[-2:], args[0].dtype))
+        dtypes.append((args[0].dtype, args[1].dtype))
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counting_matmul)
-    max_rounds = 7
     fid = trajectory_kernel(k_first[0], k_later[0], ensemble, targets, max_rounds)[0]
     assert fid.shape == (max_rounds, 2)
-    parts = [((20, 16), np.float64), ((80, 80), np.float64), ((148, 144), np.float64)]
-    assert len(shapes) == 2 * len(parts) + max_rounds * len(parts)
-    assert shapes[2 * len(parts) :] == parts * max_rounds
+    m = math.isqrt(max_rounds - 1) + 1
+    n = -(-max_rounds // m)
+    assert (m, n) == {7: (3, 3), 49: (7, 7), 50: (8, 7)}[max_rounds]
+    scored, unscored = 1 + 3 * (m - 1) + 4 * n - 1, 1 + 2 * (m - 1) + 3 * n - 1
+    assert len(dtypes) == 2 * scored + unscored  # parts of 8 and 72 rows score, the 40-row part does not
+    assert set(dtypes) == {(np.dtype(np.float64), np.dtype(np.float64))}
+
+
+def test_stops_inside_a_giant_step_match_dense_loop():
+    """Stops away from the giant-step boundaries, and at one, follow the dense loop.
+
+    With 50 rounds there are 8 baby and 7 giant steps, the last keeping
+    two rounds.  A nilpotent later operator empties the ensemble at round
+    12 (giant step 1, baby step 4): the floor stops it there.  Two scaled
+    unitaries shrink the weight by 1e-12 and 10^-12.9 per round, so it
+    leaves the normal range at round 26 (giant step 3, baby step 2) and at
+    round 24, a giant-step boundary.  A plain contraction runs all rounds.
+    """
+    rng = np.random.default_rng(31)
+    dim, max_rounds = 12, 50
+
+    def cmat(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def unitary():
+        return np.linalg.qr(cmat(dim, dim))[0]
+
+    live = cmat(dim, dim)
+    cells = [
+        (unitary(), live / np.linalg.norm(live, 2)),
+        (unitary(), np.triu(cmat(dim, dim), 1) / dim),
+        (unitary(), 1e-6 * unitary()),
+        (unitary(), 10**-6.45 * unitary()),
+    ]
+    ensemble = cmat(dim, dim)
+    ensemble /= np.linalg.norm(ensemble)
+    targets = cmat(2, dim)
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+
+    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(
+        np.stack([k for k, _ in cells]), np.stack([k for _, k in cells]), ensemble, targets, max_rounds
+    )
+    assert list(n_rounds) == [max_rounds, 12, 26, 24]
+    assert reasons[0] is None and reasons[1].startswith("outcome probability")
+    assert reasons[2] == reasons[3] and reasons[2].startswith("cumulative probability below")
+    for c, (k_first, k_later) in enumerate(cells):
+        stop = n_rounds[c]
+        ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first, k_later, ensemble, targets, stop)
+        assert np.all(ref_p_round >= UNATTAINABLE_P) and np.all(ref_p_cum >= np.finfo(float).tiny)
+        if stop < max_rounds:  # the dense loop's next round fails the floor or leaves the normal range
+            weight = np.sum(np.abs(np.linalg.matrix_power(k_later, stop) @ k_first @ ensemble) ** 2)
+            assert weight < UNATTAINABLE_P * ref_p_cum[-1] or weight < np.finfo(float).tiny
+        assert np.max(np.abs(fid[c, :stop] - ref_fid[:stop])) <= 1e-12
+        assert np.max(np.abs(p_round[c, :stop] / ref_p_round[:stop] - 1.0)) <= 1e-12
+        assert np.max(np.abs(p_cum[c, :stop] / ref_p_cum[:stop] - 1.0)) <= 1e-12
+        assert not (np.any(fid[c, stop:]) or np.any(p_round[c, stop:]) or np.any(p_cum[c, stop:]))
+
+
+def test_underflow_shared_by_parts_keeps_its_reason(monkeypatch):
+    """A cell leaves the normal range as a whole, not part by part.
+
+    Two 6-row parts shrink alike, 10^-12.81 per round, from equal halves
+    of the weight.  At round 24, a giant-step boundary, each half is below
+    the smallest normal double while their sum is not, so the cell runs
+    on; at round 25 the sum leaves the normal range, and the stop says so.
+    """
+    monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 6)
+    rng = np.random.default_rng(41)
+    scale = 10**-6.4067
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+
+    k_first = np.zeros((12, 12), dtype=complex)
+    k_later = np.zeros((12, 12), dtype=complex)
+    for rows in (slice(0, 6), slice(6, 12)):
+        k_first[rows, rows], k_later[rows, rows] = unitary(), scale * unitary()
+    ensemble = np.eye(12) / np.sqrt(12)
+    targets = np.ones((1, 12)) / np.sqrt(12)
+    assert len(_round_blocks(k_first[None], k_later[None], ensemble.astype(complex), targets.astype(complex))) == 2
+    fid, p_round, p_cum, truncated, reason = trajectory_kernel(k_first, k_later, ensemble, targets, 50)
+    assert truncated and reason.startswith("cumulative probability below")
+    assert len(p_cum) == 25 and p_cum[24] / 2 < np.finfo(float).tiny <= p_cum[24]
+    ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first, k_later, ensemble, targets, 25)
+    assert np.max(np.abs(fid - ref_fid)) <= 1e-12
+    assert np.max(np.abs(p_cum / ref_p_cum - 1.0)) <= 1e-12
 
 
 def test_malformed_target_stack_raises():

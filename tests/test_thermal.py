@@ -57,6 +57,14 @@ def test_thermal_spec_oracle():
         ThermalSpec(beta=-0.1, z_factors=(1.0,), p_weight=0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_thermal_spec_rejects_non_finite_beta(bad):
+    with pytest.raises(ValueError, match="^beta must be finite, got "):
+        ThermalSpec(beta=bad, z_factors=(1.0,), p_weight=0.1)
+    with pytest.raises(ValueError, match="^beta must be finite, got "):
+        ThermalSpec.from_codes([CODE], bad)
+
+
 def test_resonance_context_identities():
     ctx = ResonanceContext.build(delta_sum=4.0, e_a=2.5, g=0.8)
     det = 4.0 - 2.5
