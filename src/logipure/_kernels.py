@@ -8,11 +8,13 @@ it evaluates the whole series by baby and giant steps (Paterson and
 Stockmeyer, SIAM J. Comput. 2, 60 (1973)), from the Grams of the powers
 of K and of every m-th ensemble, so a series of R rounds costs about
 2 sqrt(R) stacked products, all in real arithmetic, and only products of
-contractions: no eigendecomposition.  :func:`trajectory_kernel` is its
-one-cell case.  When the contraction operators and the ensemble split
-into independent blocks (a conserved quantity of the joint dynamics),
-each part runs its own series and a round's weight is the sum of the
-part weights.
+contractions: no eigendecomposition.  A cell whose series cancels below
+its own rounding (an ensemble where K shrinks while K keeps another
+subspace) is run again one product per round.  :func:`trajectory_kernel`
+is the one-cell case.  When the contraction operators and the ensemble
+split into independent blocks (a conserved quantity of the joint
+dynamics), each part runs its own series and a round's weight is the sum
+of the part weights.
 """
 
 from __future__ import annotations
@@ -28,13 +30,18 @@ from .operators import coupled_blocks
 # Smallest positive normal double: a cumulative probability below it has
 # lost precision and can no longer be reported.
 SMALLEST_NORMAL = sys.float_info.min
-# Fewest rows a separately run part may hold.  Each part costs about
-# 3 m + 4 n numpy calls (m baby and n giant steps), which outweighs the
+# Largest share of a round's weight that its rounding, estimated as eps
+# times its size (see _PartSeries), may reach; a cell with a weight past
+# it, up to its stop, runs its series again round by round.  The kernel
+# tests hold every weight to this share of the dense round loop's.
+RESOLUTION = 1e-12
+# Fewest rows a separately run part may hold.  Each part costs about 3
+# numpy calls per baby step and 15 per giant step, which outweighs the
 # products it saves below about this size.  Timed on one-cell, 500-round
 # block-diagonal problems against 1, 8, 16, 64 and no split, 32 was the
-# fastest or within noise of it: sixteen 4-row blocks 4.0 ms (8: 8.7 ms,
-# unsplit: 7.2 ms), eight 16-row blocks 9.0 ms (64: 16.2 ms, unsplit:
-# 32.2 ms), table1 row 11 18.5-24.7 ms from 8 to 32 (64: 40.5 ms).
+# fastest or within noise of it: sixteen 4-row blocks 6.3 ms (8: 13.5 ms,
+# unsplit: 8.7 ms), eight 16-row blocks 11.5 ms (64: 18.6 ms, unsplit:
+# 38.1 ms), table1 row 11 19.3-22.7 ms from 1 to 32 (64: 38.9 ms).
 MIN_PART_ROWS = 32
 
 
@@ -92,19 +99,34 @@ class _PartSeries:
     runs the m - 1 baby steps: the powers of K, their Grams and their
     target rows.  Each giant step then makes V_b (:meth:`advance`), its
     Gram, one product of it with every baby Gram and one product of
-    every target row with V_b (:meth:`score`).
+    every target row with V_b (:meth:`score`).  With m = 1 there are no
+    baby steps and each giant step is one round.
+
+    Next to each weight read off the Grams it returns a size, eps times
+    which bounds the weight's rounding up to a factor of the dimension:
+    s(K^a, V_b)^2, where s(X, Y) = sum_i ||X e_i|| ||e_i^dag Y|| bounds
+    the norm of X Y = sum_i (X e_i)(e_i^dag Y).  The size bounds
+    sum_ij |P_ij| |G_ij|, the terms <P_a, G_b> adds up, since
+    |P_ij|^2 <= P_ii P_jj for a Gram, and ||K^a e_i||^2 and
+    ||e_i^dag V_b||^2 are the Grams' diagonals.  A weight far below its
+    size is a sum that cancels.  ||V_b||^2 is summed from
+    V_b's own entries and needs no size: K is a contraction, so the
+    rounding of V_b = K^m V_(b-1), about eps s(K^m, V_(b-1)), is at most
+    eps s(K^(m-1), V_(b-1)), which the check of round b m - 1 bounds by
+    sqrt(eps RESOLUTION) ||K^(m-1) V_(b-1)||.
 
     Everything runs in real arithmetic.  A power K^a is held as
     ``[Re; Im]`` and multiplied by K's real rows (:func:`_real_rows`).
     A Hermitian Gram is held as Re + Im, D^2 reals: the Frobenius
     product of a symmetric and an antisymmetric matrix vanishes, so
-    <P, G> is the plain dot product of the two sums.  A target row is
-    held as ``[Re, -Im]``, which K's real rows map to the next power's
-    row, and V_b as ``[[Re, Im], [Im, -Re]]``, whose two column blocks
-    take such a row to the Re and the Im of its overlap.
+    <P, G> is the plain dot product of the two sums, and the diagonal of
+    the sum is the Gram's.  A target row is held as ``[Re, -Im]``, which
+    K's real rows map to the next power's row, and V_b as
+    ``[[Re, Im], [Im, -Re]]``, whose two column blocks take such a row
+    to the Re and the Im of its overlap.
     """
 
-    __slots__ = ("grams", "targets", "giant", "ensemble", "turned", "gram", "scores")
+    __slots__ = ("grams", "columns", "targets", "giant", "ensemble", "turned", "gram", "scores")
 
     def __init__(self, k_first, k_later, v, targets_conj, babies):
         n_cells, (rows, cols), n_targets = k_later.shape[0], v.shape, targets_conj.shape[0]
@@ -125,6 +147,7 @@ class _PartSeries:
                 np.matmul(targets[:, a - 1], k, out=targets[:, a])
             power = np.matmul(k, power)
         del k, turned  # before the giant-step buffers exist, to keep the peak down
+        self.columns = np.sqrt(np.diagonal(grams, axis1=2, axis2=3))  # ||K^a e_i||, from diag P_a
         self.grams = grams.reshape(n_cells, babies - 1, rows * rows)
         self.targets = targets.reshape(n_cells, babies * n_targets, 2 * rows)
         self.giant = _real_rows(power[:, :rows], power[:, rows:])
@@ -144,26 +167,82 @@ class _PartSeries:
         return np.vecdot(flat, flat)
 
     def score(self, stopped: np.ndarray):
-        """Weights of rounds b m + 1 .. b m + m - 1 and target overlaps of rounds b m .. b m + m - 1.
+        """Weights and sizes of rounds b m + 1 .. b m + m - 1, and overlaps of rounds b m .. b m + m - 1.
 
         The ensemble rows of cells in ``stopped``, which stopped by round
         b m, are zeroed first, so that no later step makes subnormal
-        numbers.  Returns per cell the m - 1 weights and the overlaps,
-        baby-major, or None when the part has no target rows.
+        numbers.  Returns per cell the m - 1 weights, their sizes and the
+        overlaps, baby-major, or None for the overlaps when the part has
+        no target rows.
         """
         e = self.ensemble
         rows, cols = (n // 2 for n in e.shape[1:])
         if stopped.any():
             e[stopped] = 0.0
-        top, bottom = e[:, :rows], e[:, rows:]  # [Re, Im] and [Im, -Re]; Re G + Im G = (top + bottom) top^T
+        top, bottom = e[:, :rows], e[:, rows:]  # [Re, Im] and [Im, -Re]
         np.negative(top[..., :cols], out=bottom[..., cols:])
-        np.add(top, bottom, out=self.turned)
-        np.matmul(self.turned, top.mT, out=self.gram.reshape(len(e), rows, rows))
-        weights = np.matmul(self.grams, self.gram)[..., 0]
+        weights = sizes = np.zeros((len(e), 0))
+        if self.grams.shape[1]:  # Re G + Im G = (top + bottom) top^T
+            np.add(top, bottom, out=self.turned)
+            gram = self.gram.reshape(len(e), rows, rows)
+            np.matmul(self.turned, top.mT, out=gram)
+            weights = np.matmul(self.grams, self.gram)[..., 0]
+            row_norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))  # ||e_i^dag V_b||
+            sizes = np.square(np.einsum("cai,ci->ca", self.columns, row_norms))
         if self.scores is None:
-            return weights, None
+            return weights, sizes, None
         np.matmul(self.targets, e, out=self.scores)
-        return weights, np.vecdot(self.scores, self.scores)
+        return weights, sizes, np.vecdot(self.scores, self.scores)
+
+
+def _series(blocks, n_targets: int, max_rounds: int, babies: int):
+    """Every round's weight and target overlaps, summed over the parts, and each cell's first unresolved round.
+
+    Returns arrays of shape (n_cells, max_rounds) and (n_cells,
+    max_rounds, n_targets), and per cell the first round whose rounding
+    (eps times its size, see :class:`_PartSeries`) exceeds
+    :data:`RESOLUTION` of its weight, or a round past the last when there
+    is none.  The giant steps of every part advance together: a cell whose
+    weight at a giant step is below the smallest normal double has
+    stopped there, and its ensemble rows are zeroed in every part.
+    """
+    n_cells = blocks[0][1].shape[0]
+    giants = -(-max_rounds // babies)
+    # Parts where every target row is zero add nothing to the overlaps and
+    # are scored against no rows; one part scores even when no part has support.
+    scored = [part_targets.any() for *_, part_targets in blocks]
+    scored[0] |= not any(scored)
+    weights = np.zeros((n_cells, giants, babies))
+    overlaps = np.zeros((n_cells, giants, babies, n_targets))
+    sizes = np.empty((n_cells, babies - 1))
+    unresolved = np.zeros((n_cells, giants, babies), dtype=bool)
+    resolvable = RESOLUTION / np.finfo(float).eps  # a weight times this must exceed its size
+    parts = [_PartSeries(kf, kl, pv, t if s else t[:0], babies) for (kf, kl, pv, t), s in zip(blocks, scored)]
+    for b in range(giants):
+        for part in parts:
+            weights[:, b, 0] += part.advance(b)
+        stopped = ~(weights[:, b, 0] >= SMALLEST_NORMAL)
+        sizes[:] = 0.0
+        for part in parts:
+            w, size, overlap = part.score(stopped)
+            weights[:, b, 1:] += w
+            sizes += size
+            if overlap is not None:
+                overlaps[:, b] += overlap.reshape(n_cells, babies, n_targets)
+        np.greater(sizes, resolvable * weights[:, b, 1:], out=unresolved[:, b, 1:])
+    shape = (n_cells, giants * babies)
+    unresolved = unresolved.reshape(shape)[:, :max_rounds]
+    first = np.where(unresolved.any(axis=1), unresolved.argmax(axis=1), max_rounds)
+    return weights.reshape(shape)[:, :max_rounds], overlaps.reshape(*shape, n_targets)[:, :max_rounds], first
+
+
+def _stops(p_cum: np.ndarray):
+    """Round probabilities and each cell's number of rounds before its first failing one."""
+    ratio = np.empty_like(p_cum)
+    ratio[:, 0] = p_cum[:, 0]
+    np.divide(p_cum[:, 1:], p_cum[:, :-1], out=ratio[:, 1:])
+    ok = (ratio >= UNATTAINABLE_P) & (p_cum >= SMALLEST_NORMAL)
+    return ratio, np.where(ok.all(axis=1), p_cum.shape[1], ok.argmin(axis=1))
 
 
 def batch_trajectory_kernel(
@@ -191,53 +270,34 @@ def batch_trajectory_kernel(
     baby steps and n = ceil(max_rounds / m) giant steps, each part
     (:class:`_PartSeries`) makes about 3 m + 4 n products for the whole
     series, where a round-by-round loop makes max_rounds, and the stops
-    are read off the summed series afterwards.  The giant steps of every
-    part advance together: a cell whose weight at a giant step is below
-    the smallest normal double has stopped there, and its ensemble rows
-    are zeroed in every part.
+    are read off the summed series afterwards.  A weight read off the
+    powers of K can cancel: when the ensemble sits where K shrinks while
+    K keeps another subspace, it is a small sum of large terms, which the
+    round-by-round products never form.  A cell with such a weight up to
+    its stop, one whose estimated rounding exceeds :data:`RESOLUTION` of
+    it, runs its series again with m = 1, one product per round.
     """
     k_first = np.asarray(k_first, dtype=np.complex128)
     k_later = np.asarray(k_later, dtype=np.complex128)
     v = np.array(ensemble, dtype=np.complex128, order="C")
     v = v.reshape(v.shape[0], -1)
     targets_conj = np.asarray(targets, dtype=np.complex128).conj()
-    max_rounds, n_cells = int(max_rounds), k_first.shape[0]
+    max_rounds = int(max_rounds)
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if targets_conj.ndim != 2 or targets_conj.shape[1] != v.shape[0]:
         raise ValueError(f"targets must have shape (n_targets, {v.shape[0]}), got {targets_conj.shape}")
     n_targets = targets_conj.shape[0]
-    babies = math.isqrt(max_rounds - 1) + 1
-    giants = -(-max_rounds // babies)
     blocks = _round_blocks(k_first, k_later, v, targets_conj)
-    # Parts where every target row is zero add nothing to the overlaps and
-    # are scored against no rows; one part scores even when no part has support.
-    scored = [part_targets.any() for *_, part_targets in blocks]
-    scored[0] |= not any(scored)
-
-    # Per giant step, the weights and overlaps of its m rounds, summed over the parts.
-    weights = np.zeros((n_cells, giants, babies))
-    overlaps = np.zeros((n_cells, giants, babies, n_targets))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        parts = [_PartSeries(kf, kl, pv, t if s else t[:0], babies) for (kf, kl, pv, t), s in zip(blocks, scored)]
-        for b in range(giants):
-            for part in parts:
-                weights[:, b, 0] += part.advance(b)
-            stopped = ~(weights[:, b, 0] >= SMALLEST_NORMAL)
-            for part in parts:
-                w, overlap = part.score(stopped)
-                weights[:, b, 1:] += w
-                if overlap is not None:
-                    overlaps[:, b] += overlap.reshape(n_cells, babies, n_targets)
-
-        p_cum = weights.reshape(n_cells, -1)[:, :max_rounds]
-        ratio = np.empty_like(p_cum)
-        ratio[:, 0] = p_cum[:, 0]
-        np.divide(p_cum[:, 1:], p_cum[:, :-1], out=ratio[:, 1:])
-        ok = (ratio >= UNATTAINABLE_P) & (p_cum >= SMALLEST_NORMAL)
-        fid = overlaps.reshape(n_cells, -1, n_targets)[:, :max_rounds]
+        p_cum, fid, unresolved = _series(blocks, n_targets, max_rounds, math.isqrt(max_rounds - 1) + 1)
+        ratio, n_rounds = _stops(p_cum)
+        redo = unresolved <= np.minimum(n_rounds, max_rounds - 1)
+        if redo.any():
+            again = [[kf[redo], kl[redo], pv, t] for kf, kl, pv, t in blocks]
+            p_cum[redo], fid[redo], _ = _series(again, n_targets, max_rounds, 1)
+            ratio, n_rounds = _stops(p_cum)
         fid /= p_cum[..., None]
-    n_rounds = np.where(ok.all(axis=1), max_rounds, ok.argmin(axis=1))
     reasons = [
         None
         if n == max_rounds
@@ -266,7 +326,8 @@ def trajectory_kernel(
     the rounds actually completed; ``fidelity`` has one column per
     target row and ``reason`` is None for a complete run.  As in the
     batch, the series is evaluated by baby and giant steps, so its cost
-    grows as sqrt(max_rounds) products, not as max_rounds.
+    grows as sqrt(max_rounds) products, not as max_rounds, unless the
+    series cancels below its rounding and runs again round by round.
     """
     fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(
         np.asarray(k_first)[None], np.asarray(k_later)[None], ensemble, targets, max_rounds

@@ -1,4 +1,4 @@
-"""Round-trajectory kernel: stopping causes, the block split, its baby- and giant-step products and cell batches."""
+"""Round-trajectory kernel: stopping causes, the block split, its baby- and giant-step products, cancelling series and cell batches."""
 
 import math
 import re
@@ -282,6 +282,45 @@ def test_underflow_shared_by_parts_keeps_its_reason(monkeypatch):
     ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first, k_later, ensemble, targets, 25)
     assert np.max(np.abs(fid - ref_fid)) <= 1e-12
     assert np.max(np.abs(p_cum / ref_p_cum - 1.0)) <= 1e-12
+
+
+def test_ensemble_where_k_shrinks_matches_dense_loop(monkeypatch):
+    """An ensemble in a subspace that K shrinks, while K keeps another, follows the dense loop.
+
+    K = Q diag(1, s) Q^T with Q the 45-degree rotation, and the ensemble is
+    Q's second column: each round keeps s^2 of the weight, and the dense
+    loop keeps the ensemble on that column exactly.  Read off the Grams of
+    the powers of K, such a weight is a small sum of terms near 1/4: with
+    s = 1e-3, round 2 (1e-12) carried a relative error near 1e-4 and round
+    3 was rounding noise, which stopped the cell at the floor.  Those two
+    cells run their rounds one by one; the cell whose K keeps the ensemble
+    (diag(s, 1)) does not cancel and is not run again.
+    """
+    c = math.sqrt(0.5)
+    q = np.array([[c, -c], [c, c]])
+    k_later = np.stack([q @ np.diag(d) @ q.T for d in ([1.0, 1e-3], [1.0, 0.1], [1e-3, 1.0])])
+    k_first = np.stack([np.eye(2)] * 3)
+    ensemble = q[:, 1:]
+    targets = np.array([[1.0, 0.0], [0.0, 1.0], q[:, 1]])
+    max_rounds = 20  # 5 baby and 4 giant steps
+
+    runs = []
+    series = _kernels._series
+
+    def recording_series(blocks, n_targets, max_rounds, babies):
+        runs.append((blocks[0][1].shape[0], babies))
+        return series(blocks, n_targets, max_rounds, babies)
+
+    monkeypatch.setattr(_kernels, "_series", recording_series)
+    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds)
+    assert runs == [(3, 5), (2, 1)]
+    assert list(n_rounds) == [max_rounds] * 3 and reasons == [None] * 3
+    for cell in range(3):
+        ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first[cell], k_later[cell], ensemble, targets, max_rounds)
+        assert np.max(np.abs(fid[cell] - ref_fid)) <= 1e-12
+        assert np.max(np.abs(p_round[cell] / ref_p_round - 1.0)) <= 1e-12
+        assert np.max(np.abs(p_cum[cell] / ref_p_cum - 1.0)) <= 1e-12
+    assert p_cum[0, -1] == pytest.approx(1e-120, rel=1e-9) and p_cum[2, -1] == pytest.approx(1.0)
 
 
 def test_malformed_target_stack_raises():
