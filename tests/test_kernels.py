@@ -323,6 +323,33 @@ def test_ensemble_where_k_shrinks_matches_dense_loop(monkeypatch):
     assert p_cum[0, -1] == pytest.approx(1e-120, rel=1e-9) and p_cum[2, -1] == pytest.approx(1.0)
 
 
+def test_stop_at_an_unresolved_round_runs_again(monkeypatch):
+    """A stop decided by an unresolved weight is not trusted: the cell runs again round by round.
+
+    The series pass is made to report rounding noise at round 4, a zero
+    weight there (a floor stop) and round 4 as the first unresolved
+    round; the cell runs again with one baby step and reports the dense
+    loop's full run.
+    """
+    k_first, k_later, ensemble, targets = random_problem(dim=4, seed=7)
+    k_first, k_later = (k / np.linalg.norm(k, 2) for k in (k_first, k_later))
+    series = _kernels._series
+
+    def noisy_series(blocks, n_targets, max_rounds, babies):
+        weights, overlaps, unresolved = series(blocks, n_targets, max_rounds, babies)
+        if babies > 1:
+            weights[:, 4] = 0.0
+            unresolved[:] = 4
+        return weights, overlaps, unresolved
+
+    monkeypatch.setattr(_kernels, "_series", noisy_series)
+    fid, p_round, p_cum, truncated, reason = trajectory_kernel(k_first, k_later, ensemble, targets, 10)
+    assert not truncated and reason is None and len(p_cum) == 10
+    ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first, k_later, ensemble, targets, 10)
+    assert np.max(np.abs(fid - ref_fid)) <= 1e-12
+    assert np.max(np.abs(p_cum / ref_p_cum - 1.0)) <= 1e-12
+
+
 def test_malformed_target_stack_raises():
     """Targets must be a (n_targets, D) stack: a 1-D target or a wrong width raises."""
     k_first, k_later, ensemble, targets = random_problem(dim=6)
