@@ -15,10 +15,14 @@ Subcommands:
 * ``decompose`` - Pauli-string expansion of the engineered coupling (CSV).
 
 Every output embeds the fully resolved configuration, and identical
-configurations produce byte-identical files.  Integer keys take JSON
-integers only, and number keys JSON numbers only (no booleans or
-strings).  CSV numbers carry 17 significant digits; JSON reports are
-rounded to 6 digits with full-precision duplicates alongside.
+configurations produce byte-identical files at a fixed BLAS thread
+count (full-precision floats may move in their last digits with it).
+Integer keys take JSON integers only, and number keys JSON numbers only
+(no booleans or strings).  The engine commands refuse a config whose
+joint Hamiltonian would exceed :data:`MAX_JOINT_ROWS` rows before
+building anything.  CSV numbers carry 17 significant digits; JSON
+reports are rounded to 6 digits with full-precision duplicates
+alongside.
 """
 
 from __future__ import annotations
@@ -31,7 +35,14 @@ import sys
 
 import numpy as np
 
-from .codes import LogicalTarget, build_repetition_code, code_from_json, is_json_int, is_json_number
+from .codes import (
+    LogicalTarget,
+    build_repetition_code,
+    code_from_json,
+    code_qubits,
+    is_json_int,
+    is_json_number,
+)
 from .emr import KEEP, plane_m_min, plane_one_round, reproduce_table1, thermal_ensemble
 from .formulas import p_beta, resonant_plus
 from .interaction import (
@@ -47,6 +58,16 @@ from .operators import hermitian_eig
 from .thermal import ThermalSpec
 
 REPETITION_DOC = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
+
+# Most rows of the joint (codes + one auxiliary qubit) Hamiltonian that the
+# engine commands build; a larger config is refused before anything is
+# allocated.  Measured on 2 vCPUs with OpenBLAS 0.3.31: 4096 rows is the
+# joint size of a 10-site chain with two auxiliary qubits, whose 500-round
+# table row runs as a library call in 5.3 s at 417 MB peak RSS; a fig4 run
+# at this size on an 11-qubit repetition code (2 x 2 plane, 5 rounds) took
+# 91 s at 1.64 GB.  The next size, 8192 rows, is a 1.07 GB dense complex
+# matrix before any copy or eigensolve.
+MAX_JOINT_ROWS = 4096
 
 # Host code, coupling and logical target shared by every engine command.
 ENGINE_DEFAULTS = {"code": REPETITION_DOC, "L": 1, "g": 1.0, "theta": 0.0, "phi": 0.0}
@@ -201,10 +222,22 @@ def _json_dump(obj: dict) -> str:
 
 
 def _build_engine(cfg: dict, need_aux: bool = True):
-    """Shared setup: codes, interaction, thermal state, total Hamiltonian."""
+    """Shared setup: codes, interaction spec, auxiliary spec, thermal state.
+
+    The joint size is checked against :data:`MAX_JOINT_ROWS` from the
+    code document alone, before any code is built.
+    """
     n_codes = _int(cfg, "L")
     if n_codes < 1:
         raise ValueError(f"L must be >= 1, got {n_codes}")
+    n_qubits = code_qubits(cfg["code"])
+    joint = n_qubits * n_codes + 1
+    if joint > math.log2(MAX_JOINT_ROWS):  # compare exponents: 2**joint may be astronomically large
+        rows = f"2^{joint} = {2**joint}" if joint <= 64 else f"2^{joint}"
+        raise ValueError(
+            f"{n_codes} code(s) of {n_qubits} qubits and one auxiliary qubit need a joint "
+            f"Hamiltonian of {rows} rows; the limit is {MAX_JOINT_ROWS} rows"
+        )
     code = code_from_json(cfg["code"])
     codes = [code] * n_codes
     target = LogicalTarget(_float(cfg, "theta"), _float(cfg, "phi"))

@@ -376,6 +376,25 @@ def code_from_json(doc: str | dict) -> CodeModel:
     be an integer.  Neither may be a boolean.  ``stabilizers`` must be a
     non-empty list of strings.
     """
+    kind, j, payload = _code_document(doc)
+    if kind == "stabilizer":
+        return build_stabilizer_code(payload, j)
+    return build_heisenberg_code(HeisenbergSpec(n_qubits=payload, exchange=j))
+
+
+def code_qubits(doc: str | dict) -> int:
+    """Qubit count of the code a JSON document describes, read without building it.
+
+    The document is checked as :func:`code_from_json` checks it.  A
+    stabilizer code counts the letters of its longest string (strings of
+    unequal length raise once the code is built).
+    """
+    kind, _, payload = _code_document(doc)
+    return max(map(len, payload)) if kind == "stabilizer" else payload
+
+
+def _code_document(doc: str | dict) -> tuple[str, float, list[str] | int]:
+    """(type, J, stabilizer list or chain length) of a checked code document."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
@@ -388,11 +407,11 @@ def code_from_json(doc: str | dict) -> CodeModel:
         stabs = doc.get("stabilizers")
         if not (isinstance(stabs, list) and stabs and all(isinstance(s, str) for s in stabs)):
             raise ValueError(f"code stabilizers must be a non-empty list of strings, got {stabs!r}")
-        return build_stabilizer_code(stabs, float(j))
+        return kind, float(j), stabs
     if kind == "heisenberg":
         if "n" not in doc:
             raise ValueError("heisenberg document needs 'n'")
         if not is_json_int(doc["n"]):
             raise ValueError(f"code n must be an integer, got {doc['n']!r}")
-        return build_heisenberg_code(HeisenbergSpec(n_qubits=doc["n"], exchange=float(j)))
+        return kind, float(j), doc["n"]
     raise ValueError(f"unknown code type {kind!r}")

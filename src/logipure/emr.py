@@ -447,7 +447,10 @@ def build_xy_setup(setup: XYSetup, heisenberg: HeisenbergSpec) -> np.ndarray:
     bare-Pauli normalization together with
     ``aux_energy = CALIBRATED_AUX_ENERGY`` is the calibration that
     reproduces the reference benchmark table.  ``aux_energy=None`` puts
-    the auxiliary splitting on resonance with the chain gap.
+    the auxiliary splitting on resonance with the chain gap.  Every term
+    is real (each Pauli string has an even number of Y letters), so the
+    matrix comes back as float64, entry for entry the real part of the
+    complex sum of its terms.
     """
     if setup.n_system != heisenberg.n_qubits:
         raise ValueError(
@@ -457,18 +460,22 @@ def build_xy_setup(setup: XYSetup, heisenberg: HeisenbergSpec) -> np.ndarray:
 
 
 def _xy_hamiltonian(setup: XYSetup, code: CodeModel) -> np.ndarray:
-    """:func:`build_xy_setup` on an already built chain code.
+    """:func:`build_xy_setup` on an already built chain code, in float64.
 
-    Each bond's XX and YY strings flip the same two bits, so the bond has
-    one entry per column, gamma_+ -/+ gamma_- as the two bits agree or
+    A Heisenberg chain's Hamiltonian has an exactly zero imaginary part,
+    so ``h`` starts from its real part.  Each
+    bond's XX and YY strings flip the same two bits, so the bond has one
+    entry per column, gamma_+ -/+ gamma_- as the two bits agree or
     differ; it is scattered straight into ``h`` with the float operations
-    of the dense sum (its two terms summed, then scaled by the coupling).
+    of the dense sum (its two terms summed, then scaled by the coupling),
+    and so are the E_A terms.  The entries are therefore those of the
+    complex build, bit for bit, at half the memory.
     """
     n, n_aux = setup.n_system, setup.n_aux
     n_tot = n + n_aux
     e_a = code.gap if setup.aux_energy is None else setup.aux_energy
 
-    h = kron(code.hamiltonian, np.eye(2**n_aux))
+    h = np.kron(code.hamiltonian.real, np.eye(2**n_aux))
     index = np.arange(2**n_tot)
     for j in range(n_aux):
         h[index, index] += e_a * ((index >> (n_aux - 1 - j)) & 1)  # E_A |1><1| on qubit n + j

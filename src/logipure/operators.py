@@ -10,18 +10,21 @@ Conventions used throughout the package:
   this choice ``sigma_y`` picks up a sign relative to the usual textbook
   matrix; the algebra ``sigma_x sigma_y = i sigma_z`` is preserved.
 
-Operators are complex numpy arrays; only the spectrum of an exactly
-real Hamiltonian is solved and kept in real arithmetic.  Every
-Hamiltonian of the package is built from Pauli strings
-(:func:`pauli_sum`, by bit operations on the basis index) and from
-Kronecker products with identities (:func:`kron`, :func:`kron_all`) for
-blocks of contiguous qubits.  Many of them conserve
-a quantity (magnetization, Z2 parity), so they are exactly block
-diagonal in the computational basis.  :func:`coupled_blocks` finds those
-blocks from the exactly-nonzero pattern alone, and :func:`hermitian_eig`
-solves each block of a large matrix on its own and keeps the solution
-per block in a :class:`SpectralDecomposition`; a small matrix, or one
-without such structure, is the one-block case.
+The primitives here build complex numpy arrays.  A Hamiltonian whose
+imaginary part is exactly zero is solved, and its spectrum kept, in
+real arithmetic, and so is a float64 one: the joint chain Hamiltonian
+of :mod:`logipure.emr`, every term of which is real, is built in
+float64 from the start.  Every Hamiltonian of the package is built from
+Pauli strings (:func:`pauli_sum`, by bit operations on the basis index)
+and from Kronecker products with identities (:func:`kron`,
+:func:`kron_all`) for blocks of contiguous qubits.  Many of them
+conserve a quantity (magnetization, Z2 parity), so they are exactly
+block diagonal in the computational basis.  :func:`coupled_blocks`
+finds those blocks from the exactly-nonzero pattern alone, and
+:func:`hermitian_eig` checks and solves each block of a large matrix on
+its own and keeps the solution per block in a
+:class:`SpectralDecomposition`; a small matrix, or one without such
+structure, is the one-block case.
 """
 
 from __future__ import annotations
@@ -167,21 +170,30 @@ def pauli_operator(pauli: PauliString | str) -> np.ndarray:
     return pauli_sum([pauli])
 
 
-def _checked_hermitian(h: np.ndarray, name: str) -> np.ndarray:
-    """Validate finiteness and hermiticity; return float64 when every imaginary entry is 0."""
+def _square_matrix(h: np.ndarray, name: str) -> np.ndarray:
+    """``h`` as a square array: float64 when its imaginary part is exactly 0, else complex."""
     h = np.asarray(h)
-    if np.iscomplexobj(h) and not h.imag.any():
-        h = np.ascontiguousarray(h.real)
-    h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"{name} must be square, got shape {h.shape}")
-    scale = np.max(np.abs(h))
+    if np.iscomplexobj(h) and not h.imag.any():
+        h = np.ascontiguousarray(h.real)
+    return np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
+
+
+def _check_hermitian(blocks: Sequence[np.ndarray], name: str) -> None:
+    """Raise unless the diagonal blocks of a matrix are finite and hermitian.
+
+    The blocks must hold every nonzero entry of the matrix together with
+    its transpose partner, so that the largest entry and the largest
+    ``|H - H^dag|`` of the blocks are those of the whole matrix; the
+    asymmetry is judged relative to that largest entry.
+    """
+    scale = np.max([np.max(np.abs(b)) for b in blocks])
     if not np.isfinite(scale):
         raise ValueError(f"{name} has non-finite entries")
-    asym = np.max(np.abs(h - h.conj().T))
+    asym = np.max([np.max(np.abs(b - b.conj().T)) for b in blocks])
     if asym > VALIDATION_TOL * max(scale, 1.0):
         raise ValueError(f"{name} is not hermitian: max |H - H^dag| = {asym:.3e}")
-    return h
 
 
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -190,7 +202,9 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     A matrix whose imaginary part is exactly zero is checked in real
     arithmetic.
     """
-    return np.asarray(_checked_hermitian(h, name), dtype=complex)
+    h = _square_matrix(h, name)
+    _check_hermitian([h], name)
+    return np.asarray(h, dtype=complex)
 
 
 def coupled_blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -221,20 +235,28 @@ def coupled_blocks(pattern: np.ndarray) -> list[np.ndarray]:
 def hermitian_eig(h: np.ndarray) -> SpectralDecomposition:
     """Full spectral decomposition of a hermitian matrix, one block at a time.
 
-    A matrix of at least :data:`SPLIT_MIN_ROWS` rows gets one ``eigh`` per
-    block of :func:`coupled_blocks` on its nonzero pattern, so every
-    eigenvector column is supported on a single block; a smaller one is
-    solved whole.  A matrix whose imaginary part is exactly zero is
-    solved in real arithmetic, with float64 eigenvectors.  The blocks are
-    kept as solved (see :class:`SpectralDecomposition`).  Eigenvalues
-    come back sorted ascending (a stable sort of the blocks' eigenvalues
-    in block order) with orthonormal columns, so degenerate subspaces
-    are represented by an arbitrary but orthonormal basis.
+    A matrix of at least :data:`SPLIT_MIN_ROWS` rows is taken apart into
+    the blocks of :func:`coupled_blocks` on its nonzero pattern; a
+    smaller one is the one-block case.  Each block is gathered once,
+    checked, and solved by one ``eigh``, so every eigenvector column is
+    supported on a single block.  The check is the whole matrix's: a
+    NaN or an infinity counts as nonzero, and a block holds every
+    nonzero entry with its transpose partner, so the blocks together
+    are finite and hermitian, against the largest entry of the matrix,
+    exactly when the matrix is.  A matrix whose imaginary part is
+    exactly zero is solved in real arithmetic, with float64
+    eigenvectors.  The blocks are kept as solved (see
+    :class:`SpectralDecomposition`).  Eigenvalues come back sorted
+    ascending (a stable sort of the blocks' eigenvalues in block order)
+    with orthonormal columns, so degenerate subspaces are represented by
+    an arbitrary but orthonormal basis.
     """
-    h = _checked_hermitian(h, "hamiltonian")
+    h = _square_matrix(h, "hamiltonian")
     dim = h.shape[0]
     blocks = coupled_blocks(h != 0) if dim >= SPLIT_MIN_ROWS else [np.arange(dim)]
-    solved = [(idx, *np.linalg.eigh(h[np.ix_(idx, idx)])) for idx in blocks]
+    gathered = [h[np.ix_(idx, idx)] for idx in blocks]
+    _check_hermitian(gathered, "hamiltonian")
+    solved = [(idx, *np.linalg.eigh(hb)) for idx, hb in zip(blocks, gathered)]
     w = np.concatenate([wb for _, wb, _ in solved])
     order = np.argsort(w, kind="stable")
     position = np.empty_like(order)

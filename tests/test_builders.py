@@ -2,7 +2,9 @@
 
 The builders add Pauli strings (``pauli_sum``) and Kronecker blocks in the
 order the ``embed`` construction of ``tests/oracles.py`` adds its terms,
-so the matrices must be identical to the last bit, not merely close.
+so the matrices must be identical to the last bit, not merely close.  The
+joint chain Hamiltonian is built in float64: it must equal the real part
+of the complex construction, whose imaginary part must be exactly zero.
 """
 
 import numpy as np
@@ -33,7 +35,10 @@ def test_xy_hamiltonian_matches_embed(row):
         setup = XYSetup(
             row.n_sites, len(row.settings), j_1=j_1, j_2=row.j_2, gamma=row.gamma, aux_energy=aux_energy
         )
-        assert_bitwise(_xy_hamiltonian(setup, code), xy_hamiltonian_by_embed(setup, code))
+        got, want = _xy_hamiltonian(setup, code), xy_hamiltonian_by_embed(setup, code)
+        assert got.dtype == np.float64
+        assert not want.imag.any()
+        assert_bitwise(got, np.ascontiguousarray(want.real))
 
 
 @pytest.mark.parametrize("n_codes", [1, 2])

@@ -5,12 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import logipure
+from logipure import cli
 from logipure.cli import main
 from logipure.codes import LogicalTarget, code_from_json
 from logipure.emr import CALIBRATED_AUX_ENERGY
@@ -143,19 +145,19 @@ def test_table1_rejects_unknown_rows(tmp_path, capsys):
     assert not out.exists()
 
 
-def assert_matches_golden(got, want, path="$"):
-    """Non-floats equal; floats within 1e-10 relative plus 1e-14 absolute."""
+def assert_matches_golden(got, want, path="$", rel=1e-10):
+    """Non-floats equal; floats within ``rel`` relative plus 1e-14 absolute."""
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), path
         for key in want:
-            assert_matches_golden(got[key], want[key], f"{path}.{key}")
+            assert_matches_golden(got[key], want[key], f"{path}.{key}", rel)
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
-            assert_matches_golden(g, w, f"{path}[{i}]")
+            assert_matches_golden(g, w, f"{path}[{i}]", rel)
     elif isinstance(want, float):
         assert isinstance(got, float), path
-        assert abs(got - want) <= 1e-10 * abs(want) + 1e-14, (path, got, want)
+        assert abs(got - want) <= rel * abs(want) + 1e-14, (path, got, want)
     else:
         assert type(got) is type(want) and got == want, (path, got, want)
 
@@ -429,6 +431,56 @@ def test_bad_configs_exit_2(tmp_path, capsys):
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: config numbers must be finite")
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,cfg,rows",
+    [
+        ("fig4", {"L": 5}, "2^16 = 65536 rows"),
+        ("fig2", {"L": 4}, "2^13 = 8192 rows"),
+        ("purify", {"code": {"type": "heisenberg", "n": 12}}, "2^13 = 8192 rows"),
+        ("decompose", {"code": {"type": "heisenberg", "n": 10**6}, "L": 3}, "2^3000001 rows"),
+    ],
+)
+def test_oversized_joint_hamiltonian_exits_2_before_allocating(tmp_path, capsys, command, cfg, rows):
+    tracemalloc.start()
+    try:
+        rc, out = run_cli(tmp_path, command, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert f"need a joint Hamiltonian of {rows}; the limit is 4096 rows" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 1 << 20  # nothing of the joint size, or of the code's, was allocated
+
+
+def test_joint_size_limit_is_inclusive(tmp_path, capsys, monkeypatch):
+    """At the limit a config runs; one qubit more is refused."""
+    monkeypatch.setattr(cli, "MAX_JOINT_ROWS", 16)  # the repetition code and its auxiliary qubit
+    rc, out = run_cli(tmp_path, "fig4", SMALL_FIG4)
+    assert rc == 0 and out.exists()
+    rc, out = run_cli(tmp_path, "fig4", {**SMALL_FIG4, "L": 2}, name="two")
+    assert rc == 2
+    assert "2^7 = 128 rows; the limit is 16 rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table1_agrees_across_blas_thread_counts(tmp_path):
+    """Full-precision floats may move with the BLAS thread count, by 1e-14 at most."""
+    src = str(Path(logipure.__file__).resolve().parents[1])
+    reports = []
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / f"table1_{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "logipure.cli", "table1", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(out.read_text()))
+    assert_matches_golden(reports[1], reports[0], rel=0.0)
 
 
 def check_purify_shot(proc, out):

@@ -177,6 +177,67 @@ def test_hermitian_eig_splits_only_large_matrices():
         assert np.unique(labels[col != 0]).size == 1
 
 
+def permuted_blocks(seed, complex_entries=False):
+    """A hermitian matrix of SPLIT_MIN_ROWS rows, three blocks with permuted rows, and each row's block."""
+    sizes = (SPLIT_MIN_ROWS // 2, SPLIT_MIN_ROWS // 4, SPLIT_MIN_ROWS // 4)
+    h = np.zeros((SPLIT_MIN_ROWS, SPLIT_MIN_ROWS), dtype=complex if complex_entries else float)
+    start = 0
+    for k, size in enumerate(sizes):
+        block = random_hermitian(size, seed + k)
+        h[start : start + size, start : start + size] = block if complex_entries else block.real
+        start += size
+    perm = np.random.default_rng(seed).permutation(SPLIT_MIN_ROWS)
+    return h[np.ix_(perm, perm)], np.repeat(np.arange(3), sizes)[perm]
+
+
+def rows_of(labels, block):
+    return np.flatnonzero(labels == block)
+
+
+def test_hermitian_eig_reports_the_whole_matrix_asymmetry():
+    h, labels = permuted_blocks(60)
+    (i, j), (k, l) = rows_of(labels, 0)[:2], rows_of(labels, 2)[:2]
+    h[i, j] += 1e-6
+    h[k, l] += 3e-6  # the largest asymmetry, in another block
+    asym = np.max(np.abs(h - h.T))
+    with pytest.raises(ValueError, match=rf"not hermitian: max \|H - H\^dag\| = {asym:.3e}$"):
+        hermitian_eig(h)
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_hermitian_eig_rejects_one_sided_entry_between_blocks(upper):
+    """h[i, j] set and h[j, i] zero, with i and j in blocks that are otherwise apart."""
+    h, labels = permuted_blocks(61)
+    i, j = rows_of(labels, 1)[0], rows_of(labels, 2)[0]
+    i, j = (min(i, j), max(i, j)) if upper else (max(i, j), min(i, j))
+    h[i, j] = 0.5
+    with pytest.raises(ValueError, match="not hermitian"):
+        hermitian_eig(h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hermitian_eig_rejects_non_finite_blocks(bad):
+    h, labels = permuted_blocks(62)
+    inside = rows_of(labels, 1)[:2]
+    h[inside[0], inside[1]] = h[inside[1], inside[0]] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(h)
+    h, labels = permuted_blocks(62)
+    h[rows_of(labels, 2)[-1], rows_of(labels, 0)[0]] = bad  # one-sided, between blocks
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(h)
+
+
+def test_hermitian_eig_keeps_complex_blocks_complex():
+    h, labels = permuted_blocks(63, complex_entries=True)
+    spec = hermitian_eig(h)
+    assert len(spec.blocks) == 3
+    assert all(np.iscomplexobj(vectors) for _, _, vectors in spec.blocks)
+    assert np.allclose(spec.reconstruct(), h, rtol=0, atol=1e-12)
+    for col in spec.eigenvectors.T:
+        assert np.unique(labels[col != 0]).size == 1
+
+
 def test_evolve_matches_rabi_oracle():
     # H = g sx on one qubit: starting from |0>, the |1> population is sin^2(gt)
     g = 0.8
