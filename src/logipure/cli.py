@@ -65,8 +65,9 @@ REPETITION_DOC = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J
 # joint size of a 10-site chain with two auxiliary qubits, whose 500-round
 # table row runs as a library call in 5.3 s at 417 MB peak RSS; a fig4 run
 # at this size on an 11-qubit repetition code (2 x 2 plane, 5 rounds) took
-# 91 s at 1.64 GB.  The next size, 8192 rows, is a 1.07 GB dense complex
-# matrix before any copy or eigensolve.
+# 4.6-4.9 s at 1.64 GB, spread over the code, coupling and joint builds,
+# the eigensolve and the round operators.  The next size, 8192 rows, is a
+# 1.07 GB dense complex matrix before any copy or eigensolve.
 MAX_JOINT_ROWS = 4096
 
 # Host code, coupling and logical target shared by every engine command.

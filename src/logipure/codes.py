@@ -22,7 +22,6 @@ from .operators import (
     basis_state,
     hermitian_eig,
     pauli_on_sites,
-    pauli_operator,
     pauli_sum,
     require_hermitian,
 )
@@ -152,7 +151,11 @@ def spectral_split(h: np.ndarray) -> SpectralSplit:
     diagonal and the bases are computational-basis vectors ordered by
     index, which keeps downstream state labels deterministic.
     """
-    h = require_hermitian(h, "hamiltonian")
+    return _split(require_hermitian(h, "hamiltonian"))
+
+
+def _split(h: np.ndarray) -> SpectralSplit:
+    """:func:`spectral_split` of a matrix already checked by :func:`require_hermitian`."""
     dim = h.shape[0]
     diagonal = np.max(np.abs(h - np.diag(np.diag(h)))) <= 1e-14 * max(1.0, np.max(np.abs(h)))
     if diagonal:
@@ -196,26 +199,25 @@ def spectral_split(h: np.ndarray) -> SpectralSplit:
 def build_stabilizer_code(stabilizers: list[PauliString | str], strength: float = 1.0) -> CodeModel:
     """Code Hamiltonian ``-J sum_i S_i + const`` with a two-fold ground manifold.
 
-    The stabilizers must mutually commute and square to the identity.
-    The spectrum is split once, by :func:`code_from_hamiltonian`, which
-    shifts the ground (code-space) energy to zero; for a consistent
-    stabilizer set the shift is ``len(stabilizers) * J``.
+    The stabilizers must mutually commute and square to the identity,
+    which their letters and coefficients decide before any matrix is
+    built.  The spectrum is split once, by :func:`code_from_hamiltonian`,
+    which shifts the ground (code-space) energy to zero; for a
+    consistent stabilizer set the shift is ``len(stabilizers) * J``.
     """
     if strength <= 0:
         raise ValueError(f"coupling must be positive, got {strength}")
     strings = [s if isinstance(s, PauliString) else PauliString(s) for s in stabilizers]
-    h = -strength * pauli_sum(strings)  # raises on no strings or mixed lengths
-    mats = [pauli_operator(s) for s in strings]
-    for i, a in enumerate(mats):
-        if np.max(np.abs(a @ a - np.eye(len(a)))) > 1e-12:
-            raise ValueError(f"stabilizer {strings[i].letters!r} does not square to identity")
-        for j in range(i):
-            if np.max(np.abs(a @ mats[j] - mats[j] @ a)) > 1e-12:
-                raise ValueError(
-                    f"stabilizers {strings[j].letters!r} and {strings[i].letters!r} do not commute"
-                )
+    if len({s.n_qubits for s in strings}) > 1:
+        raise ValueError("Pauli strings act on different register sizes")
+    for i, s in enumerate(strings):
+        if not abs(s.coefficient * s.coefficient - 1) <= 1e-12:  # a NaN fails too
+            raise ValueError(f"stabilizer {s.letters!r} does not square to identity")
+        for t in strings[:i]:  # two strings anticommute on each site where both act and differ
+            if sum(a != b and "I" not in (a, b) for a, b in zip(s.letters, t.letters)) % 2:
+                raise ValueError(f"stabilizers {t.letters!r} and {s.letters!r} do not commute")
 
-    code = code_from_hamiltonian(h)
+    code = code_from_hamiltonian(-strength * pauli_sum(strings))  # raises on no strings
     if len(code.ls_basis) != 2:
         raise ValueError(
             f"ground manifold is {len(code.ls_basis)}-fold degenerate; "
@@ -294,7 +296,7 @@ def code_from_hamiltonian(h: np.ndarray) -> CodeModel:
     n = int(round(np.log2(dim)))
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of 2")
-    split = spectral_split(h)
+    split = _split(h)
     if len(split.ls_basis) > 2:
         raise ValueError(f"ground manifold is {len(split.ls_basis)}-fold degenerate")
     e0 = split.ground_energy

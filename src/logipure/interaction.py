@@ -24,7 +24,6 @@ from .codes import CodeModel, LogicalTarget, logical_state
 from .operators import (
     KET_0,
     KET_1,
-    PAULI_MATRICES,
     PauliString,
     kron,
     kron_all,
@@ -177,29 +176,25 @@ def pauli_decompose(h: np.ndarray, cutoff: float = COEFF_CUTOFF) -> list[PauliSt
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     dim = h.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of 2")
-
-    letters = "IXYZ"
-    # m[p, a, b] = P_p[a, b]; the coefficient tensor is
-    # C[p_0..p_{n-1}] = (1/2^n) sum_{a, b} prod_k m[p_k, a_k, b_k] H[b, a].
-    m = np.stack([PAULI_MATRICES[c] for c in letters])
-    t = h.reshape([2] * (2 * n))
-    axes = [f"b{k}" for k in range(n)] + [f"a{k}" for k in range(n)]
+    n = dim.bit_length() - 1
+    if dim < 2 or 2**n != dim:  # n >= 1, so the loop never hands back h to scale in place
+        raise ValueError(f"dimension {dim} is not 2^n for n >= 1 qubits")
+    # Qubit by qubit from qubit 0, its (row bit, column bit) block B becomes
+    # Tr(P B) for P = I, X, Y, Z, placed in front of the rows and columns left.
+    t = h
     for k in range(n):
-        ai, bi = axes.index(f"a{k}"), axes.index(f"b{k}")
-        t = np.tensordot(m, t, axes=([1, 2], [ai, bi]))
-        axes = [f"p{k}"] + [x for x in axes if x not in (f"a{k}", f"b{k}")]
-    order = [axes.index(f"p{k}") for k in range(n)]
-    coeffs = np.transpose(t, order) / dim
-
-    out = []
-    flat = coeffs.reshape(-1)
-    for idx in range(flat.shape[0]):
-        c = flat[idx]
-        if abs(c) <= cutoff:
-            continue
-        digits = np.unravel_index(idx, coeffs.shape)
-        out.append(PauliString("".join(letters[d] for d in digits), complex(c)))
-    return out
+        half = 2 ** (n - k - 1)
+        b = t.reshape(4**k, 2, half, 2, half)
+        t = np.empty((4**k, 4, half, half), dtype=complex)
+        np.add(b[:, 0, :, 0], b[:, 1, :, 1], out=t[:, 0])
+        np.add(b[:, 0, :, 1], b[:, 1, :, 0], out=t[:, 1])
+        np.subtract(b[:, 1, :, 0], b[:, 0, :, 1], out=t[:, 2])
+        t[:, 2] *= 1j
+        np.subtract(b[:, 1, :, 1], b[:, 0, :, 0], out=t[:, 3])
+    coeffs = t.reshape(-1)
+    coeffs /= dim
+    coeffs += 0.0  # turns a -0 part into 0
+    return [  # ``not <=`` keeps a NaN coefficient
+        PauliString("".join("IXYZ"[(i >> 2 * (n - 1 - k)) & 3] for k in range(n)), complex(coeffs[i]))
+        for i in np.flatnonzero(~(np.abs(coeffs) <= cutoff))
+    ]

@@ -14,10 +14,11 @@ The primitives here build complex numpy arrays.  A Hamiltonian whose
 imaginary part is exactly zero is solved, and its spectrum kept, in
 real arithmetic, and so is a float64 one: the joint chain Hamiltonian
 of :mod:`logipure.emr`, every term of which is real, is built in
-float64 from the start.  Every Hamiltonian of the package is built from
-Pauli strings (:func:`pauli_sum`, by bit operations on the basis index)
-and from Kronecker products with identities (:func:`kron`,
-:func:`kron_all`) for blocks of contiguous qubits.  Many of them
+float64 from the start.  The code Hamiltonians are built from Pauli
+strings (:func:`pauli_sum`, by bit operations on the basis index).  The
+joint Hamiltonians place them with Kronecker products with identities
+(:func:`kron`, :func:`kron_all`) and scatter their remaining diagonal
+and bond terms straight onto the basis index.  Many of them
 conserve a quantity (magnetization, Z2 parity), so they are exactly
 block diagonal in the computational basis.  :func:`coupled_blocks`
 finds those blocks from the exactly-nonzero pattern alone, and

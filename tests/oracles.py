@@ -5,6 +5,10 @@
   algebra, independently of :func:`logipure.interaction.pauli_decompose`,
   and compared term by term against the decomposition pipeline.
 * :func:`pauli_reconstruct`, the dense sum of a decomposition's terms.
+* :func:`dense_stabilizer_code`, the stabilizer-code builder that checks
+  its stabilizers by multiplying their dense matrices, the reference for
+  the letter-by-letter checks of
+  :func:`logipure.codes.build_stabilizer_code`.
 * A plain dense round loop, the reference for the block-split
   trajectory kernel.
 * :func:`dense_round_contraction`, the round operators from the dense
@@ -25,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from logipure.codes import code_from_hamiltonian
 from logipure.measurement import UNATTAINABLE_P
 from logipure.operators import (
     KET_1,
@@ -36,6 +41,7 @@ from logipure.operators import (
     kron,
     kron_all,
     pauli_operator,
+    pauli_sum,
 )
 
 
@@ -139,6 +145,36 @@ def pauli_reconstruct(terms: list[PauliString]) -> np.ndarray:
     for t in terms:
         h += pauli_operator(t)
     return h
+
+
+def dense_stabilizer_code(stabilizers, strength: float = 1.0):
+    """Stabilizer code checked by dense products: every square and every commutator.
+
+    Same errors in the same order as :func:`build_stabilizer_code`, but
+    each string becomes a 2^n x 2^n matrix first, and the checks compare
+    matrix products against 1e-12.  A NaN coefficient passes these
+    checks and is refused later as a non-finite Hamiltonian.
+    """
+    if strength <= 0:
+        raise ValueError(f"coupling must be positive, got {strength}")
+    strings = [s if isinstance(s, PauliString) else PauliString(s) for s in stabilizers]
+    h = -strength * pauli_sum(strings)  # raises on no strings or mixed lengths
+    mats = [pauli_operator(s) for s in strings]
+    for i, a in enumerate(mats):
+        if np.max(np.abs(a @ a - np.eye(len(a)))) > 1e-12:
+            raise ValueError(f"stabilizer {strings[i].letters!r} does not square to identity")
+        for j in range(i):
+            if np.max(np.abs(a @ mats[j] - mats[j] @ a)) > 1e-12:
+                raise ValueError(
+                    f"stabilizers {strings[j].letters!r} and {strings[i].letters!r} do not commute"
+                )
+    code = code_from_hamiltonian(h)
+    if len(code.ls_basis) != 2:
+        raise ValueError(
+            f"ground manifold is {len(code.ls_basis)}-fold degenerate; "
+            "a single logical qubit needs exactly 2 ground states"
+        )
+    return code
 
 
 def dense_trajectory(k_first, k_later, ensemble, targets, n_rounds):

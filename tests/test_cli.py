@@ -294,6 +294,25 @@ def test_decompose_matches_library(tmp_path):
         assert abs(c.imag) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "name,cfg",
+    [
+        ("decompose_default.csv", None),
+        ("decompose_theta1_phi0.5.csv", {"theta": 1.0, "phi": 0.5}),
+        ("decompose_L2_equator.csv", {"L": 2, "theta": float(np.pi / 2), "phi": float(np.pi)}),
+    ],
+)
+def test_decompose_matches_golden(tmp_path, name, cfg):
+    """The term order and every printed digit, zeros printed as 0 and never -0.
+
+    The files were saved before the expansion went qubit by qubit; the
+    second has complex coefficients, the third 576 terms on 7 qubits.
+    """
+    rc, out = run_cli(tmp_path, "decompose", cfg)
+    assert rc == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 def test_bad_configs_exit_2(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "purify", {"tt": 1.0})
     assert rc == 2

@@ -1,8 +1,11 @@
 """Code builders, spectral splitting and logical-state helpers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from logipure import codes
 from logipure.codes import (
     CARDINAL_ANGLES,
     HeisenbergSpec,
@@ -17,7 +20,7 @@ from logipure.codes import (
     logical_state,
     spectral_split,
 )
-from logipure.operators import kron_all, pauli_operator
+from logipure.operators import PauliString, kron_all, pauli_operator, require_hermitian
 
 GOLDEN_GAP_N6 = 0.3819660112501064  # exact-diagonalization value, N=6 chain
 HADAMARDS = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * 3)
@@ -65,6 +68,31 @@ def test_stabilizer_validation():
         build_stabilizer_code(["II"])  # fully degenerate, no 2-fold ground manifold
 
 
+def test_stabilizer_nan_coefficient_fails_the_square_check():
+    with pytest.raises(ValueError, match="'ZZ' does not square to identity"):
+        build_stabilizer_code([PauliString("ZZ", coefficient=float("nan"))])
+    with pytest.raises(ValueError, match="'ZZI' does not square to identity"):
+        build_stabilizer_code(["IZZ", PauliString("ZZI", coefficient=complex(1.0, float("nan")))])
+
+
+@pytest.mark.parametrize(
+    "stabilizers,message",
+    [
+        (["ZZIII", "XIIII"], "'ZZIII' and 'XIIII' do not commute"),
+        (["ZZIII", "IXXII"], "'ZZIII' and 'IXXII' do not commute"),
+        (["ZZIII", "IZZII", "YYZZX"], "'IZZII' and 'YYZZX' do not commute"),
+        ([PauliString("ZZIII", 1j)], "'ZZIII' does not square to identity"),
+        ([PauliString("ZZIII", 2.0)], "'ZZIII' does not square to identity"),
+    ],
+)
+def test_stabilizer_checks_build_no_matrix(stabilizers, message):
+    """Commutation and squares are decided from the letters: ``pauli_sum`` is never called."""
+    with mock.patch.object(codes, "pauli_sum", wraps=codes.pauli_sum) as built:
+        with pytest.raises(ValueError, match=message):
+            build_stabilizer_code(stabilizers)
+    assert built.call_count == 0
+
+
 def test_heisenberg_small_chains():
     for n, gap, d in ((2, 1.0, None), (4, 1.0, 3), (6, GOLDEN_GAP_N6, 1)):
         code = build_heisenberg_code(HeisenbergSpec(n_qubits=n))
@@ -104,6 +132,34 @@ def test_code_from_hamiltonian_matches_builder():
     p_built = sum(np.outer(v, v.conj()) for v in built.ls_basis)
     p_derived = sum(np.outer(v, v.conj()) for v in derived.ls_basis)
     assert np.allclose(p_built, p_derived, atol=1e-10)
+
+
+def test_code_from_hamiltonian_checks_hermiticity_once(monkeypatch):
+    h = build_repetition_code(1.0).hamiltonian
+    calls = []
+
+    def counted(h, name="matrix"):
+        calls.append(name)
+        return require_hermitian(h, name)
+
+    monkeypatch.setattr(codes, "require_hermitian", counted)
+    code_from_hamiltonian(h)
+    assert calls == ["hamiltonian"]
+
+
+@pytest.mark.parametrize(
+    "h,message",
+    [
+        (np.triu(np.ones((4, 4))), "hamiltonian is not hermitian"),
+        (np.diag([0.0, 1.0, np.nan, 2.0]), "hamiltonian has non-finite entries"),
+        (np.diag([0.0, 1.0, 1.0, 2.0, 2.0, 3.0]), "dimension 6 is not a power of 2"),
+        (np.zeros((4, 2)), "hamiltonian must be square"),
+    ],
+    ids=["non-hermitian", "non-finite", "6x6", "non-square"],
+)
+def test_code_from_hamiltonian_rejects(h, message):
+    with pytest.raises(ValueError, match=message):
+        code_from_hamiltonian(h)
 
 
 def test_code_from_hamiltonian_single_ground():

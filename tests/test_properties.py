@@ -1,11 +1,15 @@
 """Property tests of the block-split eigensolve and round kernel, one cell or a batch,
-of the one-round plane, of the auxiliary measurement and of the Pauli-sum builder.
+of the one-round plane, of the auxiliary measurement, of the Pauli-sum builder,
+of the stabilizer checks, and of the CLI over generated stabilizer codes.
 
 Random block-diagonal problems are hidden behind a random permutation of
 the basis, so the blocks are only visible through the exactly-zero
 pattern; each fast path is checked against a dense reference.
 """
 
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +17,8 @@ import pytest
 
 from logipure import _kernels, operators
 from logipure._kernels import batch_trajectory_kernel, trajectory_kernel
-from logipure.codes import HeisenbergSpec, build_heisenberg_code, cardinal_state
+from logipure.cli import main
+from logipure.codes import HeisenbergSpec, build_heisenberg_code, build_stabilizer_code, cardinal_state
 from logipure.emr import (
     CALIBRATED_AUX_ENERGY,
     CHAIN_BENCHMARK,
@@ -27,6 +32,7 @@ from logipure.emr import (
     run_emr,
     thermal_ensemble,
 )
+from logipure.interaction import VARIANTS
 from logipure.measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from logipure.operators import (
     PAULI_MATRICES,
@@ -39,7 +45,7 @@ from logipure.operators import (
     pauli_sum,
 )
 
-from oracles import dense_round_contraction, dense_trajectory, projector_measurement
+from oracles import dense_round_contraction, dense_stabilizer_code, dense_trajectory, projector_measurement
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -422,3 +428,67 @@ def test_pauli_sum_matches_kron_of_pauli_matrices(n, data):
     terms = data.draw(st.lists(term, min_size=1, max_size=6))
     want = sum(t.coefficient * kron_all(PAULI_MATRICES[c] for c in t.letters) for t in terms)
     assert np.max(np.abs(pauli_sum(terms) - want)) <= 1e-15
+
+
+def outcome(build):
+    """The built code, or the message of the ValueError that refused it."""
+    try:
+        return build()
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def stabilizer_lists(draw, max_qubits=4, max_strings=4):
+    """Letter strings of one length, or now and then one string of another."""
+    n = draw(st.integers(1, max_qubits))
+    words = draw(st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=max_strings))
+    if draw(st.integers(0, 4)) == 0:
+        other = draw(st.integers(1, max_qubits + 1).filter(lambda m: m != n))
+        words[draw(st.integers(0, len(words) - 1))] = draw(st.text(alphabet="IXYZ", min_size=other, max_size=other))
+    return words
+
+
+@settings(max_examples=150, deadline=None)
+@given(words=stabilizer_lists(), data=st.data(), strength=st.sampled_from([0.5, 1.0, 2.0]))
+def test_stabilizer_checks_match_dense_oracle(words, data, strength):
+    """The letter checks refuse what the dense products refuse, with the same message."""
+    weight = st.sampled_from([1.0, -1.0, 1j, 2.0, 1.0 + 1e-13])
+    strings = [PauliString(w, data.draw(weight)) for w in words]
+    got = outcome(lambda: build_stabilizer_code(strings, strength))
+    want = outcome(lambda: dense_stabilizer_code(strings, strength))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got.hamiltonian, want.hamiltonian)
+        assert got.gap == want.gap
+
+
+@st.composite
+def cli_runs(draw):
+    """(command, config) over generated stabilizer codes and tiny grids."""
+    code = {"type": "stabilizer", "stabilizers": draw(stabilizer_lists(max_qubits=3, max_strings=3))}
+    code["J"] = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2]))
+    cfg = {"code": code, "L": draw(st.sampled_from([1, 2]))}
+    command = draw(st.sampled_from(["decompose", "fig2", "fig4", "purify"]))
+    if command == "decompose":
+        cfg["variant"] = draw(st.sampled_from(VARIANTS))
+    elif command == "fig2":
+        cfg.update(a_points=2, t_points=2)
+    elif command == "fig4":
+        cfg.update(a_points=2, t_points=2, max_rounds=3, aq_reset=draw(st.sampled_from(POLICIES)))
+    return command, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=cli_runs())
+def test_cli_runs_exit_0_or_2(run):
+    """No generated config ends in a traceback, and a refused one writes no file."""
+    command, cfg = run
+    with tempfile.TemporaryDirectory() as tmp:
+        out, cfg_path = Path(tmp) / "out", Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert rc in (0, 2)
+        assert out.exists() == (rc == 0)
