@@ -26,7 +26,8 @@ the same probability floor:
 
 The module also builds the anisotropic-XY auxiliary couplings for
 Heisenberg chains and reproduces the reference benchmark table for that
-protocol family.
+protocol family, solving and running each chain row in halves where a
+reflection of the chain keeps its wiring.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .operators import (
     KET_0,
     POST_TOL,
     SpectralDecomposition,
+    _reflection_halves,
+    _reflection_pieces,
+    coupled_blocks,
     hermitian_eig,
     kron,
     kron_all,
@@ -89,7 +93,11 @@ class XYSetup:
     ``J (gamma_+ sx sx + gamma_- sy sy)`` with ``gamma_pm = (1 +- gamma)/2``.
     ``aux_energy=None`` resolves to the spectral gap of
     the chain at build time (the resonance default); benchmark-table runs
-    pass the fitted :data:`CALIBRATED_AUX_ENERGY` instead.
+    pass the fitted :data:`CALIBRATED_AUX_ENERGY` instead.  When ``j_2``
+    is 0 or equals ``j_1``, a site reflection of the ring with the
+    auxiliary order reversed keeps the wiring (:attr:`reflection_centre`),
+    and :meth:`reflection` gives the permutation of the joint basis that
+    the joint Hamiltonian commutes with.
     """
 
     n_system: int
@@ -116,12 +124,50 @@ class XYSetup:
             raise ValueError(f"auxiliary energy must be >= 0, got {self.aux_energy}")
 
     @property
+    def reflection_centre(self) -> int | None:
+        """Centre c of the site reflection i -> c - i (mod N) that, with the auxiliary order reversed, keeps the wiring.
+
+        Auxiliary qubit n_aux - 1 - j then sits where qubit j sat: on site
+        c - j with ``j_1`` when ``j_2`` is 0 (c = n_aux - 1), and on the
+        pair c - j - 1, c - j with equal couplings when ``j_2`` equals
+        ``j_1`` (c = n_aux).  The ring and its uniform exchange and field
+        are unchanged by any site reflection.  None for any other wiring.
+        """
+        if self.j_2 == 0.0:
+            return self.n_aux - 1
+        if self.j_2 == self.j_1:
+            return self.n_aux
+        return None
+
+    def reflection(self) -> np.ndarray | None:
+        """Image of each joint basis index under :attr:`reflection_centre`'s reflection, or None.
+
+        The joint Hamiltonian of :func:`build_xy_setup` commutes with this
+        permutation of the basis, which :func:`~logipure.operators.hermitian_eig`
+        takes to split its blocks into even and odd halves.
+        """
+        if self.reflection_centre is None:
+            return None
+        system = _site_reflection(self.n_system, self.reflection_centre)
+        aux = _site_reflection(self.n_aux, self.n_aux - 1)
+        return ((system[:, None] << self.n_aux) | aux).ravel()
+
+    @property
     def gamma_plus(self) -> float:
         return (1.0 + self.gamma) / 2.0
 
     @property
     def gamma_minus(self) -> float:
         return (1.0 - self.gamma) / 2.0
+
+
+def _site_reflection(n_sites: int, centre: int) -> np.ndarray:
+    """Image of each basis index of ``n_sites`` qubits under the site map i -> (centre - i) mod n_sites."""
+    index = np.arange(2**n_sites)
+    image = np.zeros_like(index)
+    for site in range(n_sites):
+        image |= ((index >> (n_sites - 1 - site)) & 1) << (n_sites - 1 - (centre - site) % n_sites)
+    return image
 
 
 @dataclass
@@ -223,6 +269,73 @@ def thermal_ensemble(codes: list[CodeModel], beta: float) -> np.ndarray:
     return kron_all(factors)
 
 
+def _reflected_ensemble(code: CodeModel, beta: float, image: np.ndarray) -> np.ndarray | None:
+    """:func:`thermal_ensemble` of one code in the basis the reflection ``image`` of its rows splits.
+
+    The basis keeps each fixed row and puts (e_a + e_b)/sqrt 2 on row a
+    and (e_a - e_b)/sqrt 2 on row b of each mirror pair a < b, the basis
+    of :func:`~logipure.operators._reflection_halves`.  The code
+    Hamiltonian's even and odd halves are split into the blocks of their
+    nonzero pattern, whatever their size, and each block is solved by
+    one ``eigh``, so every column of the factor lies in one block of one
+    half, with exact zeros elsewhere.  (The code's own spectrum mixes
+    the halves inside its degenerate levels.)  None unless the
+    reflection leaves the Hamiltonian unchanged bit for bit.
+    """
+    h = code.hamiltonian
+    if np.iscomplexobj(h) and not h.imag.any():
+        h = h.real
+    dim = h.shape[0]
+    pieces = _reflection_pieces(h, np.arange(dim), image)
+    if pieces is None:
+        return None
+    fixed, lo, hi, top, cross = pieces
+    halves = zip((np.concatenate([fixed, lo]), hi), _reflection_halves(top, cross, fixed.size))
+    solved = [
+        (rows[block], *np.linalg.eigh(half[np.ix_(block, block)]))
+        for rows, half in halves
+        for block in coupled_blocks(half != 0)
+    ]
+    w = np.concatenate([wb for _, wb, _ in solved])
+    weights = np.exp(-beta * (w - w.min()))
+    weights = np.sqrt(weights / weights.sum())
+    factor = np.zeros((dim, dim), dtype=h.dtype)
+    start = 0
+    for rows, wb, vb in solved:
+        factor[rows, start : start + wb.size] = vb * weights[start : start + wb.size]
+        start += wb.size
+    return factor
+
+
+def _reflected_operators(ops: np.ndarray, image: np.ndarray) -> np.ndarray | None:
+    """A stack of system operators in the basis of :func:`_reflected_ensemble`, or None.
+
+    Each operator becomes its even and odd halves, with exact zeros
+    between them.  None unless the reflection leaves every operator
+    unchanged bit for bit.
+    """
+    pieces = _reflection_pieces(ops, np.arange(image.size), image)
+    if pieces is None:
+        return None
+    fixed, lo, hi, top, cross = pieces
+    even, odd = _reflection_halves(top, cross, fixed.size)
+    even_rows = np.concatenate([fixed, lo])
+    out = np.zeros_like(ops)
+    out[..., even_rows[:, None], even_rows] = even
+    out[..., hi[:, None], hi] = odd
+    return out
+
+
+def _reflected_rows(states: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """A stack of states, one per row, in the basis of :func:`_reflected_ensemble`."""
+    lo = np.flatnonzero(image > np.arange(image.size))
+    hi = image[lo]
+    out = states.copy()
+    out[..., lo] = (states[..., lo] + states[..., hi]) * np.sqrt(0.5)
+    out[..., hi] = (states[..., lo] - states[..., hi]) * np.sqrt(0.5)
+    return out
+
+
 def round_contraction(
     spectral: SpectralDecomposition, durations: np.ndarray, psi_out: np.ndarray, aq_in: np.ndarray
 ) -> np.ndarray:
@@ -284,10 +397,14 @@ def _round_operators(spectral, durations, cells, aq_reset) -> tuple[np.ndarray, 
 
     A later round starts from the postselected state under the keep
     policy and, like the first, from |0...0> under the reset policy.
+    When the two states are the same (the reset policy, or every cell
+    postselecting |0...0>), the operator is contracted once and returned
+    as both.
     """
     psi_out = np.stack([kron_all([s.state() for s in cell]) for cell in cells])
     ket0 = np.broadcast_to(kron_all([KET_0] * len(cells[0])), psi_out.shape)
-    aq_in = np.stack([ket0] if aq_reset == RESET else [ket0, psi_out])
+    same = aq_reset == RESET or np.array_equal(psi_out, ket0)
+    aq_in = np.stack([ket0] if same else [ket0, psi_out])
     ops = round_contraction(spectral, durations, psi_out, aq_in)
     return ops[:, 0].reshape(-1, *ops.shape[-2:]), ops[:, -1].reshape(-1, *ops.shape[-2:])
 
@@ -309,21 +426,19 @@ def fast_trajectory(
     :data:`UNATTAINABLE_P` and the same check that the target has norm
     1, from :func:`round_contraction` operators.
     """
-    return _group_trajectories(ensemble, require_unit(target)[None], [(spectral, rounds, aq_reset)], max_rounds)[0][0]
+    target = require_unit(target)
+    _check_run(max_rounds, aq_reset)
+    operators = _round_operators(spectral, [rounds.duration], [rounds.settings], aq_reset)
+    return _trajectories(*operators, ensemble, target[None], max_rounds)[0][0]
 
 
-def _group_trajectories(ensemble, targets, cells, max_rounds) -> list[list[EmrTrajectory]]:
+def _trajectories(k_first, k_later, ensemble, targets, max_rounds) -> list[list[EmrTrajectory]]:
     """:func:`fast_trajectory` for a stack of cells sharing an ensemble, from one kernel pass.
 
-    ``cells`` holds one (spectral, rounds, policy) triple per cell and
-    ``targets`` a stack of target rows; returns, per cell, one
-    trajectory per target row, each with arrays of its own.
+    ``k_first`` and ``k_later`` stack one round operator per cell and
+    ``targets`` the target rows; returns, per cell, one trajectory per
+    target row, each with arrays of its own.
     """
-    operators = []
-    for spectral, rounds, policy in cells:
-        _check_run(max_rounds, policy)
-        operators.append(_round_operators(spectral, [rounds.duration], [rounds.settings], policy))
-    k_first, k_later = (np.concatenate(ops) for ops in zip(*operators))
     fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds)
     return [
         [
@@ -566,11 +681,26 @@ def reproduce_table1(
     lacks, raises, as does a NaN or infinite ``beta``, ``duration``,
     ``j_1`` or ``aux_energy``.
 
-    Rows with the same chain size share the thermal ensemble; those whose
-    joint spectra also split into the same blocks run all their (row,
-    policy) cells in one :func:`batch_trajectory_kernel` pass, scored
-    against every cardinal target of the group.  Rows whose blocks differ
-    run apart, since a stack takes the union of its cells' blocks.
+    Each row's joint Hamiltonian is solved with its wiring's reflection
+    (:meth:`XYSetup.reflection`), its round operators are made, and its
+    spectrum is dropped before the next row's solve.  When that solve
+    split blocks into halves and every auxiliary qubit of the row has
+    the same measurement setting, the round operators commute with the
+    system part of the reflection, and the row runs in the
+    reflection-adapted system basis: its operators, the thermal factor
+    (factored again from the chain Hamiltonian's halves, once per chain
+    size and reflection centre) and the target rows all move to that
+    basis, where the kernel's block search finds parts half the size.
+    It does so only when the operators and the chain Hamiltonian are
+    unchanged by the reflection bit for bit; otherwise the row runs in
+    the computational basis.
+
+    Rows with the same chain size and basis share the thermal factor;
+    those whose joint spectra also split into the same blocks run all
+    their (row, policy) cells in one :func:`batch_trajectory_kernel`
+    pass, scored against every cardinal target of the group.  Rows whose
+    blocks differ run apart, since a stack takes the union of its cells'
+    blocks.
     """
     if rows is not None:
         unknown = sorted(set(rows) - {r.index for r in CHAIN_BENCHMARK})
@@ -581,6 +711,8 @@ def reproduce_table1(
     for name, value in (("beta", beta), ("duration", duration), ("j_1", j_1), ("aux_energy", aux_energy)):
         if value is not None:
             require_finite(name, value)
+    if beta < 0:
+        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
     e_a = CALIBRATED_AUX_ENERGY if aux_energy is None else aux_energy
     selected = [r for r in CHAIN_BENCHMARK if rows is None or r.index in rows]
     report = {
@@ -595,13 +727,24 @@ def reproduce_table1(
         "rows": [],
     }
     signs = ("+", "-")
-    chains: dict[int, tuple[CodeModel, np.ndarray]] = {}
-    prepared = []  # (row, spectral, rounds, policies) per selected row
-    groups: dict[tuple, list] = {}  # (chain size, block partition) -> its entries of ``prepared``
+    chains: dict[int, CodeModel] = {}
+    ensembles: dict[tuple, np.ndarray | None] = {}  # (chain size, reflection centre) -> thermal factor
+
+    def ensemble(n_sites, centre):
+        if (n_sites, centre) not in ensembles:
+            code = chains[n_sites]
+            ensembles[n_sites, centre] = (
+                thermal_ensemble([code], beta)
+                if centre is None
+                else _reflected_ensemble(code, beta, _site_reflection(n_sites, centre))
+            )
+        return ensembles[n_sites, centre]
+
+    prepared = []  # (row, policies) per selected row
+    groups: dict[tuple, list] = {}  # (chain size, reflection centre, block partition) -> its cells
     for row in selected:
         if row.n_sites not in chains:
-            chain = build_heisenberg_code(HeisenbergSpec(n_qubits=row.n_sites))
-            chains[row.n_sites] = (chain, thermal_ensemble([chain], beta))
+            chains[row.n_sites] = build_heisenberg_code(HeisenbergSpec(n_qubits=row.n_sites))
         setup = XYSetup(
             n_system=row.n_sites,
             n_aux=len(row.settings),
@@ -610,27 +753,44 @@ def reproduce_table1(
             gamma=row.gamma,
             aux_energy=e_a,
         )
-        spectral = hermitian_eig(_xy_hamiltonian(setup, chains[row.n_sites][0]))
+        spectral = hermitian_eig(_xy_hamiltonian(setup, chains[row.n_sites]), setup.reflection())
         rounds = RoundSpec(duration, tuple(MeasurementSetting(a=a, b=b, k=k) for a, b, k in row.settings))
         pole_angles = all(
             abs(a) < 1e-12 or abs(a - np.pi) < 1e-12 for a, _, _ in row.settings
         )
         policies = (KEEP,) if pole_angles else (KEEP, RESET)
+        operators = [_round_operators(spectral, [duration], [rounds.settings], policy) for policy in policies]
+        k_first, k_later = (np.concatenate(ops) for ops in zip(*operators))
         partition = tuple(block_rows.tobytes() for block_rows, _, _ in spectral.blocks)
-        prepared.append((row, spectral, rounds, policies))
-        groups.setdefault((row.n_sites, partition), []).append(prepared[-1])
+        # The halves of a reflection-split spectrum share rows.  The round
+        # operators commute with the system part of that reflection when
+        # every auxiliary qubit is measured alike.
+        halved = sum(block_rows.size for block_rows, _, _ in spectral.blocks) > spectral.eigenvalues.size
+        del spectral, operators
+        centre = setup.reflection_centre if halved and len(set(row.settings)) == 1 else None
+        if centre is not None:
+            reflected = [_reflected_operators(k, _site_reflection(row.n_sites, centre)) for k in (k_first, k_later)]
+            if ensemble(row.n_sites, centre) is None or any(k is None for k in reflected):
+                centre = None
+            else:
+                k_first, k_later = reflected
+        prepared.append((row, policies))
+        group = groups.setdefault((row.n_sites, centre, partition), [])
+        group += [(row, policy, kf, kl) for policy, kf, kl in zip(policies, k_first, k_later)]
 
     runs = {}  # (row index, policy) -> {cardinal: trajectory}
-    for (n_sites, _), members in groups.items():
-        code, ensemble = chains[n_sites]
-        labels = list(dict.fromkeys(row.axis + sign for row, *_ in members for sign in signs))
+    for (n_sites, centre, _), cells in groups.items():
+        code = chains[n_sites]
+        labels = list(dict.fromkeys(row.axis + sign for row, *_ in cells for sign in signs))
         targets = np.stack([cardinal_state(code, label) for label in labels])
-        keys = [(row.index, policy) for row, _, _, policies in members for policy in policies]
-        cells = [(spectral, rounds, policy) for _, spectral, rounds, policies in members for policy in policies]
-        for key, per_target in zip(keys, _group_trajectories(ensemble, targets, cells, max_rounds)):
-            runs[key] = dict(zip(labels, per_target))
+        if centre is not None:
+            targets = _reflected_rows(targets, _site_reflection(n_sites, centre))
+        k_first, k_later = (np.stack([cell[i] for cell in cells]) for i in (2, 3))
+        trajectories = _trajectories(k_first, k_later, ensemble(n_sites, centre), targets, max_rounds)
+        for (row, policy, _, _), per_target in zip(cells, trajectories):
+            runs[row.index, policy] = dict(zip(labels, per_target))
 
-    for row, _, _, policies in prepared:
+    for row, policies in prepared:
         candidates = [
             {
                 "cardinal": row.axis + sign,

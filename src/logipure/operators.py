@@ -25,7 +25,9 @@ finds those blocks from the exactly-nonzero pattern alone, and
 :func:`hermitian_eig` checks and solves each block of a large matrix on
 its own and keeps the solution per block in a
 :class:`SpectralDecomposition`; a small matrix, or one without such
-structure, is the one-block case.
+structure, is the one-block case.  Given a reflection of the basis that
+leaves a block unchanged, it solves that block as its even and odd
+halves (:func:`_reflection_pieces`, :func:`_reflection_halves`).
 """
 
 from __future__ import annotations
@@ -92,11 +94,14 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and their orthonormal eigenvectors, kept per block.
 
     Each entry of ``blocks`` is ``(rows, positions, vectors)``: the basis
-    rows a block spans, the positions of its eigenvalues in
+    rows its eigenvectors reach, the positions of its eigenvalues in
     ``eigenvalues``, and its eigenvectors restricted to those rows, one
-    column per position.  Every eigenvector is zero outside its block's
-    rows.  An unsplit matrix is the one-block case.  The vectors are
-    float64 when the decomposed matrix is real, complex otherwise.
+    column per position.  Every eigenvector is zero outside its entry's
+    rows.  Each position belongs to one entry, but two entries may share
+    rows: the even and odd halves of a block split by a reflection (see
+    :func:`hermitian_eig`) both reach the block's mirror pairs.  An
+    unsplit matrix is the one-entry case.  The vectors are float64 when
+    the decomposed matrix is real, complex otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -181,18 +186,20 @@ def _square_matrix(h: np.ndarray, name: str) -> np.ndarray:
     return np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
 
 
-def _check_hermitian(blocks: Sequence[np.ndarray], name: str) -> None:
-    """Raise unless the diagonal blocks of a matrix are finite and hermitian.
-
-    The blocks must hold every nonzero entry of the matrix together with
-    its transpose partner, so that the largest entry and the largest
-    ``|H - H^dag|`` of the blocks are those of the whole matrix; the
-    asymmetry is judged relative to that largest entry.
-    """
-    scale = np.max([np.max(np.abs(b)) for b in blocks])
+def _hermitian_measures(pieces: Sequence[np.ndarray], name: str) -> tuple[float, float]:
+    """Largest entry and largest ``|H - H^dag|`` of square pieces of a matrix; raises on a non-finite entry."""
+    scale = np.max([np.max(np.abs(b)) for b in pieces])
     if not np.isfinite(scale):
         raise ValueError(f"{name} has non-finite entries")
-    asym = np.max([np.max(np.abs(b - b.conj().T)) for b in blocks])
+    return scale, np.max([np.max(np.abs(b - b.conj().T)) for b in pieces])
+
+
+def _check_hermitian(scale: float, asym: float, name: str) -> None:
+    """Raise unless the asymmetry of a matrix is within tolerance of its largest entry.
+
+    The two measures must be those of the whole matrix: pieces that hold
+    every nonzero entry together with its transpose partner give them.
+    """
     if asym > VALIDATION_TOL * max(scale, 1.0):
         raise ValueError(f"{name} is not hermitian: max |H - H^dag| = {asym:.3e}")
 
@@ -204,7 +211,7 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     arithmetic.
     """
     h = _square_matrix(h, name)
-    _check_hermitian([h], name)
+    _check_hermitian(*_hermitian_measures([h], name), name)
     return np.asarray(h, dtype=complex)
 
 
@@ -233,31 +240,127 @@ def coupled_blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def hermitian_eig(h: np.ndarray) -> SpectralDecomposition:
+def _reflection_pieces(m: np.ndarray, rows: np.ndarray, image: np.ndarray):
+    """The pieces of the block ``rows`` of ``m`` that an involution of its rows leaves unchanged, or None.
+
+    ``image`` maps every row of ``m`` to its mirror row.  The block's rows
+    fall into the fixed ones F, the lower member of each mirror pair A and
+    the upper one B = image[A].  When the block holds the mirror of every
+    row and ``m[image][:, image]`` equals ``m`` on the block exactly, bit
+    for bit, returns (F, A, B, top, cross) with top = m[F + A, F + A]
+    and cross = m[A, B]; their mirrors are the block's other entries, so
+    the two pieces hold the largest entry and the largest asymmetry of
+    the block.  Otherwise, or when the block has no mirror pair, returns
+    None.  Each piece gathered holds about a quarter of the block's
+    entries; the whole block is never gathered.
+    """
+    mapped = image[rows]
+    if not np.array_equal(np.sort(mapped), rows):
+        return None
+    fixed, lo = rows[mapped == rows], rows[mapped > rows]
+    if not lo.size:
+        return None
+    hi = image[lo]
+    top_rows = np.concatenate([fixed, lo])
+    top = m[..., top_rows[:, None], top_rows]
+    mirror_rows = np.concatenate([fixed, hi])
+    if not np.array_equal(m[..., mirror_rows[:, None], mirror_rows], top):
+        return None
+    cross = m[..., lo[:, None], hi]
+    if not np.array_equal(m[..., hi[:, None], lo], cross):
+        return None
+    return fixed, lo, hi, top, cross
+
+
+def _reflection_halves(top: np.ndarray, cross: np.ndarray, n_fixed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd halves of a mirror-symmetric block from its :func:`_reflection_pieces`.
+
+    In the basis of the fixed rows, (e_a + e_b)/sqrt 2 and (e_a - e_b)/sqrt
+    2 for each mirror pair (a, b), the block is the even half on the first
+    two and the odd half on the last, with exact zeros between them.  The
+    even half is [[m_FF, sqrt 2 m_FA], [sqrt 2 m_AF, m_AA + m_AB]], built
+    in place of ``top``; the odd half is m_AA - m_AB.
+    """
+    odd = top[..., n_fixed:, n_fixed:] - cross
+    top[..., n_fixed:, n_fixed:] += cross
+    top[..., n_fixed:, :n_fixed] *= math.sqrt(2.0)
+    top[..., :n_fixed, n_fixed:] *= math.sqrt(2.0)
+    return top, odd
+
+
+def _lift(vectors: np.ndarray, n_fixed: int, sign: float) -> np.ndarray:
+    """Eigenvectors of a half, on the fixed rows, then A, then B, in the original basis."""
+    pairs = vectors.shape[0] - n_fixed
+    lifted = np.empty((n_fixed + 2 * pairs, vectors.shape[1]), dtype=vectors.dtype)
+    lifted[:n_fixed] = vectors[:n_fixed]
+    np.multiply(vectors[n_fixed:], math.sqrt(0.5), out=lifted[n_fixed : n_fixed + pairs])
+    np.multiply(lifted[n_fixed : n_fixed + pairs], sign, out=lifted[n_fixed + pairs :])
+    return lifted
+
+
+def hermitian_eig(h: np.ndarray, reflection: np.ndarray | None = None) -> SpectralDecomposition:
     """Full spectral decomposition of a hermitian matrix, one block at a time.
 
     A matrix of at least :data:`SPLIT_MIN_ROWS` rows is taken apart into
     the blocks of :func:`coupled_blocks` on its nonzero pattern; a
-    smaller one is the one-block case.  Each block is gathered once,
-    checked, and solved by one ``eigh``, so every eigenvector column is
+    smaller one is the one-block case.  Each block is gathered, checked
+    and solved by one ``eigh`` in turn, so every eigenvector column is
     supported on a single block.  The check is the whole matrix's: a
     NaN or an infinity counts as nonzero, and a block holds every
     nonzero entry with its transpose partner, so the blocks together
     are finite and hermitian, against the largest entry of the matrix,
     exactly when the matrix is.  A matrix whose imaginary part is
     exactly zero is solved in real arithmetic, with float64
-    eigenvectors.  The blocks are kept as solved (see
-    :class:`SpectralDecomposition`).  Eigenvalues come back sorted
-    ascending (a stable sort of the blocks' eigenvalues in block order)
-    with orthonormal columns, so degenerate subspaces are represented by
-    an arbitrary but orthonormal basis.
+    eigenvectors.
+
+    ``reflection``, an involution of the rows given as each row's image,
+    splits the blocks of a split matrix further.  A block that holds the
+    image of each of its rows and that the involution leaves unchanged
+    bit for bit (:func:`_reflection_pieces`) is solved as its even and odd
+    halves (:func:`_reflection_halves`), one ``eigh`` each, and each
+    half's eigenvectors are lifted back onto the block rows they reach:
+    the even ones onto all of them, the odd ones onto the mirror pairs.
+    Any other block is solved whole.  The halves are built from a
+    quarter of the block each, so the whole block is never gathered.
+
+    The blocks are kept as solved (see :class:`SpectralDecomposition`).
+    Eigenvalues come back sorted ascending (a stable sort of the blocks'
+    eigenvalues in block order, even half before odd) with orthonormal
+    columns, so degenerate subspaces are represented by an arbitrary but
+    orthonormal basis.
     """
     h = _square_matrix(h, "hamiltonian")
     dim = h.shape[0]
-    blocks = coupled_blocks(h != 0) if dim >= SPLIT_MIN_ROWS else [np.arange(dim)]
-    gathered = [h[np.ix_(idx, idx)] for idx in blocks]
-    _check_hermitian(gathered, "hamiltonian")
-    solved = [(idx, *np.linalg.eigh(hb)) for idx, hb in zip(blocks, gathered)]
+    if reflection is not None:
+        reflection = np.asarray(reflection)
+        if (
+            reflection.shape != (dim,)
+            or reflection.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(reflection), np.arange(dim))
+            or not np.array_equal(reflection[reflection], np.arange(dim))
+        ):
+            raise ValueError(f"reflection must be an involution of range({dim}), one image per row")
+    split = dim >= SPLIT_MIN_ROWS
+    measures, solved = [], []
+    for idx in coupled_blocks(h != 0) if split else [np.arange(dim)]:
+        pieces = _reflection_pieces(h, idx, reflection) if split and reflection is not None else None
+        if pieces is None:
+            hb = h[np.ix_(idx, idx)]
+            measures.append(_hermitian_measures([hb], "hamiltonian"))
+            solved.append((idx, *np.linalg.eigh(hb)))
+            continue
+        fixed, lo, hi, top, cross = pieces
+        measures.append(_hermitian_measures([top, cross], "hamiltonian"))
+        even, odd = _reflection_halves(top, cross, fixed.size)
+        del pieces, top, cross  # so that each half is freed once solved, to keep the peak down
+        w, v = np.linalg.eigh(even)
+        del even
+        solved.append((np.concatenate([fixed, lo, hi]), w, _lift(v, fixed.size, 1.0)))
+        w, v = np.linalg.eigh(odd)
+        del odd
+        solved.append((np.concatenate([lo, hi]), w, _lift(v, 0, -1.0)))
+    scales, asyms = zip(*measures)
+    _check_hermitian(np.max(scales), np.max(asyms), "hamiltonian")
     w = np.concatenate([wb for _, wb, _ in solved])
     order = np.argsort(w, kind="stable")
     position = np.empty_like(order)

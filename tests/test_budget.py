@@ -1,9 +1,13 @@
 """Eigensolve work each CLI command does, on tiny configs.
 
 Every code solves its Hamiltonian at most once (a diagonal one not at
-all) and every joint Hamiltonian is solved once.  A solve may split into
-one call per block, so the budget is the summed dimension of the
-distinct Hamiltonians a command needs, not a count of calls.  The
+all) and every joint Hamiltonian is solved once.  The one exception is a
+chain whose table1 rows run in the reflection-adapted basis: its thermal
+factor is solved once more, from the halves of its Hamiltonian, once
+per chain size and reflection centre.  A solve may split into one call
+per block, or per half of a block, so the budget is the summed
+dimension of the distinct Hamiltonians a command needs, not a count of
+calls, and the largest single call is pinned too.  The
 fast paths form no joint unitary and no dense joint eigenvector array;
 fig2 takes its whole plane from one contraction of the joint spectrum,
 without evolving or measuring a joint state; fig4 runs in one kernel
@@ -18,22 +22,27 @@ import pytest
 from logipure.cli import main
 
 BUDGET = [
-    # (command, config, summed dimension): the comment names what is solved
-    ("fig2", {"a_points": 2, "t_points": 2}, 16),  # H_tot of the repetition code
-    ("fig3", {"j_points": 2, "beta_points": 2}, 0),  # diagonal codes only
-    ("fig4", {"a_points": 2, "t_points": 2, "max_rounds": 10}, 16),  # H_tot
-    ("table1", {"rows": [1], "max_rounds": 20}, 4 + 8),  # the two-site chain, then its H_tot
-    ("purify", {}, 16),  # H_tot
-    ("decompose", {}, 0),  # no spectrum needed
+    # (id, command, config, summed dimension, largest call): the comment names what is solved
+    ("fig2", "fig2", {"a_points": 2, "t_points": 2}, 16, 16),  # H_tot of the repetition code
+    ("fig3", "fig3", {"j_points": 2, "beta_points": 2}, 0, 0),  # diagonal codes only
+    ("fig4", "fig4", {"a_points": 2, "t_points": 2, "max_rounds": 10}, 16, 16),  # H_tot
+    ("table1", "table1", {"rows": [1], "max_rounds": 20}, 4 + 8, 8),  # the two-site chain, then its H_tot
+    # the eight-site chain, its H_tot by parity blocks halved by the reflection
+    # (the largest, 512 rows, as 272 + 240), and the chain's reflection-adapted
+    # thermal factor
+    ("table1-row12", "table1", {"rows": [12], "max_rounds": 20}, 256 + 1024 + 256, 272),
+    ("purify", "purify", {}, 16, 16),  # H_tot
+    ("decompose", "decompose", {}, 0, 0),  # no spectrum needed
 ]
 
 
-@pytest.mark.parametrize("command,config,expected", BUDGET, ids=[row[0] for row in BUDGET])
-def test_cli_eigensolve_budget(command, config, expected, tmp_path, eigensolves):
+@pytest.mark.parametrize("command,config,expected,largest", [row[1:] for row in BUDGET], ids=[row[0] for row in BUDGET])
+def test_cli_eigensolve_budget(command, config, expected, largest, tmp_path, eigensolves):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert sum(eigensolves) == expected, eigensolves
+    assert max(eigensolves, default=0) <= largest, eigensolves
 
 
 def test_fig4_plane_is_one_kernel_pass(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from logipure import emr
 from logipure.codes import HeisenbergSpec, build_heisenberg_code, cardinal_state
 from logipure.emr import (
     CALIBRATED_AUX_ENERGY,
@@ -385,6 +386,26 @@ def test_grouped_table_matches_per_row_runs(rows, max_rounds, monkeypatch):
             truncated += alone.truncated
     assert next(trajectories, None) is None
     assert truncated == (0 if max_rounds == 60 else 6)
+
+
+@pytest.mark.parametrize(
+    "n_system,n_aux,j_1,j_2,gamma",
+    [(2, 1, 1.0, 0.0, 0.85), (2, 1, 1.0, 1.0, 0.0), (4, 2, 0.5, 0.0, 0.17), (6, 3, 1.5, 1.5, -0.3), (6, 2, 1.0, 1.0, 0.19)],
+)
+def test_xy_reflection_keeps_the_joint_hamiltonian(n_system, n_aux, j_1, j_2, gamma):
+    """The wiring's reflection is an involution of the joint basis that leaves H_tot unchanged bit for bit."""
+    spec = HeisenbergSpec(n_qubits=n_system)
+    setup = XYSetup(n_system, n_aux, j_1=j_1, j_2=j_2, gamma=gamma, aux_energy=CALIBRATED_AUX_ENERGY)
+    h = build_xy_setup(setup, spec)
+    image = setup.reflection()
+    assert np.array_equal(image[image], np.arange(h.shape[0]))
+    assert np.array_equal(h[np.ix_(image, image)], h)
+    shifted = XYSetup(n_system, n_aux, j_1=j_1, j_2=0.5 * j_1, gamma=gamma)
+    assert shifted.reflection_centre is None and shifted.reflection() is None
+    if n_system > 2 or j_2 == 0.0:  # two sites bonded alike to one qubit keep every reflection
+        other = emr._site_reflection(n_system, setup.reflection_centre + 1)
+        image = ((other[:, None] << n_aux) | emr._site_reflection(n_aux, n_aux - 1)).ravel()
+        assert not np.array_equal(h[np.ix_(image, image)], h)  # another centre moves the bonds
 
 
 def test_reproduce_explicit_energy():

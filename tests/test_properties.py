@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from logipure import _kernels, operators
+from logipure import _kernels, emr, operators
 from logipure._kernels import batch_trajectory_kernel, trajectory_kernel
 from logipure.cli import main
 from logipure.codes import HeisenbergSpec, build_heisenberg_code, build_stabilizer_code, cardinal_state
@@ -110,6 +110,85 @@ def test_hermitian_eig_on_hidden_blocks(sizes, seed, repeat, t, real):
     assert is_real or not real
     assert spec.eigenvectors.dtype == (np.float64 if is_real else np.complex128)
     assert all(vectors.dtype == spec.eigenvectors.dtype for _, _, vectors in spec.blocks)
+
+
+def random_involution(rng, n, labels, keep_labels):
+    """Each row's image under a random involution, pairing rows of one label when ``keep_labels``."""
+    image = np.arange(n)
+    groups = [np.flatnonzero(labels == label) for label in np.unique(labels)] if keep_labels else [image]
+    for rows in groups:
+        rows = rng.permutation(rows)
+        pairs = int(rng.integers(0, rows.size // 2 + 1))
+        lower, upper = rows[:pairs], rows[pairs : 2 * pairs]
+        image[lower], image[upper] = upper, lower
+    return image
+
+
+def expected_solves(h, image):
+    """Sizes of the ``eigh`` calls of a split solve: each block whole, or its even and odd halves."""
+    sizes = []
+    for rows in operators.coupled_blocks(h != 0):
+        mapped = image[rows]
+        pairs = int(np.sum(mapped > rows))
+        closed = np.array_equal(np.sort(mapped), rows)
+        symmetric = np.array_equal(h[np.ix_(mapped, mapped)], h[np.ix_(rows, rows)])
+        sizes += [rows.size - pairs, pairs] if closed and symmetric and pairs else [rows.size]
+    return sorted(sizes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=seeds,
+    n_labels=st.integers(1, 4),
+    large=st.booleans(),
+    keep_labels=st.booleans(),
+    perturb=st.booleans(),
+)
+def test_hermitian_eig_splits_by_reflection(seed, n_labels, large, keep_labels, perturb):
+    """h = M + P M P^T, with P a random involution, solves by halves as it solves whole.
+
+    M is real symmetric with hidden label blocks, so h has conserved
+    blocks when P keeps the labels and fewer, merged ones otherwise.
+    Large draws have 256 rows or more and split as the chain stacks do;
+    small ones split because the split threshold is lowered.  One
+    perturbed entry (and its transpose) in a row of a mirror pair breaks
+    the symmetry of its block, which is then solved whole.
+    """
+    rng = np.random.default_rng(seed)
+    low, high = (256 // n_labels + 1, 272 // n_labels) if large else (1, 12)
+    sizes = rng.integers(low, high + 1, size=n_labels)
+    n = int(sizes.sum())
+    labels = shuffled_labels(sizes, rng.permutation(n))
+    m = rng.normal(size=(n, n)) * (labels[:, None] == labels[None, :])
+    m += m.T
+    image = random_involution(rng, n, labels, keep_labels)
+    h = m + m[np.ix_(image, image)]
+    moved = np.flatnonzero(image != np.arange(n))
+    if perturb and moved.size:  # on the diagonal, or off it, away from the row's mirror
+        i = moved[0]
+        j = rng.choice(np.flatnonzero(image != i))
+        h[i, j] += 0.5
+        h[j, i] = h[i, j]
+    solves, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        solves.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.object(operators, "SPLIT_MIN_ROWS", 256 if large else 1):
+        plain = hermitian_eig(h)
+        with mock.patch.object(np.linalg, "eigh", counted):
+            spec = hermitian_eig(h, image)
+    scale = max(1.0, np.max(np.abs(h)))
+    assert sorted(solves) == expected_solves(h, image)
+    if perturb and moved.size:
+        block = next(rows for rows in operators.coupled_blocks(h != 0) if moved[0] in rows)
+        assert block.size in solves  # the perturbed block is solved whole
+    assert np.max(np.abs(spec.eigenvalues - plain.eigenvalues)) <= 1e-12 * scale
+    assert np.max(np.abs(spec.reconstruct() - h)) <= 1e-12 * scale
+    v = spec.eigenvectors
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+    assert sorted(np.concatenate([positions for _, positions, _ in spec.blocks])) == list(range(n))
 
 
 # Round counts for the kernel properties, with m = ceil(sqrt(R)) baby steps and
@@ -364,6 +443,62 @@ def test_fast_trajectory_matches_dense_loop_on_chain_rows(row, policy, sign, bet
     assert np.allclose(fast.fidelity, ref.fidelity, rtol=0.0, atol=1e-10)
     assert np.allclose(fast.p_round, ref.p_round, rtol=1e-10, atol=0.0)
     assert np.allclose(fast.p_cumulative, ref.p_cumulative, rtol=1e-10, atol=0.0)
+
+
+def table1_run(disable_reflection, **config):
+    """A table1 report and every trajectory it scored, with the reflection on or disabled."""
+    seen, reflected = [], []
+    row_metrics, reflected_operators = emr._row_metrics, emr._reflected_operators
+
+    def recorded(traj, rounds):
+        seen.append(traj)
+        return row_metrics(traj, rounds)
+
+    def spied(ops, image):
+        out = reflected_operators(ops, image)
+        reflected.append(out is not None)
+        return out
+
+    with mock.patch.object(emr, "_row_metrics", recorded), mock.patch.object(emr, "_reflected_operators", spied):
+        if disable_reflection:
+            with mock.patch.object(XYSetup, "reflection_centre", property(lambda self: None)):
+                report = emr.reproduce_table1(**config)
+        else:
+            report = emr.reproduce_table1(**config)
+    return report, seen, reflected
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    j_1=st.sampled_from([0.5, 1.0, 1.5]),
+    beta=st.floats(0.02, 0.5),
+    duration=st.floats(0.5, 1.5),
+    rows=st.sets(st.integers(9, 12), min_size=1),
+    max_rounds=st.integers(1, 60),
+)
+def test_table1_reflection_matches_the_computational_basis(j_1, beta, duration, rows, max_rounds):
+    """table1 rows 9-12 give the same trajectories with the reflection as without it.
+
+    Rows 9 and 11 (j_2 = 0) keep the symmetry at any j_1, rows 10 and 12
+    (j_2 = 1) only at j_1 = 1; the others run in the computational basis.
+    """
+    config = dict(rows=sorted(rows), beta=beta, duration=duration, j_1=j_1, max_rounds=max_rounds)
+    report, trajectories, reflected = table1_run(False, **config)
+    plain, plain_trajectories, plain_reflected = table1_run(True, **config)
+    assert plain_reflected == []
+    symmetric = [index for index in rows if CHAIN_BENCHMARK[index - 1].j_2 in (0.0, j_1)]
+    assert reflected == [True] * 2 * len(symmetric)  # k_first and k_later of each symmetric row
+    assert len(trajectories) == len(plain_trajectories)
+    for traj, ref in zip(trajectories, plain_trajectories):
+        assert (traj.n_rounds, traj.truncated, traj.reason) == (ref.n_rounds, ref.truncated, ref.reason)
+        fid_scale = max(1e-300, np.max(ref.fidelity, initial=0.0))
+        assert np.max(np.abs(traj.fidelity - ref.fidelity), initial=0.0) <= 1e-12 * fid_scale
+        assert np.max(np.abs(traj.p_round / ref.p_round - 1.0), initial=0.0) <= 1e-12
+        assert np.max(np.abs(traj.p_cumulative / ref.p_cumulative - 1.0), initial=0.0) <= 1e-12
+    for row, ref in zip(report["rows"], plain["rows"]):
+        for candidate, ref_candidate in zip(row["candidates"], ref["candidates"]):
+            for key in ("cardinal", "policy", "n_rounds", "truncated", "m_min_066", "m_min_090"):
+                assert candidate[key] == ref_candidate[key]
 
 
 @settings(max_examples=100, deadline=None)
