@@ -13,12 +13,14 @@ its own rounding (an ensemble where K shrinks while K keeps another
 subspace) is run again one product per round.  :func:`trajectory_kernel`
 is the one-cell case.  When the contraction operators and the ensemble
 split into independent blocks (a conserved quantity of the joint
-dynamics), each part runs its own series and a round's weight is the sum
-of the part weights.
+dynamics), found from their nonzero pattern or handed over by a caller
+that knows them, each part runs its own series and a round's weight is
+the sum of the part weights.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 
@@ -51,25 +53,50 @@ def _round_blocks(k_first, k_later, v, targets_conj):
     The contraction operators may carry leading cell axes; blocks come
     from the union of every cell's nonzero pattern, so one search serves
     the whole stack.  Blocks couple rows linked by either contraction
-    operator or by a shared ensemble column.  Consecutive blocks are
-    packed into parts of at least :data:`MIN_PART_ROWS` rows; a single
-    part covers all rows and runs on the inputs as given.
+    operator or by a shared ensemble column.  They are packed into parts
+    by :func:`_pack`.
     """
-    dim = v.shape[0]
-    nonzero = v != 0
-    shared = nonzero.astype(np.float32)
-    cells = ((k_first != 0) | (k_later != 0)).reshape(-1, dim, dim)
-    pattern = cells.any(axis=0) | (shared @ shared.T > 0)
-    packed = []
-    for rows in coupled_blocks(pattern):
-        if packed and packed[-1].size < MIN_PART_ROWS:
-            packed[-1] = np.concatenate([packed[-1], rows])
-        else:
-            packed.append(rows)
-    if len(packed) > 1 and packed[-1].size < MIN_PART_ROWS:
-        packed[-2:] = [np.concatenate(packed[-2:])]
+    nonzero = (v != 0).astype(np.float32)
+    cells = ((k_first != 0) | (k_later != 0)).reshape(-1, v.shape[0], v.shape[0])
+    pattern = cells.any(axis=0) | (nonzero @ nonzero.T > 0)
+    return _parts(_pack(coupled_blocks(pattern)), k_first, k_later, v, targets_conj)
+
+
+def _pack(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Blocks of rows packed into parts of at least :data:`MIN_PART_ROWS` rows, each with the least excess.
+
+    A block that reaches :data:`MIN_PART_ROWS` on its own is a part.  Each
+    other part starts from the largest smaller block left and takes the
+    smallest block that brings it to :data:`MIN_PART_ROWS`, or else the
+    largest, until it gets there; blocks too few to get there join the
+    smallest part, or form the only one.  Each part's rows come sorted,
+    and the parts in the order of their smallest row.
+    """
+    parts = [rows for rows in blocks if rows.size >= MIN_PART_ROWS]
+    small = sorted((rows for rows in blocks if rows.size < MIN_PART_ROWS), key=len)
+    sizes = [rows.size for rows in small]
+    left = sum(sizes)
+    while left >= MIN_PART_ROWS:
+        part, filled = [small.pop()], sizes.pop()
+        while filled < MIN_PART_ROWS:
+            i = min(bisect.bisect_left(sizes, MIN_PART_ROWS - filled), len(sizes) - 1)
+            part.append(small.pop(i))
+            filled += sizes.pop(i)
+        parts.append(np.concatenate(part))
+        left -= filled
+    if small and parts:
+        i = min(range(len(parts)), key=lambda p: parts[p].size)
+        parts[i] = np.concatenate([parts[i], *small])
+    elif small:
+        parts.append(np.concatenate(small))
+    return sorted((np.sort(rows) for rows in parts), key=lambda rows: rows[0])
+
+
+def _parts(packed, k_first, k_later, v, targets_conj):
+    """Per-part ``[k_first, k_later, ensemble, target rows]`` on packed rows; one part takes the inputs as given."""
     if len(packed) == 1:
         return [[k_first, k_later, v, targets_conj]]
+    nonzero = v != 0
     parts = []
     for rows in packed:
         cols = np.flatnonzero(nonzero[rows].any(axis=0))
@@ -277,6 +304,17 @@ def batch_trajectory_kernel(
     its stop, one whose estimated rounding exceeds :data:`RESOLUTION` of
     it, runs its series again with m = 1, one product per round.
     """
+    return _kernel(k_first, k_later, ensemble, targets, max_rounds, None)
+
+
+def _kernel(k_first, k_later, ensemble, targets, max_rounds, blocks):
+    """:func:`batch_trajectory_kernel`, on ``blocks`` of rows when the caller knows them.
+
+    ``blocks`` partitions the rows into sets that neither contraction
+    operator of any cell nor any ensemble column links; they are packed
+    into parts by :func:`_pack` as found blocks are.  None finds them
+    from the nonzero pattern (:func:`_round_blocks`).
+    """
     k_first = np.asarray(k_first, dtype=np.complex128)
     k_later = np.asarray(k_later, dtype=np.complex128)
     v = np.array(ensemble, dtype=np.complex128, order="C")
@@ -288,13 +326,16 @@ def batch_trajectory_kernel(
     if targets_conj.ndim != 2 or targets_conj.shape[1] != v.shape[0]:
         raise ValueError(f"targets must have shape (n_targets, {v.shape[0]}), got {targets_conj.shape}")
     n_targets = targets_conj.shape[0]
-    blocks = _round_blocks(k_first, k_later, v, targets_conj)
+    if blocks is None:
+        parts = _round_blocks(k_first, k_later, v, targets_conj)
+    else:
+        parts = _parts(_pack(blocks), k_first, k_later, v, targets_conj)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p_cum, fid, unresolved = _series(blocks, n_targets, max_rounds, math.isqrt(max_rounds - 1) + 1)
+        p_cum, fid, unresolved = _series(parts, n_targets, max_rounds, math.isqrt(max_rounds - 1) + 1)
         ratio, n_rounds = _stops(p_cum)
         redo = unresolved <= np.minimum(n_rounds, max_rounds - 1)
         if redo.any():
-            again = [[kf[redo], kl[redo], pv, t] for kf, kl, pv, t in blocks]
+            again = [[kf[redo], kl[redo], pv, t] for kf, kl, pv, t in parts]
             p_cum[redo], fid[redo], _ = _series(again, n_targets, max_rounds, 1)
             ratio, n_rounds = _stops(p_cum)
         fid /= p_cum[..., None]

@@ -26,8 +26,9 @@ the same probability floor:
 
 The module also builds the anisotropic-XY auxiliary couplings for
 Heisenberg chains and reproduces the reference benchmark table for that
-protocol family, solving and running each chain row in halves where a
-reflection of the chain keeps its wiring.
+protocol family, building the larger chain rows one conserved sector at
+a time, and solving and running them in halves where a reflection of
+the chain keeps its wiring.
 """
 
 from __future__ import annotations
@@ -36,15 +37,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import batch_trajectory_kernel
+from ._kernels import _kernel, batch_trajectory_kernel
 from .codes import CodeModel, HeisenbergSpec, build_heisenberg_code, cardinal_state
 from .measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from .operators import (
     KET_0,
     POST_TOL,
+    SPLIT_MIN_ROWS,
     SpectralDecomposition,
+    _check_hermitian,
+    _hermitian_measures,
     _reflection_halves,
     _reflection_pieces,
+    _sorted_spectrum,
     coupled_blocks,
     hermitian_eig,
     kron,
@@ -93,11 +98,14 @@ class XYSetup:
     ``J (gamma_+ sx sx + gamma_- sy sy)`` with ``gamma_pm = (1 +- gamma)/2``.
     ``aux_energy=None`` resolves to the spectral gap of
     the chain at build time (the resonance default); benchmark-table runs
-    pass the fitted :data:`CALIBRATED_AUX_ENERGY` instead.  When ``j_2``
-    is 0 or equals ``j_1``, a site reflection of the ring with the
-    auxiliary order reversed keeps the wiring (:attr:`reflection_centre`),
-    and :meth:`reflection` gives the permutation of the joint basis that
-    the joint Hamiltonian commutes with.
+    pass the fitted :data:`CALIBRATED_AUX_ENERGY` instead.  The bonds
+    conserve the total magnetization at ``gamma = 0`` and the parity
+    otherwise, the sectors that :func:`_xy_spectrum` builds one at a
+    time.  When ``j_2`` is 0 or equals ``j_1``, a site reflection of the
+    ring with the auxiliary order reversed keeps the wiring
+    (:attr:`reflection_centre`), and :meth:`reflection` gives the
+    permutation of the joint basis that the joint Hamiltonian commutes
+    with, which splits each sector into even and odd halves.
     """
 
     n_system: int
@@ -307,25 +315,6 @@ def _reflected_ensemble(code: CodeModel, beta: float, image: np.ndarray) -> np.n
     return factor
 
 
-def _reflected_operators(ops: np.ndarray, image: np.ndarray) -> np.ndarray | None:
-    """A stack of system operators in the basis of :func:`_reflected_ensemble`, or None.
-
-    Each operator becomes its even and odd halves, with exact zeros
-    between them.  None unless the reflection leaves every operator
-    unchanged bit for bit.
-    """
-    pieces = _reflection_pieces(ops, np.arange(image.size), image)
-    if pieces is None:
-        return None
-    fixed, lo, hi, top, cross = pieces
-    even, odd = _reflection_halves(top, cross, fixed.size)
-    even_rows = np.concatenate([fixed, lo])
-    out = np.zeros_like(ops)
-    out[..., even_rows[:, None], even_rows] = even
-    out[..., hi[:, None], hi] = odd
-    return out
-
-
 def _reflected_rows(states: np.ndarray, image: np.ndarray) -> np.ndarray:
     """A stack of states, one per row, in the basis of :func:`_reflected_ensemble`."""
     lo = np.flatnonzero(image > np.arange(image.size))
@@ -432,14 +421,18 @@ def fast_trajectory(
     return _trajectories(*operators, ensemble, target[None], max_rounds)[0][0]
 
 
-def _trajectories(k_first, k_later, ensemble, targets, max_rounds) -> list[list[EmrTrajectory]]:
+def _trajectories(k_first, k_later, ensemble, targets, max_rounds, blocks=None) -> list[list[EmrTrajectory]]:
     """:func:`fast_trajectory` for a stack of cells sharing an ensemble, from one kernel pass.
 
     ``k_first`` and ``k_later`` stack one round operator per cell and
-    ``targets`` the target rows; returns, per cell, one trajectory per
-    target row, each with arrays of its own.
+    ``targets`` the target rows; ``blocks``, when given, are rows that
+    no operator or ensemble column links (else the kernel finds them).
+    Returns, per cell, one trajectory per target row, each with arrays
+    of its own.
     """
-    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds)
+    args = (k_first, k_later, ensemble, targets, max_rounds)
+    kernel = batch_trajectory_kernel(*args) if blocks is None else _kernel(*args, blocks)
+    fid, p_round, p_cum, n_rounds, reasons = kernel
     return [
         [
             EmrTrajectory(
@@ -575,32 +568,135 @@ def build_xy_setup(setup: XYSetup, heisenberg: HeisenbergSpec) -> np.ndarray:
 
 
 def _xy_hamiltonian(setup: XYSetup, code: CodeModel) -> np.ndarray:
-    """:func:`build_xy_setup` on an already built chain code, in float64.
+    """:func:`build_xy_setup` on an already built chain code, in float64: every row of :func:`_xy_entries`."""
+    index = np.arange(2 ** (setup.n_system + setup.n_aux))
+    return _xy_entries(setup, code)[0](index, index)
 
-    A Heisenberg chain's Hamiltonian has an exactly zero imaginary part,
-    so ``h`` starts from its real part.  Each
-    bond's XX and YY strings flip the same two bits, so the bond has one
-    entry per column, gamma_+ -/+ gamma_- as the two bits agree or
-    differ; it is scattered straight into ``h`` with the float operations
-    of the dense sum (its two terms summed, then scaled by the coupling),
-    and so are the E_A terms.  The entries are therefore those of the
-    complex build, bit for bit, at half the memory.
+
+def _xy_entries(setup: XYSetup, code: CodeModel):
+    """The entries of :func:`build_xy_setup`'s matrix on any rows and columns, and its bonds.
+
+    Returns ``block(rows, cols)``, the matrix on those joint rows and
+    columns, and (flip, entry by column) per bond.  The chain's real
+    part (its imaginary part is exactly zero) enters times the identity
+    on the auxiliary qubits, as ``np.kron`` multiplies it.  A bond's XX
+    and YY strings flip the same two bits, so it has one entry per
+    column, gamma_+ -/+ gamma_- as the two bits agree or differ, summed
+    and then scaled by the coupling; it and the E_A terms are added onto
+    the chain's.  Every entry is thus the complex sum's, bit for bit.
     """
     n, n_aux = setup.n_system, setup.n_aux
-    n_tot = n + n_aux
     e_a = code.gap if setup.aux_energy is None else setup.aux_energy
-
-    h = np.kron(code.hamiltonian.real, np.eye(2**n_aux))
-    index = np.arange(2**n_tot)
+    chain = code.hamiltonian.real
+    index = np.arange(2 ** (n + n_aux))
+    bonds = []
     for j in range(n_aux):
-        h[index, index] += e_a * ((index >> (n_aux - 1 - j)) & 1)  # E_A |1><1| on qubit n + j
         for j_bond, site in ((setup.j_1, j), (setup.j_2, j + 1)):
             if j_bond != 0.0:
-                flip = (1 << (n_tot - 1 - site)) | (1 << (n_aux - 1 - j))
+                flip = (1 << (n + n_aux - 1 - site)) | (1 << (n_aux - 1 - j))
                 differ = np.bitwise_count(index & flip) == 1
                 bond = setup.gamma_plus + np.where(differ, setup.gamma_minus, -setup.gamma_minus)
-                h[index ^ flip, index] += j_bond * bond
-    return h
+                bonds.append((flip, j_bond * bond))
+    where = np.empty_like(index)
+
+    def block(rows, cols):
+        aux = 2**n_aux - 1
+        out = chain[np.ix_(rows >> n_aux, cols >> n_aux)]
+        out *= np.equal.outer(rows & aux, cols & aux)
+        where[:] = -1
+        where[cols] = np.arange(cols.size)
+        at = where[rows]
+        hit = at >= 0
+        for j in range(n_aux):  # E_A |1><1| on qubit n + j
+            out[hit, at[hit]] += e_a * ((rows[hit] >> (n_aux - 1 - j)) & 1)
+        for flip, bond in bonds:
+            at = where[rows ^ flip]
+            hit = at >= 0
+            out[hit, at[hit]] += bond[rows[hit]]
+        return out
+
+    return block, bonds
+
+
+def _sector_labels(n_qubits: int, magnetization: bool) -> np.ndarray:
+    """Each basis index's magnetization (its number of 1 bits), or its parity."""
+    ones = np.bitwise_count(np.arange(2**n_qubits))
+    return ones if magnetization else ones & 1
+
+
+def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDecomposition:
+    """The spectrum of :func:`build_xy_setup`'s matrix, built and solved one conserved sector at a time.
+
+    The bonds conserve the total magnetization at gamma = 0 and the
+    parity otherwise; a chain entry or a nonzero bond across sectors
+    raises.  The sectors, rows ascending, are gathered from
+    :func:`_xy_entries` in the order of their smallest row, each solved
+    by one ``eigh`` or, with ``adapted`` and a mirror pair of
+    :meth:`XYSetup.reflection`, as its even and odd halves built from
+    pieces (:func:`~logipure.operators._reflection_halves`).  Each matrix
+    solved, the hermiticity check and the eigenvalue order are bit for
+    bit those of :func:`~logipure.operators.hermitian_eig` with the
+    reflection, wherever its blocks are the sectors.
+
+    With ``adapted`` each half's eigenvectors stay in its coordinates,
+    on rows (system row << n_aux) | auxiliary row of
+    :func:`_reflected_ensemble`'s system basis: a fixed or lower joint
+    row keeps its place, and a pair's odd coordinate goes to the upper
+    system row of its pair.  A pair within one system row holds sqrt 2
+    times that row's even coordinate and none of its odd one.  This
+    folding holds for auxiliary states that the reversal of the
+    auxiliary qubits keeps, and :func:`round_contraction` with such
+    states then gives the operators straight in that system basis.
+    """
+    n, n_aux = setup.n_system, setup.n_aux
+    block, bonds = _xy_entries(setup, code)
+    labels = _sector_labels(n + n_aux, setup.gamma == 0.0)
+    system = _sector_labels(n, setup.gamma == 0.0)
+    if code.hamiltonian.real[system[:, None] != system].any():
+        raise ValueError("the chain Hamiltonian couples its own conserved sectors")
+    for flip, bond in bonds:
+        if bond[labels[np.arange(labels.size) ^ flip] != labels].any():
+            raise ValueError(f"a bond that flips bits {flip:#b} leaves its sector")
+    image = setup.reflection() if adapted else np.arange(labels.size)
+    system_image = _site_reflection(n, setup.reflection_centre) if adapted else None
+    measures, solved = [], []
+    for label in labels[np.sort(np.unique(labels, return_index=True)[1])]:
+        rows = np.flatnonzero(labels == label)
+        fixed, lo = rows[image[rows] == rows], rows[image[rows] > rows]
+        if not lo.size:
+            h = block(rows, rows)
+            measures.append(_hermitian_measures([h], "hamiltonian"))
+            solved.append((rows, *np.linalg.eigh(h)))
+            continue
+        top_rows = np.concatenate([fixed, lo])
+        top, cross = block(top_rows, top_rows), block(lo, image[lo])
+        measures.append(_hermitian_measures([top, cross], "hamiltonian"))
+        even, odd = _reflection_halves(top, cross, fixed.size)
+        del top, cross
+        within = system_image[lo >> n_aux] == lo >> n_aux  # mirror pairs within one system row
+        w, v = np.linalg.eigh(even)
+        del even
+        v[fixed.size :][within] *= np.sqrt(2.0)
+        solved.append((top_rows, w, v))
+        w, v = np.linalg.eigh(odd)
+        del odd
+        upper = (system_image[lo >> n_aux] << n_aux) | (lo & (2**n_aux - 1))
+        solved.append((upper[~within], w, v[~within]))
+    scales, asyms = zip(*measures)
+    _check_hermitian(np.max(scales), np.max(asyms), "hamiltonian")
+    return _sorted_spectrum(solved)
+
+
+def _adapted_parts(n_sites: int, centre: int, magnetization: bool) -> list[np.ndarray]:
+    """Rows of :func:`_reflected_ensemble`'s system basis by (sector, half), in the order of their smallest row.
+
+    Neither the thermal factor nor the round operators that
+    :func:`_xy_spectrum` gives for auxiliary states in one sector link
+    two of them.
+    """
+    image = _site_reflection(n_sites, centre)
+    key = 2 * _sector_labels(n_sites, magnetization) + (image < np.arange(image.size))
+    return [np.flatnonzero(key == k) for k in dict.fromkeys(key.tolist())]
 
 
 @dataclass(frozen=True)
@@ -681,26 +777,25 @@ def reproduce_table1(
     lacks, raises, as does a NaN or infinite ``beta``, ``duration``,
     ``j_1`` or ``aux_energy``.
 
-    Each row's joint Hamiltonian is solved with its wiring's reflection
-    (:meth:`XYSetup.reflection`), its round operators are made, and its
-    spectrum is dropped before the next row's solve.  When that solve
-    split blocks into halves and every auxiliary qubit of the row has
-    the same measurement setting, the round operators commute with the
-    system part of the reflection, and the row runs in the
-    reflection-adapted system basis: its operators, the thermal factor
-    (factored again from the chain Hamiltonian's halves, once per chain
-    size and reflection centre) and the target rows all move to that
-    basis, where the kernel's block search finds parts half the size.
-    It does so only when the operators and the chain Hamiltonian are
-    unchanged by the reflection bit for bit; otherwise the row runs in
-    the computational basis.
+    A row whose joint matrix has fewer than
+    :data:`~logipure.operators.SPLIT_MIN_ROWS` rows is built whole and
+    solved by :func:`~logipure.operators.hermitian_eig`; a larger one is
+    built and solved one conserved sector at a time
+    (:func:`_xy_spectrum`).  When such a row's wiring keeps a reflection
+    (:attr:`XYSetup.reflection_centre`) and its auxiliary qubits share
+    one setting whose states lie in one auxiliary sector, it runs in the
+    reflection-adapted system basis: its sectors are solved in halves,
+    whose coordinates give the round operators straight in that basis;
+    the thermal factor is factored again from the chain Hamiltonian's
+    halves, once per chain size and reflection centre; the target rows
+    move to it; and the kernel takes the (sector, half) row sets as its
+    blocks (:func:`_adapted_parts`).  Other rows run in the
+    computational basis.  Each row's spectrum is dropped once its round
+    operators exist.
 
-    Rows with the same chain size and basis share the thermal factor;
-    those whose joint spectra also split into the same blocks run all
-    their (row, policy) cells in one :func:`batch_trajectory_kernel`
-    pass, scored against every cardinal target of the group.  Rows whose
-    blocks differ run apart, since a stack takes the union of its cells'
-    blocks.
+    Rows with the same chain size, basis and conserved quantity share
+    the thermal factor and run all their (row, policy) cells in one
+    kernel pass, scored against every cardinal target of the group.
     """
     if rows is not None:
         unknown = sorted(set(rows) - {r.index for r in CHAIN_BENCHMARK})
@@ -741,10 +836,11 @@ def reproduce_table1(
         return ensembles[n_sites, centre]
 
     prepared = []  # (row, policies) per selected row
-    groups: dict[tuple, list] = {}  # (chain size, reflection centre, block partition) -> its cells
+    groups: dict[tuple, list] = {}  # (chain size, reflection centre, conserved quantity) -> its cells
     for row in selected:
         if row.n_sites not in chains:
             chains[row.n_sites] = build_heisenberg_code(HeisenbergSpec(n_qubits=row.n_sites))
+        code = chains[row.n_sites]
         setup = XYSetup(
             n_system=row.n_sites,
             n_aux=len(row.settings),
@@ -753,40 +849,43 @@ def reproduce_table1(
             gamma=row.gamma,
             aux_energy=e_a,
         )
-        spectral = hermitian_eig(_xy_hamiltonian(setup, chains[row.n_sites]), setup.reflection())
         rounds = RoundSpec(duration, tuple(MeasurementSetting(a=a, b=b, k=k) for a, b, k in row.settings))
         pole_angles = all(
             abs(a) < 1e-12 or abs(a - np.pi) < 1e-12 for a, _, _ in row.settings
         )
         policies = (KEEP,) if pole_angles else (KEEP, RESET)
-        operators = [_round_operators(spectral, [duration], [rounds.settings], policy) for policy in policies]
-        k_first, k_later = (np.concatenate(ops) for ops in zip(*operators))
-        partition = tuple(block_rows.tobytes() for block_rows, _, _ in spectral.blocks)
-        # The halves of a reflection-split spectrum share rows.  The round
-        # operators commute with the system part of that reflection when
-        # every auxiliary qubit is measured alike.
-        halved = sum(block_rows.size for block_rows, _, _ in spectral.blocks) > spectral.eigenvalues.size
-        del spectral, operators
-        centre = setup.reflection_centre if halved and len(set(row.settings)) == 1 else None
-        if centre is not None:
-            reflected = [_reflected_operators(k, _site_reflection(row.n_sites, centre)) for k in (k_first, k_later)]
-            if ensemble(row.n_sites, centre) is None or any(k is None for k in reflected):
+        centre = magnetization = None
+        if 2 ** (row.n_sites + setup.n_aux) < SPLIT_MIN_ROWS:
+            spectral = hermitian_eig(_xy_hamiltonian(setup, code))
+        else:
+            magnetization = setup.gamma == 0.0
+            # The measured states and |0...0> lie in one sector of the auxiliary qubits and, shared
+            # by all of them, are kept by their reversal: the operators keep the reflection's halves.
+            measured = kron_all([setting.state() for setting in rounds.settings]) != 0
+            measured[0] = True
+            if len(set(row.settings)) == 1 and np.ptp(_sector_labels(setup.n_aux, magnetization)[measured]) == 0:
+                centre = setup.reflection_centre
+            if centre is not None and ensemble(row.n_sites, centre) is None:
                 centre = None
-            else:
-                k_first, k_later = reflected
+            spectral = _xy_spectrum(setup, code, centre is not None)
+        operators = [_round_operators(spectral, [duration], [rounds.settings], policy) for policy in policies]
+        del spectral
+        k_first, k_later = (np.concatenate(ops) for ops in zip(*operators))
         prepared.append((row, policies))
-        group = groups.setdefault((row.n_sites, centre, partition), [])
+        group = groups.setdefault((row.n_sites, centre, magnetization), [])
         group += [(row, policy, kf, kl) for policy, kf, kl in zip(policies, k_first, k_later)]
 
     runs = {}  # (row index, policy) -> {cardinal: trajectory}
-    for (n_sites, centre, _), cells in groups.items():
+    for (n_sites, centre, magnetization), cells in groups.items():
         code = chains[n_sites]
         labels = list(dict.fromkeys(row.axis + sign for row, *_ in cells for sign in signs))
         targets = np.stack([cardinal_state(code, label) for label in labels])
+        parts = None
         if centre is not None:
             targets = _reflected_rows(targets, _site_reflection(n_sites, centre))
+            parts = _adapted_parts(n_sites, centre, magnetization)
         k_first, k_later = (np.stack([cell[i] for cell in cells]) for i in (2, 3))
-        trajectories = _trajectories(k_first, k_later, ensemble(n_sites, centre), targets, max_rounds)
+        trajectories = _trajectories(k_first, k_later, ensemble(n_sites, centre), targets, max_rounds, parts)
         for (row, policy, _, _), per_target in zip(cells, trajectories):
             runs[row.index, policy] = dict(zip(labels, per_target))
 

@@ -47,7 +47,8 @@ POST_TOL = 1e-10
 # Below it, finding the blocks and solving them costs as much as one
 # ``eigh`` of the whole matrix or more (measured on the package's
 # Hamiltonians of dimension 8-128); at 256 and 1024 rows the split
-# solves the chain stacks 2-8x faster.
+# solves the chain stacks 2-8x faster.  ``emr.reproduce_table1`` builds
+# the chain stacks of this size or more one sector at a time instead.
 SPLIT_MIN_ROWS = 256
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -361,6 +362,15 @@ def hermitian_eig(h: np.ndarray, reflection: np.ndarray | None = None) -> Spectr
         solved.append((np.concatenate([lo, hi]), w, _lift(v, 0, -1.0)))
     scales, asyms = zip(*measures)
     _check_hermitian(np.max(scales), np.max(asyms), "hamiltonian")
+    return _sorted_spectrum(solved)
+
+
+def _sorted_spectrum(solved) -> SpectralDecomposition:
+    """The :class:`SpectralDecomposition` of solved (rows, eigenvalues, eigenvectors) blocks.
+
+    The eigenvalues are sorted ascending by a stable sort of the blocks'
+    eigenvalues in the order given.
+    """
     w = np.concatenate([wb for _, wb, _ in solved])
     order = np.argsort(w, kind="stable")
     position = np.empty_like(order)

@@ -13,7 +13,11 @@
   trajectory kernel.
 * :func:`dense_round_contraction`, the round operators from the dense
   eigenvector array, the reference for the block-by-block
-  :func:`logipure.emr.round_contraction`.
+  :func:`logipure.emr.round_contraction`, and
+  :func:`reflected_operators`, which moves operators to the basis of a
+  reflection's even and odd halves by a dense orthogonal change of
+  basis, the reference for the operators the sector-built chain
+  spectrum gives straight in that basis.
 * :func:`projector_measurement`, the auxiliary measurement done at the
   joint dimension: a ``kron(I_S, |psi><psi|)`` sandwich followed by
   :func:`partial_trace`, the reference for
@@ -210,6 +214,23 @@ def dense_round_contraction(spectral, durations, psi_out, aq_in):
     b = np.einsum("...b,ibk->...ik", aq_in.conj(), v)
     phases = np.exp(-1j * np.multiply.outer(np.asarray(durations, dtype=float), spectral.eigenvalues))
     return (a * phases.reshape(-1, *[1] * (a.ndim - 1), dim)) @ b.conj().swapaxes(-1, -2)
+
+
+def reflected_operators(ops, image):
+    """Q K Q^T for each operator K of a stack, Q the reflection-adapted basis of ``image``.
+
+    Row a of Q is e_a for a fixed row; for a mirror pair a < b, row a is
+    (e_a + e_b)/sqrt 2 and row b is (e_a - e_b)/sqrt 2.
+    """
+    dim = image.size
+    q = np.zeros((dim, dim))
+    half = np.sqrt(0.5)
+    for row, mirror in enumerate(image):
+        if mirror == row:
+            q[row, row] = 1.0
+        else:
+            q[row, min(row, mirror)], q[row, max(row, mirror)] = half, half if mirror > row else -half
+    return q @ ops @ q.T
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

@@ -177,3 +177,36 @@ def test_fast_paths_assemble_no_joint_eigenvectors(command, config, joint_dims, 
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert sizes  # the codes' spectra are read through the patched property
     assert not joint_dims & set(sizes), sizes
+
+
+def test_table1_row12_forms_no_joint_matrix(tmp_path, monkeypatch):
+    """Row 12 (1024 joint rows) is built sector by sector: the dense joint matrix is never formed,
+    and no 1024-row pattern is searched for blocks, by the eigensolve or by the kernel."""
+    import inspect
+
+    import logipure
+    from logipure import _kernels, emr, operators
+
+    built, searched = [], []
+    xy_hamiltonian, coupled_blocks = emr._xy_hamiltonian, operators.coupled_blocks
+
+    def build(*args):
+        built.append(args)
+        return xy_hamiltonian(*args)
+
+    def search(pattern):
+        searched.append(len(pattern))
+        return coupled_blocks(pattern)
+
+    monkeypatch.setattr(emr, "_xy_hamiltonian", build)
+    patched = []
+    for module in [logipure, *(v for v in vars(logipure).values() if inspect.ismodule(v))]:
+        if vars(module).get("coupled_blocks") is coupled_blocks:  # every module that binds it
+            monkeypatch.setattr(module, "coupled_blocks", search)
+            patched.append(module)
+    assert {operators, emr, _kernels} <= set(patched)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"rows": [12], "max_rounds": 20}))
+    assert main(["table1", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert built == []
+    assert all(rows < 1024 for rows in searched), searched

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from logipure import _kernels
-from logipure._kernels import _round_blocks, batch_trajectory_kernel, trajectory_kernel
+from logipure._kernels import _kernel, _pack, _round_blocks, batch_trajectory_kernel, trajectory_kernel
 from logipure.measurement import UNATTAINABLE_P
 from oracles import dense_trajectory
 
@@ -108,6 +108,41 @@ def test_small_blocks_pack_into_parts(monkeypatch):
     monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 2)
     assert n_parts(block_diagonal(rng, [1, 3]), eye4) == 1  # the single row packs with the next block
     assert n_parts(block_diagonal(rng, [3, 1]), eye4) == 1  # the single row joins as a tail
+
+
+def test_blocks_pack_with_the_least_excess():
+    """Small blocks pair up to reach MIN_PART_ROWS with the least excess, whatever their order.
+
+    table1 row 10's reflection-parity blocks [20, 12, 20, 12] give two
+    32-row parts, not one of 64; blocks too few to fill a part join the
+    smallest one; eight rows in all stay one part.
+    """
+
+    def sizes(block_sizes):
+        starts = np.cumsum([0, *block_sizes])
+        parts = _pack([np.arange(a, b) for a, b in zip(starts, starts[1:])])
+        assert sorted(np.concatenate(parts).tolist()) == list(range(starts[-1]))
+        assert all(np.all(np.diff(rows) > 0) for rows in parts)  # rows ascending in each part
+        assert [rows[0] for rows in parts] == sorted(rows[0] for rows in parts)
+        return sorted(rows.size for rows in parts)
+
+    assert sizes([20, 12, 20, 12]) == [32, 32]
+    assert sizes([1, 4, 4, 16, 12, 28, 28, 38, 32, 28, 28, 16, 12, 4, 4, 1]) == [32] * 5 + [38, 58]
+    assert sizes([40, 10, 5]) == [55]  # too few to fill a part: they join the only one
+    assert sizes([40, 33, 10]) == [40, 43]  # ... or the smallest of several
+    assert sizes([1] * 8) == [8]  # fig4's plane: one part of eight rows
+
+
+def test_given_blocks_match_the_found_ones():
+    """The kernel run on blocks handed to it equals the run that finds them, and packs them alike."""
+    k_first, k_later, ensemble, targets = three_part_problem()
+    found = batch_trajectory_kernel(k_first, k_later, ensemble, targets, 30)
+    given = _kernel(k_first, k_later, ensemble, targets, 30, [np.arange(8), np.arange(8, 48), np.arange(48, 120)])
+    for got, want in zip(given, found):
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
 
 
 def test_batch_cells_match_their_one_cell_runs():

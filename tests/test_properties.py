@@ -7,9 +7,11 @@ the basis, so the blocks are only visible through the exactly-zero
 pattern; each fast path is checked against a dense reference.
 """
 
+import contextlib
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -45,7 +47,13 @@ from logipure.operators import (
     pauli_sum,
 )
 
-from oracles import dense_round_contraction, dense_stabilizer_code, dense_trajectory, projector_measurement
+from oracles import (
+    dense_round_contraction,
+    dense_stabilizer_code,
+    dense_trajectory,
+    projector_measurement,
+    reflected_operators,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -445,27 +453,33 @@ def test_fast_trajectory_matches_dense_loop_on_chain_rows(row, policy, sign, bet
     assert np.allclose(fast.p_cumulative, ref.p_cumulative, rtol=1e-10, atol=0.0)
 
 
-def table1_run(disable_reflection, **config):
-    """A table1 report and every trajectory it scored, with the reflection on or disabled."""
-    seen, reflected = [], []
-    row_metrics, reflected_operators = emr._row_metrics, emr._reflected_operators
+def table1_run(path, **config):
+    """A table1 report, every trajectory it scored, and whether each sector-built row ran in halves.
+
+    ``path`` is "reflected" (the shipped path), "sectors" (the reflection
+    disabled, so each sector is solved whole in the computational basis)
+    or "dense" (every joint matrix built whole and split by its pattern).
+    """
+    seen, halved = [], []
+    row_metrics, xy_spectrum = emr._row_metrics, emr._xy_spectrum
 
     def recorded(traj, rounds):
         seen.append(traj)
         return row_metrics(traj, rounds)
 
-    def spied(ops, image):
-        out = reflected_operators(ops, image)
-        reflected.append(out is not None)
-        return out
+    def spied(setup, code, adapted):
+        halved.append(adapted)
+        return xy_spectrum(setup, code, adapted)
 
-    with mock.patch.object(emr, "_row_metrics", recorded), mock.patch.object(emr, "_reflected_operators", spied):
-        if disable_reflection:
-            with mock.patch.object(XYSetup, "reflection_centre", property(lambda self: None)):
-                report = emr.reproduce_table1(**config)
-        else:
-            report = emr.reproduce_table1(**config)
-    return report, seen, reflected
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(emr, "_row_metrics", recorded))
+        stack.enter_context(mock.patch.object(emr, "_xy_spectrum", spied))
+        if path == "sectors":
+            stack.enter_context(mock.patch.object(XYSetup, "reflection_centre", property(lambda self: None)))
+        if path == "dense":
+            stack.enter_context(mock.patch.object(emr, "SPLIT_MIN_ROWS", 2**20))
+        report = emr.reproduce_table1(**config)
+    return report, seen, halved
 
 
 @settings(max_examples=5, deadline=None)
@@ -477,28 +491,110 @@ def table1_run(disable_reflection, **config):
     max_rounds=st.integers(1, 60),
 )
 def test_table1_reflection_matches_the_computational_basis(j_1, beta, duration, rows, max_rounds):
-    """table1 rows 9-12 give the same trajectories with the reflection as without it.
+    """table1 rows 9-12 give the same trajectories in halves as whole, and as from the dense matrix.
 
     Rows 9 and 11 (j_2 = 0) keep the symmetry at any j_1, rows 10 and 12
-    (j_2 = 1) only at j_1 = 1; the others run in the computational basis.
+    (j_2 = 1) only at j_1 = 1; the others are solved sector by sector,
+    whole, in the computational basis.
     """
     config = dict(rows=sorted(rows), beta=beta, duration=duration, j_1=j_1, max_rounds=max_rounds)
-    report, trajectories, reflected = table1_run(False, **config)
-    plain, plain_trajectories, plain_reflected = table1_run(True, **config)
-    assert plain_reflected == []
-    symmetric = [index for index in rows if CHAIN_BENCHMARK[index - 1].j_2 in (0.0, j_1)]
-    assert reflected == [True] * 2 * len(symmetric)  # k_first and k_later of each symmetric row
-    assert len(trajectories) == len(plain_trajectories)
-    for traj, ref in zip(trajectories, plain_trajectories):
-        assert (traj.n_rounds, traj.truncated, traj.reason) == (ref.n_rounds, ref.truncated, ref.reason)
-        fid_scale = max(1e-300, np.max(ref.fidelity, initial=0.0))
-        assert np.max(np.abs(traj.fidelity - ref.fidelity), initial=0.0) <= 1e-12 * fid_scale
-        assert np.max(np.abs(traj.p_round / ref.p_round - 1.0), initial=0.0) <= 1e-12
-        assert np.max(np.abs(traj.p_cumulative / ref.p_cumulative - 1.0), initial=0.0) <= 1e-12
-    for row, ref in zip(report["rows"], plain["rows"]):
-        for candidate, ref_candidate in zip(row["candidates"], ref["candidates"]):
-            for key in ("cardinal", "policy", "n_rounds", "truncated", "m_min_066", "m_min_090"):
-                assert candidate[key] == ref_candidate[key]
+    report, trajectories, halved = table1_run("reflected", **config)
+    assert halved == [CHAIN_BENCHMARK[index - 1].j_2 in (0.0, j_1) for index in sorted(rows)]
+    for path, want_halved in (("sectors", [False] * len(rows)), ("dense", [])):
+        plain, plain_trajectories, plain_halved = table1_run(path, **config)
+        assert plain_halved == want_halved
+        assert len(trajectories) == len(plain_trajectories)
+        for traj, ref in zip(trajectories, plain_trajectories):
+            assert (traj.n_rounds, traj.truncated, traj.reason) == (ref.n_rounds, ref.truncated, ref.reason)
+            fid_scale = max(1e-300, np.max(ref.fidelity, initial=0.0))
+            assert np.max(np.abs(traj.fidelity - ref.fidelity), initial=0.0) <= 1e-12 * fid_scale
+            assert np.max(np.abs(traj.p_round / ref.p_round - 1.0), initial=0.0) <= 1e-12
+            assert np.max(np.abs(traj.p_cumulative / ref.p_cumulative - 1.0), initial=0.0) <= 1e-12
+        for row, ref in zip(report["rows"], plain["rows"]):
+            for candidate, ref_candidate in zip(row["candidates"], ref["candidates"]):
+                for key in ("cardinal", "policy", "n_rounds", "truncated", "m_min_066", "m_min_090"):
+                    assert candidate[key] == ref_candidate[key]
+
+
+def eigh_inputs(solve):
+    """What ``solve()`` returns and a copy of every matrix it hands to ``np.linalg.eigh``."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", recorded):
+        return solve(), seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_system=st.sampled_from([2, 4, 6]),
+    n_aux=st.integers(1, 2),
+    j_1=st.sampled_from([0.5, 1.0, 1.5]),
+    j_2=st.sampled_from(["0", "j_1", "0.3"]),
+    gamma=st.sampled_from([0.0, 0.2, 1.0, -0.85]),
+    aux_energy=st.sampled_from([None, CALIBRATED_AUX_ENERGY, 0.3]),
+    polar=st.floats(0.0, np.pi),
+    azimuth=st.floats(0.0, 2 * np.pi),
+    outcome=st.sampled_from([+1, -1]),
+    policy=st.sampled_from(POLICIES),
+    duration=st.floats(0.1, 3.0),
+)
+def test_sector_spectrum_matches_the_dense_solve(
+    n_system, n_aux, j_1, j_2, gamma, aux_energy, polar, azimuth, outcome, policy, duration
+):
+    """The chain's joint Hamiltonian built sector by sector is solved as the whole matrix is.
+
+    Each sector, or half of one, is bit for bit the block that
+    ``hermitian_eig`` gathers from the dense matrix with the wiring's
+    reflection (split at every size here), in the same order, and the
+    eigenvalues are equal.  The round operators of a shared setting on
+    every auxiliary qubit, made from the halves' own coordinates, are
+    the dense operators moved to the reflection-adapted system basis.
+    """
+    hypothesis.assume(n_aux < n_system)
+    code = build_heisenberg_code(HeisenbergSpec(n_qubits=n_system))
+    j_2 = {"0": 0.0, "j_1": j_1, "0.3": 0.3}[j_2]
+    setup = XYSetup(n_system, n_aux, j_1=j_1, j_2=j_2, gamma=gamma, aux_energy=aux_energy)
+    h = emr._xy_hamiltonian(setup, code)
+    adapted = setup.reflection_centre is not None
+    with mock.patch.object(operators, "SPLIT_MIN_ROWS", 1):
+        dense, dense_blocks = eigh_inputs(lambda: hermitian_eig(h, setup.reflection()))
+    sectors, sector_blocks = eigh_inputs(lambda: emr._xy_spectrum(setup, code, adapted))
+    assert [b.shape for b in sector_blocks] == [b.shape for b in dense_blocks]
+    assert all(b.tobytes() == d.tobytes() for b, d in zip(sector_blocks, dense_blocks))
+    assert np.array_equal(sectors.eigenvalues, dense.eigenvalues)
+
+    cell = [(MeasurementSetting(a=polar, b=azimuth, k=outcome),) * n_aux]
+    got = np.stack(emr._round_operators(sectors, [duration], cell, policy))
+    want = np.stack(emr._round_operators(hermitian_eig(h), [duration], cell, policy))
+    if adapted:
+        want = reflected_operators(want, emr._site_reflection(n_system, setup.reflection_centre))
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+def test_sector_build_raises_on_a_coupling_across_sectors(gamma):
+    """A nonzero bond, or a chain entry, that leaves its sector raises instead of being dropped.
+
+    With the magnetization taken as conserved at gamma = 0.2, the bonds'
+    double flips leave their sectors; a transverse field on the chain
+    does so at gamma = 0.
+    """
+    code = build_heisenberg_code(HeisenbergSpec(n_qubits=4))
+    setup = XYSetup(4, 2, j_1=1.0, j_2=0.0, gamma=gamma, aux_energy=CALIBRATED_AUX_ENERGY)
+    if gamma:
+        with mock.patch.object(emr, "_sector_labels", lambda n, magnetization: np.bitwise_count(np.arange(2**n))):
+            with pytest.raises(ValueError, match="a bond that flips bits 0b100010 leaves its sector"):
+                emr._xy_spectrum(setup, code, True)
+    else:
+        field = pauli_sum([PauliString("XIII", 0.1)])
+        tilted = SimpleNamespace(hamiltonian=code.hamiltonian + field, gap=code.gap)
+        with pytest.raises(ValueError, match="chain Hamiltonian couples its own conserved sectors"):
+            emr._xy_spectrum(setup, tilted, True)
 
 
 @settings(max_examples=100, deadline=None)
