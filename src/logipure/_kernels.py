@@ -13,9 +13,8 @@ its own rounding (an ensemble where K shrinks while K keeps another
 subspace) is run again one product per round.  :func:`trajectory_kernel`
 is the one-cell case.  When the contraction operators and the ensemble
 split into independent blocks (a conserved quantity of the joint
-dynamics), found from their nonzero pattern or handed over by a caller
-that knows them, each part runs its own series and a round's weight is
-the sum of the part weights.
+dynamics), found from their nonzero pattern, each part runs its own
+series and a round's weight is the sum of the part weights.
 """
 
 from __future__ import annotations
@@ -54,12 +53,23 @@ def _round_blocks(k_first, k_later, v, targets_conj):
     from the union of every cell's nonzero pattern, so one search serves
     the whole stack.  Blocks couple rows linked by either contraction
     operator or by a shared ensemble column.  They are packed into parts
-    by :func:`_pack`.
+    by :func:`_pack`; a single part covers all rows and runs on the
+    inputs as given.
     """
-    nonzero = (v != 0).astype(np.float32)
-    cells = ((k_first != 0) | (k_later != 0)).reshape(-1, v.shape[0], v.shape[0])
-    pattern = cells.any(axis=0) | (nonzero @ nonzero.T > 0)
-    return _parts(_pack(coupled_blocks(pattern)), k_first, k_later, v, targets_conj)
+    dim = v.shape[0]
+    nonzero = v != 0
+    shared = nonzero.astype(np.float32)
+    cells = ((k_first != 0) | (k_later != 0)).reshape(-1, dim, dim)
+    pattern = cells.any(axis=0) | (shared @ shared.T > 0)
+    packed = _pack(coupled_blocks(pattern))
+    if len(packed) == 1:
+        return [[k_first, k_later, v, targets_conj]]
+    parts = []
+    for rows in packed:
+        cols = np.flatnonzero(nonzero[rows].any(axis=0))
+        square = (..., rows[:, None], rows)
+        parts.append([k_first[square], k_later[square], v[np.ix_(rows, cols)], targets_conj[:, rows]])
+    return parts
 
 
 def _pack(blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -90,19 +100,6 @@ def _pack(blocks: list[np.ndarray]) -> list[np.ndarray]:
     elif small:
         parts.append(np.concatenate(small))
     return sorted((np.sort(rows) for rows in parts), key=lambda rows: rows[0])
-
-
-def _parts(packed, k_first, k_later, v, targets_conj):
-    """Per-part ``[k_first, k_later, ensemble, target rows]`` on packed rows; one part takes the inputs as given."""
-    if len(packed) == 1:
-        return [[k_first, k_later, v, targets_conj]]
-    nonzero = v != 0
-    parts = []
-    for rows in packed:
-        cols = np.flatnonzero(nonzero[rows].any(axis=0))
-        square = (..., rows[:, None], rows)
-        parts.append([k_first[square], k_later[square], v[np.ix_(rows, cols)], targets_conj[:, rows]])
-    return parts
 
 
 def _real_rows(re, im):
@@ -304,17 +301,6 @@ def batch_trajectory_kernel(
     its stop, one whose estimated rounding exceeds :data:`RESOLUTION` of
     it, runs its series again with m = 1, one product per round.
     """
-    return _kernel(k_first, k_later, ensemble, targets, max_rounds, None)
-
-
-def _kernel(k_first, k_later, ensemble, targets, max_rounds, blocks):
-    """:func:`batch_trajectory_kernel`, on ``blocks`` of rows when the caller knows them.
-
-    ``blocks`` partitions the rows into sets that neither contraction
-    operator of any cell nor any ensemble column links; they are packed
-    into parts by :func:`_pack` as found blocks are.  None finds them
-    from the nonzero pattern (:func:`_round_blocks`).
-    """
     k_first = np.asarray(k_first, dtype=np.complex128)
     k_later = np.asarray(k_later, dtype=np.complex128)
     v = np.array(ensemble, dtype=np.complex128, order="C")
@@ -326,16 +312,13 @@ def _kernel(k_first, k_later, ensemble, targets, max_rounds, blocks):
     if targets_conj.ndim != 2 or targets_conj.shape[1] != v.shape[0]:
         raise ValueError(f"targets must have shape (n_targets, {v.shape[0]}), got {targets_conj.shape}")
     n_targets = targets_conj.shape[0]
-    if blocks is None:
-        parts = _round_blocks(k_first, k_later, v, targets_conj)
-    else:
-        parts = _parts(_pack(blocks), k_first, k_later, v, targets_conj)
+    blocks = _round_blocks(k_first, k_later, v, targets_conj)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p_cum, fid, unresolved = _series(parts, n_targets, max_rounds, math.isqrt(max_rounds - 1) + 1)
+        p_cum, fid, unresolved = _series(blocks, n_targets, max_rounds, math.isqrt(max_rounds - 1) + 1)
         ratio, n_rounds = _stops(p_cum)
         redo = unresolved <= np.minimum(n_rounds, max_rounds - 1)
         if redo.any():
-            again = [[kf[redo], kl[redo], pv, t] for kf, kl, pv, t in parts]
+            again = [[kf[redo], kl[redo], pv, t] for kf, kl, pv, t in blocks]
             p_cum[redo], fid[redo], _ = _series(again, n_targets, max_rounds, 1)
             ratio, n_rounds = _stops(p_cum)
         fid /= p_cum[..., None]

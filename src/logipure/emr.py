@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _kernel, batch_trajectory_kernel
+from ._kernels import batch_trajectory_kernel
 from .codes import CodeModel, HeisenbergSpec, build_heisenberg_code, cardinal_state
 from .measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from .operators import (
@@ -421,18 +421,14 @@ def fast_trajectory(
     return _trajectories(*operators, ensemble, target[None], max_rounds)[0][0]
 
 
-def _trajectories(k_first, k_later, ensemble, targets, max_rounds, blocks=None) -> list[list[EmrTrajectory]]:
+def _trajectories(k_first, k_later, ensemble, targets, max_rounds) -> list[list[EmrTrajectory]]:
     """:func:`fast_trajectory` for a stack of cells sharing an ensemble, from one kernel pass.
 
     ``k_first`` and ``k_later`` stack one round operator per cell and
-    ``targets`` the target rows; ``blocks``, when given, are rows that
-    no operator or ensemble column links (else the kernel finds them).
-    Returns, per cell, one trajectory per target row, each with arrays
-    of its own.
+    ``targets`` the target rows; returns, per cell, one trajectory per
+    target row, each with arrays of its own.
     """
-    args = (k_first, k_later, ensemble, targets, max_rounds)
-    kernel = batch_trajectory_kernel(*args) if blocks is None else _kernel(*args, blocks)
-    fid, p_round, p_cum, n_rounds, reasons = kernel
+    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds)
     return [
         [
             EmrTrajectory(
@@ -574,16 +570,18 @@ def _xy_hamiltonian(setup: XYSetup, code: CodeModel) -> np.ndarray:
 
 
 def _xy_entries(setup: XYSetup, code: CodeModel):
-    """The entries of :func:`build_xy_setup`'s matrix on any rows and columns, and its bonds.
+    """The entries of :func:`build_xy_setup`'s matrix on any rows and columns, its bonds and its diagonal.
 
     Returns ``block(rows, cols)``, the matrix on those joint rows and
-    columns, and (flip, entry by column) per bond.  The chain's real
-    part (its imaginary part is exactly zero) enters times the identity
-    on the auxiliary qubits, as ``np.kron`` multiplies it.  A bond's XX
-    and YY strings flip the same two bits, so it has one entry per
-    column, gamma_+ -/+ gamma_- as the two bits agree or differ, summed
-    and then scaled by the coupling; it and the E_A terms are added onto
-    the chain's.  Every entry is thus the complex sum's, bit for bit.
+    columns, (flip, entry by column) per bond, and the diagonal.  The
+    chain's real part (its imaginary part is exactly zero) enters times
+    the identity on the auxiliary qubits, as ``np.kron`` multiplies it.
+    The diagonal is the chain's plus the E_A terms, one qubit at a
+    time.  A bond's XX and YY strings flip the same two bits, one of
+    them auxiliary, so it has one entry per column, off the chain's
+    entries, gamma_+ -/+ gamma_- as the two bits agree or differ, summed
+    and then scaled by the coupling, and added onto the chain's zero.
+    Every entry is thus the complex sum's, bit for bit.
     """
     n, n_aux = setup.n_system, setup.n_aux
     e_a = code.gap if setup.aux_energy is None else setup.aux_energy
@@ -597,6 +595,9 @@ def _xy_entries(setup: XYSetup, code: CodeModel):
                 differ = np.bitwise_count(index & flip) == 1
                 bond = setup.gamma_plus + np.where(differ, setup.gamma_minus, -setup.gamma_minus)
                 bonds.append((flip, j_bond * bond))
+    diagonal = chain.diagonal()[index >> n_aux]
+    for j in range(n_aux):  # E_A |1><1| on qubit n + j
+        diagonal = diagonal + e_a * ((index >> (n_aux - 1 - j)) & 1)
     where = np.empty_like(index)
 
     def block(rows, cols):
@@ -607,15 +608,14 @@ def _xy_entries(setup: XYSetup, code: CodeModel):
         where[cols] = np.arange(cols.size)
         at = where[rows]
         hit = at >= 0
-        for j in range(n_aux):  # E_A |1><1| on qubit n + j
-            out[hit, at[hit]] += e_a * ((rows[hit] >> (n_aux - 1 - j)) & 1)
+        out[hit, at[hit]] = diagonal[rows[hit]]
         for flip, bond in bonds:
             at = where[rows ^ flip]
             hit = at >= 0
             out[hit, at[hit]] += bond[rows[hit]]
         return out
 
-    return block, bonds
+    return block, bonds, diagonal
 
 
 def _sector_labels(n_qubits: int, magnetization: bool) -> np.ndarray:
@@ -638,8 +638,13 @@ def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDeco
     bit those of :func:`~logipure.operators.hermitian_eig` with the
     reflection, wherever its blocks are the sectors.
 
-    With ``adapted`` each half's eigenvectors stay in its coordinates,
-    on rows (system row << n_aux) | auxiliary row of
+    With ``adapted`` the reflection, a permutation of the bits that
+    keeps every sector, must keep the matrix bit for bit, or it raises:
+    it must keep the chain and the diagonal, and map each bond's entries
+    onto those of its mirror bond (no two of the three terms share an
+    entry), so every entry of a sector outside the pieces solved equals
+    its mirror inside them.  Each half's eigenvectors then stay in its
+    coordinates, on rows (system row << n_aux) | auxiliary row of
     :func:`_reflected_ensemble`'s system basis: a fixed or lower joint
     row keeps its place, and a pair's odd coordinate goes to the upper
     system row of its pair.  A pair within one system row holds sqrt 2
@@ -649,7 +654,7 @@ def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDeco
     states then gives the operators straight in that system basis.
     """
     n, n_aux = setup.n_system, setup.n_aux
-    block, bonds = _xy_entries(setup, code)
+    block, bonds, diagonal = _xy_entries(setup, code)
     labels = _sector_labels(n + n_aux, setup.gamma == 0.0)
     system = _sector_labels(n, setup.gamma == 0.0)
     if code.hamiltonian.real[system[:, None] != system].any():
@@ -657,8 +662,19 @@ def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDeco
     for flip, bond in bonds:
         if bond[labels[np.arange(labels.size) ^ flip] != labels].any():
             raise ValueError(f"a bond that flips bits {flip:#b} leaves its sector")
-    image = setup.reflection() if adapted else np.arange(labels.size)
-    system_image = _site_reflection(n, setup.reflection_centre) if adapted else None
+    image, system_image = np.arange(labels.size), None
+    if adapted:
+        image, system_image = setup.reflection(), _site_reflection(n, setup.reflection_centre)
+        chain, by_flip = code.hamiltonian.real, dict(bonds)
+        if not (
+            np.array_equal(chain[np.ix_(system_image, system_image)], chain)
+            and np.array_equal(diagonal[image], diagonal)
+            and all(
+                np.array_equal(by_flip[int(image[flip])][image], bond) if int(image[flip]) in by_flip else not bond.any()
+                for flip, bond in bonds
+            )
+        ):
+            raise ValueError("the wiring's reflection does not keep the joint Hamiltonian")
     measures, solved = [], []
     for label in labels[np.sort(np.unique(labels, return_index=True)[1])]:
         rows = np.flatnonzero(labels == label)
@@ -685,18 +701,6 @@ def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDeco
     scales, asyms = zip(*measures)
     _check_hermitian(np.max(scales), np.max(asyms), "hamiltonian")
     return _sorted_spectrum(solved)
-
-
-def _adapted_parts(n_sites: int, centre: int, magnetization: bool) -> list[np.ndarray]:
-    """Rows of :func:`_reflected_ensemble`'s system basis by (sector, half), in the order of their smallest row.
-
-    Neither the thermal factor nor the round operators that
-    :func:`_xy_spectrum` gives for auxiliary states in one sector link
-    two of them.
-    """
-    image = _site_reflection(n_sites, centre)
-    key = 2 * _sector_labels(n_sites, magnetization) + (image < np.arange(image.size))
-    return [np.flatnonzero(key == k) for k in dict.fromkeys(key.tolist())]
 
 
 @dataclass(frozen=True)
@@ -787,15 +791,14 @@ def reproduce_table1(
     reflection-adapted system basis: its sectors are solved in halves,
     whose coordinates give the round operators straight in that basis;
     the thermal factor is factored again from the chain Hamiltonian's
-    halves, once per chain size and reflection centre; the target rows
-    move to it; and the kernel takes the (sector, half) row sets as its
-    blocks (:func:`_adapted_parts`).  Other rows run in the
-    computational basis.  Each row's spectrum is dropped once its round
-    operators exist.
+    halves, once per chain size and reflection centre; and the target
+    rows move to it.  Other rows run in the computational basis.  Each
+    row's spectrum is dropped once its round operators exist.
 
     Rows with the same chain size, basis and conserved quantity share
     the thermal factor and run all their (row, policy) cells in one
-    kernel pass, scored against every cardinal target of the group.
+    kernel pass, scored against every cardinal target of the group; the
+    kernel finds the blocks of their operators from the nonzero pattern.
     """
     if rows is not None:
         unknown = sorted(set(rows) - {r.index for r in CHAIN_BENCHMARK})
@@ -876,16 +879,14 @@ def reproduce_table1(
         group += [(row, policy, kf, kl) for policy, kf, kl in zip(policies, k_first, k_later)]
 
     runs = {}  # (row index, policy) -> {cardinal: trajectory}
-    for (n_sites, centre, magnetization), cells in groups.items():
+    for (n_sites, centre, _), cells in groups.items():
         code = chains[n_sites]
         labels = list(dict.fromkeys(row.axis + sign for row, *_ in cells for sign in signs))
         targets = np.stack([cardinal_state(code, label) for label in labels])
-        parts = None
         if centre is not None:
             targets = _reflected_rows(targets, _site_reflection(n_sites, centre))
-            parts = _adapted_parts(n_sites, centre, magnetization)
         k_first, k_later = (np.stack([cell[i] for cell in cells]) for i in (2, 3))
-        trajectories = _trajectories(k_first, k_later, ensemble(n_sites, centre), targets, max_rounds, parts)
+        trajectories = _trajectories(k_first, k_later, ensemble(n_sites, centre), targets, max_rounds)
         for (row, policy, _, _), per_target in zip(cells, trajectories):
             runs[row.index, policy] = dict(zip(labels, per_target))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from logipure import _kernels
-from logipure._kernels import _kernel, _pack, _round_blocks, batch_trajectory_kernel, trajectory_kernel
+from logipure._kernels import _pack, _round_blocks, batch_trajectory_kernel, trajectory_kernel
 from logipure.measurement import UNATTAINABLE_P
 from oracles import dense_trajectory
 
@@ -131,18 +131,6 @@ def test_blocks_pack_with_the_least_excess():
     assert sizes([40, 10, 5]) == [55]  # too few to fill a part: they join the only one
     assert sizes([40, 33, 10]) == [40, 43]  # ... or the smallest of several
     assert sizes([1] * 8) == [8]  # fig4's plane: one part of eight rows
-
-
-def test_given_blocks_match_the_found_ones():
-    """The kernel run on blocks handed to it equals the run that finds them, and packs them alike."""
-    k_first, k_later, ensemble, targets = three_part_problem()
-    found = batch_trajectory_kernel(k_first, k_later, ensemble, targets, 30)
-    given = _kernel(k_first, k_later, ensemble, targets, 30, [np.arange(8), np.arange(8, 48), np.arange(48, 120)])
-    for got, want in zip(given, found):
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want)
-        else:
-            assert got == want
 
 
 def test_batch_cells_match_their_one_cell_runs():

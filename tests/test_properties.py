@@ -576,25 +576,53 @@ def test_sector_spectrum_matches_the_dense_solve(
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.2])
-def test_sector_build_raises_on_a_coupling_across_sectors(gamma):
-    """A nonzero bond, or a chain entry, that leaves its sector raises instead of being dropped.
+@pytest.mark.parametrize(
+    "broken", ["bond sector", "chain sector", "bond mirror", "coupling mirror", "chain mirror", "diagonal mirror"]
+)
+def test_sector_build_raises_on_what_it_cannot_split(broken):
+    """A coupling across sectors, or a reflection that does not keep H_tot bit for bit, raises.
 
-    With the magnetization taken as conserved at gamma = 0.2, the bonds'
-    double flips leave their sectors; a transverse field on the chain
-    does so at gamma = 0.
+    Sectors: with the magnetization taken as conserved at gamma = 0.2,
+    the bonds' double flips leave their sectors; a transverse field on
+    the chain does so at gamma = 0.  Mirrors, each breaking one term and
+    keeping the sectors: the centre moved by one site keeps the ring and
+    the diagonal but maps a bond onto none; the centre of equal
+    couplings, taken with unequal ones, maps each bond onto one of
+    another coupling; an extra XX bond on the chain breaks the chain's
+    mirror off its diagonal; one E_A entry changed breaks the diagonal
+    alone.  Without the reflection, the mirror cases solve.
     """
     code = build_heisenberg_code(HeisenbergSpec(n_qubits=4))
-    setup = XYSetup(4, 2, j_1=1.0, j_2=0.0, gamma=gamma, aux_energy=CALIBRATED_AUX_ENERGY)
-    if gamma:
-        with mock.patch.object(emr, "_sector_labels", lambda n, magnetization: np.bitwise_count(np.arange(2**n))):
-            with pytest.raises(ValueError, match="a bond that flips bits 0b100010 leaves its sector"):
-                emr._xy_spectrum(setup, code, True)
-    else:
-        field = pauli_sum([PauliString("XIII", 0.1)])
-        tilted = SimpleNamespace(hamiltonian=code.hamiltonian + field, gap=code.gap)
-        with pytest.raises(ValueError, match="chain Hamiltonian couples its own conserved sectors"):
-            emr._xy_spectrum(setup, tilted, True)
+    j_2 = 0.5 if broken == "coupling mirror" else 1.0
+    gamma = 0.0 if broken == "chain sector" else 0.2
+    setup = XYSetup(4, 2, j_1=1.0, j_2=j_2, gamma=gamma, aux_energy=CALIBRATED_AUX_ENERGY)
+    entries = emr._xy_entries
+
+    def tilted_entries(setup, code):
+        block, bonds, diagonal = entries(setup, code)
+        diagonal[1] += 0.1  # |0000 01>, whose mirror is |0000 10>
+        return block, bonds, diagonal
+
+    with contextlib.ExitStack() as stack:
+        if broken == "bond sector":
+            magnetization = mock.patch.object(emr, "_sector_labels", lambda n, _: np.bitwise_count(np.arange(2**n)))
+            stack.enter_context(magnetization)
+        if broken in ("chain sector", "chain mirror"):
+            extra = PauliString("XIII" if broken == "chain sector" else "XXII", 0.1)
+            code = SimpleNamespace(hamiltonian=code.hamiltonian + pauli_sum([extra]), gap=code.gap)
+        if broken in ("bond mirror", "coupling mirror"):
+            centre = property(lambda self: self.n_aux + (broken == "bond mirror"))
+            stack.enter_context(mock.patch.object(XYSetup, "reflection_centre", centre))
+        if broken == "diagonal mirror":
+            stack.enter_context(mock.patch.object(emr, "_xy_entries", tilted_entries))
+        message = {
+            "bond sector": "a bond that flips bits 0b100010 leaves its sector",
+            "chain sector": "the chain Hamiltonian couples its own conserved sectors",
+        }.get(broken, "the wiring's reflection does not keep the joint Hamiltonian")
+        with pytest.raises(ValueError, match=message):
+            emr._xy_spectrum(setup, code, True)
+        if broken.endswith("mirror"):
+            emr._xy_spectrum(setup, code, False)
 
 
 @settings(max_examples=100, deadline=None)
