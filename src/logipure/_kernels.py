@@ -8,7 +8,11 @@ it evaluates the whole series by baby and giant steps (Paterson and
 Stockmeyer, SIAM J. Comput. 2, 60 (1973)), from the Grams of the powers
 of K and of every m-th ensemble, so a series of R rounds costs about
 2 sqrt(R) stacked products, all in real arithmetic, and only products of
-contractions: no eigendecomposition.  A cell whose series cancels below
+contractions: no eigendecomposition.  The giant steps' Grams are scored
+against the baby-step Grams a chunk at a time, as many giant steps as a
+byte budget holds, so the baby-Gram stack is read once per chunk and
+the memory on top of it stays bounded.  A real ensemble stays real.  A
+cell whose series cancels below
 its own rounding (an ensemble where K shrinks while K keeps another
 subspace) is run again one product per round.  :func:`trajectory_kernel`
 is the one-cell case.  When the contraction operators and the ensemble
@@ -44,6 +48,16 @@ RESOLUTION = 1e-12
 # unsplit: 8.7 ms), eight 16-row blocks 11.5 ms (64: 18.6 ms, unsplit:
 # 38.1 ms), table1 row 11 19.3-22.7 ms from 1 to 32 (64: 38.9 ms).
 MIN_PART_ROWS = 32
+# Most bytes the giant-step Grams stored for one chunk of the series may
+# take, over every cell and part (see _series); a giant step whose Grams
+# alone take more is a chunk of one.  A longer chunk rereads the baby-Gram
+# stacks less often but adds its store to the peak.  At 64 KiB, 256 KiB and
+# 1 MiB (4 alternating perfbench runs each, 6-8 s): fig4-sweep (100 cells,
+# 51 KB of Grams per giant step) peak RSS +0.07, +0.26 and +1.4 MB over the
+# unchunked kernel, whose runs spread 0.05 MB; chain-table wall_s medians
+# 0.112, 0.114 and 0.127 s against its 0.126 s; table1's replayed kernel
+# calls 42-44, 42 and 37-40 ms against 47 ms (best of 15-20).
+SCORE_CHUNK_BYTES = 64 * 1024
 
 
 def _round_blocks(k_first, k_later, v, targets_conj):
@@ -122,9 +136,14 @@ class _PartSeries:
     are |t^dag K^a V_b|^2, from the target rows t^dag K^a.  Construction
     runs the m - 1 baby steps: the powers of K, their Grams and their
     target rows.  Each giant step then makes V_b (:meth:`advance`), its
-    Gram, one product of it with every baby Gram and one product of
-    every target row with V_b (:meth:`score`).  With m = 1 there are no
-    baby steps and each giant step is one round.
+    Gram, written into a store of ``chunk`` Grams, and one product of
+    every target row with V_b (:meth:`step`).  Once the store holds a
+    chunk of giant steps, one product of the baby-Gram stack with them
+    gives every weight of the chunk, and one product of the baby powers'
+    column norms with the giant steps' row norms every size
+    (:meth:`weigh`), so the baby-Gram stack is read once per chunk, not
+    once per giant step.  With m = 1 there are no baby steps, no Grams
+    and no store, and each giant step is one round.
 
     Next to each weight read off the Grams it returns a size, eps times
     which bounds the weight's rounding up to a factor of the dimension:
@@ -147,12 +166,13 @@ class _PartSeries:
     the sum is the Gram's.  A target row is held as ``[Re, -Im]``, which
     K's real rows map to the next power's row, and V_b as
     ``[[Re, Im], [Im, -Re]]``, whose two column blocks take such a row
-    to the Re and the Im of its overlap.
+    to the Re and the Im of its overlap.  A real ensemble gives the same
+    ``[Re; Im]`` stack, with an exact zero Im, as its complex copy.
     """
 
-    __slots__ = ("grams", "columns", "targets", "giant", "ensemble", "turned", "gram", "scores")
+    __slots__ = ("grams", "columns", "targets", "giant", "ensemble", "turned", "store", "scores")
 
-    def __init__(self, k_first, k_later, v, targets_conj, babies):
+    def __init__(self, k_first, k_later, v, targets_conj, babies, chunk):
         n_cells, (rows, cols), n_targets = k_later.shape[0], v.shape, targets_conj.shape[0]
         self.ensemble = np.empty((n_cells, 2 * rows, 2 * cols))
         v = np.concatenate([v.real, v.imag])
@@ -176,7 +196,7 @@ class _PartSeries:
         self.targets = targets.reshape(n_cells, babies * n_targets, 2 * rows)
         self.giant = _real_rows(power[:, :rows], power[:, rows:])
         self.turned = np.empty((n_cells, rows, 2 * cols))
-        self.gram = np.empty((n_cells, rows * rows, 1))
+        self.store = np.empty((n_cells, chunk, rows, rows)) if babies > 1 else None
         self.scores = np.empty((n_cells, babies * n_targets, 2 * cols)) if n_targets else None
 
     def advance(self, b: int) -> np.ndarray:
@@ -190,14 +210,13 @@ class _PartSeries:
         flat = top.reshape(len(e), -1)
         return np.vecdot(flat, flat)
 
-    def score(self, stopped: np.ndarray):
-        """Weights and sizes of rounds b m + 1 .. b m + m - 1, and overlaps of rounds b m .. b m + m - 1.
+    def step(self, j: int, stopped: np.ndarray):
+        """Store V_b's Gram at place ``j`` of the chunk; return the overlaps of rounds b m .. b m + m - 1.
 
         The ensemble rows of cells in ``stopped``, which stopped by round
         b m, are zeroed first, so that no later step makes subnormal
-        numbers.  Returns per cell the m - 1 weights, their sizes and the
-        overlaps, baby-major, or None for the overlaps when the part has
-        no target rows.
+        numbers.  Returns per cell the overlaps, baby-major, or None when
+        the part has no target rows.
         """
         e = self.ensemble
         rows, cols = (n // 2 for n in e.shape[1:])
@@ -205,18 +224,25 @@ class _PartSeries:
             e[stopped] = 0.0
         top, bottom = e[:, :rows], e[:, rows:]  # [Re, Im] and [Im, -Re]
         np.negative(top[..., :cols], out=bottom[..., cols:])
-        weights = sizes = np.zeros((len(e), 0))
-        if self.grams.shape[1]:  # Re G + Im G = (top + bottom) top^T
+        if self.store is not None:  # Re G + Im G = (top + bottom) top^T
             np.add(top, bottom, out=self.turned)
-            gram = self.gram.reshape(len(e), rows, rows)
-            np.matmul(self.turned, top.mT, out=gram)
-            weights = np.matmul(self.grams, self.gram)[..., 0]
-            row_norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))  # ||e_i^dag V_b||
-            sizes = np.square(np.einsum("cai,ci->ca", self.columns, row_norms))
+            np.matmul(self.turned, top.mT, out=self.store[:, j])
         if self.scores is None:
-            return weights, sizes, None
+            return None
         np.matmul(self.targets, e, out=self.scores)
-        return weights, sizes, np.vecdot(self.scores, self.scores)
+        return np.vecdot(self.scores, self.scores)
+
+    def weigh(self, count: int):
+        """Weights and sizes of rounds b m + 1 .. b m + m - 1 for the first ``count`` stored giant steps.
+
+        Each of shape (n_cells, m - 1, count), from one product each.
+        """
+        n_cells, _, rows, _ = self.store.shape
+        store = self.store.reshape(n_cells, -1, rows * rows)[:, :count]
+        weights = np.matmul(self.grams, store.mT)
+        row_norms = np.sqrt(store[..., :: rows + 1])  # ||e_i^dag V_b||, from diag G_b
+        sizes = np.matmul(self.columns, row_norms.mT)
+        return weights, np.square(sizes, out=sizes)
 
 
 def _series(blocks, n_targets: int, max_rounds: int, babies: int):
@@ -228,32 +254,44 @@ def _series(blocks, n_targets: int, max_rounds: int, babies: int):
     :data:`RESOLUTION` of its weight, or a round past the last when there
     is none.  The giant steps of every part advance together: a cell whose
     weight at a giant step is below the smallest normal double has
-    stopped there, and its ensemble rows are zeroed in every part.
+    stopped there, and its ensemble rows are zeroed in every part.  The
+    weights and sizes of the baby rounds are read once per chunk of
+    giant steps, as long as :data:`SCORE_CHUNK_BYTES` allows for every
+    part's stored Grams, and checked against each other there.
     """
     n_cells = blocks[0][1].shape[0]
     giants = -(-max_rounds // babies)
+    gram_bytes = 8 * n_cells * sum(pv.shape[0] ** 2 for _, _, pv, _ in blocks)
+    chunk = min(giants, max(1, SCORE_CHUNK_BYTES // gram_bytes))
     # Parts where every target row is zero add nothing to the overlaps and
     # are scored against no rows; one part scores even when no part has support.
     scored = [part_targets.any() for *_, part_targets in blocks]
     scored[0] |= not any(scored)
     weights = np.zeros((n_cells, giants, babies))
     overlaps = np.zeros((n_cells, giants, babies, n_targets))
-    sizes = np.empty((n_cells, babies - 1))
+    sizes = np.empty((n_cells, babies - 1, chunk))
     unresolved = np.zeros((n_cells, giants, babies), dtype=bool)
     resolvable = RESOLUTION / np.finfo(float).eps  # a weight times this must exceed its size
-    parts = [_PartSeries(kf, kl, pv, t if s else t[:0], babies) for (kf, kl, pv, t), s in zip(blocks, scored)]
+    parts = [
+        _PartSeries(kf, kl, pv, t if s else t[:0], babies, chunk) for (kf, kl, pv, t), s in zip(blocks, scored)
+    ]
     for b in range(giants):
         for part in parts:
             weights[:, b, 0] += part.advance(b)
         stopped = ~(weights[:, b, 0] >= SMALLEST_NORMAL)
-        sizes[:] = 0.0
         for part in parts:
-            w, size, overlap = part.score(stopped)
-            weights[:, b, 1:] += w
-            sizes += size
+            overlap = part.step(b % chunk, stopped)
             if overlap is not None:
                 overlaps[:, b] += overlap.reshape(n_cells, babies, n_targets)
-        np.greater(sizes, resolvable * weights[:, b, 1:], out=unresolved[:, b, 1:])
+        if babies > 1 and (b % chunk == chunk - 1 or b == giants - 1):
+            count = b % chunk + 1
+            chunk_weights, chunk_sizes = weights[:, b + 1 - count : b + 1, 1:], sizes[..., :count]
+            chunk_sizes[:] = 0.0
+            for part in parts:
+                w, size = part.weigh(count)
+                chunk_weights += w.mT
+                chunk_sizes += size
+            np.greater(chunk_sizes.mT, resolvable * chunk_weights, out=unresolved[:, b + 1 - count : b + 1, 1:])
     shape = (n_cells, giants * babies)
     unresolved = unresolved.reshape(shape)[:, :max_rounds]
     first = np.where(unresolved.any(axis=1), unresolved.argmax(axis=1), max_rounds)
@@ -291,10 +329,12 @@ def batch_trajectory_kernel(
     must have shape (n_targets, D); any other shape raises ValueError.
 
     The rounds are not run one by one.  With m = ceil(sqrt(max_rounds))
-    baby steps and n = ceil(max_rounds / m) giant steps, each part
-    (:class:`_PartSeries`) makes about 3 m + 4 n products for the whole
-    series, where a round-by-round loop makes max_rounds, and the stops
-    are read off the summed series afterwards.  A weight read off the
+    baby steps and n = ceil(max_rounds / m) giant steps, scored in k
+    chunks of giant steps (:data:`SCORE_CHUNK_BYTES`), each part
+    (:class:`_PartSeries`) makes about 3 m + 3 n + 2 k products for the
+    whole series, where a round-by-round loop makes max_rounds, and the
+    stops are read off the summed series afterwards.  A real ``ensemble``
+    is used as it is, not copied to complex.  A weight read off the
     powers of K can cancel: when the ensemble sits where K shrinks while
     K keeps another subspace, it is a small sum of large terms, which the
     round-by-round products never form.  A cell with such a weight up to
@@ -303,7 +343,8 @@ def batch_trajectory_kernel(
     """
     k_first = np.asarray(k_first, dtype=np.complex128)
     k_later = np.asarray(k_later, dtype=np.complex128)
-    v = np.array(ensemble, dtype=np.complex128, order="C")
+    v = np.asarray(ensemble)
+    v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
     v = v.reshape(v.shape[0], -1)
     targets_conj = np.asarray(targets, dtype=np.complex128).conj()
     max_rounds = int(max_rounds)

@@ -151,8 +151,8 @@ class XYSetup:
         """Image of each joint basis index under :attr:`reflection_centre`'s reflection, or None.
 
         The joint Hamiltonian of :func:`build_xy_setup` commutes with this
-        permutation of the basis, which :func:`~logipure.operators.hermitian_eig`
-        takes to split its blocks into even and odd halves.
+        permutation of the basis, which :func:`_xy_spectrum` takes to split
+        its sectors into even and odd halves.
         """
         if self.reflection_centre is None:
             return None
@@ -395,7 +395,8 @@ def _round_operators(spectral, durations, cells, aq_reset) -> tuple[np.ndarray, 
     same = aq_reset == RESET or np.array_equal(psi_out, ket0)
     aq_in = np.stack([ket0] if same else [ket0, psi_out])
     ops = round_contraction(spectral, durations, psi_out, aq_in)
-    return ops[:, 0].reshape(-1, *ops.shape[-2:]), ops[:, -1].reshape(-1, *ops.shape[-2:])
+    first = ops[:, 0].reshape(-1, *ops.shape[-2:])
+    return first, first if same else ops[:, -1].reshape(-1, *ops.shape[-2:])
 
 
 def fast_trajectory(
@@ -635,8 +636,10 @@ def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDeco
     :meth:`XYSetup.reflection`, as its even and odd halves built from
     pieces (:func:`~logipure.operators._reflection_halves`).  Each matrix
     solved, the hermiticity check and the eigenvalue order are bit for
-    bit those of :func:`~logipure.operators.hermitian_eig` with the
-    reflection, wherever its blocks are the sectors.
+    bit those of the dense oracle ``reflected_eig`` in ``tests/oracles.py``
+    (the block split of :func:`~logipure.operators.hermitian_eig`, each
+    block the reflection keeps solved as its halves), wherever its blocks
+    are the sectors.
 
     With ``adapted`` the reflection, a permutation of the bits that
     keeps every sector, must keep the matrix bit for bit, or it raises:
@@ -799,6 +802,10 @@ def reproduce_table1(
     the thermal factor and run all their (row, policy) cells in one
     kernel pass, scored against every cardinal target of the group; the
     kernel finds the blocks of their operators from the nonzero pattern.
+    Each group is taken off the list as its pass stacks its operators,
+    so no row's operators are held twice, or into a later group's pass,
+    and a group whose first- and later-round operators are the same
+    operator stacks it once.
     """
     if rows is not None:
         unknown = sorted(set(rows) - {r.index for r in CHAIN_BENCHMARK})
@@ -871,23 +878,28 @@ def reproduce_table1(
             if centre is not None and ensemble(row.n_sites, centre) is None:
                 centre = None
             spectral = _xy_spectrum(setup, code, centre is not None)
-        operators = [_round_operators(spectral, [duration], [rounds.settings], policy) for policy in policies]
-        del spectral
-        k_first, k_later = (np.concatenate(ops) for ops in zip(*operators))
-        prepared.append((row, policies))
         group = groups.setdefault((row.n_sites, centre, magnetization), [])
-        group += [(row, policy, kf, kl) for policy, kf, kl in zip(policies, k_first, k_later)]
+        for policy in policies:
+            group.append((row, policy, *_round_operators(spectral, [duration], [rounds.settings], policy)))
+        del spectral
+        prepared.append((row, policies))
 
     runs = {}  # (row index, policy) -> {cardinal: trajectory}
-    for (n_sites, centre, _), cells in groups.items():
+    for key in list(groups):
+        n_sites, centre, _ = key
+        cells = groups.pop(key)
+        k_first = np.concatenate([kf for _, _, kf, _ in cells])
+        same = all(kl is kf for _, _, kf, kl in cells)  # one operator for the first and later rounds
+        k_later = k_first if same else np.concatenate([kl for _, _, _, kl in cells])
+        cells = [(row, policy) for row, policy, _, _ in cells]
         code = chains[n_sites]
-        labels = list(dict.fromkeys(row.axis + sign for row, *_ in cells for sign in signs))
+        labels = list(dict.fromkeys(row.axis + sign for row, _ in cells for sign in signs))
         targets = np.stack([cardinal_state(code, label) for label in labels])
         if centre is not None:
             targets = _reflected_rows(targets, _site_reflection(n_sites, centre))
-        k_first, k_later = (np.stack([cell[i] for cell in cells]) for i in (2, 3))
         trajectories = _trajectories(k_first, k_later, ensemble(n_sites, centre), targets, max_rounds)
-        for (row, policy, _, _), per_target in zip(cells, trajectories):
+        del k_first, k_later
+        for (row, policy), per_target in zip(cells, trajectories):
             runs[row.index, policy] = dict(zip(labels, per_target))
 
     for row, policies in prepared:

@@ -25,9 +25,10 @@ finds those blocks from the exactly-nonzero pattern alone, and
 :func:`hermitian_eig` checks and solves each block of a large matrix on
 its own and keeps the solution per block in a
 :class:`SpectralDecomposition`; a small matrix, or one without such
-structure, is the one-block case.  Given a reflection of the basis that
-leaves a block unchanged, it solves that block as its even and odd
-halves (:func:`_reflection_pieces`, :func:`_reflection_halves`).
+structure, is the one-block case.  A block that a reflection of the
+basis leaves unchanged splits into even and odd halves
+(:func:`_reflection_pieces`, :func:`_reflection_halves`), which
+:mod:`logipure.emr` solves for the chain stacks.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class SpectralDecomposition:
     column per position.  Every eigenvector is zero outside its entry's
     rows.  Each position belongs to one entry, but two entries may share
     rows: the even and odd halves of a block split by a reflection (see
-    :func:`hermitian_eig`) both reach the block's mirror pairs.  An
+    :func:`_reflection_halves`) both reach the block's mirror pairs.  An
     unsplit matrix is the one-entry case.  The vectors are float64 when
     the decomposed matrix is real, complex otherwise.
     """
@@ -292,17 +293,7 @@ def _reflection_halves(top: np.ndarray, cross: np.ndarray, n_fixed: int) -> tupl
     return top, odd
 
 
-def _lift(vectors: np.ndarray, n_fixed: int, sign: float) -> np.ndarray:
-    """Eigenvectors of a half, on the fixed rows, then A, then B, in the original basis."""
-    pairs = vectors.shape[0] - n_fixed
-    lifted = np.empty((n_fixed + 2 * pairs, vectors.shape[1]), dtype=vectors.dtype)
-    lifted[:n_fixed] = vectors[:n_fixed]
-    np.multiply(vectors[n_fixed:], math.sqrt(0.5), out=lifted[n_fixed : n_fixed + pairs])
-    np.multiply(lifted[n_fixed : n_fixed + pairs], sign, out=lifted[n_fixed + pairs :])
-    return lifted
-
-
-def hermitian_eig(h: np.ndarray, reflection: np.ndarray | None = None) -> SpectralDecomposition:
+def hermitian_eig(h: np.ndarray) -> SpectralDecomposition:
     """Full spectral decomposition of a hermitian matrix, one block at a time.
 
     A matrix of at least :data:`SPLIT_MIN_ROWS` rows is taken apart into
@@ -317,52 +308,18 @@ def hermitian_eig(h: np.ndarray, reflection: np.ndarray | None = None) -> Spectr
     exactly zero is solved in real arithmetic, with float64
     eigenvectors.
 
-    ``reflection``, an involution of the rows given as each row's image,
-    splits the blocks of a split matrix further.  A block that holds the
-    image of each of its rows and that the involution leaves unchanged
-    bit for bit (:func:`_reflection_pieces`) is solved as its even and odd
-    halves (:func:`_reflection_halves`), one ``eigh`` each, and each
-    half's eigenvectors are lifted back onto the block rows they reach:
-    the even ones onto all of them, the odd ones onto the mirror pairs.
-    Any other block is solved whole.  The halves are built from a
-    quarter of the block each, so the whole block is never gathered.
-
     The blocks are kept as solved (see :class:`SpectralDecomposition`).
     Eigenvalues come back sorted ascending (a stable sort of the blocks'
-    eigenvalues in block order, even half before odd) with orthonormal
-    columns, so degenerate subspaces are represented by an arbitrary but
-    orthonormal basis.
+    eigenvalues in block order) with orthonormal columns, so degenerate
+    subspaces are represented by an arbitrary but orthonormal basis.
     """
     h = _square_matrix(h, "hamiltonian")
     dim = h.shape[0]
-    if reflection is not None:
-        reflection = np.asarray(reflection)
-        if (
-            reflection.shape != (dim,)
-            or reflection.dtype.kind not in "iu"
-            or not np.array_equal(np.sort(reflection), np.arange(dim))
-            or not np.array_equal(reflection[reflection], np.arange(dim))
-        ):
-            raise ValueError(f"reflection must be an involution of range({dim}), one image per row")
-    split = dim >= SPLIT_MIN_ROWS
     measures, solved = [], []
-    for idx in coupled_blocks(h != 0) if split else [np.arange(dim)]:
-        pieces = _reflection_pieces(h, idx, reflection) if split and reflection is not None else None
-        if pieces is None:
-            hb = h[np.ix_(idx, idx)]
-            measures.append(_hermitian_measures([hb], "hamiltonian"))
-            solved.append((idx, *np.linalg.eigh(hb)))
-            continue
-        fixed, lo, hi, top, cross = pieces
-        measures.append(_hermitian_measures([top, cross], "hamiltonian"))
-        even, odd = _reflection_halves(top, cross, fixed.size)
-        del pieces, top, cross  # so that each half is freed once solved, to keep the peak down
-        w, v = np.linalg.eigh(even)
-        del even
-        solved.append((np.concatenate([fixed, lo, hi]), w, _lift(v, fixed.size, 1.0)))
-        w, v = np.linalg.eigh(odd)
-        del odd
-        solved.append((np.concatenate([lo, hi]), w, _lift(v, 0, -1.0)))
+    for idx in coupled_blocks(h != 0) if dim >= SPLIT_MIN_ROWS else [np.arange(dim)]:
+        hb = h[np.ix_(idx, idx)]
+        measures.append(_hermitian_measures([hb], "hamiltonian"))
+        solved.append((idx, *np.linalg.eigh(hb)))
     scales, asyms = zip(*measures)
     _check_hermitian(np.max(scales), np.max(asyms), "hamiltonian")
     return _sorted_spectrum(solved)

@@ -18,6 +18,10 @@
   reflection's even and odd halves by a dense orthogonal change of
   basis, the reference for the operators the sector-built chain
   spectrum gives straight in that basis.
+* :func:`reflected_eig`, :func:`logipure.operators.hermitian_eig` with
+  each block that a reflection of the rows keeps solved as its even and
+  odd halves from the dense matrix, the reference for the sector-built
+  chain spectrum :func:`logipure.emr._xy_spectrum`.
 * :func:`projector_measurement`, the auxiliary measurement done at the
   joint dimension: a ``kron(I_S, |psi><psi|)`` sandwich followed by
   :func:`partial_trace`, the reference for
@@ -28,11 +32,13 @@
   ``codes``, ``emr`` and ``interaction``.
 """
 
+import math
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
+from logipure import operators
 from logipure.codes import code_from_hamiltonian
 from logipure.measurement import UNATTAINABLE_P
 from logipure.operators import (
@@ -231,6 +237,64 @@ def reflected_operators(ops, image):
         else:
             q[row, min(row, mirror)], q[row, max(row, mirror)] = half, half if mirror > row else -half
     return q @ ops @ q.T
+
+
+def _lift(vectors: np.ndarray, n_fixed: int, sign: float) -> np.ndarray:
+    """Eigenvectors of a half, on the fixed rows, then A, then B, in the original basis."""
+    pairs = vectors.shape[0] - n_fixed
+    lifted = np.empty((n_fixed + 2 * pairs, vectors.shape[1]), dtype=vectors.dtype)
+    lifted[:n_fixed] = vectors[:n_fixed]
+    np.multiply(vectors[n_fixed:], math.sqrt(0.5), out=lifted[n_fixed : n_fixed + pairs])
+    np.multiply(lifted[n_fixed : n_fixed + pairs], sign, out=lifted[n_fixed + pairs :])
+    return lifted
+
+
+def reflected_eig(h: np.ndarray, reflection: np.ndarray) -> operators.SpectralDecomposition:
+    """:func:`~logipure.operators.hermitian_eig`, with each block a reflection keeps solved as its halves.
+
+    ``reflection``, an involution of the rows given as each row's image,
+    splits the blocks of a matrix of at least ``SPLIT_MIN_ROWS`` rows
+    further.  A block that holds the image of each of its rows and that
+    the involution leaves unchanged bit for bit
+    (:func:`~logipure.operators._reflection_pieces`) is solved as its even
+    and odd halves (:func:`~logipure.operators._reflection_halves`), one
+    ``eigh`` each, and each half's eigenvectors are lifted back onto the
+    block rows they reach: the even ones onto all of them, the odd ones
+    onto the mirror pairs.  Any other block is solved whole.  The halves
+    are built from a quarter of the block each, and the check covers
+    both pieces, which together hold the block's largest entry and
+    asymmetry.  Eigenvalues are sorted as in ``hermitian_eig``, even half
+    before odd.
+    """
+    h = operators._square_matrix(h, "hamiltonian")
+    dim = h.shape[0]
+    reflection = np.asarray(reflection)
+    if (
+        reflection.shape != (dim,)
+        or reflection.dtype.kind not in "iu"
+        or not np.array_equal(np.sort(reflection), np.arange(dim))
+        or not np.array_equal(reflection[reflection], np.arange(dim))
+    ):
+        raise ValueError(f"reflection must be an involution of range({dim}), one image per row")
+    split = dim >= operators.SPLIT_MIN_ROWS
+    measures, solved = [], []
+    for idx in operators.coupled_blocks(h != 0) if split else [np.arange(dim)]:
+        pieces = operators._reflection_pieces(h, idx, reflection) if split else None
+        if pieces is None:
+            hb = h[np.ix_(idx, idx)]
+            measures.append(operators._hermitian_measures([hb], "hamiltonian"))
+            solved.append((idx, *np.linalg.eigh(hb)))
+            continue
+        fixed, lo, hi, top, cross = pieces
+        measures.append(operators._hermitian_measures([top, cross], "hamiltonian"))
+        even, odd = operators._reflection_halves(top, cross, fixed.size)
+        w, v = np.linalg.eigh(even)
+        solved.append((np.concatenate([fixed, lo, hi]), w, _lift(v, fixed.size, 1.0)))
+        w, v = np.linalg.eigh(odd)
+        solved.append((np.concatenate([lo, hi]), w, _lift(v, 0, -1.0)))
+    scales, asyms = zip(*measures)
+    operators._check_hermitian(np.max(scales), np.max(asyms), "hamiltonian")
+    return operators._sorted_spectrum(solved)
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,17 +199,23 @@ def test_fused_parts_match_dense_loop(monkeypatch):
 
 @pytest.mark.parametrize("max_rounds", [7, 49, 50])
 def test_products_grow_with_baby_and_giant_steps(monkeypatch, max_rounds):
-    """Each part makes a fixed number of products per baby and per giant step, none per round.
+    """Each part makes a fixed number of products per baby step, giant step and chunk, none per round.
 
     With m = ceil(sqrt(R)) baby and n = ceil(R / m) giant steps (R = 7:
     3 and 3; 49: 7 and 7; 50: 8 and 7), a part with target rows makes one
     setup product for its first ensemble, three per baby step (the power,
-    its Gram, its target rows) and four per giant step but the first,
-    which skips the power; a part without target support skips the
-    target rows.  Every product runs in real arithmetic.
+    its Gram, its target rows), three per giant step (the advance, skipped
+    by the first, the Gram and the target rows) and two per chunk of giant
+    steps (the weights and the sizes): 1 + 3 (m - 1) + 3 n - 1 + 2 k with
+    k = ceil(n / 3) chunks of three giant steps here (R = 7: k = 1; 49 and
+    50: k = 3, the last chunk of one).  A part without target support
+    skips the target rows: 1 + 2 (m - 1) + 2 n - 1 + 2 k.  Every product
+    runs in real arithmetic.
     """
     monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 8)
     k_first, k_later, ensemble, targets = three_part_problem(n_cells=1)
+    # three giant steps' Grams of the three parts (8, 40 and 72 rows) per chunk
+    monkeypatch.setattr(_kernels, "SCORE_CHUNK_BYTES", 3 * 8 * (8**2 + 40**2 + 72**2))
     dtypes = []
     matmul = np.matmul
 
@@ -221,24 +228,25 @@ def test_products_grow_with_baby_and_giant_steps(monkeypatch, max_rounds):
     assert fid.shape == (max_rounds, 2)
     m = math.isqrt(max_rounds - 1) + 1
     n = -(-max_rounds // m)
-    assert (m, n) == {7: (3, 3), 49: (7, 7), 50: (8, 7)}[max_rounds]
-    scored, unscored = 1 + 3 * (m - 1) + 4 * n - 1, 1 + 2 * (m - 1) + 3 * n - 1
+    k = -(-n // 3)
+    assert (m, n, k) == {7: (3, 3, 1), 49: (7, 7, 3), 50: (8, 7, 3)}[max_rounds]
+    scored, unscored = 1 + 3 * (m - 1) + 3 * n - 1 + 2 * k, 1 + 2 * (m - 1) + 2 * n - 1 + 2 * k
     assert len(dtypes) == 2 * scored + unscored  # parts of 8 and 72 rows score, the 40-row part does not
     assert set(dtypes) == {(np.dtype(np.float64), np.dtype(np.float64))}
 
 
-def test_stops_inside_a_giant_step_match_dense_loop():
-    """Stops away from the giant-step boundaries, and at one, follow the dense loop.
+def stopping_cells():
+    """Four 12-row cells for 50 rounds (8 baby and 7 giant steps), stopping at rounds 50, 12, 26 and 24.
 
-    With 50 rounds there are 8 baby and 7 giant steps, the last keeping
-    two rounds.  A nilpotent later operator empties the ensemble at round
-    12 (giant step 1, baby step 4): the floor stops it there.  Two scaled
-    unitaries shrink the weight by 1e-12 and 10^-12.9 per round, so it
-    leaves the normal range at round 26 (giant step 3, baby step 2) and at
-    round 24, a giant-step boundary.  A plain contraction runs all rounds.
+    A plain contraction runs all rounds.  A nilpotent later operator
+    empties the ensemble at round 12 (giant step 1, baby step 4): the
+    floor stops it there.  Two scaled unitaries shrink the weight by
+    1e-12 and 10^-12.9 per round, so it leaves the normal range at round
+    26 (giant step 3, baby step 2) and at round 24, a giant-step boundary.
+    Returns the cells' (k_first, k_later), the ensemble and two targets.
     """
     rng = np.random.default_rng(31)
-    dim, max_rounds = 12, 50
+    dim = 12
 
     def cmat(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -257,7 +265,13 @@ def test_stops_inside_a_giant_step_match_dense_loop():
     ensemble /= np.linalg.norm(ensemble)
     targets = cmat(2, dim)
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    return cells, ensemble, targets
 
+
+def test_stops_inside_a_giant_step_match_dense_loop():
+    """Stops away from the giant-step boundaries, and at one, follow the dense loop (see :func:`stopping_cells`)."""
+    cells, ensemble, targets = stopping_cells()
+    max_rounds = 50
     fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(
         np.stack([k for k, _ in cells]), np.stack([k for _, k in cells]), ensemble, targets, max_rounds
     )
@@ -307,6 +321,19 @@ def test_underflow_shared_by_parts_keeps_its_reason(monkeypatch):
     assert np.max(np.abs(p_cum / ref_p_cum - 1.0)) <= 1e-12
 
 
+def shrinking_cells():
+    """Three cells K = Q D Q^T, D = diag(1, 1e-3), diag(1, 0.1) and diag(1e-3, 1), Q the 45-degree rotation.
+
+    The ensemble is Q's second column; the targets are the basis states
+    and that column.
+    """
+    c = math.sqrt(0.5)
+    q = np.array([[c, -c], [c, c]])
+    k_later = np.stack([q @ np.diag(d) @ q.T for d in ([1.0, 1e-3], [1.0, 0.1], [1e-3, 1.0])])
+    k_first = np.stack([np.eye(2)] * 3)
+    return k_first, k_later, q[:, 1:], np.array([[1.0, 0.0], [0.0, 1.0], q[:, 1]])
+
+
 def test_ensemble_where_k_shrinks_matches_dense_loop(monkeypatch):
     """An ensemble in a subspace that K shrinks, while K keeps another, follows the dense loop.
 
@@ -319,12 +346,7 @@ def test_ensemble_where_k_shrinks_matches_dense_loop(monkeypatch):
     cells run their rounds one by one; the cell whose K keeps the ensemble
     (diag(s, 1)) does not cancel and is not run again.
     """
-    c = math.sqrt(0.5)
-    q = np.array([[c, -c], [c, c]])
-    k_later = np.stack([q @ np.diag(d) @ q.T for d in ([1.0, 1e-3], [1.0, 0.1], [1e-3, 1.0])])
-    k_first = np.stack([np.eye(2)] * 3)
-    ensemble = q[:, 1:]
-    targets = np.array([[1.0, 0.0], [0.0, 1.0], q[:, 1]])
+    k_first, k_later, ensemble, targets = shrinking_cells()
     max_rounds = 20  # 5 baby and 4 giant steps
 
     runs = []
@@ -344,6 +366,118 @@ def test_ensemble_where_k_shrinks_matches_dense_loop(monkeypatch):
         assert np.max(np.abs(p_round[cell] / ref_p_round - 1.0)) <= 1e-12
         assert np.max(np.abs(p_cum[cell] / ref_p_cum - 1.0)) <= 1e-12
     assert p_cum[0, -1] == pytest.approx(1e-120, rel=1e-9) and p_cum[2, -1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, "all"])
+def test_series_does_not_depend_on_the_chunking(monkeypatch, chunk):
+    """Chunks of 2, 3 and all giant steps give the stops and, to 1e-15, the series of chunks of one.
+
+    Only the grouping of the weight and size products changes, so every
+    weight agrees to a few roundings.  :func:`stopping_cells` has 7 giant
+    steps: its stop at round 12 falls inside a chunk (giant step 1 of
+    [0, 1] or [0, 1, 2]) and its stop at round 24 at the start of giant
+    step 3, a chunk boundary in chunks of three; chunks of three also
+    leave a last chunk of one.  Two of :func:`shrinking_cells` cancel and
+    run again round by round whatever the chunks, and the third is
+    scored in chunks.
+    """
+    counts = []
+    weigh = _kernels._PartSeries.weigh
+
+    def recording_weigh(self, count):
+        counts.append(count)
+        return weigh(self, count)
+
+    monkeypatch.setattr(_kernels._PartSeries, "weigh", recording_weigh)
+    runs = []
+    series = _kernels._series
+
+    def recording_series(blocks, n_targets, max_rounds, babies):
+        runs.append((blocks[0][1].shape[0], babies))
+        return series(blocks, n_targets, max_rounds, babies)
+
+    monkeypatch.setattr(_kernels, "_series", recording_series)
+    cells, ensemble, targets = stopping_cells()
+    problems = [
+        ((np.stack([k for k, _ in cells]), np.stack([k for _, k in cells]), ensemble, targets, 50), 7, [50, 12, 26, 24]),
+        ((*shrinking_cells(), 20), 4, [20, 20, 20]),
+    ]
+    for args, giants, stops in problems:
+        # one giant step's stored Grams: 8 bytes per cell and entry of the one part
+        step_bytes = 8 * args[1].size
+        length = giants if chunk == "all" else chunk
+        results = []
+        for budget, lengths in ((1, [1] * giants), (length * step_bytes + step_bytes - 1, [length] * (giants // length))):
+            monkeypatch.setattr(_kernels, "SCORE_CHUNK_BYTES", budget)
+            counts.clear()
+            runs.clear()
+            results.append(batch_trajectory_kernel(*args))
+            assert counts == lengths + [giants % length] * (budget > 1 and giants % length > 0)
+            assert runs == ([(4, 8)] if giants == 7 else [(3, 5), (2, 1)])  # two shrinking cells run again
+        want, got = results
+        assert list(got[3]) == list(want[3]) == stops and got[4] == want[4]
+        for g, w in zip(got[:3], want[:3]):  # fidelities, round and cumulative probabilities
+            assert np.all(np.abs(g - w) <= 1e-15 * np.abs(w))
+
+
+def test_memory_stays_within_the_parts_stores(monkeypatch):
+    """The traced peak above the inputs stays within what the parts hold, the chunk store and the outputs.
+
+    Three cells of :func:`three_part_problem` (parts of r = 8, 40 and 72
+    rows, each with c = r ensemble columns; t = 2 target rows on the
+    first and last, none on the 40-row part) run 500 rounds: m = 23 baby
+    and n = 22 giant steps.  Per cell, in floats, a part holds
+      - its baby stacks: the Grams (m - 1) r^2, their column norms
+        (m - 1) r and the target rows 2 m t r;
+      - its giant-step state: K^m's real rows 4 r^2, V_b and its turned
+        half 6 r c, and the overlaps 2 m t c;
+      - its blocks of the two complex operators, 4 r^2;
+    and while it runs its baby steps, K's real rows, the turned power
+    and two powers, at most 10 r^2 more for the largest part.  Shared by
+    the cells, a part holds its blocks of the ensemble and the targets
+    (16 r (c + 2) bytes at most) and, while it is built, their
+    ``[Re; Im]`` stack and a real block's zero imaginary part (24 r c).
+    The chunk store holds the larger of :data:`SCORE_CHUNK_BYTES` and
+    one giant step's Grams, 8 sum r^2 bytes per cell, and each chunk's
+    weights, sizes and row norms take at most 4 (m - 1) + 72 floats per
+    cell and giant step of the chunk.  The outputs are the series'
+    weights, overlaps and unresolved marks, 1 + 8 (1 + 2) bytes per
+    round of the n m, and at the end the round probabilities and four
+    boolean masks, 12 bytes per round of the 500, per cell; the
+    fidelities are the overlaps, divided in place.  numpy reports its
+    buffers to ``tracemalloc``, so the peak is deterministic.
+
+    A real ensemble is not copied to complex: it gives output bitwise
+    equal to its complex copy, at a lower peak, since the parts' blocks
+    of it are real.
+    """
+    monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 8)
+    k_first, k_later, ensemble, targets = three_part_problem()
+    ensemble = ensemble.real.copy()
+    n_cells, max_rounds, m, n = len(k_first), 500, 23, 22
+    parts = [(8, 8, 2), (40, 40, 0), (72, 72, 2)]  # (rows, ensemble columns, scored target rows)
+    held = sum((m - 1) * (r * r + r) + 2 * m * t * r + 4 * r * r + 6 * r * c + 2 * m * t * c + 4 * r * r for r, c, t in parts)
+    shared = sum(16 * r * (c + 2) + 24 * r * c for r, c, _ in parts)
+    step = 8 * n_cells * sum(r * r for r, _, _ in parts)
+    chunk = min(n, max(1, _kernels.SCORE_CHUNK_BYTES // step))
+    store = max(_kernels.SCORE_CHUNK_BYTES, step) + 8 * n_cells * (4 * (m - 1) + 72) * chunk
+    outputs = n_cells * ((1 + 8 * 3) * n * m + 12 * max_rounds)
+    bound = 8 * n_cells * (held + 10 * 72**2) + shared + store + outputs
+
+    peaks, results = [], []
+    for v in (ensemble, ensemble.astype(complex)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            results.append(batch_trajectory_kernel(k_first, k_later, v, targets, max_rounds))
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert list(results[0][3]) == [max_rounds] * n_cells
+    assert peaks[0] < peaks[1] <= bound
+    for real, complex_copy in zip(results[0][:4], results[1][:4]):
+        assert real.tobytes() == complex_copy.tobytes()
+    assert results[0][4] == results[1][4]
 
 
 def test_stop_at_an_unresolved_round_runs_again(monkeypatch):

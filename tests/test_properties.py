@@ -52,6 +52,7 @@ from oracles import (
     dense_stabilizer_code,
     dense_trajectory,
     projector_measurement,
+    reflected_eig,
     reflected_operators,
 )
 
@@ -155,6 +156,9 @@ def expected_solves(h, image):
 def test_hermitian_eig_splits_by_reflection(seed, n_labels, large, keep_labels, perturb):
     """h = M + P M P^T, with P a random involution, solves by halves as it solves whole.
 
+    The halves come from the dense oracle ``reflected_eig``, the whole
+    solve from ``hermitian_eig``.
+
     M is real symmetric with hidden label blocks, so h has conserved
     blocks when P keeps the labels and fewer, merged ones otherwise.
     Large draws have 256 rows or more and split as the chain stacks do;
@@ -186,7 +190,7 @@ def test_hermitian_eig_splits_by_reflection(seed, n_labels, large, keep_labels, 
     with mock.patch.object(operators, "SPLIT_MIN_ROWS", 256 if large else 1):
         plain = hermitian_eig(h)
         with mock.patch.object(np.linalg, "eigh", counted):
-            spec = hermitian_eig(h, image)
+            spec = reflected_eig(h, image)
     scale = max(1.0, np.max(np.abs(h)))
     assert sorted(solves) == expected_solves(h, image)
     if perturb and moved.size:
@@ -549,8 +553,8 @@ def test_sector_spectrum_matches_the_dense_solve(
     """The chain's joint Hamiltonian built sector by sector is solved as the whole matrix is.
 
     Each sector, or half of one, is bit for bit the block that
-    ``hermitian_eig`` gathers from the dense matrix with the wiring's
-    reflection (split at every size here), in the same order, and the
+    the dense oracle ``reflected_eig`` gathers from the dense matrix with
+    the wiring's reflection (split at every size here), in the same order, and the
     eigenvalues are equal.  The round operators of a shared setting on
     every auxiliary qubit, made from the halves' own coordinates, are
     the dense operators moved to the reflection-adapted system basis.
@@ -562,7 +566,7 @@ def test_sector_spectrum_matches_the_dense_solve(
     h = emr._xy_hamiltonian(setup, code)
     adapted = setup.reflection_centre is not None
     with mock.patch.object(operators, "SPLIT_MIN_ROWS", 1):
-        dense, dense_blocks = eigh_inputs(lambda: hermitian_eig(h, setup.reflection()))
+        dense, dense_blocks = eigh_inputs(lambda: reflected_eig(h, setup.reflection()) if adapted else hermitian_eig(h))
     sectors, sector_blocks = eigh_inputs(lambda: emr._xy_spectrum(setup, code, adapted))
     assert [b.shape for b in sector_blocks] == [b.shape for b in dense_blocks]
     assert all(b.tobytes() == d.tobytes() for b, d in zip(sector_blocks, dense_blocks))
