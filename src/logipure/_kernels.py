@@ -68,7 +68,8 @@ def _round_blocks(k_first, k_later, v, targets_conj):
     the whole stack.  Blocks couple rows linked by either contraction
     operator or by a shared ensemble column.  They are packed into parts
     by :func:`_pack`; a single part covers all rows and runs on the
-    inputs as given.
+    inputs as given.  When ``k_later`` is ``k_first``, each part's two
+    blocks are one array too (:func:`_both`).
     """
     dim = v.shape[0]
     nonzero = v != 0
@@ -82,8 +83,14 @@ def _round_blocks(k_first, k_later, v, targets_conj):
     for rows in packed:
         cols = np.flatnonzero(nonzero[rows].any(axis=0))
         square = (..., rows[:, None], rows)
-        parts.append([k_first[square], k_later[square], v[np.ix_(rows, cols)], targets_conj[:, rows]])
+        parts.append([*_both(k_first, k_later, square), v[np.ix_(rows, cols)], targets_conj[:, rows]])
     return parts
+
+
+def _both(k_first, k_later, index):
+    """``k_first[index]`` and ``k_later[index]``, one array when the two operators are one."""
+    first = k_first[index]
+    return first, first if k_later is k_first else k_later[index]
 
 
 def _pack(blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -359,7 +366,7 @@ def batch_trajectory_kernel(
         ratio, n_rounds = _stops(p_cum)
         redo = unresolved <= np.minimum(n_rounds, max_rounds - 1)
         if redo.any():
-            again = [[kf[redo], kl[redo], pv, t] for kf, kl, pv, t in blocks]
+            again = [[*_both(kf, kl, redo), pv, t] for kf, kl, pv, t in blocks]
             p_cum[redo], fid[redo], _ = _series(again, n_targets, max_rounds, 1)
             ratio, n_rounds = _stops(p_cum)
         fid /= p_cum[..., None]

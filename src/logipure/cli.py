@@ -20,7 +20,9 @@ count (full-precision floats may move in their last digits with it).
 Integer keys take JSON integers only, and number keys JSON numbers only
 (no booleans or strings).  The engine commands refuse a config whose
 joint Hamiltonian would exceed :data:`MAX_JOINT_ROWS` rows before
-building anything.  CSV numbers carry 17 significant digits; JSON
+building anything, and a command whose arithmetic overflows float64
+(a code ``J`` of 1e308, say) exits 2 with a message, not a numpy
+warning.  CSV numbers carry 17 significant digits; JSON
 reports are rounded to 6 digits with full-precision duplicates
 alongside.
 """
@@ -409,7 +411,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.experiment, args.config)
-        text = COMMANDS[args.experiment](cfg)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                text = COMMANDS[args.experiment](cfg)
+        except FloatingPointError as e:
+            raise ValueError(f"{e}: a config energy (a code's J, g, e_a) or time is too large for float64") from None
         _write_text(args.out, text)
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -28,7 +28,8 @@ The module also builds the anisotropic-XY auxiliary couplings for
 Heisenberg chains and reproduces the reference benchmark table for that
 protocol family, building the larger chain rows one conserved sector at
 a time, and solving and running them in halves where a reflection of
-the chain keeps its wiring.
+the chain keeps its wiring; one sector solver serves the joint rows and
+the chain's thermal factor.
 """
 
 from __future__ import annotations
@@ -47,10 +48,7 @@ from .operators import (
     SpectralDecomposition,
     _check_hermitian,
     _hermitian_measures,
-    _reflection_halves,
-    _reflection_pieces,
     _sorted_spectrum,
-    coupled_blocks,
     hermitian_eig,
     kron,
     kron_all,
@@ -267,52 +265,33 @@ def thermal_ensemble(codes: list[CodeModel], beta: float) -> np.ndarray:
     """Square-root factor V of the joint thermal state: V V^dagger = rho_S(0)."""
     if require_finite("beta", beta) < 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta}")
-    factors = []
-    for code in codes:
-        spec = code.spectrum
-        w = spec.eigenvalues
-        weights = np.exp(-beta * (w - w[0]))
-        weights /= weights.sum()
-        factors.append(spec.eigenvectors * np.sqrt(weights))
-    return kron_all(factors)
+    return kron_all([_thermal_factor(code.spectrum, beta) for code in codes])
 
 
-def _reflected_ensemble(code: CodeModel, beta: float, image: np.ndarray) -> np.ndarray | None:
-    """:func:`thermal_ensemble` of one code in the basis the reflection ``image`` of its rows splits.
+def _thermal_factor(spectral: SpectralDecomposition, beta: float) -> np.ndarray:
+    """Each eigenvector times the square root of its normalised weight exp(-beta (w - w_0))."""
+    w = spectral.eigenvalues
+    weights = np.exp(-beta * (w - w[0]))
+    return spectral.eigenvectors * np.sqrt(weights / weights.sum())
+
+
+def _reflected_ensemble(code: CodeModel, beta: float, image: np.ndarray) -> np.ndarray:
+    """:func:`thermal_ensemble` of one chain code in the basis the site reflection ``image`` splits.
 
     The basis keeps each fixed row and puts (e_a + e_b)/sqrt 2 on row a
-    and (e_a - e_b)/sqrt 2 on row b of each mirror pair a < b, the basis
-    of :func:`~logipure.operators._reflection_halves`.  The code
-    Hamiltonian's even and odd halves are split into the blocks of their
-    nonzero pattern, whatever their size, and each block is solved by
-    one ``eigh``, so every column of the factor lies in one block of one
-    half, with exact zeros elsewhere.  (The code's own spectrum mixes
-    the halves inside its degenerate levels.)  None unless the
-    reflection leaves the Hamiltonian unchanged bit for bit.
+    and (e_a - e_b)/sqrt 2 on row b of each mirror pair a < b.  The chain
+    is solved by :func:`_sector_spectrum` with no auxiliary qubits, one
+    magnetization sector at a time, each as its even and odd halves, so
+    every column of the factor lies on one (sector, half), with exact
+    zeros elsewhere.  (The code's own spectrum mixes the halves inside
+    its degenerate levels.)  A chain entry across magnetization sectors,
+    or a reflection that does not keep the chain bit for bit, raises, as
+    in :func:`_xy_spectrum`.
     """
-    h = code.hamiltonian
-    if np.iscomplexobj(h) and not h.imag.any():
-        h = h.real
-    dim = h.shape[0]
-    pieces = _reflection_pieces(h, np.arange(dim), image)
-    if pieces is None:
-        return None
-    fixed, lo, hi, top, cross = pieces
-    halves = zip((np.concatenate([fixed, lo]), hi), _reflection_halves(top, cross, fixed.size))
-    solved = [
-        (rows[block], *np.linalg.eigh(half[np.ix_(block, block)]))
-        for rows, half in halves
-        for block in coupled_blocks(half != 0)
-    ]
-    w = np.concatenate([wb for _, wb, _ in solved])
-    weights = np.exp(-beta * (w - w.min()))
-    weights = np.sqrt(weights / weights.sum())
-    factor = np.zeros((dim, dim), dtype=h.dtype)
-    start = 0
-    for rows, wb, vb in solved:
-        factor[rows, start : start + wb.size] = vb * weights[start : start + wb.size]
-        start += wb.size
-    return factor
+    chain = code.hamiltonian.real
+    labels = _sector_labels(code.n_qubits, True)
+    _check_chain(chain, labels, image)
+    return _thermal_factor(_sector_spectrum(lambda rows, cols: chain[np.ix_(rows, cols)], labels, image, 0), beta)
 
 
 def _reflected_rows(states: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -625,59 +604,77 @@ def _sector_labels(n_qubits: int, magnetization: bool) -> np.ndarray:
     return ones if magnetization else ones & 1
 
 
+def _check_chain(chain: np.ndarray, labels: np.ndarray, image: np.ndarray | None) -> None:
+    """Raise unless ``chain`` keeps its sectors ``labels`` and, when given, the reflection ``image``, bit for bit."""
+    if chain[labels[:, None] != labels].any():
+        raise ValueError("the chain Hamiltonian couples its own conserved sectors")
+    if image is not None and not np.array_equal(chain[np.ix_(image, image)], chain):
+        raise ValueError("the wiring's reflection does not keep the joint Hamiltonian")
+
+
 def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDecomposition:
     """The spectrum of :func:`build_xy_setup`'s matrix, built and solved one conserved sector at a time.
 
     The bonds conserve the total magnetization at gamma = 0 and the
     parity otherwise; a chain entry or a nonzero bond across sectors
-    raises.  The sectors, rows ascending, are gathered from
-    :func:`_xy_entries` in the order of their smallest row, each solved
-    by one ``eigh`` or, with ``adapted`` and a mirror pair of
-    :meth:`XYSetup.reflection`, as its even and odd halves built from
-    pieces (:func:`~logipure.operators._reflection_halves`).  Each matrix
-    solved, the hermiticity check and the eigenvalue order are bit for
-    bit those of the dense oracle ``reflected_eig`` in ``tests/oracles.py``
-    (the block split of :func:`~logipure.operators.hermitian_eig`, each
-    block the reflection keeps solved as its halves), wherever its blocks
-    are the sectors.
+    raises.  :func:`_sector_spectrum` solves the sectors of
+    :func:`_xy_entries`' matrix, whole or, with ``adapted``, in the
+    halves of :meth:`XYSetup.reflection`.  Each matrix solved, the
+    hermiticity check and the eigenvalue order are bit for bit those of
+    the dense oracle ``reflected_eig`` in ``tests/oracles.py``, wherever
+    its blocks are the sectors.
 
     With ``adapted`` the reflection, a permutation of the bits that
     keeps every sector, must keep the matrix bit for bit, or it raises:
     it must keep the chain and the diagonal, and map each bond's entries
     onto those of its mirror bond (no two of the three terms share an
-    entry), so every entry of a sector outside the pieces solved equals
-    its mirror inside them.  Each half's eigenvectors then stay in its
-    coordinates, on rows (system row << n_aux) | auxiliary row of
-    :func:`_reflected_ensemble`'s system basis: a fixed or lower joint
-    row keeps its place, and a pair's odd coordinate goes to the upper
-    system row of its pair.  A pair within one system row holds sqrt 2
-    times that row's even coordinate and none of its odd one.  This
-    folding holds for auxiliary states that the reversal of the
-    auxiliary qubits keeps, and :func:`round_contraction` with such
-    states then gives the operators straight in that system basis.
+    entry).  The eigenvectors then lie in the reflection-adapted system
+    basis of :func:`_reflected_ensemble`, for auxiliary states that the
+    reversal of the auxiliary qubits keeps, and :func:`round_contraction`
+    with such states gives the operators straight in that basis.
     """
     n, n_aux = setup.n_system, setup.n_aux
     block, bonds, diagonal = _xy_entries(setup, code)
-    labels = _sector_labels(n + n_aux, setup.gamma == 0.0)
-    system = _sector_labels(n, setup.gamma == 0.0)
-    if code.hamiltonian.real[system[:, None] != system].any():
-        raise ValueError("the chain Hamiltonian couples its own conserved sectors")
+    magnetization = setup.gamma == 0.0
+    labels = _sector_labels(n + n_aux, magnetization)
+    image = setup.reflection() if adapted else np.arange(labels.size)
+    _check_chain(
+        code.hamiltonian.real, _sector_labels(n, magnetization), image[:: 2**n_aux] >> n_aux if adapted else None
+    )
     for flip, bond in bonds:
         if bond[labels[np.arange(labels.size) ^ flip] != labels].any():
             raise ValueError(f"a bond that flips bits {flip:#b} leaves its sector")
-    image, system_image = np.arange(labels.size), None
     if adapted:
-        image, system_image = setup.reflection(), _site_reflection(n, setup.reflection_centre)
-        chain, by_flip = code.hamiltonian.real, dict(bonds)
+        by_flip = dict(bonds)
         if not (
-            np.array_equal(chain[np.ix_(system_image, system_image)], chain)
-            and np.array_equal(diagonal[image], diagonal)
+            np.array_equal(diagonal[image], diagonal)
             and all(
                 np.array_equal(by_flip[int(image[flip])][image], bond) if int(image[flip]) in by_flip else not bond.any()
                 for flip, bond in bonds
             )
         ):
             raise ValueError("the wiring's reflection does not keep the joint Hamiltonian")
+    return _sector_spectrum(block, labels, image, n_aux)
+
+
+def _sector_spectrum(block, labels: np.ndarray, image: np.ndarray, n_aux: int) -> SpectralDecomposition:
+    """The spectrum of the matrix whose entries ``block(rows, cols)`` returns, one sector of ``labels`` at a time.
+
+    The sectors, rows ascending, are gathered in the order of their
+    smallest row, each solved by one ``eigh`` or, when the involution
+    ``image`` pairs some of its rows, as its even and odd halves
+    (:func:`_reflection_halves`).  The caller checks that no entry
+    couples two sectors and that ``image`` keeps the matrix bit for bit,
+    so every entry outside the two pieces gathered equals its mirror
+    inside them, and their hermiticity check is the whole matrix's.
+
+    A row is (system row << n_aux) | auxiliary row, and ``image`` keeps
+    auxiliary row 0.  Each half's eigenvectors stay in its coordinates,
+    on the rows of the reflection-adapted system basis: a fixed or lower
+    row keeps its place, and a pair's odd coordinate goes to the upper
+    system row of its pair.  A pair within one system row holds sqrt 2
+    times that row's even coordinate and none of its odd one.
+    """
     measures, solved = [], []
     for label in labels[np.sort(np.unique(labels, return_index=True)[1])]:
         rows = np.flatnonzero(labels == label)
@@ -692,18 +689,35 @@ def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDeco
         measures.append(_hermitian_measures([top, cross], "hamiltonian"))
         even, odd = _reflection_halves(top, cross, fixed.size)
         del top, cross
-        within = system_image[lo >> n_aux] == lo >> n_aux  # mirror pairs within one system row
+        system, mirror = lo >> n_aux, image[lo >> n_aux << n_aux] >> n_aux
+        within = mirror == system  # mirror pairs within one system row
         w, v = np.linalg.eigh(even)
         del even
         v[fixed.size :][within] *= np.sqrt(2.0)
         solved.append((top_rows, w, v))
         w, v = np.linalg.eigh(odd)
         del odd
-        upper = (system_image[lo >> n_aux] << n_aux) | (lo & (2**n_aux - 1))
+        upper = (mirror << n_aux) | (lo & (2**n_aux - 1))
         solved.append((upper[~within], w, v[~within]))
     scales, asyms = zip(*measures)
     _check_hermitian(np.max(scales), np.max(asyms), "hamiltonian")
     return _sorted_spectrum(solved)
+
+
+def _reflection_halves(top: np.ndarray, cross: np.ndarray, n_fixed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd halves of a mirror-symmetric block from ``top`` = m[F + A, F + A] and ``cross`` = m[A, B].
+
+    F holds the fixed rows, A the lower row of each mirror pair and B
+    the upper one.  In the basis of the fixed rows, (e_a + e_b)/sqrt 2
+    and (e_a - e_b)/sqrt 2 for each pair (a, b), the block is the even
+    half [[m_FF, sqrt 2 m_FA], [sqrt 2 m_AF, m_AA + m_AB]], built in
+    place of ``top``, and the odd half m_AA - m_AB.
+    """
+    odd = top[..., n_fixed:, n_fixed:] - cross
+    top[..., n_fixed:, n_fixed:] += cross
+    top[..., n_fixed:, :n_fixed] *= np.sqrt(2.0)
+    top[..., :n_fixed, n_fixed:] *= np.sqrt(2.0)
+    return top, odd
 
 
 @dataclass(frozen=True)
@@ -793,15 +807,18 @@ def reproduce_table1(
     one setting whose states lie in one auxiliary sector, it runs in the
     reflection-adapted system basis: its sectors are solved in halves,
     whose coordinates give the round operators straight in that basis;
-    the thermal factor is factored again from the chain Hamiltonian's
-    halves, once per chain size and reflection centre; and the target
-    rows move to it.  Other rows run in the computational basis.  Each
-    row's spectrum is dropped once its round operators exist.
+    the thermal factor is solved again by the same sector solver, as the
+    chain's magnetization sectors in halves (:func:`_reflected_ensemble`);
+    and the target rows move to it.  A chain or a wiring that the
+    reflection does not keep bit for bit raises; there is no fallback to
+    the computational basis.  Other rows run in the computational basis.
+    Each row's spectrum is dropped once its round operators exist.
 
     Rows with the same chain size, basis and conserved quantity share
-    the thermal factor and run all their (row, policy) cells in one
-    kernel pass, scored against every cardinal target of the group; the
-    kernel finds the blocks of their operators from the nonzero pattern.
+    one thermal factor, made when their group runs, and run all their
+    (row, policy) cells in one kernel pass, scored against every
+    cardinal target of the group; the kernel finds the blocks of their
+    operators from the nonzero pattern.
     Each group is taken off the list as its pass stacks its operators,
     so no row's operators are held twice, or into a later group's pass,
     and a group whose first- and later-round operators are the same
@@ -833,18 +850,6 @@ def reproduce_table1(
     }
     signs = ("+", "-")
     chains: dict[int, CodeModel] = {}
-    ensembles: dict[tuple, np.ndarray | None] = {}  # (chain size, reflection centre) -> thermal factor
-
-    def ensemble(n_sites, centre):
-        if (n_sites, centre) not in ensembles:
-            code = chains[n_sites]
-            ensembles[n_sites, centre] = (
-                thermal_ensemble([code], beta)
-                if centre is None
-                else _reflected_ensemble(code, beta, _site_reflection(n_sites, centre))
-            )
-        return ensembles[n_sites, centre]
-
     prepared = []  # (row, policies) per selected row
     groups: dict[tuple, list] = {}  # (chain size, reflection centre, conserved quantity) -> its cells
     for row in selected:
@@ -875,8 +880,6 @@ def reproduce_table1(
             measured[0] = True
             if len(set(row.settings)) == 1 and np.ptp(_sector_labels(setup.n_aux, magnetization)[measured]) == 0:
                 centre = setup.reflection_centre
-            if centre is not None and ensemble(row.n_sites, centre) is None:
-                centre = None
             spectral = _xy_spectrum(setup, code, centre is not None)
         group = groups.setdefault((row.n_sites, centre, magnetization), [])
         for policy in policies:
@@ -895,10 +898,13 @@ def reproduce_table1(
         code = chains[n_sites]
         labels = list(dict.fromkeys(row.axis + sign for row, _ in cells for sign in signs))
         targets = np.stack([cardinal_state(code, label) for label in labels])
-        if centre is not None:
-            targets = _reflected_rows(targets, _site_reflection(n_sites, centre))
-        trajectories = _trajectories(k_first, k_later, ensemble(n_sites, centre), targets, max_rounds)
-        del k_first, k_later
+        if centre is None:
+            ensemble = thermal_ensemble([code], beta)
+        else:
+            image = _site_reflection(n_sites, centre)
+            ensemble, targets = _reflected_ensemble(code, beta, image), _reflected_rows(targets, image)
+        trajectories = _trajectories(k_first, k_later, ensemble, targets, max_rounds)
+        del k_first, k_later, ensemble
         for (row, policy), per_target in zip(cells, trajectories):
             runs[row.index, policy] = dict(zip(labels, per_target))
 

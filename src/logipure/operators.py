@@ -25,10 +25,7 @@ finds those blocks from the exactly-nonzero pattern alone, and
 :func:`hermitian_eig` checks and solves each block of a large matrix on
 its own and keeps the solution per block in a
 :class:`SpectralDecomposition`; a small matrix, or one without such
-structure, is the one-block case.  A block that a reflection of the
-basis leaves unchanged splits into even and odd halves
-(:func:`_reflection_pieces`, :func:`_reflection_halves`), which
-:mod:`logipure.emr` solves for the chain stacks.
+structure, is the one-block case.
 """
 
 from __future__ import annotations
@@ -104,9 +101,9 @@ class SpectralDecomposition:
     column per position.  Every eigenvector is zero outside its entry's
     rows.  Each position belongs to one entry, but two entries may share
     rows: the even and odd halves of a block split by a reflection (see
-    :func:`_reflection_halves`) both reach the block's mirror pairs.  An
-    unsplit matrix is the one-entry case.  The vectors are float64 when
-    the decomposed matrix is real, complex otherwise.
+    :func:`logipure.emr._reflection_halves`) both reach the block's
+    mirror pairs.  An unsplit matrix is the one-entry case.  The vectors
+    are float64 when the decomposed matrix is real, complex otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -243,54 +240,6 @@ def coupled_blocks(pattern: np.ndarray) -> list[np.ndarray]:
         free &= ~reach
         blocks.append(np.flatnonzero(reach))
     return blocks
-
-
-def _reflection_pieces(m: np.ndarray, rows: np.ndarray, image: np.ndarray):
-    """The pieces of the block ``rows`` of ``m`` that an involution of its rows leaves unchanged, or None.
-
-    ``image`` maps every row of ``m`` to its mirror row.  The block's rows
-    fall into the fixed ones F, the lower member of each mirror pair A and
-    the upper one B = image[A].  When the block holds the mirror of every
-    row and ``m[image][:, image]`` equals ``m`` on the block exactly, bit
-    for bit, returns (F, A, B, top, cross) with top = m[F + A, F + A]
-    and cross = m[A, B]; their mirrors are the block's other entries, so
-    the two pieces hold the largest entry and the largest asymmetry of
-    the block.  Otherwise, or when the block has no mirror pair, returns
-    None.  Each piece gathered holds about a quarter of the block's
-    entries; the whole block is never gathered.
-    """
-    mapped = image[rows]
-    if not np.array_equal(np.sort(mapped), rows):
-        return None
-    fixed, lo = rows[mapped == rows], rows[mapped > rows]
-    if not lo.size:
-        return None
-    hi = image[lo]
-    top_rows = np.concatenate([fixed, lo])
-    top = m[..., top_rows[:, None], top_rows]
-    mirror_rows = np.concatenate([fixed, hi])
-    if not np.array_equal(m[..., mirror_rows[:, None], mirror_rows], top):
-        return None
-    cross = m[..., lo[:, None], hi]
-    if not np.array_equal(m[..., hi[:, None], lo], cross):
-        return None
-    return fixed, lo, hi, top, cross
-
-
-def _reflection_halves(top: np.ndarray, cross: np.ndarray, n_fixed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd halves of a mirror-symmetric block from its :func:`_reflection_pieces`.
-
-    In the basis of the fixed rows, (e_a + e_b)/sqrt 2 and (e_a - e_b)/sqrt
-    2 for each mirror pair (a, b), the block is the even half on the first
-    two and the odd half on the last, with exact zeros between them.  The
-    even half is [[m_FF, sqrt 2 m_FA], [sqrt 2 m_AF, m_AA + m_AB]], built
-    in place of ``top``; the odd half is m_AA - m_AB.
-    """
-    odd = top[..., n_fixed:, n_fixed:] - cross
-    top[..., n_fixed:, n_fixed:] += cross
-    top[..., n_fixed:, :n_fixed] *= math.sqrt(2.0)
-    top[..., :n_fixed, n_fixed:] *= math.sqrt(2.0)
-    return top, odd
 
 
 def hermitian_eig(h: np.ndarray) -> SpectralDecomposition:

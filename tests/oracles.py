@@ -17,11 +17,13 @@
   :func:`reflected_operators`, which moves operators to the basis of a
   reflection's even and odd halves by a dense orthogonal change of
   basis, the reference for the operators the sector-built chain
-  spectrum gives straight in that basis.
+  spectrum and the chain's reflected thermal factor give straight in
+  that basis.
 * :func:`reflected_eig`, :func:`logipure.operators.hermitian_eig` with
   each block that a reflection of the rows keeps solved as its even and
-  odd halves from the dense matrix, the reference for the sector-built
-  chain spectrum :func:`logipure.emr._xy_spectrum`.
+  odd halves, gathered and checked from the dense matrix by
+  :func:`_reflection_pieces`, the reference for the sector-built chain
+  spectrum :func:`logipure.emr._xy_spectrum`.
 * :func:`projector_measurement`, the auxiliary measurement done at the
   joint dimension: a ``kron(I_S, |psi><psi|)`` sandwich followed by
   :func:`partial_trace`, the reference for
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from logipure import operators
+from logipure import emr, operators
 from logipure.codes import code_from_hamiltonian
 from logipure.measurement import UNATTAINABLE_P
 from logipure.operators import (
@@ -249,17 +251,48 @@ def _lift(vectors: np.ndarray, n_fixed: int, sign: float) -> np.ndarray:
     return lifted
 
 
+def _reflection_pieces(m: np.ndarray, rows: np.ndarray, image: np.ndarray):
+    """The pieces of the block ``rows`` of ``m`` that an involution of its rows leaves unchanged, or None.
+
+    ``image`` maps every row of ``m`` to its mirror row.  The block's rows
+    fall into the fixed ones F, the lower member of each mirror pair A and
+    the upper one B = image[A].  When the block holds the mirror of every
+    row and ``m[image][:, image]`` equals ``m`` on the block exactly, bit
+    for bit, returns (F, A, B, top, cross) with top = m[F + A, F + A]
+    and cross = m[A, B]; their mirrors are the block's other entries, so
+    the two pieces hold the largest entry and the largest asymmetry of
+    the block.  Otherwise, or when the block has no mirror pair, returns
+    None.
+    """
+    mapped = image[rows]
+    if not np.array_equal(np.sort(mapped), rows):
+        return None
+    fixed, lo = rows[mapped == rows], rows[mapped > rows]
+    if not lo.size:
+        return None
+    hi = image[lo]
+    top_rows = np.concatenate([fixed, lo])
+    top = m[top_rows[:, None], top_rows]
+    mirror_rows = np.concatenate([fixed, hi])
+    if not np.array_equal(m[mirror_rows[:, None], mirror_rows], top):
+        return None
+    cross = m[lo[:, None], hi]
+    if not np.array_equal(m[hi[:, None], lo], cross):
+        return None
+    return fixed, lo, hi, top, cross
+
+
 def reflected_eig(h: np.ndarray, reflection: np.ndarray) -> operators.SpectralDecomposition:
     """:func:`~logipure.operators.hermitian_eig`, with each block a reflection keeps solved as its halves.
 
     ``reflection``, an involution of the rows given as each row's image,
     splits the blocks of a matrix of at least ``SPLIT_MIN_ROWS`` rows
     further.  A block that holds the image of each of its rows and that
-    the involution leaves unchanged bit for bit
-    (:func:`~logipure.operators._reflection_pieces`) is solved as its even
-    and odd halves (:func:`~logipure.operators._reflection_halves`), one
-    ``eigh`` each, and each half's eigenvectors are lifted back onto the
-    block rows they reach: the even ones onto all of them, the odd ones
+    the involution leaves unchanged bit for bit (:func:`_reflection_pieces`)
+    is solved as its even and odd halves
+    (:func:`~logipure.emr._reflection_halves`), one ``eigh`` each, and
+    each half's eigenvectors are lifted back onto the block rows they
+    reach: the even ones onto all of them, the odd ones
     onto the mirror pairs.  Any other block is solved whole.  The halves
     are built from a quarter of the block each, and the check covers
     both pieces, which together hold the block's largest entry and
@@ -279,7 +312,7 @@ def reflected_eig(h: np.ndarray, reflection: np.ndarray) -> operators.SpectralDe
     split = dim >= operators.SPLIT_MIN_ROWS
     measures, solved = [], []
     for idx in operators.coupled_blocks(h != 0) if split else [np.arange(dim)]:
-        pieces = operators._reflection_pieces(h, idx, reflection) if split else None
+        pieces = _reflection_pieces(h, idx, reflection) if split else None
         if pieces is None:
             hb = h[np.ix_(idx, idx)]
             measures.append(operators._hermitian_measures([hb], "hamiltonian"))
@@ -287,7 +320,7 @@ def reflected_eig(h: np.ndarray, reflection: np.ndarray) -> operators.SpectralDe
             continue
         fixed, lo, hi, top, cross = pieces
         measures.append(operators._hermitian_measures([top, cross], "hamiltonian"))
-        even, odd = operators._reflection_halves(top, cross, fixed.size)
+        even, odd = emr._reflection_halves(top, cross, fixed.size)
         w, v = np.linalg.eigh(even)
         solved.append((np.concatenate([fixed, lo, hi]), w, _lift(v, fixed.size, 1.0)))
         w, v = np.linalg.eigh(odd)

@@ -3,8 +3,9 @@
 Every code solves its Hamiltonian at most once (a diagonal one not at
 all) and every joint Hamiltonian is solved once.  The one exception is a
 chain whose table1 rows run in the reflection-adapted basis: its thermal
-factor is solved once more, from the halves of its Hamiltonian, once
-per chain size and reflection centre.  A solve may split into one call
+factor is solved once more, by the sector solver of the joint rows, as
+the halves of its magnetization sectors, once per group of rows that
+share a kernel pass.  A solve may split into one call
 per block, or per half of a block, so the budget is the summed
 dimension of the distinct Hamiltonians a command needs, not a count of
 calls, and the largest single call is pinned too.  The
@@ -204,7 +205,7 @@ def test_table1_row12_forms_no_joint_matrix(tmp_path, monkeypatch):
         if vars(module).get("coupled_blocks") is coupled_blocks:  # every module that binds it
             monkeypatch.setattr(module, "coupled_blocks", search)
             patched.append(module)
-    assert {operators, emr, _kernels} <= set(patched)
+    assert {operators, _kernels} <= set(patched)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"rows": [12], "max_rounds": 20}))
     assert main(["table1", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0

@@ -313,6 +313,28 @@ def test_decompose_matches_golden(tmp_path, name, cfg):
     assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command,code",
+    [
+        ("fig4", {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ"], "J": 1e308}),
+        ("decompose", {"type": "heisenberg", "n": 2, "J": 1e308}),
+        ("fig4", {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1e307}),
+    ],
+    ids=["fig4-stabilizer", "decompose-heisenberg", "fig4-phases"],
+)
+def test_overflowing_code_coupling_exits_2(command, code, tmp_path, capsys):
+    """A finite J too large for float64 is refused with a message naming J, not a numpy warning.
+
+    At 1e308 the code Hamiltonian itself overflows; at 1e307 the code is
+    built, and its energies times the round durations overflow later.
+    Warnings are errors under this suite, so a numpy warning fails here.
+    """
+    grid = {"a_points": 2, "t_points": 2} if command == "fig4" else {}
+    rc, out = run_cli(tmp_path, command, {"code": code, **grid})
+    assert rc == 2 and not out.exists()
+    assert "a config energy (a code's J, g, e_a) or time is too large for float64" in capsys.readouterr().err
+
+
 def test_bad_configs_exit_2(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "purify", {"tt": 1.0})
     assert rc == 2

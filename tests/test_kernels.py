@@ -507,6 +507,37 @@ def test_stop_at_an_unresolved_round_runs_again(monkeypatch):
     assert np.max(np.abs(p_cum / ref_p_cum - 1.0)) <= 1e-12
 
 
+def test_one_operator_for_both_rounds_is_sliced_once(monkeypatch):
+    """When ``k_later`` is ``k_first``, each part's two blocks are one array, in the series and in its rerun.
+
+    The first pass is made to report every cell unresolved from round 4,
+    so the whole stack runs again.  The outputs are bitwise those of an
+    equal copy of the operator, whose blocks are sliced apart.
+    """
+    monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 8)
+    k, _, ensemble, targets = three_part_problem()
+    series = _kernels._series
+    passes = []
+
+    def recording_series(blocks, n_targets, max_rounds, babies):
+        passes.append([part[0] is part[1] for part in blocks])
+        weights, overlaps, unresolved = series(blocks, n_targets, max_rounds, babies)
+        if babies > 1:
+            unresolved[:] = 4
+        return weights, overlaps, unresolved
+
+    monkeypatch.setattr(_kernels, "_series", recording_series)
+    shared = batch_trajectory_kernel(k, k, ensemble, targets, 30)
+    assert passes == [[True] * 3] * 2
+    copied = batch_trajectory_kernel(k, k.copy(), ensemble, targets, 30)
+    assert passes[2:] == [[False] * 3] * 2
+    for got, want in zip(shared, copied):
+        if isinstance(got, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+
+
 def test_malformed_target_stack_raises():
     """Targets must be a (n_targets, D) stack: a 1-D target or a wrong width raises."""
     k_first, k_later, ensemble, targets = random_problem(dim=6)

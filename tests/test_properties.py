@@ -1,6 +1,7 @@
 """Property tests of the block-split eigensolve and round kernel, one cell or a batch,
 of the one-round plane, of the auxiliary measurement, of the Pauli-sum builder,
-of the stabilizer checks, and of the CLI over generated stabilizer codes.
+of the stabilizer checks, of the chain's reflected thermal factor, and of
+the CLI over generated stabilizer codes and table1 rows.
 
 Random block-diagonal problems are hidden behind a random permutation of
 the basis, so the blocks are only visible through the exactly-zero
@@ -629,6 +630,57 @@ def test_sector_build_raises_on_what_it_cannot_split(broken):
             emr._xy_spectrum(setup, code, False)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_sites=st.sampled_from([2, 4, 6, 8]), centre=st.sampled_from([1, 2]), beta=st.floats(0.0, 5.0))
+def test_reflected_ensemble_is_the_thermal_factor_in_its_halves(n_sites, centre, beta):
+    """The chain's reflected thermal factor is the thermal state moved to the reflection-adapted basis.
+
+    Centres 1 and 2 are those of table1's two-auxiliary wirings (j_2 = 0
+    and j_2 = j_1).  V V^T equals Q rho Q^T, and every column of V lies on
+    one magnetization sector and one half: the even half on the fixed
+    rows and the lower row of each mirror pair, the odd half on the
+    upper row.
+    """
+    code = build_heisenberg_code(HeisenbergSpec(n_qubits=n_sites))
+    image = emr._site_reflection(n_sites, centre)
+    factor = emr._reflected_ensemble(code, beta, image)
+    v = thermal_ensemble([code], beta)
+    assert np.max(np.abs(factor @ factor.T - reflected_operators(v @ v.conj().T, image))) <= 1e-14
+    index = np.arange(image.size)
+    sector = 2 * np.bitwise_count(index) + (image < index)  # (magnetization, odd half)
+    for column in factor.T:
+        assert np.unique(sector[column != 0]).size == 1
+
+
+@pytest.mark.parametrize("centre", [1, 2])
+def test_reflected_ensemble_raises_on_a_broken_chain(centre):
+    """A chain entry across magnetization sectors, or a reflection that does not keep the chain, raises.
+
+    The extra XX bond of :func:`test_sector_build_raises_on_what_it_cannot_split`
+    flips two spins, so it leaves its magnetization sector at either
+    centre.  Paired with a YY bond it is a hop, which keeps the sectors;
+    the centre-1 reflection of the four-site ring maps bond (0, 1) onto
+    itself and keeps it, and the centre-2 one maps it onto bond (1, 2)
+    and raises.
+    """
+    code = build_heisenberg_code(HeisenbergSpec(n_qubits=4))
+    image = emr._site_reflection(4, centre)
+    flipped = SimpleNamespace(hamiltonian=code.hamiltonian + pauli_sum([PauliString("XXII", 0.1)]), n_qubits=4)
+    with pytest.raises(ValueError, match="the chain Hamiltonian couples its own conserved sectors"):
+        emr._reflected_ensemble(flipped, 0.1, image)
+    hop = pauli_sum([PauliString("XXII", 0.1), PauliString("YYII", 0.1)])
+    hopped = SimpleNamespace(hamiltonian=code.hamiltonian + hop, n_qubits=4)
+    if centre == 2:
+        with pytest.raises(ValueError, match="the wiring's reflection does not keep the joint Hamiltonian"):
+            emr._reflected_ensemble(hopped, 0.1, image)
+    else:
+        w, u = np.linalg.eigh(hopped.hamiltonian)
+        weights = np.exp(-0.1 * (w - w[0]))
+        rho = (u * (weights / weights.sum())) @ u.conj().T
+        factor = emr._reflected_ensemble(hopped, 0.1, image)
+        assert np.max(np.abs(factor @ factor.T - reflected_operators(rho, image))) <= 1e-14
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     d_s=st.integers(1, 8),
@@ -730,11 +782,26 @@ def test_stabilizer_checks_match_dense_oracle(words, data, strength):
 
 @st.composite
 def cli_runs(draw):
-    """(command, config) over generated stabilizer codes and tiny grids."""
+    """(command, config) over generated stabilizer codes and tiny grids, or a few table1 rows.
+
+    A table1 run takes one of the sector-built rows 9-12 and up to two
+    more; j_1 away from 1 breaks the reflection of rows 10 and 12, and a
+    negative auxiliary energy is refused.
+    """
+    command = draw(st.sampled_from(["decompose", "fig2", "fig4", "purify", "table1"]))
+    if command == "table1":
+        rows = {draw(st.integers(9, 12)), *draw(st.lists(st.integers(1, 12), max_size=2))}
+        return command, {
+            "rows": sorted(rows),
+            "j_1": draw(st.sampled_from([0.5, 1, 1.5])),
+            "beta": draw(st.floats(0.0, 5.0)),
+            "duration": draw(st.floats(0.05, 4.0)),
+            "aux_energy": draw(st.sampled_from([None, -0.5, 0.0, 0.98, 3.0])),
+            "max_rounds": draw(st.integers(1, 5)),
+        }
     code = {"type": "stabilizer", "stabilizers": draw(stabilizer_lists(max_qubits=3, max_strings=3))}
-    code["J"] = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2]))
+    code["J"] = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2, 1e308]))
     cfg = {"code": code, "L": draw(st.sampled_from([1, 2]))}
-    command = draw(st.sampled_from(["decompose", "fig2", "fig4", "purify"]))
     if command == "decompose":
         cfg["variant"] = draw(st.sampled_from(VARIANTS))
     elif command == "fig2":
@@ -747,7 +814,11 @@ def cli_runs(draw):
 @settings(max_examples=60, deadline=None)
 @given(run=cli_runs())
 def test_cli_runs_exit_0_or_2(run):
-    """No generated config ends in a traceback, and a refused one writes no file."""
+    """No generated config ends in a traceback, and a refused one writes no file.
+
+    A table1 report that is written holds probabilities and fidelities
+    in [0, 1], and each m_min is null or a round that was run.
+    """
     command, cfg = run
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg_path = Path(tmp) / "out", Path(tmp) / "cfg.json"
@@ -755,3 +826,11 @@ def test_cli_runs_exit_0_or_2(run):
         rc = main([command, "--config", str(cfg_path), "--out", str(out)])
         assert rc in (0, 2)
         assert out.exists() == (rc == 0)
+        if command == "table1" and rc == 0:
+            for row in json.loads(out.read_text())["report"]["rows"]:
+                for metrics in [*row["candidates"], row["matched"]]:
+                    for key, value in metrics.items():
+                        if key.startswith(("p_", "max_fidelity")):
+                            assert value is None or 0.0 <= value <= 1.0, (key, value)
+                        if key.startswith("m_min_"):
+                            assert value is None or 1 <= value <= cfg["max_rounds"], (key, value)
