@@ -314,6 +314,26 @@ def _stops(p_cum: np.ndarray):
     return ratio, np.where(ok.all(axis=1), p_cum.shape[1], ok.argmin(axis=1))
 
 
+def _settle(fid: np.ndarray, ratio: np.ndarray, p_cum: np.ndarray, n_rounds: np.ndarray) -> list[str | None]:
+    """Zero every cell's entries after its ``n_rounds``, in place, and say why each stopped early.
+
+    ``ratio`` and ``n_rounds`` are :func:`_stops`'; a cell that ran every
+    round gets None.
+    """
+    max_rounds = p_cum.shape[1]
+    reasons = [
+        None
+        if n == max_rounds
+        else f"cumulative probability below {SMALLEST_NORMAL:.1e}, the smallest normal double"
+        if ratio[c, n] >= UNATTAINABLE_P
+        else f"outcome probability below {UNATTAINABLE_P:.0e}"
+        for c, n in enumerate(n_rounds)
+    ]
+    stopped = np.arange(max_rounds) >= n_rounds[:, None]
+    fid[stopped], ratio[stopped], p_cum[stopped] = 0.0, 0.0, 0.0
+    return reasons
+
+
 def batch_trajectory_kernel(
     k_first: np.ndarray,
     k_later: np.ndarray,
@@ -370,17 +390,7 @@ def batch_trajectory_kernel(
             p_cum[redo], fid[redo], _ = _series(again, n_targets, max_rounds, 1)
             ratio, n_rounds = _stops(p_cum)
         fid /= p_cum[..., None]
-    reasons = [
-        None
-        if n == max_rounds
-        else f"cumulative probability below {SMALLEST_NORMAL:.1e}, the smallest normal double"
-        if ratio[c, n] >= UNATTAINABLE_P
-        else f"outcome probability below {UNATTAINABLE_P:.0e}"
-        for c, n in enumerate(n_rounds)
-    ]
-    stopped = np.arange(max_rounds) >= n_rounds[:, None]
-    fid[stopped], ratio[stopped], p_cum[stopped] = 0.0, 0.0, 0.0
-    return fid, ratio, p_cum, n_rounds, reasons
+    return fid, ratio, p_cum, n_rounds, _settle(fid, ratio, p_cum, n_rounds)
 
 
 def trajectory_kernel(

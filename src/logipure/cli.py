@@ -9,7 +9,9 @@ Subcommands:
 * ``fig3``      - thermal weight of the excited superposition over the
                   (J_S, beta) plane for the three-qubit code (CSV);
 * ``fig4``      - minimum purification rounds over the (a, t) plane for
-                  two fidelity targets, sentinel -1 when unreached (CSV);
+                  two fidelity targets, sentinel -1 when unreached, from
+                  the rank-one coupling's 2 x 2 recursion, with no joint
+                  matrix for any number of codes (CSV);
 * ``table1``    - chain benchmark reproduction report (JSON);
 * ``purify``    - one evolve-and-postselect shot (JSON);
 * ``decompose`` - Pauli-string expansion of the engineered coupling (CSV).
@@ -19,12 +21,13 @@ configurations produce byte-identical files at a fixed BLAS thread
 count (full-precision floats may move in their last digits with it).
 Integer keys take JSON integers only, and number keys JSON numbers only
 (no booleans or strings).  The engine commands refuse a config whose
-joint Hamiltonian would exceed :data:`MAX_JOINT_ROWS` rows before
-building anything, and a command whose arithmetic overflows float64
-(a code ``J`` of 1e308, say) exits 2 with a message, not a numpy
-warning.  CSV numbers carry 17 significant digits; JSON
-reports are rounded to 6 digits with full-precision duplicates
-alongside.
+largest matrix would exceed :data:`MAX_JOINT_ROWS` rows before building
+anything: the joint Hamiltonian, or for ``fig4`` the code's own, so
+``fig4`` takes ``"L": 8`` and up to :data:`MAX_CODES` codes.  A command
+whose arithmetic overflows float64 (a code ``J`` of 1e308, say) exits 2
+with a message, not a numpy warning.  CSV numbers carry 17 significant
+digits; JSON reports are rounded to 6 digits with full-precision
+duplicates alongside.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .codes import (
     is_json_int,
     is_json_number,
 )
-from .emr import KEEP, plane_m_min, plane_one_round, reproduce_table1, thermal_ensemble
-from .formulas import p_beta, resonant_plus
+from .emr import KEEP, _first_rounds, plane_one_round, reproduce_table1, thermal_ensemble
+from .formulas import emr_rank_one, p_beta, resonant_plus
 from .interaction import (
     AuxiliarySpec,
     InteractionSpec,
@@ -57,20 +60,27 @@ from .interaction import (
 )
 from .measurement import MeasurementSetting, purify_records
 from .operators import hermitian_eig
-from .thermal import ThermalSpec
+from .thermal import ResonanceContext, ThermalSpec
 
 REPETITION_DOC = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
 
-# Most rows of the joint (codes + one auxiliary qubit) Hamiltonian that the
-# engine commands build; a larger config is refused before anything is
-# allocated.  Measured on 2 vCPUs with OpenBLAS 0.3.31: 4096 rows is the
-# joint size of a 10-site chain with two auxiliary qubits, whose 500-round
-# table row runs as a library call in 5.3 s at 417 MB peak RSS; a fig4 run
-# at this size on an 11-qubit repetition code (2 x 2 plane, 5 rounds) took
-# 4.6-4.9 s at 1.64 GB, spread over the code, coupling and joint builds,
-# the eigensolve and the round operators.  The next size, 8192 rows, is a
-# 1.07 GB dense complex matrix before any copy or eigensolve.
+# Most rows of the largest matrix an engine command builds: the joint
+# (codes + one auxiliary qubit) Hamiltonian for fig2, purify and decompose,
+# and the code's own Hamiltonian for fig4, which builds no joint matrix.  A
+# larger config is refused before anything is allocated.  Measured on 2
+# vCPUs with OpenBLAS 0.3.31: 4096 rows is the joint size of a 10-site chain
+# with two auxiliary qubits, whose 500-round table row runs as a library
+# call in 5.3 s at 417 MB peak RSS; a fig4 run at this joint size, on an
+# 11-qubit repetition code (2 x 2 plane, 5 rounds), took 4.6-4.9 s at
+# 1.64 GB while fig4 still solved the joint matrix.  The next size, 8192
+# rows, is a 1.07 GB dense complex matrix before any copy or eigensolve.
 MAX_JOINT_ROWS = 4096
+# Most codes a config may hold; fig4, which builds nothing of joint size,
+# is bounded by this alone.  Each code has two ground states, so the
+# target's thermal weight 1/Z is at most 2^-L, which leaves the normal
+# float64 range past this many codes: more could only report that no cell
+# reaches a target.
+MAX_CODES = 1022
 
 # Host code, coupling and logical target shared by every engine command.
 ENGINE_DEFAULTS = {"code": REPETITION_DOC, "L": 1, "g": 1.0, "theta": 0.0, "phi": 0.0}
@@ -224,23 +234,27 @@ def _json_dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _build_engine(cfg: dict, need_aux: bool = True):
+def _build_engine(cfg: dict, need_aux: bool = True, joint: bool = True):
     """Shared setup: codes, interaction spec, auxiliary spec, thermal state.
 
-    The joint size is checked against :data:`MAX_JOINT_ROWS` from the
-    code document alone, before any code is built.
+    The size of the largest matrix the command builds, the joint
+    Hamiltonian or, with ``joint`` False, the code's own, is checked
+    against :data:`MAX_JOINT_ROWS` from the code document alone, before
+    any code is built.
     """
     n_codes = _int(cfg, "L")
-    if n_codes < 1:
-        raise ValueError(f"L must be >= 1, got {n_codes}")
+    if not 1 <= n_codes <= MAX_CODES:
+        raise ValueError(f"L must lie in 1..{MAX_CODES}, got {n_codes}")
     n_qubits = code_qubits(cfg["code"])
-    joint = n_qubits * n_codes + 1
-    if joint > math.log2(MAX_JOINT_ROWS):  # compare exponents: 2**joint may be astronomically large
-        rows = f"2^{joint} = {2**joint}" if joint <= 64 else f"2^{joint}"
-        raise ValueError(
-            f"{n_codes} code(s) of {n_qubits} qubits and one auxiliary qubit need a joint "
-            f"Hamiltonian of {rows} rows; the limit is {MAX_JOINT_ROWS} rows"
+    qubits = n_qubits * n_codes + 1 if joint else n_qubits
+    if qubits > math.log2(MAX_JOINT_ROWS):  # compare exponents: 2**qubits may be astronomically large
+        rows = f"2^{qubits} = {2**qubits}" if qubits <= 64 else f"2^{qubits}"
+        needs = (
+            f"{n_codes} code(s) of {n_qubits} qubits and one auxiliary qubit need a joint Hamiltonian"
+            if joint
+            else f"a code of {n_qubits} qubits needs a Hamiltonian"
         )
+        raise ValueError(f"{needs} of {rows} rows; the limit is {MAX_JOINT_ROWS} rows")
     code = code_from_json(cfg["code"])
     codes = [code] * n_codes
     target = LogicalTarget(_float(cfg, "theta"), _float(cfg, "phi"))
@@ -309,22 +323,24 @@ def cmd_fig3(cfg: dict) -> str:
 
 
 def cmd_fig4(cfg: dict) -> str:
-    """m_min over the (a, t) plane: one :func:`plane_m_min` pass, then one row per cell."""
-    codes, spec, aux, thermal = _build_engine(cfg)
+    """m_min over the (a, t) plane: one :func:`emr_rank_one` call, then one row per cell.
+
+    The rank-one coupling reduces every cell to a 2 x 2 recursion, so no
+    joint matrix or state is built, for any number of codes.
+    """
+    codes, spec, aux, thermal = _build_engine(cfg, joint=False)
     f_targets = _floats(cfg, "f_targets")
-    h_tot = build_total(codes, build_interaction(codes, spec), aux)
     b, k = _float(cfg, "b"), _int(cfg, "k")
     a_grid, t_grid = _grid(cfg, "a"), _grid(cfg, "t")
-    m_min = plane_m_min(
-        hermitian_eig(h_tot),
-        thermal_ensemble(codes, thermal.beta),
-        [(MeasurementSetting(a=a, b=b, k=k),) for a in a_grid],
+    fidelity = emr_rank_one(
+        ResonanceContext.from_codes(codes, aux.energy, spec.coupling),
+        thermal,
         t_grid,
-        joint_target_state(codes, spec.targets),
-        f_targets,
+        [MeasurementSetting(a=a, b=b, k=k) for a in a_grid],
         _int(cfg, "max_rounds"),
         cfg["aq_reset"],
-    )
+    )[0]
+    m_min = _first_rounds(fidelity, f_targets).reshape(len(t_grid), len(a_grid), len(f_targets))
     a_text = [_fmt(a) for a in a_grid.tolist()]
     lines = []
     for t, row in zip(t_grid.tolist(), m_min.tolist()):

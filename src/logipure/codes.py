@@ -26,7 +26,9 @@ from .operators import (
     require_hermitian,
 )
 
-# Residual tolerance for "is an eigenstate" checks at construction time.
+# Residual tolerance for "is an eigenstate" checks at construction time,
+# relative to the energy scale (J for a chain, the spectral radius for a code)
+# once that exceeds 1.
 RESIDUAL_TOL = 1e-9
 # Eigenvalue-cluster tolerance, relative to the spectral radius.
 CLUSTER_RTOL = 1e-8
@@ -79,11 +81,13 @@ class CodeModel:
             raise ValueError(f"ground manifold must hold 1 or 2 states, got {len(self.ls_basis)}")
         if self.gap <= 0:
             raise ValueError(f"gap must be positive, got {self.gap}")
+        # h @ v rounds at about eps times the spectral radius, so the checks scale with it
+        scale = max(1.0, float(np.max(np.abs(self.spectrum.eigenvalues))))
         for v in self.ls_basis:
-            if np.linalg.norm(h @ v) > RESIDUAL_TOL:
+            if np.linalg.norm(h @ v) > RESIDUAL_TOL * scale:
                 raise ValueError("ground basis state is not a zero-energy eigenstate")
         for v in self.es_basis:
-            if np.linalg.norm(h @ v - self.gap * v) > RESIDUAL_TOL * max(1.0, self.gap):
+            if np.linalg.norm(h @ v - self.gap * v) > RESIDUAL_TOL * scale:
                 raise ValueError("excited basis state is not an eigenstate at the gap energy")
         allv = np.column_stack(self.ls_basis + self.es_basis)
         gram = allv.conj().T @ allv
@@ -166,6 +170,8 @@ def _split(h: np.ndarray) -> SpectralSplit:
     else:
         spec = hermitian_eig(h)
     w, vecs = spec.eigenvalues, spec.eigenvectors
+    if not np.isfinite(w).all():  # finite entries whose eigenvalues overflow; the solver does not raise
+        raise FloatingPointError("overflow encountered in the code spectrum")
 
     tol = CLUSTER_RTOL * float(np.max(np.abs(w)))
     if tol == 0.0:

@@ -448,18 +448,26 @@ def plane_m_min(
     raises, as in :func:`run_emr`.
     """
     _check_run(max_rounds, aq_reset)
-    if not f_targets:
-        raise ValueError("f_targets must be non-empty")
-    for f_target in f_targets:
-        _check_f_target(f_target)
+    _check_f_targets(f_targets)
     target = require_unit(target)
     k_first, k_later = _round_operators(spectral, durations, settings, aq_reset)
     fid = batch_trajectory_kernel(k_first, k_later, ensemble, target[None], max_rounds)[0][..., 0]
-    m_min = np.empty((fid.shape[0], len(f_targets)), dtype=int)
+    return _first_rounds(fid, f_targets).reshape(len(durations), len(settings), len(f_targets))
+
+
+def _first_rounds(fidelity: np.ndarray, f_targets: list[float]) -> np.ndarray:
+    """Per cell, the first round (1-based) whose fidelity reaches each target, or -1 where none does.
+
+    ``fidelity`` has one row of rounds per cell, zero after the cell's
+    stop, as the kernel and :func:`~logipure.formulas.emr_rank_one`
+    leave it; returns an integer array of shape (n_cells, len(f_targets)).
+    """
+    _check_f_targets(f_targets)
+    m_min = np.empty((fidelity.shape[0], len(f_targets)), dtype=int)
     for j, f_target in enumerate(f_targets):
-        hits = fid >= f_target  # fidelities after a stop are zero and every target is positive
+        hits = fidelity >= f_target  # fidelities after a stop are zero and every target is positive
         m_min[:, j] = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, -1)
-    return m_min.reshape(len(durations), len(settings), len(f_targets))
+    return m_min
 
 
 def plane_one_round(
@@ -507,6 +515,13 @@ def plane_one_round(
 def _check_f_target(f_target: float) -> None:
     if not 0.0 < f_target <= 1.0:
         raise ValueError(f"target fidelity must lie in (0, 1], got {f_target}")
+
+
+def _check_f_targets(f_targets: list[float]) -> None:
+    if not f_targets:
+        raise ValueError("f_targets must be non-empty")
+    for f_target in f_targets:
+        _check_f_target(f_target)
 
 
 def find_m_min(trajectory: EmrTrajectory, f_target: float, max_rounds: int = 200) -> int | None:

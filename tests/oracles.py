@@ -9,6 +9,9 @@
   its stabilizers by multiplying their dense matrices, the reference for
   the letter-by-letter checks of
   :func:`logipure.codes.build_stabilizer_code`.
+* :func:`p_plus_general`, the a = pi outcome probability at any
+  detuning from the two-level block coefficients, checked against the
+  dense single shot.
 * A plain dense round loop, the reference for the block-split
   trajectory kernel.
 * :func:`dense_round_contraction`, the round operators from the dense
@@ -43,6 +46,7 @@ import numpy as np
 from logipure import emr, operators
 from logipure.codes import code_from_hamiltonian
 from logipure.measurement import UNATTAINABLE_P
+from logipure.thermal import ResonanceContext, ThermalSpec, evolution_coefficients
 from logipure.operators import (
     KET_1,
     SIGMA_X,
@@ -187,6 +191,15 @@ def dense_stabilizer_code(stabilizers, strength: float = 1.0):
             "a single logical qubit needs exactly 2 ground states"
         )
     return code
+
+
+def p_plus_general(ctx: ResonanceContext, thermal: ThermalSpec, t: float) -> float:
+    """Probability of the +1 outcome for a = pi at arbitrary detuning.
+
+    Equals the excited-pair population p1(t): 4 g^2 p_w [E_+^2/G_+^2 +
+    E_-^2/G_-^2 + 2 E_+ E_- cos(Ft)/(G_+ G_-)].
+    """
+    return evolution_coefficients(ctx, thermal, t).p1
 
 
 def dense_trajectory(k_first, k_later, ensemble, targets, n_rounds):

@@ -11,9 +11,10 @@ dimension of the distinct Hamiltonians a command needs, not a count of
 calls, and the largest single call is pinned too.  The
 fast paths form no joint unitary and no dense joint eigenvector array;
 fig2 takes its whole plane from one contraction of the joint spectrum,
-without evolving or measuring a joint state; fig4 runs in one kernel
-pass, and table1 in one pass per group of rows whose joint spectra
-split alike.
+without evolving or measuring a joint state; fig4 solves no joint
+matrix at all, since the rank-one coupling reduces each of its cells to
+a 2 x 2 recursion, and table1 runs in one kernel pass per group of rows
+whose joint spectra split alike.
 """
 
 import json
@@ -26,7 +27,7 @@ BUDGET = [
     # (id, command, config, summed dimension, largest call): the comment names what is solved
     ("fig2", "fig2", {"a_points": 2, "t_points": 2}, 16, 16),  # H_tot of the repetition code
     ("fig3", "fig3", {"j_points": 2, "beta_points": 2}, 0, 0),  # diagonal codes only
-    ("fig4", "fig4", {"a_points": 2, "t_points": 2, "max_rounds": 10}, 16, 16),  # H_tot
+    ("fig4", "fig4", {"a_points": 2, "t_points": 2, "max_rounds": 10}, 0, 0),  # the diagonal code only
     ("table1", "table1", {"rows": [1], "max_rounds": 20}, 4 + 8, 8),  # the two-site chain, then its H_tot
     # the eight-site chain, its H_tot by parity blocks halved by the reflection
     # (the largest, 512 rows, as 272 + 240), and the chain's reflection-adapted
@@ -46,29 +47,39 @@ def test_cli_eigensolve_budget(command, config, expected, largest, tmp_path, eig
     assert max(eigensolves, default=0) <= largest, eigensolves
 
 
-def test_fig4_plane_is_one_kernel_pass(tmp_path, monkeypatch):
-    """The whole fig4 plane runs as one batched kernel pass with one block search."""
-    from logipure import _kernels, emr
+def test_fig4_plane_is_one_rank_one_call(tmp_path, monkeypatch):
+    """The whole fig4 plane is one emr_rank_one call: no kernel pass, no round
+    operators and no eigensolve of a joint matrix, even for two codes."""
+    import inspect
 
-    calls = {}
+    import logipure
 
-    def counted(module, name):
-        original = getattr(module, name)
+    calls = {"emr_rank_one": 0, "batch_trajectory_kernel": 0, "round_contraction": 0}
+    solved = []
+    for module_name, name in (
+        ("formulas", "emr_rank_one"),
+        ("_kernels", "batch_trajectory_kernel"),
+        ("emr", "round_contraction"),
+        ("operators", "hermitian_eig"),
+    ):
+        original = getattr(getattr(logipure, module_name), name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            if _name == "hermitian_eig":
+                solved.append(len(args[0]))
+            else:
+                calls[_name] += 1
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    for name in ("trajectory_kernel", "batch_trajectory_kernel"):
-        if hasattr(emr, name):
-            counted(emr, name)
-    counted(_kernels, "coupled_blocks")
+        for module in [logipure, *(v for v in vars(logipure).values() if inspect.ismodule(v))]:
+            if vars(module).get(name) is original:  # every module that binds it
+                monkeypatch.setattr(module, name, wrapper)
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"a_points": 3, "t_points": 3, "max_rounds": 10}))
+    code = {"type": "heisenberg", "n": 2}  # solved by hermitian_eig, unlike the diagonal repetition code
+    cfg_path.write_text(json.dumps({"code": code, "L": 2, "a_points": 3, "t_points": 3, "max_rounds": 10}))
     assert main(["fig4", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"batch_trajectory_kernel": 1, "coupled_blocks": 1}
+    assert calls == {"emr_rank_one": 1, "batch_trajectory_kernel": 0, "round_contraction": 0}
+    assert solved == [4], solved  # the chain's own 4 rows; the joint matrix would have 32
 
 
 @pytest.mark.parametrize(

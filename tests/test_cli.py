@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -117,6 +118,45 @@ def test_fig4_sentinels(tmp_path):
             assert hi == -1
         elif hi != -1:
             assert hi >= lo
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"L": 2, "beta": 0.5},
+        {"L": 2, "e_a": 3.0, "g": 0.7, "k": -1, "aq_reset": "reset-to-ground"},
+        {"code": {"type": "heisenberg", "n": 4}, "b": 1.0, "theta": 1.1, "phi": 0.4, "beta": 0.3},
+    ],
+    ids=["two-codes", "two-codes-detuned-reset", "chain"],
+)
+def test_fig4_matches_the_dense_joint_plane(tmp_path, cfg):
+    """fig4's rank-one recursion gives plane_m_min's m_min, cell for cell, from the dense joint spectrum."""
+    from logipure.emr import plane_m_min, thermal_ensemble
+    from logipure.interaction import AuxiliarySpec, build_total, joint_target_state
+    from logipure.measurement import MeasurementSetting
+    from logipure.operators import hermitian_eig
+
+    cfg = {**cfg, "a_points": 7, "t_points": 6, "max_rounds": 60}
+    rc, out = run_cli(tmp_path, "fig4", cfg)
+    assert rc == 0
+    full = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+    codes = [code_from_json(full["code"])] * full["L"]
+    spec = InteractionSpec(coupling=full["g"], targets=(LogicalTarget(full["theta"], full["phi"]),) * full["L"])
+    h_tot = build_total(codes, build_interaction(codes, spec), AuxiliarySpec(energy=full["e_a_resolved"]))
+    a_grid = np.linspace(*full["a_range"], full["a_points"])
+    dense = plane_m_min(
+        hermitian_eig(h_tot),
+        thermal_ensemble(codes, full["beta"]),
+        [(MeasurementSetting(a=a, b=full["b"], k=full["k"]),) for a in a_grid],
+        np.linspace(*full["t_range"], full["t_points"]),
+        joint_target_state(codes, spec.targets),
+        full["f_targets"],
+        full["max_rounds"],
+        full["aq_reset"],
+    )
+    _, _, rows = parse_csv(out)
+    assert np.array_equal(np.array(rows)[:, 2:].reshape(dense.shape), dense)
+    assert (dense > 0).any()  # some cell reaches a target
 
 
 def test_table1_report_schema(tmp_path):
@@ -319,14 +359,16 @@ def test_decompose_matches_golden(tmp_path, name, cfg):
         ("fig4", {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ"], "J": 1e308}),
         ("decompose", {"type": "heisenberg", "n": 2, "J": 1e308}),
         ("fig4", {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1e307}),
+        ("decompose", {"type": "stabilizer", "stabilizers": ["XX", "ZZ"], "J": 1e308}),
     ],
-    ids=["fig4-stabilizer", "decompose-heisenberg", "fig4-phases"],
+    ids=["fig4-stabilizer", "decompose-heisenberg", "fig4-phases", "decompose-spectrum"],
 )
 def test_overflowing_code_coupling_exits_2(command, code, tmp_path, capsys):
     """A finite J too large for float64 is refused with a message naming J, not a numpy warning.
 
-    At 1e308 the code Hamiltonian itself overflows; at 1e307 the code is
-    built, and its energies times the round durations overflow later.
+    At 1e308 the code Hamiltonian itself overflows, or (XX, ZZ) its
+    finite entries give eigenvalues that do; at 1e307 the code is built,
+    and its energies times the round durations overflow later.
     Warnings are errors under this suite, so a numpy warning fails here.
     """
     grid = {"a_points": 2, "t_points": 2} if command == "fig4" else {}
@@ -477,7 +519,7 @@ def test_bad_configs_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command,cfg,rows",
     [
-        ("fig4", {"L": 5}, "2^16 = 65536 rows"),
+        ("fig2", {"L": 5}, "2^16 = 65536 rows"),
         ("fig2", {"L": 4}, "2^13 = 8192 rows"),
         ("purify", {"code": {"type": "heisenberg", "n": 12}}, "2^13 = 8192 rows"),
         ("decompose", {"code": {"type": "heisenberg", "n": 10**6}, "L": 3}, "2^3000001 rows"),
@@ -499,12 +541,60 @@ def test_oversized_joint_hamiltonian_exits_2_before_allocating(tmp_path, capsys,
 def test_joint_size_limit_is_inclusive(tmp_path, capsys, monkeypatch):
     """At the limit a config runs; one qubit more is refused."""
     monkeypatch.setattr(cli, "MAX_JOINT_ROWS", 16)  # the repetition code and its auxiliary qubit
-    rc, out = run_cli(tmp_path, "fig4", SMALL_FIG4)
+    rc, out = run_cli(tmp_path, "fig2", SMALL_FIG2)
     assert rc == 0 and out.exists()
-    rc, out = run_cli(tmp_path, "fig4", {**SMALL_FIG4, "L": 2}, name="two")
+    rc, out = run_cli(tmp_path, "fig2", {**SMALL_FIG2, "L": 2}, name="two")
     assert rc == 2
     assert "2^7 = 128 rows; the limit is 16 rows" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "code,need",
+    [
+        ({"type": "heisenberg", "n": 14}, "a code of 14 qubits needs a Hamiltonian of 2^14 = 16384 rows"),
+        ({"type": "stabilizer", "stabilizers": ["Z" * 13, "X" * 13]}, "a code of 13 qubits needs a Hamiltonian of 2^13 = 8192 rows"),
+    ],
+    ids=["heisenberg-14", "stabilizer-13"],
+)
+def test_fig4_refuses_an_oversized_code_before_allocating(tmp_path, capsys, code, need):
+    """fig4 builds no joint matrix, so its limit is the code's own: it takes any L up to
+    cli.MAX_CODES, and refuses a code past cli.MAX_JOINT_ROWS rows before building it."""
+    tracemalloc.start()
+    try:
+        rc, out = run_cli(tmp_path, "fig4", {"code": code, "a_points": 2, "t_points": 2})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert f"{need}; the limit is 4096 rows" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 1 << 20
+    rc, out = run_cli(tmp_path, "fig4", {**SMALL_FIG4, "L": cli.MAX_CODES + 1}, name="many")
+    assert rc == 2 and not out.exists()
+    assert f"L must lie in 1..{cli.MAX_CODES}" in capsys.readouterr().err
+    rc, out = run_cli(tmp_path, "fig4", {**SMALL_FIG4, "L": cli.MAX_CODES}, name="most")
+    assert rc == 0  # the target's weight 1/Z underflows to 0: no cell reaches a target
+    assert all(m == -1 for row in parse_csv(out)[2] for m in row[2:])
+
+
+def test_fig4_runs_eight_codes_in_little_memory(tmp_path):
+    """Eight repetition codes (a joint matrix of 2^25 rows) run as fast as one: the default
+    plane in well under 2 s, and a 2 x 2 plane within 1 MB of traced memory, code build included."""
+    start = time.perf_counter()
+    rc, out = run_cli(tmp_path, "fig4", {"L": 8})
+    assert rc == 0 and time.perf_counter() - start < 2.0
+    _, header, rows = parse_csv(out)
+    assert len(rows) == 2500
+    assert all(m == -1 or 1 <= m <= 200 for row in rows for m in row[2:])
+    tracemalloc.start()
+    try:
+        rc, out = run_cli(tmp_path, "fig4", {"L": 8, "a_points": 2, "t_points": 2}, name="small")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 1 << 20, peak
 
 
 def test_table1_agrees_across_blas_thread_counts(tmp_path):

@@ -114,6 +114,15 @@ def test_heisenberg_logical_states_are_polarized_and_magnon():
     assert abs(overlap - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("exchange", [1e8, 1e12])
+def test_heisenberg_chain_builds_at_large_exchange(exchange):
+    """The eigenstate checks scale with the code's energy: roundoff of order eps J
+    no longer refuses a valid chain once it passes the absolute tolerance."""
+    code = build_heisenberg_code(HeisenbergSpec(6, exchange))
+    assert abs(code.gap - GOLDEN_GAP_N6 * exchange) <= 1e-9 * exchange
+    assert len(code.ls_basis) == 2
+
+
 def test_heisenberg_field_rule():
     assert HeisenbergSpec(2).field == 1.0  # h = J on the two-site chain
     assert HeisenbergSpec(4).field == 2.0  # h = 2J beyond it
@@ -209,6 +218,9 @@ def test_stored_spectrum_reconstructs_hamiltonian(build):
 def test_spectral_split_errors():
     with pytest.raises(ValueError):
         spectral_split(np.eye(4, dtype=complex))  # single cluster
+    overflowing = -1e308 * (pauli_operator("XX") + pauli_operator("ZZ"))  # finite entries, eigenvalues +-2e308
+    with pytest.raises(FloatingPointError, match="overflow encountered in the code spectrum"):
+        spectral_split(overflowing)
     with pytest.raises(ValueError):
         spectral_split(np.diag([0.0, 5e-8, 1.0]).astype(complex))  # gap within noise
 

@@ -16,7 +16,6 @@ from logipure.formulas import (
     a_for_fidelity,
     f_plus_resonant,
     p_beta,
-    p_plus_general,
     p_plus_resonant,
     resonant_plus,
 )
@@ -24,6 +23,8 @@ from logipure.interaction import AuxiliarySpec, InteractionSpec
 from logipure.measurement import MeasurementSetting, purify_once
 from logipure.operators import kron_all
 from logipure.thermal import ResonanceContext, ThermalSpec, initial_state
+
+from oracles import p_plus_general
 
 CODE = build_repetition_code(1.0)
 

@@ -19,9 +19,16 @@ import numpy as np
 import pytest
 
 from logipure import _kernels, emr, operators
-from logipure._kernels import batch_trajectory_kernel, trajectory_kernel
+from logipure._kernels import SMALLEST_NORMAL, batch_trajectory_kernel, trajectory_kernel
 from logipure.cli import main
-from logipure.codes import HeisenbergSpec, build_heisenberg_code, build_stabilizer_code, cardinal_state
+from logipure.codes import (
+    HeisenbergSpec,
+    LogicalTarget,
+    build_heisenberg_code,
+    build_stabilizer_code,
+    cardinal_state,
+    code_from_hamiltonian,
+)
 from logipure.emr import (
     CALIBRATED_AUX_ENERGY,
     CHAIN_BENCHMARK,
@@ -35,7 +42,18 @@ from logipure.emr import (
     run_emr,
     thermal_ensemble,
 )
-from logipure.interaction import VARIANTS
+from logipure.formulas import emr_rank_one
+from logipure.interaction import (
+    GROUND_PREP,
+    RANK_ONE,
+    TARGETED,
+    VARIANTS,
+    AuxiliarySpec,
+    InteractionSpec,
+    build_interaction,
+    build_total,
+    joint_target_state,
+)
 from logipure.measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
 from logipure.operators import (
     PAULI_MATRICES,
@@ -47,6 +65,7 @@ from logipure.operators import (
     kron_all,
     pauli_sum,
 )
+from logipure.thermal import ResonanceContext, ThermalSpec
 
 from oracles import (
     dense_round_contraction,
@@ -458,6 +477,92 @@ def test_fast_trajectory_matches_dense_loop_on_chain_rows(row, policy, sign, bet
     assert np.allclose(fast.p_cumulative, ref.p_cumulative, rtol=1e-10, atol=0.0)
 
 
+RANK_ONE_HOSTS = {
+    "repetition": lambda: build_stabilizer_code(["ZZI", "IZZ", "ZIZ"]),
+    "two walls": lambda: build_stabilizer_code(["ZZI", "IZZ"], 0.7),
+    "x walls": lambda: build_stabilizer_code(["XXI", "IXX"], 1.3),  # not diagonal: solved
+    "chain 2": lambda: build_heisenberg_code(HeisenbergSpec(2)),
+    "chain 4": lambda: build_heisenberg_code(HeisenbergSpec(4, 0.8)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    host=st.sampled_from(sorted(RANK_ONE_HOSTS)),
+    n_codes=st.integers(1, 2),
+    variant=st.sampled_from([RANK_ONE, TARGETED, GROUND_PREP]),
+    g=st.sampled_from([0.0, 0.3, 1.0, 1.7]),
+    beta=st.floats(0.0, 3.0),
+    detuning=st.sampled_from([None, -0.6, 0.45, 2.0]),
+    polar=st.floats(0.0, np.pi),
+    azimuth=st.floats(0.0, 2 * np.pi),
+    outcome=st.sampled_from([+1, -1]),
+    theta=st.floats(0.0, np.pi),
+    phi=st.floats(0.0, 2 * np.pi),
+    duration=st.floats(0.05, 3.0),
+    policy=st.sampled_from(POLICIES),
+    max_rounds=st.sampled_from([1, 2, 9, 10, 40]),
+)
+def test_emr_rank_one_matches_the_joint_spectrum(
+    host, n_codes, variant, g, beta, detuning, polar, azimuth, outcome, theta, phi, duration, policy, max_rounds
+):
+    """The 2 x 2 recursion gives fast_trajectory's run on the dense joint spectrum.
+
+    Stabilizer codes and 2- and 4-site chains, one or two of them, each
+    variant (ground preparation on a host with one ground state), g = 0
+    included, on resonance or detuned either way, both policies: equal
+    completed rounds and stop reasons, and on every completed round,
+    where the dense p_cum is normal, fidelities and relative cumulative
+    probabilities within 1e-10 of each other, plus the dense path's own
+    rounding where the run shrinks fast.
+
+    That rounding: the dense operator K carries errors E of about eps
+    in each entry (exact zeros of the 2 x 2 block come out near 1e-16),
+    and round r's ensemble x_r gains sum_j K^(r-1-j) E x_j.  K is a
+    contraction, so p_cum_r moves by at most 2 eps D sqrt(p_cum_r)
+    sum_(j<=r) sqrt(p_cum_j) to first order, D the system dimension and
+    p_cum_0 = 1.  A
+    run that postselects an outcome of probability 1e-5 round after
+    round, where B is far from normal, moves the dense p_cum by 1.6e-10
+    of itself by round 6, while the recursion stays within 3e-15 of a
+    50-digit evaluation of the same block.
+    """
+    if variant == GROUND_PREP:
+        codes = [code_from_hamiltonian(np.diag([0.0, 1.0, 1.0, 2.5]).astype(complex))] * n_codes
+        spec = InteractionSpec(coupling=g, variant=variant)
+        target = kron_all([c.ls_basis[0] for c in codes])
+    else:
+        codes = [RANK_ONE_HOSTS[host]()] * n_codes
+        spec = InteractionSpec(coupling=g, targets=(LogicalTarget(theta, phi),) * n_codes, variant=variant)
+        target = joint_target_state(codes, spec.targets)
+    delta_sum = sum(c.gap for c in codes)
+    e_a = delta_sum if detuning is None else max(0.0, delta_sum + detuning)
+    setting = MeasurementSetting(a=polar, b=azimuth, k=outcome)
+    h_tot = build_total(codes, build_interaction(codes, spec), AuxiliarySpec(energy=e_a))
+    dense = fast_trajectory(
+        hermitian_eig(h_tot), thermal_ensemble(codes, beta), RoundSpec(duration, (setting,)), target, max_rounds, policy
+    )
+    scale = np.sqrt(np.prod([c.es_degeneracy for c in codes])) if variant == TARGETED else 1.0
+    fid, p_round, p_cum, n_rounds, reasons = emr_rank_one(
+        ResonanceContext.build(delta_sum, e_a, g * scale),
+        ThermalSpec.from_codes(codes, beta),
+        [duration],
+        [setting],
+        max_rounds,
+        policy,
+    )
+    n, want = dense.n_rounds, dense.p_cumulative
+    assert n_rounds[0] == n
+    assert dense.reason == (None if reasons[0] is None else f"round {n + 1}: {reasons[0]}")
+    assert np.all(want >= SMALLEST_NORMAL)
+    drift = 2 * np.finfo(float).eps * target.size * (1.0 + np.cumsum(np.sqrt(want))) / np.sqrt(want)
+    tol = 1e-10 + drift
+    assert np.all(np.abs(fid[0, :n] - dense.fidelity) <= 2 * tol)
+    assert np.all(np.abs(p_cum[0, :n] - want) <= tol * want)
+    assert np.all(np.abs(p_round[0, :n] - dense.p_round) <= (tol + np.append(0.0, tol[:-1])) * dense.p_round)
+    assert not (fid[0, n:].any() or p_cum[0, n:].any() or p_round[0, n:].any())
+
+
 def table1_run(path, **config):
     """A table1 report, every trajectory it scored, and whether each sector-built row ran in halves.
 
@@ -786,7 +891,8 @@ def cli_runs(draw):
 
     A table1 run takes one of the sector-built rows 9-12 and up to two
     more; j_1 away from 1 breaks the reflection of rows 10 and 12, and a
-    negative auxiliary energy is refused.
+    negative auxiliary energy is refused.  fig4, which builds no joint
+    matrix, takes up to eight codes, either outcome and three azimuths.
     """
     command = draw(st.sampled_from(["decompose", "fig2", "fig4", "purify", "table1"]))
     if command == "table1":
@@ -806,8 +912,16 @@ def cli_runs(draw):
         cfg["variant"] = draw(st.sampled_from(VARIANTS))
     elif command == "fig2":
         cfg.update(a_points=2, t_points=2)
-    elif command == "fig4":
-        cfg.update(a_points=2, t_points=2, max_rounds=3, aq_reset=draw(st.sampled_from(POLICIES)))
+    elif command == "fig4":  # no joint matrix: any number of codes
+        cfg.update(
+            L=draw(st.sampled_from([1, 2, 4, 8])),
+            b=draw(st.sampled_from([0.0, 1.0, 2 * np.pi])),
+            k=draw(st.sampled_from([1, -1])),
+            a_points=2,
+            t_points=2,
+            max_rounds=draw(st.integers(1, 12)),
+            aq_reset=draw(st.sampled_from(POLICIES)),
+        )
     return command, cfg
 
 
@@ -817,7 +931,9 @@ def test_cli_runs_exit_0_or_2(run):
     """No generated config ends in a traceback, and a refused one writes no file.
 
     A table1 report that is written holds probabilities and fidelities
-    in [0, 1], and each m_min is null or a round that was run.
+    in [0, 1], and each m_min is null or a round that was run.  A fig4
+    plane that is written holds m_min -1 or a round that was run, and
+    reaches 0.9 no sooner than 0.66.
     """
     command, cfg = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -834,3 +950,11 @@ def test_cli_runs_exit_0_or_2(run):
                             assert value is None or 0.0 <= value <= 1.0, (key, value)
                         if key.startswith("m_min_"):
                             assert value is None or 1 <= value <= cfg["max_rounds"], (key, value)
+        if command == "fig4" and rc == 0:
+            lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            assert lines[0] == "a,t,m_min_0.66,m_min_0.9"
+            for line in lines[1:]:
+                m_066, m_090 = map(int, line.split(",")[2:])
+                for m in (m_066, m_090):
+                    assert m == -1 or 1 <= m <= cfg["max_rounds"], line
+                assert m_090 == -1 or 1 <= m_066 <= m_090, line
