@@ -60,31 +60,40 @@ MIN_PART_ROWS = 32
 SCORE_CHUNK_BYTES = 64 * 1024
 
 
-def _round_blocks(k_first, k_later, v, targets_conj):
-    """Per-part ``[k_first, k_later, ensemble, target rows]``.
+def _round_parts(k_first, k_later, v):
+    """Each part's rows and ensemble columns, ``[(rows, cols), ...]``.
 
     The contraction operators may carry leading cell axes; blocks come
     from the union of every cell's nonzero pattern, so one search serves
     the whole stack.  Blocks couple rows linked by either contraction
     operator or by a shared ensemble column.  They are packed into parts
-    by :func:`_pack`; a single part covers all rows and runs on the
-    inputs as given.  When ``k_later`` is ``k_first``, each part's two
-    blocks are one array too (:func:`_both`).
+    by :func:`_pack`, and a part's columns are those where its rows of
+    the ensemble are nonzero.
     """
     dim = v.shape[0]
     nonzero = v != 0
     shared = nonzero.astype(np.float32)
     cells = ((k_first != 0) | (k_later != 0)).reshape(-1, dim, dim)
     pattern = cells.any(axis=0) | (shared @ shared.T > 0)
-    packed = _pack(coupled_blocks(pattern))
-    if len(packed) == 1:
-        return [[k_first, k_later, v, targets_conj]]
-    parts = []
-    for rows in packed:
-        cols = np.flatnonzero(nonzero[rows].any(axis=0))
-        square = (..., rows[:, None], rows)
-        parts.append([*_both(k_first, k_later, square), v[np.ix_(rows, cols)], targets_conj[:, rows]])
-    return parts
+    return [(rows, np.flatnonzero(nonzero[rows].any(axis=0))) for rows in _pack(coupled_blocks(pattern))]
+
+
+def _round_blocks(k_first, k_later, v, targets_conj, parts, cells=None):
+    """Per-part ``[k_first, k_later, ensemble, target rows]`` at :func:`_round_parts`' ``parts``,
+    of every cell or of the cells marked in ``cells``.
+
+    A single part covers all rows and runs on the inputs as given.  When
+    ``k_later`` is ``k_first``, each part's two blocks are one array too
+    (:func:`_both`).  Gathering again from the same parts gives the same
+    blocks, so the kernel keeps the parts, not the blocks.
+    """
+    if len(parts) == 1:
+        return [[*_both(k_first, k_later, ... if cells is None else cells), v, targets_conj]]
+    picked = ... if cells is None else np.flatnonzero(cells)[:, None, None]
+    return [
+        [*_both(k_first, k_later, (picked, rows[:, None], rows)), v[np.ix_(rows, cols)], targets_conj[:, rows]]
+        for rows, cols in parts
+    ]
 
 
 def _both(k_first, k_later, index):
@@ -265,6 +274,9 @@ def _series(blocks, n_targets: int, max_rounds: int, babies: int):
     weights and sizes of the baby rounds are read once per chunk of
     giant steps, as long as :data:`SCORE_CHUNK_BYTES` allows for every
     part's stored Grams, and checked against each other there.
+
+    ``blocks`` is emptied as the parts are built: each part keeps its
+    own real rows, so no complex block stays alive through the series.
     """
     n_cells = blocks[0][1].shape[0]
     giants = -(-max_rounds // babies)
@@ -279,9 +291,11 @@ def _series(blocks, n_targets: int, max_rounds: int, babies: int):
     sizes = np.empty((n_cells, babies - 1, chunk))
     unresolved = np.zeros((n_cells, giants, babies), dtype=bool)
     resolvable = RESOLUTION / np.finfo(float).eps  # a weight times this must exceed its size
-    parts = [
-        _PartSeries(kf, kl, pv, t if s else t[:0], babies, chunk) for (kf, kl, pv, t), s in zip(blocks, scored)
-    ]
+    parts = []
+    for s in scored:  # each block leaves the list as its part is built: none lives through the series
+        kf, kl, pv, t = blocks.pop(0)
+        parts.append(_PartSeries(kf, kl, pv, t if s else t[:0], babies, chunk))
+    del kf, kl, pv, t
     for b in range(giants):
         for part in parts:
             weights[:, b, 0] += part.advance(b)
@@ -380,13 +394,14 @@ def batch_trajectory_kernel(
     if targets_conj.ndim != 2 or targets_conj.shape[1] != v.shape[0]:
         raise ValueError(f"targets must have shape (n_targets, {v.shape[0]}), got {targets_conj.shape}")
     n_targets = targets_conj.shape[0]
-    blocks = _round_blocks(k_first, k_later, v, targets_conj)
+    parts = _round_parts(k_first, k_later, v)  # indices only: each pass gathers its own blocks
+    blocks = _round_blocks(k_first, k_later, v, targets_conj, parts)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_cum, fid, unresolved = _series(blocks, n_targets, max_rounds, math.isqrt(max_rounds - 1) + 1)
         ratio, n_rounds = _stops(p_cum)
         redo = unresolved <= np.minimum(n_rounds, max_rounds - 1)
         if redo.any():
-            again = [[*_both(kf, kl, redo), pv, t] for kf, kl, pv, t in blocks]
+            again = _round_blocks(k_first, k_later, v, targets_conj, parts, redo)
             p_cum[redo], fid[redo], _ = _series(again, n_targets, max_rounds, 1)
             ratio, n_rounds = _stops(p_cum)
         fid /= p_cum[..., None]

@@ -23,7 +23,13 @@ Integer keys take JSON integers only, and number keys JSON numbers only
 (no booleans or strings).  The engine commands refuse a config whose
 largest matrix would exceed :data:`MAX_JOINT_ROWS` rows before building
 anything: the joint Hamiltonian, or for ``fig4`` the code's own, so
-``fig4`` takes ``"L": 8`` and up to :data:`MAX_CODES` codes.  A command
+``fig4`` takes ``"L": 8`` and up to :data:`MAX_CODES` codes.  Planes of
+more than :data:`MAX_PLANE_CELLS` cells, fig4 planes and table1 runs of
+more than :data:`MAX_CELL_ROUNDS` cells times rounds, and fig2 round
+operators of more than :data:`MAX_OPERATOR_ENTRIES` entries are refused
+the same way, before any grid or code is built.  ``decompose`` refuses
+the ground-prep variant, which needs hosts with a unique ground state:
+every code the CLI builds has a two-fold ground manifold.  A command
 whose arithmetic overflows float64 (a code ``J`` of 1e308, say) exits 2
 with a message, not a numpy warning.  CSV numbers carry 17 significant
 digits; JSON reports are rounded to 6 digits with full-precision
@@ -48,9 +54,10 @@ from .codes import (
     is_json_int,
     is_json_number,
 )
-from .emr import KEEP, _first_rounds, plane_one_round, reproduce_table1, thermal_ensemble
+from .emr import CHAIN_BENCHMARK, KEEP, _first_rounds, plane_one_round, reproduce_table1, thermal_ensemble
 from .formulas import emr_rank_one, p_beta, resonant_plus
 from .interaction import (
+    GROUND_PREP,
     AuxiliarySpec,
     InteractionSpec,
     build_interaction,
@@ -81,6 +88,28 @@ MAX_JOINT_ROWS = 4096
 # float64 range past this many codes: more could only report that no cell
 # reaches a target.
 MAX_CODES = 1022
+# Most cells of a fig2, fig3 or fig4 plane, checked before any grid is
+# built.  A cell costs about 0.6 KB in fig2, 1.2 KB in fig4 and 11-17 us
+# of Python in fig3, whatever the code.  Peak RSS of fresh processes on 2
+# vCPUs: at 1000 x 1000, fig2 took 3.4 s at 633 MB, fig4 (5 rounds) 3.6 s
+# at 1,269 MB and fig3 10.7 s at 262 MB; at this limit (500 x 500), fig2
+# 1.3 s at 182 MB, fig4 (1 round) 0.7 s at 199 MB and fig3 4.2 s at 90 MB.
+MAX_PLANE_CELLS = 250_000
+# Most cells times rounds of a fig4 plane or a table1 run, whose outputs
+# and weight arrays grow as that product, about 34 bytes each; a table1
+# row counts as two cells, one per reset policy.  The default fig4 plane
+# took 1.8 s at 695 MB at 8000 rounds.  At this limit: the default fig4
+# plane at 4000 rounds 1.1 s at 373 MB, a 500 x 500 one at 40 rounds 2.4 s
+# at 849 MB; table1's twelve rows at 416,666 rounds 10.7 s at 412 MB, and
+# row 12 alone at 5,000,000 rounds 59 s at 472 MB.
+MAX_CELL_ROUNDS = 10_000_000
+# Most entries of fig2's round operators: per duration, one system-size
+# operator per auxiliary basis state, (joint rows)^2 / 2 entries, at about
+# 32 bytes each with their product by the thermal factor.  fig2 on the
+# 8-site chain (512 joint rows) at 60 durations took 1.3 s at 299 MB, and
+# on three repetition codes (1024 rows) at 100 durations 5.4 s at
+# 1,664 MB; at this limit (1024 rows, 32 durations), 2.5 s at 574 MB.
+MAX_OPERATOR_ENTRIES = 2**24
 
 # Host code, coupling and logical target shared by every engine command.
 ENGINE_DEFAULTS = {"code": REPETITION_DOC, "L": 1, "g": 1.0, "theta": 0.0, "phi": 0.0}
@@ -234,13 +263,34 @@ def _json_dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _build_engine(cfg: dict, need_aux: bool = True, joint: bool = True):
+def _plane_cells(cfg: dict, rows: str, cols: str) -> int:
+    """The cells of the ``rows`` x ``cols`` plane, refused past :data:`MAX_PLANE_CELLS` before its grids exist."""
+    n, m = _int(cfg, f"{rows}_points"), _int(cfg, f"{cols}_points")
+    if n * m > MAX_PLANE_CELLS:
+        raise ValueError(f"a {n} x {m} plane has {n * m} cells; the limit is {MAX_PLANE_CELLS} cells")
+    return n * m
+
+
+def _max_rounds(cfg: dict, cells: int) -> int:
+    """``max_rounds``; ``cells`` cells of that many rounds past :data:`MAX_CELL_ROUNDS` are refused."""
+    rounds = _int(cfg, "max_rounds")
+    if cells * rounds > MAX_CELL_ROUNDS:
+        raise ValueError(
+            f"{cells} cells of {rounds} rounds make {cells * rounds} cell rounds; "
+            f"the limit is {MAX_CELL_ROUNDS} cell rounds"
+        )
+    return rounds
+
+
+def _build_engine(cfg: dict, need_aux: bool = True, joint: bool = True, durations: int = 0):
     """Shared setup: codes, interaction spec, auxiliary spec, thermal state.
 
     The size of the largest matrix the command builds, the joint
     Hamiltonian or, with ``joint`` False, the code's own, is checked
     against :data:`MAX_JOINT_ROWS` from the code document alone, before
-    any code is built.
+    any code is built.  So are the round operators of ``durations``
+    durations (fig2), two system-size operators each, against
+    :data:`MAX_OPERATOR_ENTRIES`.
     """
     n_codes = _int(cfg, "L")
     if not 1 <= n_codes <= MAX_CODES:
@@ -255,6 +305,12 @@ def _build_engine(cfg: dict, need_aux: bool = True, joint: bool = True):
             else f"a code of {n_qubits} qubits needs a Hamiltonian"
         )
         raise ValueError(f"{needs} of {rows} rows; the limit is {MAX_JOINT_ROWS} rows")
+    entries = durations * 2 * 4 ** (qubits - 1)
+    if entries > MAX_OPERATOR_ENTRIES:
+        raise ValueError(
+            f"{durations} durations need round operators of {entries} entries on {2**qubits} joint rows; "
+            f"the limit is {MAX_OPERATOR_ENTRIES} entries"
+        )
     code = code_from_json(cfg["code"])
     codes = [code] * n_codes
     target = LogicalTarget(_float(cfg, "theta"), _float(cfg, "phi"))
@@ -277,7 +333,8 @@ def _build_engine(cfg: dict, need_aux: bool = True, joint: bool = True):
 def cmd_fig2(cfg: dict) -> str:
     """One round over the (a, t) plane: one :func:`resonant_plus` and one
     :func:`plane_one_round` call, then one row per cell."""
-    codes, spec, aux, thermal = _build_engine(cfg)
+    _plane_cells(cfg, "a", "t")
+    codes, spec, aux, thermal = _build_engine(cfg, durations=_int(cfg, "t_points"))
     delta_sum = float(sum(c.gap for c in codes))
     if abs(aux.energy - delta_sum) > 1e-12 * max(1.0, delta_sum):
         raise ValueError(
@@ -312,6 +369,7 @@ def cmd_fig2(cfg: dict) -> str:
 
 
 def cmd_fig3(cfg: dict) -> str:
+    _plane_cells(cfg, "j", "beta")
     j_grid, b_grid = _grid(cfg, "j"), _grid(cfg, "beta")
     lines = []
     for j_s in j_grid:
@@ -328,6 +386,7 @@ def cmd_fig4(cfg: dict) -> str:
     The rank-one coupling reduces every cell to a 2 x 2 recursion, so no
     joint matrix or state is built, for any number of codes.
     """
+    max_rounds = _max_rounds(cfg, _plane_cells(cfg, "a", "t"))
     codes, spec, aux, thermal = _build_engine(cfg, joint=False)
     f_targets = _floats(cfg, "f_targets")
     b, k = _float(cfg, "b"), _int(cfg, "k")
@@ -337,7 +396,7 @@ def cmd_fig4(cfg: dict) -> str:
         thermal,
         t_grid,
         [MeasurementSetting(a=a, b=b, k=k) for a in a_grid],
-        _int(cfg, "max_rounds"),
+        max_rounds,
         cfg["aq_reset"],
     )[0]
     m_min = _first_rounds(fidelity, f_targets).reshape(len(t_grid), len(a_grid), len(f_targets))
@@ -354,13 +413,15 @@ def cmd_table1(cfg: dict) -> str:
     rows = cfg["rows"]
     if rows is not None and not (isinstance(rows, list) and all(map(is_json_int, rows))):
         raise ValueError(f"rows must be null or a list of integers, got {json.dumps(rows)}")
+    # a row runs under at most two reset policies
+    max_rounds = _max_rounds(cfg, 2 * len(CHAIN_BENCHMARK if rows is None else set(rows)))
     report = reproduce_table1(
         rows=rows,
         beta=_float(cfg, "beta"),
         duration=_float(cfg, "duration"),
         j_1=_float(cfg, "j_1"),
         aux_energy=_float(cfg, "aux_energy", nullable=True),
-        max_rounds=_int(cfg, "max_rounds"),
+        max_rounds=max_rounds,
     )
     return _json_dump({"config": cfg, "report": _round_floats(report)})
 
@@ -384,6 +445,11 @@ def cmd_purify(cfg: dict) -> str:
 
 
 def cmd_decompose(cfg: dict) -> str:
+    if cfg["variant"] == GROUND_PREP:
+        raise ValueError(
+            "the ground-prep variant needs hosts with a unique ground state, but every code "
+            "the CLI builds has a two-fold ground manifold (its logical qubit)"
+        )
     codes, spec, _, _ = _build_engine(cfg, need_aux=False)
     h_sa = build_interaction(codes, spec)
     terms = pauli_decompose(h_sa)

@@ -490,8 +490,8 @@ def plane_one_round(
 
     and a cell measuring the product state psi has probability p =
     psi^dagger rho_A psi and fidelity f = psi^dagger M psi / p.  Returns
-    (p, f), each of shape (len(durations), len(settings)): p clamped at
-    0, f NaN where p < :data:`UNATTAINABLE_P` and clipped to [0, 1]
+    (p, f), each of shape (len(durations), len(settings)): p clipped to
+    [0, 1], f NaN where p < :data:`UNATTAINABLE_P` and clipped to [0, 1]
     elsewhere, where a fidelity further than ``POST_TOL`` outside raises.
     """
     target = require_unit(target)
@@ -509,7 +509,7 @@ def plane_one_round(
     outside = checked[(checked < -POST_TOL) | (checked > 1.0 + POST_TOL)]
     if outside.size:
         raise ValueError(f"fidelity {float(outside[0])!r} outside [0, 1] beyond tolerance")
-    return np.maximum(p, 0.0), np.clip(f, 0.0, 1.0)
+    return np.clip(p, 0.0, 1.0), np.clip(f, 0.0, 1.0)
 
 
 def _check_f_target(f_target: float) -> None:

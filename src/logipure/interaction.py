@@ -43,9 +43,10 @@ COEFF_CUTOFF = 1e-12
 class InteractionSpec:
     """Parameters of the engineered coupling.
 
-    ``targets`` holds one :class:`LogicalTarget` per code (ignored by the
-    ground-preparation variant, which always addresses the unique ground
-    state).  Every variant couples to the uniform excited-state
+    ``targets`` holds one :class:`LogicalTarget` per code.  The
+    ground-preparation variant takes none, since it always addresses the
+    unique ground state: :func:`build_interaction` raises on targets
+    there.  Every variant couples to the uniform excited-state
     superposition of :func:`es_uniform_state`.
     """
 
@@ -63,9 +64,9 @@ class AuxiliarySpec:
     """Auxiliary register: ``count`` qubits, each with splitting ``energy``.
 
     Each auxiliary qubit carries energy ``E_A |1><1|``, i.e. the zero
-    point sits at the auxiliary ground state |0_A>.  The closed-form
-    spectral expressions in :mod:`logipure.thermal` assume exactly this
-    zero point.
+    point sits at the auxiliary ground state |0_A>.  The 2 x 2 block of
+    :func:`logipure.formulas.emr_rank_one` assumes exactly this zero
+    point.
     """
 
     count: int = 1

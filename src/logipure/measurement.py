@@ -82,10 +82,11 @@ def measure_aq(
     """Measure the trailing ``n_aux`` qubit factors of a joint state.
 
     Returns one record per outcome tuple in {+1, -1}^n_aux, keyed by the
-    outcomes.  Probabilities sum to one; each attainable record carries
-    the renormalized system state <psi|rho|psi> / p, contracted on the
-    auxiliary axes with the outcome's product state psi, and its
-    fidelity against ``target`` (NaN if none given).
+    outcomes.  Probabilities sum to one, each clipped to [0, 1] against
+    roundoff; each attainable record carries the renormalized system
+    state <psi|rho|psi> / p, contracted on the auxiliary axes with the
+    outcome's product state psi, and its fidelity against ``target``
+    (NaN if none given).
     """
     settings = tuple(settings)
     if len(settings) != n_aux:
@@ -115,7 +116,7 @@ def measure_aq(
         fid = float("nan") if target is None else fidelity_pure(post_system, target)
         records[outcome] = PurificationRecord(
             outcome=outcome,
-            probability=prob,
+            probability=min(prob, 1.0),
             fidelity=fid,
             post_system_state=post_system,
             attainable=True,

@@ -123,10 +123,6 @@ class SpectralDecomposition:
         phases = np.exp(-1j * self.eigenvalues * t)
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
-    def reconstruct(self) -> np.ndarray:
-        """V diag(w) V^dagger; equals the decomposed matrix up to roundoff."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with ``a`` on the lower-numbered (leftmost) qubits."""

@@ -9,9 +9,19 @@
   its stabilizers by multiplying their dense matrices, the reference for
   the letter-by-letter checks of
   :func:`logipure.codes.build_stabilizer_code`.
-* :func:`p_plus_general`, the a = pi outcome probability at any
-  detuning from the two-level block coefficients, checked against the
-  dense single shot.
+* The closed forms of the coupled pair |Psi_S, 1_A> <-> |Phi_S, 0_A>
+  of the rank-one coupling, from a
+  :class:`logipure.thermal.ResonanceContext`: its shifted energies and
+  resonance test (:func:`shifted_energies`, :func:`resonant`), its
+  eigenpairs (:func:`coupled_eigenpairs`) and the populations and
+  coherence of the evolved thermal state (:func:`evolution_coefficients`),
+  each checked against the dense :func:`logipure.thermal.evolved_joint_state`
+  or the dense total Hamiltonian, and :func:`p_plus_general`, the
+  a = pi outcome probability at any detuning from those populations,
+  checked against the dense single shot.
+* :func:`reconstruct`, V diag(w) V^dagger from a
+  :class:`logipure.operators.SpectralDecomposition`, the check that a
+  spectrum decomposes the matrix it came from.
 * A plain dense round loop, the reference for the block-split
   trajectory kernel.
 * :func:`dense_round_contraction`, the round operators from the dense
@@ -38,6 +48,7 @@
 """
 
 import math
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -46,8 +57,9 @@ import numpy as np
 from logipure import emr, operators
 from logipure.codes import code_from_hamiltonian
 from logipure.measurement import UNATTAINABLE_P
-from logipure.thermal import ResonanceContext, ThermalSpec, evolution_coefficients
+from logipure.thermal import ResonanceContext, ThermalSpec
 from logipure.operators import (
+    KET_0,
     KET_1,
     SIGMA_X,
     SIGMA_Y,
@@ -193,6 +205,93 @@ def dense_stabilizer_code(stabilizers, strength: float = 1.0):
     return code
 
 
+def shifted_energies(ctx: ResonanceContext) -> tuple[float, float, float, float]:
+    """(E_+, E_-, G_+, G_-) of the coupled pair, with F = ``ctx.f_rabi``:
+
+        E_+- = delta_sum - e_a +- F,   G_+- = E_+-^2 + 4 g^2.
+    """
+    detuning = ctx.delta_sum - ctx.e_a
+    e_plus, e_minus = detuning + ctx.f_rabi, detuning - ctx.f_rabi
+    return e_plus, e_minus, e_plus**2 + 4.0 * ctx.g**2, e_minus**2 + 4.0 * ctx.g**2
+
+
+def resonant(ctx: ResonanceContext) -> bool:
+    """Whether the auxiliary splitting equals the summed gap, to 1e-12 of it."""
+    return abs(ctx.delta_sum - ctx.e_a) <= 1e-12 * max(1.0, abs(ctx.delta_sum))
+
+
+@dataclass(frozen=True)
+class Eigenpair:
+    value: float
+    vector: np.ndarray
+
+
+@dataclass(frozen=True)
+class BlockCoefficients:
+    """Populations and coherence of the coupled pair at time t.
+
+    ``p0`` weights |Phi_S, 0_A>, ``p1`` weights |Psi_S, 1_A> and ``p10``
+    is the |Psi_S, 1_A><Phi_S, 0_A| coherence of the evolved thermal
+    state.
+    """
+
+    p0: float
+    p1: float
+    p10: complex
+
+
+def coupled_eigenpairs(ctx: ResonanceContext, psi: np.ndarray, phi: np.ndarray) -> tuple[Eigenpair, Eigenpair]:
+    """Closed-form eigenpairs of the coupled two-level subspace.
+
+    ``psi`` and ``phi`` are the target and excited-superposition system
+    states; the returned vectors live on system (x) one auxiliary qubit
+    and are exact eigenvectors of the total Hamiltonian:
+
+        lambda_0,1 = (e_a + delta_sum -+ F) / 2.
+    """
+    if ctx.g == 0:
+        raise ValueError("coupling g = 0: the pair does not hybridize")
+    g = ctx.g
+    e_plus, e_minus, g_plus, g_minus = shifted_energies(ctx)
+    psi_1 = kron(psi, KET_1)
+    phi_0 = kron(phi, KET_0)
+    lam0 = 0.5 * (ctx.e_a + ctx.delta_sum - ctx.f_rabi)
+    lam1 = 0.5 * (ctx.e_a + ctx.delta_sum + ctx.f_rabi)
+    vec0 = (-2.0 * g / np.sqrt(g_plus)) * ((e_plus / (2.0 * g)) * psi_1 - phi_0)
+    vec1 = (-2.0 * g / np.sqrt(g_minus)) * ((e_minus / (2.0 * g)) * psi_1 - phi_0)
+    return Eigenpair(lam0, vec0), Eigenpair(lam1, vec1)
+
+
+def evolution_coefficients(ctx: ResonanceContext, thermal: ThermalSpec, t: float) -> BlockCoefficients:
+    """Closed-form two-level populations of the evolved thermal state.
+
+    Starting from the thermal weight ``p_w`` on |Phi_S, 0_A>, after time
+    ``t`` the pair carries
+
+        p0  = 16 g^4 p_w [1/G_+^2 + 1/G_-^2 + 2 cos(Ft)/(G_+ G_-)]
+        p1  =  4 g^2 p_w [E_+^2/G_+^2 + E_-^2/G_-^2 + 2 E_+ E_- cos(Ft)/(G_+ G_-)]
+        p10 = -8 g^3 p_w [E_+/G_+^2 + E_-/G_-^2 + (E_+ e^{iFt} + E_- e^{-iFt})/(G_+ G_-)]
+
+    The overall sign of ``p10`` follows from the two-level amplitudes
+    (beta(t) conj(alpha(t)) carries a factor -2g) and is checked
+    against the dense evolution.
+    """
+    if ctx.g == 0:
+        raise ValueError("coupling g = 0: coefficients are defined for a hybridized pair")
+    g, f = ctx.g, ctx.f_rabi
+    ep, em, gp, gm = shifted_energies(ctx)
+    pw = thermal.p_weight
+    cos_ft = np.cos(f * t)
+    p0 = 16.0 * g**4 * pw * (1.0 / gp**2 + 1.0 / gm**2 + 2.0 * cos_ft / (gp * gm))
+    p1 = 4.0 * g**2 * pw * (ep**2 / gp**2 + em**2 / gm**2 + 2.0 * ep * em * cos_ft / (gp * gm))
+    p10 = -8.0 * g**3 * pw * (
+        ep / gp**2
+        + em / gm**2
+        + (ep * np.exp(1j * f * t) + em * np.exp(-1j * f * t)) / (gp * gm)
+    )
+    return BlockCoefficients(p0=float(p0), p1=float(p1), p10=complex(p10))
+
+
 def p_plus_general(ctx: ResonanceContext, thermal: ThermalSpec, t: float) -> float:
     """Probability of the +1 outcome for a = pi at arbitrary detuning.
 
@@ -200,6 +299,11 @@ def p_plus_general(ctx: ResonanceContext, thermal: ThermalSpec, t: float) -> flo
     E_-^2/G_-^2 + 2 E_+ E_- cos(Ft)/(G_+ G_-)].
     """
     return evolution_coefficients(ctx, thermal, t).p1
+
+
+def reconstruct(spectral: operators.SpectralDecomposition) -> np.ndarray:
+    """V diag(w) V^dagger; equals the decomposed matrix up to roundoff."""
+    return (spectral.eigenvectors * spectral.eigenvalues) @ spectral.eigenvectors.conj().T
 
 
 def dense_trajectory(k_first, k_later, ensemble, targets, n_rounds):

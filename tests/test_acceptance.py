@@ -55,14 +55,15 @@ from logipure.interaction import (
 )
 from logipure.measurement import MeasurementSetting, measure_aq, purify_once
 from logipure.operators import KET_0, evolve, hermitian_eig, kron
-from logipure.thermal import (
-    ResonanceContext,
-    ThermalSpec,
+from logipure.thermal import ResonanceContext, ThermalSpec, initial_state
+from oracles import (
+    compare_term_lists,
     coupled_eigenpairs,
     evolution_coefficients,
-    initial_state,
+    pauli_reconstruct,
+    resonant,
+    three_qubit_coupling_reference,
 )
-from oracles import compare_term_lists, pauli_reconstruct, three_qubit_coupling_reference
 
 REP = build_repetition_code(1.0)
 CHAIN4 = build_heisenberg_code(HeisenbergSpec(n_qubits=4))
@@ -176,7 +177,7 @@ def test_criterion_03_closed_forms_match_pipeline(capsys):
                         abs(c.p1 - p1_d),
                         abs(c.p10 - p10_d),
                     )
-                    if ctx.resonant:
+                    if resonant(ctx):
                         dev_sum = max(dev_sum, abs(c.p0 + c.p1 - thermal.p_weight))
                     n_grid += 1
 

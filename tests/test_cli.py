@@ -314,6 +314,20 @@ def test_purify_payload(tmp_path):
     assert abs(res["fidelity_full"] - 1.0) < 1e-10
 
 
+def test_certain_outcome_reports_probability_at_most_one(tmp_path):
+    """On the 4-site chain at t = 0 and a = 0 the +1 outcome is certain, and its rounding
+    reached 1 + 7e-16 in fig2's numeric column and 1 + 4e-16 in purify; both are clipped."""
+    chain = {"code": {"type": "heisenberg", "n": 4}}
+    rc, out = run_cli(tmp_path, "fig2", {**chain, "a_points": 2, "t_points": 2})
+    assert rc == 0
+    for row in parse_csv(out)[2]:
+        assert 0.0 <= row[3] <= 1.0 and 0.0 <= row[5] <= 1.0, row
+    assert parse_csv(out)[2][0][5] == 1.0
+    rc, out = run_cli(tmp_path, "purify", {**chain, "t": 0.0, "a": 0.0})
+    assert rc == 0
+    assert json.loads(out.read_text())["result"]["probability_full"] == 1.0
+
+
 def test_decompose_matches_library(tmp_path):
     rc, out = run_cli(tmp_path, "decompose", {"theta": 0.0, "phi": 0.0})
     assert rc == 0
@@ -499,6 +513,11 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "unknown variant 'bogus'" in capsys.readouterr().err
     assert not out.exists()
+    # every code the CLI builds holds a logical qubit, which ground-prep cannot address
+    rc, out = run_cli(tmp_path, "decompose", {"variant": "ground-prep"}, name="groundprep")
+    assert rc == 2
+    assert "every code the CLI builds has a two-fold ground manifold" in capsys.readouterr().err
+    assert not out.exists()
     # NaN, Infinity and overflowing literals are rejected when the config is loaded
     for command, text in (
         ("purify", '{"t": NaN}'),
@@ -547,6 +566,55 @@ def test_joint_size_limit_is_inclusive(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "2^7 = 128 rows; the limit is 16 rows" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,cfg,message",
+    [
+        ("fig2", {"a_points": 10**6, "t_points": 10**6}, "a 1000000 x 1000000 plane has 1000000000000 cells; the limit is 250000 cells"),
+        ("fig3", {"j_points": 1000, "beta_points": 1000}, "a 1000 x 1000 plane has 1000000 cells"),
+        ("fig4", {"a_points": 500, "t_points": 501, "max_rounds": 1}, "a 500 x 501 plane has 250500 cells"),
+        ("fig4", {"max_rounds": 4001}, "2500 cells of 4001 rounds make 10002500 cell rounds; the limit is 10000000 cell rounds"),
+        ("fig4", {"max_rounds": 10**18}, "2500 cells of 1000000000000000000 rounds make"),
+        ("table1", {"max_rounds": 416667}, "24 cells of 416667 rounds make 10000008 cell rounds"),
+        ("table1", {"rows": [12], "max_rounds": 5 * 10**6 + 1}, "2 cells of 5000001 rounds make 10000002 cell rounds"),
+        ("fig2", {"L": 3, "t_points": 33}, "33 durations need round operators of 17301504 entries on 1024 joint rows; the limit is 16777216"),
+    ],
+    ids=["fig2-plane", "fig3-plane", "fig4-plane", "fig4-rounds", "fig4-huge-rounds", "table1", "table1-one-row", "fig2-operators"],
+)
+def test_oversized_configs_exit_2_before_allocating(tmp_path, capsys, command, cfg, message):
+    """A plane, a number of rounds or a stack of round operators past its limit in cli is refused
+    with exit 2, no file and a message, before its grids, codes or arrays exist."""
+    tracemalloc.start()
+    try:
+        rc, out = run_cli(tmp_path, command, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 5 << 20
+
+
+def test_plane_and_round_limits_are_inclusive(tmp_path, capsys, monkeypatch):
+    """A config at each limit runs; one past it is refused."""
+    monkeypatch.setattr(cli, "MAX_PLANE_CELLS", 6)
+    monkeypatch.setattr(cli, "MAX_CELL_ROUNDS", 12)
+    monkeypatch.setattr(cli, "MAX_OPERATOR_ENTRIES", 2 * 128)  # two durations of 16 joint rows
+    at_both = {"a_points": 3, "t_points": 2, "max_rounds": 2}  # 6 cells, 12 cell rounds
+    for command, fits, past, message in (
+        ("fig2", {"a_points": 2, "t_points": 2}, {"a_points": 2, "t_points": 3}, "the limit is 256 entries"),
+        ("fig3", {"j_points": 2, "beta_points": 3}, {"j_points": 2, "beta_points": 4}, "the limit is 6 cells"),
+        ("fig4", at_both, {"a_points": 2, "t_points": 2, "max_rounds": 4}, "the limit is 12 cell rounds"),
+        ("fig4", at_both, {"a_points": 7, "t_points": 1, "max_rounds": 1}, "the limit is 6 cells"),
+        ("table1", {"rows": [1], "max_rounds": 6}, {"rows": [1], "max_rounds": 7}, "the limit is 12 cell rounds"),
+    ):
+        rc, out = run_cli(tmp_path, command, fits, name=f"{command}fits")
+        assert rc == 0 and out.exists()
+        rc, out = run_cli(tmp_path, command, past, name=f"{command}past")
+        assert rc == 2 and not out.exists()
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from logipure.codes import (
     spectral_split,
 )
 from logipure.operators import PauliString, kron_all, pauli_operator, require_hermitian
+from oracles import reconstruct
 
 GOLDEN_GAP_N6 = 0.3819660112501064  # exact-diagonalization value, N=6 chain
 HADAMARDS = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * 3)
@@ -212,7 +213,7 @@ def test_spectral_split_diagonal_spectrum(eigensolves):
 )
 def test_stored_spectrum_reconstructs_hamiltonian(build):
     code = build()
-    assert np.max(np.abs(code.spectrum.reconstruct() - code.hamiltonian)) < 1e-12
+    assert np.max(np.abs(reconstruct(code.spectrum) - code.hamiltonian)) < 1e-12
 
 
 def test_spectral_split_errors():

@@ -3,12 +3,13 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from logipure import _kernels
-from logipure._kernels import _pack, _round_blocks, batch_trajectory_kernel, trajectory_kernel
+from logipure._kernels import _pack, _round_parts, batch_trajectory_kernel, trajectory_kernel
 from logipure.measurement import UNATTAINABLE_P
 from oracles import dense_trajectory
 
@@ -91,8 +92,7 @@ def test_small_blocks_pack_into_parts(monkeypatch):
     rng = np.random.default_rng(6)
 
     def n_parts(k, ensemble):
-        targets = np.ones((1, k.shape[0]), dtype=complex)
-        return len(_round_blocks(k, k, ensemble, targets))
+        return len(_round_parts(k, k, ensemble))
 
     eye4 = np.eye(4, dtype=complex)
     assert n_parts(block_diagonal(rng, [2, 2]), eye4) == 1  # packed: below MIN_PART_ROWS
@@ -186,7 +186,7 @@ def test_fused_parts_match_dense_loop(monkeypatch):
     """Parts with and without target rows, in one stack, follow the dense loop."""
     monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 8)
     k_first, k_later, ensemble, targets = three_part_problem()
-    assert [len(part[2]) for part in _round_blocks(k_first, k_later, ensemble, targets.conj())] == [8, 40, 72]
+    assert [rows.size for rows, _ in _round_parts(k_first, k_later, ensemble)] == [8, 40, 72]
     max_rounds = 30
     fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(k_first, k_later, ensemble, targets, max_rounds)
     assert list(n_rounds) == [max_rounds] * len(k_first) and reasons == [None] * len(k_first)
@@ -312,7 +312,7 @@ def test_underflow_shared_by_parts_keeps_its_reason(monkeypatch):
         k_first[rows, rows], k_later[rows, rows] = unitary(), scale * unitary()
     ensemble = np.eye(12) / np.sqrt(12)
     targets = np.ones((1, 12)) / np.sqrt(12)
-    assert len(_round_blocks(k_first[None], k_later[None], ensemble.astype(complex), targets.astype(complex))) == 2
+    assert len(_round_parts(k_first[None], k_later[None], ensemble)) == 2
     fid, p_round, p_cum, truncated, reason = trajectory_kernel(k_first, k_later, ensemble, targets, 50)
     assert truncated and reason.startswith("cumulative probability below")
     assert len(p_cum) == 25 and p_cum[24] / 2 < np.finfo(float).tiny <= p_cum[24]
@@ -536,6 +536,46 @@ def test_one_operator_for_both_rounds_is_sliced_once(monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         else:
             assert got == want
+
+
+def test_no_operator_block_lives_through_a_series(monkeypatch):
+    """Each part's blocks of ``k_first`` and ``k_later`` are gone before its series runs, in the rerun too.
+
+    The kernel keeps each part's rows and columns, not its complex
+    blocks, and gathers the blocks again for a rerun.  The first pass is
+    made to report every cell unresolved from round 4, so the whole
+    stack runs again, from blocks gathered anew, and still follows the
+    dense loop.
+    """
+    monkeypatch.setattr(_kernels, "MIN_PART_ROWS", 8)
+    k_first, k_later, ensemble, targets = three_part_problem()
+    blocks, alive = [], []
+    init, advance, series = _kernels._PartSeries.__init__, _kernels._PartSeries.advance, _kernels._series
+
+    def recording_init(self, part_first, part_later, *args):
+        blocks.extend(weakref.ref(block) for block in (part_first, part_later))
+        init(self, part_first, part_later, *args)
+
+    def checking_advance(self, b):
+        alive.append(sum(ref() is not None for ref in blocks))
+        return advance(self, b)
+
+    def rerun_series(part_blocks, n_targets, max_rounds, babies):
+        weights, overlaps, unresolved = series(part_blocks, n_targets, max_rounds, babies)
+        if babies > 1:
+            unresolved[:] = 4
+        return weights, overlaps, unresolved
+
+    monkeypatch.setattr(_kernels._PartSeries, "__init__", recording_init)
+    monkeypatch.setattr(_kernels._PartSeries, "advance", checking_advance)
+    monkeypatch.setattr(_kernels, "_series", rerun_series)
+    fid, p_round, p_cum, n_rounds, reasons = batch_trajectory_kernel(k_first, k_later, ensemble, targets, 30)
+    assert len(blocks) == 2 * 2 * 3  # two operators of three parts, in the series and in its rerun
+    assert alive and not any(alive)
+    for c in range(len(k_first)):
+        ref_fid, ref_p_round, ref_p_cum = dense_trajectory(k_first[c], k_later[c], ensemble, targets, 30)
+        assert np.max(np.abs(fid[c] - ref_fid)) <= 1e-12
+        assert np.max(np.abs(p_cum[c] / ref_p_cum - 1.0)) <= 1e-12
 
 
 def test_malformed_target_stack_raises():

@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from logipure import _kernels, emr, operators
+from logipure import _kernels, cli, emr, operators
 from logipure._kernels import SMALLEST_NORMAL, batch_trajectory_kernel, trajectory_kernel
 from logipure.cli import main
 from logipure.codes import (
@@ -72,6 +72,7 @@ from oracles import (
     dense_stabilizer_code,
     dense_trajectory,
     projector_measurement,
+    reconstruct,
     reflected_eig,
     reflected_operators,
 )
@@ -125,7 +126,7 @@ def test_hermitian_eig_on_hidden_blocks(sizes, seed, repeat, t, real):
 
     with mock.patch.object(operators, "SPLIT_MIN_ROWS", 1):  # so small matrices split too
         spec = hermitian_eig(h)
-    assert np.max(np.abs(spec.reconstruct() - h)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
+    assert np.max(np.abs(reconstruct(spec) - h)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
     assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-12 * max(
         1.0, np.max(np.abs(spec.eigenvalues))
     )
@@ -217,7 +218,7 @@ def test_hermitian_eig_splits_by_reflection(seed, n_labels, large, keep_labels, 
         block = next(rows for rows in operators.coupled_blocks(h != 0) if moved[0] in rows)
         assert block.size in solves  # the perturbed block is solved whole
     assert np.max(np.abs(spec.eigenvalues - plain.eigenvalues)) <= 1e-12 * scale
-    assert np.max(np.abs(spec.reconstruct() - h)) <= 1e-12 * scale
+    assert np.max(np.abs(reconstruct(spec) - h)) <= 1e-12 * scale
     v = spec.eigenvectors
     assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
     assert sorted(np.concatenate([positions for _, positions, _ in spec.blocks])) == list(range(n))
@@ -887,14 +888,17 @@ def test_stabilizer_checks_match_dense_oracle(words, data, strength):
 
 @st.composite
 def cli_runs(draw):
-    """(command, config) over generated stabilizer codes and tiny grids, or a few table1 rows.
+    """(command, config) over generated stabilizer codes, small Heisenberg chains and tiny grids, or a few table1 rows.
 
     A table1 run takes one of the sector-built rows 9-12 and up to two
     more; j_1 away from 1 breaks the reflection of rows 10 and 12, and a
     negative auxiliary energy is refused.  fig4, which builds no joint
-    matrix, takes up to eight codes, either outcome and three azimuths.
+    matrix, takes up to eight stabilizer codes, either outcome and three
+    azimuths.  fig2, fig4, purify and decompose take a 2- or 4-site chain
+    as the one code now and then.  Now and then a fig2, fig3 or fig4
+    plane is one cell past ``cli.MAX_PLANE_CELLS``, which must be refused.
     """
-    command = draw(st.sampled_from(["decompose", "fig2", "fig4", "purify", "table1"]))
+    command = draw(st.sampled_from(["decompose", "fig2", "fig3", "fig4", "purify", "table1"]))
     if command == "table1":
         rows = {draw(st.integers(9, 12)), *draw(st.lists(st.integers(1, 12), max_size=2))}
         return command, {
@@ -905,35 +909,57 @@ def cli_runs(draw):
             "aux_energy": draw(st.sampled_from([None, -0.5, 0.0, 0.98, 3.0])),
             "max_rounds": draw(st.integers(1, 5)),
         }
-    code = {"type": "stabilizer", "stabilizers": draw(stabilizer_lists(max_qubits=3, max_strings=3))}
-    code["J"] = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2, 1e308]))
-    cfg = {"code": code, "L": draw(st.sampled_from([1, 2]))}
+    n, m = (500, 501) if draw(st.integers(0, 9)) == 0 else (2, 2)  # fig2, fig3 and fig4 planes
+    if command == "fig3":
+        lowest = draw(st.floats(-1.0, 3.0))
+        return command, {
+            "j_range": [lowest, lowest + draw(st.floats(0.01, 3.0))],
+            "j_points": n,
+            "beta_range": [0.0, draw(st.floats(0.01, 5.0))],
+            "beta_points": m,
+        }
+    J = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2, 1e308]))
+    if draw(st.integers(0, 3)) == 0:
+        cfg = {"code": {"type": "heisenberg", "n": draw(st.sampled_from([2, 4])), "J": J}, "L": 1}
+    else:
+        code = {"type": "stabilizer", "stabilizers": draw(stabilizer_lists(max_qubits=3, max_strings=3)), "J": J}
+        cfg = {"code": code, "L": draw(st.sampled_from([1, 2, 4, 8] if command == "fig4" else [1, 2]))}
     if command == "decompose":
         cfg["variant"] = draw(st.sampled_from(VARIANTS))
+    elif command == "purify":
+        cfg.update(t=draw(st.floats(0.0, 7.0)), a=draw(st.floats(0.0, np.pi)))
     elif command == "fig2":
-        cfg.update(a_points=2, t_points=2)
+        cfg.update(a_points=n, t_points=m)
     elif command == "fig4":  # no joint matrix: any number of codes
         cfg.update(
-            L=draw(st.sampled_from([1, 2, 4, 8])),
             b=draw(st.sampled_from([0.0, 1.0, 2 * np.pi])),
             k=draw(st.sampled_from([1, -1])),
-            a_points=2,
-            t_points=2,
+            a_points=n,
+            t_points=m,
             max_rounds=draw(st.integers(1, 12)),
             aq_reset=draw(st.sampled_from(POLICIES)),
         )
     return command, cfg
 
 
-@settings(max_examples=60, deadline=None)
+def csv_rows(path):
+    """The header and the rows, as floats, of a CLI CSV file."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return lines[0], [[float(x) for x in line.split(",")] for line in lines[1:]]
+
+
+@settings(max_examples=80, deadline=None)
 @given(run=cli_runs())
 def test_cli_runs_exit_0_or_2(run):
     """No generated config ends in a traceback, and a refused one writes no file.
 
-    A table1 report that is written holds probabilities and fidelities
-    in [0, 1], and each m_min is null or a round that was run.  A fig4
-    plane that is written holds m_min -1 or a round that was run, and
-    reaches 0.9 no sooner than 0.66.
+    An oversized plane is refused.  A table1 report that is written
+    holds probabilities and fidelities in [0, 1], and each m_min is null
+    or a round that was run.  A fig4 plane that is written holds m_min
+    -1 or a round that was run, and reaches 0.9 no sooner than 0.66.  A
+    fig2 plane holds probabilities in [0, 1] and fidelities in [0, 1] or
+    NaN, a purify report probabilities in [0, 1] and fidelities in
+    [0, 1] or null, and a fig3 plane weights in [0, 1].
     """
     command, cfg = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -942,6 +968,8 @@ def test_cli_runs_exit_0_or_2(run):
         rc = main([command, "--config", str(cfg_path), "--out", str(out)])
         assert rc in (0, 2)
         assert out.exists() == (rc == 0)
+        if np.prod([v for k, v in cfg.items() if k.endswith("_points")]) > cli.MAX_PLANE_CELLS:
+            assert rc == 2
         if command == "table1" and rc == 0:
             for row in json.loads(out.read_text())["report"]["rows"]:
                 for metrics in [*row["candidates"], row["matched"]]:
@@ -951,10 +979,30 @@ def test_cli_runs_exit_0_or_2(run):
                         if key.startswith("m_min_"):
                             assert value is None or 1 <= value <= cfg["max_rounds"], (key, value)
         if command == "fig4" and rc == 0:
-            lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-            assert lines[0] == "a,t,m_min_0.66,m_min_0.9"
-            for line in lines[1:]:
-                m_066, m_090 = map(int, line.split(",")[2:])
+            header, rows = csv_rows(out)
+            assert header == "a,t,m_min_0.66,m_min_0.9"
+            for row in rows:
+                m_066, m_090 = map(int, row[2:])
                 for m in (m_066, m_090):
-                    assert m == -1 or 1 <= m <= cfg["max_rounds"], line
-                assert m_090 == -1 or 1 <= m_066 <= m_090, line
+                    assert m == -1 or 1 <= m <= cfg["max_rounds"], row
+                assert m_090 == -1 or 1 <= m_066 <= m_090, row
+        if command == "fig2" and rc == 0:
+            header, rows = csv_rows(out)
+            assert header == "a,t,f_analytic,p_analytic,f_numeric,p_numeric"
+            for row in rows:
+                for p in (row[3], row[5]):
+                    assert 0.0 <= p <= 1.0, row
+                for f in (row[2], row[4]):
+                    assert np.isnan(f) or 0.0 <= f <= 1.0, row
+        if command == "purify" and rc == 0:
+            for record in (json.loads(out.read_text())[key] for key in ("result", "complement")):
+                for key, value in record.items():
+                    if key.startswith("probability"):
+                        assert 0.0 <= value <= 1.0, (key, value)
+                    if key.startswith("fidelity"):
+                        assert value is None or 0.0 <= value <= 1.0, (key, value)
+        if command == "fig3" and rc == 0:
+            header, rows = csv_rows(out)
+            assert header == "j_s,beta,p_beta"
+            for row in rows:
+                assert 0.0 <= row[2] <= 1.0, row

@@ -1,8 +1,9 @@
 """Thermal weights, the coupled two-level problem, and its closed forms.
 
 The dense evolve-and-project pipeline and the closed-form block
-coefficients are independent implementations of the same physics; these
-tests pit them against each other at resonance and off resonance.
+coefficients of ``tests/oracles.py`` are independent implementations of
+the same physics; these tests pit them against each other at resonance
+and off resonance.
 """
 
 import numpy as np
@@ -18,14 +19,8 @@ from logipure.interaction import (
     joint_target_state,
 )
 from logipure.operators import KET_0, kron
-from logipure.thermal import (
-    ResonanceContext,
-    ThermalSpec,
-    coupled_eigenpairs,
-    evolution_coefficients,
-    evolved_joint_state,
-    initial_state,
-)
+from logipure.thermal import ResonanceContext, ThermalSpec, evolved_joint_state, initial_state
+from oracles import coupled_eigenpairs, evolution_coefficients, resonant, shifted_energies
 
 CODE = build_repetition_code(1.0)
 
@@ -67,16 +62,17 @@ def test_thermal_spec_rejects_non_finite_beta(bad):
 
 def test_resonance_context_identities():
     ctx = ResonanceContext.build(delta_sum=4.0, e_a=2.5, g=0.8)
+    e_plus, e_minus, g_plus, _ = shifted_energies(ctx)
     det = 4.0 - 2.5
     assert abs(ctx.f_rabi - np.sqrt(det**2 + 4 * 0.8**2)) < 1e-14
-    assert abs(ctx.e_plus - (det + ctx.f_rabi)) < 1e-14
-    assert abs(ctx.e_minus - (det - ctx.f_rabi)) < 1e-14
-    assert abs(ctx.g_plus - (ctx.e_plus**2 + 4 * 0.8**2)) < 1e-12
-    assert not ctx.resonant
-    assert ResonanceContext.from_codes([CODE], None, 1.0).resonant
-    assert ResonanceContext.from_codes([CODE], 4.0, 1.0).resonant
+    assert abs(e_plus - (det + ctx.f_rabi)) < 1e-14
+    assert abs(e_minus - (det - ctx.f_rabi)) < 1e-14
+    assert abs(g_plus - (e_plus**2 + 4 * 0.8**2)) < 1e-12
+    assert not resonant(ctx)
+    assert resonant(ResonanceContext.from_codes([CODE], None, 1.0))
+    assert resonant(ResonanceContext.from_codes([CODE], 4.0, 1.0))
     # E_+ E_- = -4g^2 (product of the shifted eigenvalues)
-    assert abs(ctx.e_plus * ctx.e_minus + 4 * 0.8**2) < 1e-12
+    assert abs(e_plus * e_minus + 4 * 0.8**2) < 1e-12
 
 
 def test_coupled_eigenpairs_are_dense_eigenvectors():
