@@ -13,7 +13,8 @@ Subcommands:
                   the rank-one coupling's 2 x 2 recursion, with no joint
                   matrix for any number of codes (CSV);
 * ``table1``    - chain benchmark reproduction report (JSON);
-* ``purify``    - one evolve-and-postselect shot (JSON);
+* ``purify``    - one evolve-and-postselect shot and its complement, from
+                  the same 2 x 2 recursion as ``fig4`` (JSON);
 * ``decompose`` - Pauli-string expansion of the engineered coupling (CSV).
 
 Every output embeds the fully resolved configuration, and identical
@@ -22,8 +23,9 @@ count (full-precision floats may move in their last digits with it).
 Integer keys take JSON integers only, and number keys JSON numbers only
 (no booleans or strings).  The engine commands refuse a config whose
 largest matrix would exceed :data:`MAX_JOINT_ROWS` rows before building
-anything: the joint Hamiltonian, or for ``fig4`` the code's own, so
-``fig4`` takes ``"L": 8`` and up to :data:`MAX_CODES` codes.  Planes of
+anything: the joint Hamiltonian for ``fig2`` and ``decompose``, the
+code's own for ``fig4`` and ``purify``, which build no joint matrix and
+so take ``"L": 8`` and up to :data:`MAX_CODES` codes.  Planes of
 more than :data:`MAX_PLANE_CELLS` cells, fig4 planes and table1 runs of
 more than :data:`MAX_CELL_ROUNDS` cells times rounds, and fig2 round
 operators of more than :data:`MAX_OPERATOR_ENTRIES` entries are refused
@@ -43,6 +45,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,28 +68,28 @@ from .interaction import (
     joint_target_state,
     pauli_decompose,
 )
-from .measurement import MeasurementSetting, purify_records
+from .measurement import MeasurementSetting
 from .operators import hermitian_eig
 from .thermal import ResonanceContext, ThermalSpec
 
 REPETITION_DOC = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
 
 # Most rows of the largest matrix an engine command builds: the joint
-# (codes + one auxiliary qubit) Hamiltonian for fig2, purify and decompose,
-# and the code's own Hamiltonian for fig4, which builds no joint matrix.  A
-# larger config is refused before anything is allocated.  Measured on 2
+# (codes + one auxiliary qubit) Hamiltonian for fig2 and decompose, and the
+# code's own Hamiltonian for fig4 and purify, which build no joint matrix.
+# A larger config is refused before anything is allocated.  Measured on 2
 # vCPUs with OpenBLAS 0.3.31: 4096 rows is the joint size of a 10-site chain
 # with two auxiliary qubits, whose 500-round table row runs as a library
-# call in 5.3 s at 417 MB peak RSS; a fig4 run at this joint size, on an
-# 11-qubit repetition code (2 x 2 plane, 5 rounds), took 4.6-4.9 s at
-# 1.64 GB while fig4 still solved the joint matrix.  The next size, 8192
-# rows, is a 1.07 GB dense complex matrix before any copy or eigensolve.
+# call in 5.3 s at 417 MB peak RSS; on an 11-qubit code, fig4 took 4.6 s
+# at 1.64 GB and purify 19.9 s at 1,966 MB while they built the joint
+# matrix.  The next size, 8192 rows, is a 1.07 GB dense complex matrix
+# before any copy or eigensolve.
 MAX_JOINT_ROWS = 4096
-# Most codes a config may hold; fig4, which builds nothing of joint size,
-# is bounded by this alone.  Each code has two ground states, so the
-# target's thermal weight 1/Z is at most 2^-L, which leaves the normal
-# float64 range past this many codes: more could only report that no cell
-# reaches a target.
+# Most codes a config may hold; fig4 and purify, which build nothing of
+# joint size, are bounded by this alone.  Each code has two ground states,
+# so the target's thermal weight 1/Z is at most 2^-L, which leaves the
+# normal float64 range past this many codes: more could only report that
+# no cell reaches a target.
 MAX_CODES = 1022
 # Most cells of a fig2, fig3 or fig4 plane, checked before any grid is
 # built.  A cell costs about 0.6 KB in fig2, 1.2 KB in fig4 and 11-17 us
@@ -380,25 +383,22 @@ def cmd_fig3(cfg: dict) -> str:
     return "\n".join(head + lines) + "\n"
 
 
-def cmd_fig4(cfg: dict) -> str:
-    """m_min over the (a, t) plane: one :func:`emr_rank_one` call, then one row per cell.
-
-    The rank-one coupling reduces every cell to a 2 x 2 recursion, so no
-    joint matrix or state is built, for any number of codes.
-    """
-    max_rounds = _max_rounds(cfg, _plane_cells(cfg, "a", "t"))
+def _rank_one(cfg: dict, durations, settings: list[MeasurementSetting], max_rounds: int, aq_reset: str = KEEP):
+    """:func:`emr_rank_one` over every (duration, setting) cell: a 2 x 2 recursion each,
+    so only the codes are built, never a joint matrix or state, for any number of codes."""
     codes, spec, aux, thermal = _build_engine(cfg, joint=False)
+    ctx = ResonanceContext.from_codes(codes, aux.energy, spec.coupling)
+    return emr_rank_one(ctx, thermal, durations, settings, max_rounds, aq_reset)
+
+
+def cmd_fig4(cfg: dict) -> str:
+    """m_min over the (a, t) plane: one :func:`_rank_one` call, then one row per cell."""
+    max_rounds = _max_rounds(cfg, _plane_cells(cfg, "a", "t"))
     f_targets = _floats(cfg, "f_targets")
     b, k = _float(cfg, "b"), _int(cfg, "k")
     a_grid, t_grid = _grid(cfg, "a"), _grid(cfg, "t")
-    fidelity = emr_rank_one(
-        ResonanceContext.from_codes(codes, aux.energy, spec.coupling),
-        thermal,
-        t_grid,
-        [MeasurementSetting(a=a, b=b, k=k) for a in a_grid],
-        max_rounds,
-        cfg["aq_reset"],
-    )[0]
+    settings = [MeasurementSetting(a=a, b=b, k=k) for a in a_grid]
+    fidelity = _rank_one(cfg, t_grid, settings, max_rounds, cfg["aq_reset"])[0]
     m_min = _first_rounds(fidelity, f_targets).reshape(len(t_grid), len(a_grid), len(f_targets))
     a_text = [_fmt(a) for a in a_grid.tolist()]
     lines = []
@@ -427,21 +427,19 @@ def cmd_table1(cfg: dict) -> str:
 
 
 def cmd_purify(cfg: dict) -> str:
-    codes, spec, aux, thermal = _build_engine(cfg)
+    """One round of duration ``t`` from one :func:`_rank_one` call, a cell per outcome.
+
+    An outcome below :data:`~logipure.measurement.UNATTAINABLE_P` stops its round, which zeroes it.
+    """
     setting = MeasurementSetting(a=_float(cfg, "a"), b=_float(cfg, "b"), k=_int(cfg, "k"))
-    records = purify_records(codes, spec, aux, thermal, _float(cfg, "t"), (setting,))
-    rec, rec_other = records[(setting.k,)], records[(-setting.k,)]
-
-    def pack(r):
-        return {
-            "outcome": list(r.outcome),
-            "probability": float(r.probability),
-            "fidelity": None if np.isnan(r.fidelity) else float(r.fidelity),
-            "attainable": bool(r.attainable),
-        }
-
-    payload = {"config": cfg, "result": _round_floats(pack(rec)), "complement": _round_floats(pack(rec_other))}
-    return _json_dump(payload)
+    settings = [setting, replace(setting, k=-setting.k)]
+    fidelity, probability, _, n_rounds, _ = _rank_one(cfg, [_float(cfg, "t")], settings, max_rounds=1)
+    records = [
+        {"outcome": [s.k], "probability": min(p, 1.0), "fidelity": min(f, 1.0) if n else None, "attainable": bool(n)}
+        for s, p, f, n in zip(settings, probability[:, 0].tolist(), fidelity[:, 0].tolist(), n_rounds)
+    ]
+    result, complement = _round_floats(records)
+    return _json_dump({"config": cfg, "result": result, "complement": complement})
 
 
 def cmd_decompose(cfg: dict) -> str:
@@ -496,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 text = COMMANDS[args.experiment](cfg)
-        except FloatingPointError as e:
+        except (FloatingPointError, OverflowError) as e:
             raise ValueError(f"{e}: a config energy (a code's J, g, e_a) or time is too large for float64") from None
         _write_text(args.out, text)
     except (ValueError, OSError, json.JSONDecodeError) as e:

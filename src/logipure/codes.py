@@ -32,6 +32,9 @@ from .operators import (
 RESIDUAL_TOL = 1e-9
 # Eigenvalue-cluster tolerance, relative to the spectral radius.
 CLUSTER_RTOL = 1e-8
+# Eigenvector entries within this share of the largest modulus tie for
+# the gauge pivot of :func:`_gauged`, and the lowest index wins.
+GAUGE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,7 @@ def _split(h: np.ndarray) -> SpectralSplit:
         rows = np.arange(dim)
         spec = SpectralDecomposition(w[order], ((rows, rows, np.eye(dim, dtype=complex)[:, order]),))
     else:
-        spec = hermitian_eig(h)
+        spec = _gauged(hermitian_eig(h))
     w, vecs = spec.eigenvalues, spec.eigenvectors
     if not np.isfinite(w).all():  # finite entries whose eigenvalues overflow; the solver does not raise
         raise FloatingPointError("overflow encountered in the code spectrum")
@@ -200,6 +203,22 @@ def _split(h: np.ndarray) -> SpectralSplit:
         ground_energy=e0,
         spectrum=spec,
     )
+
+
+def _gauged(spec: SpectralDecomposition) -> SpectralDecomposition:
+    """Scale a freshly solved ``spec`` in place, and return it, so that each
+    eigenvector's first entry of largest modulus is real and positive.
+
+    This fixes the sign (or phase) that the real and the complex LAPACK
+    routines leave differently; a real vector is only negated, exactly.
+    A rotation inside a degenerate eigenspace is not undone.
+    """
+    for _, _, vectors in spec.blocks:
+        size = np.abs(vectors)
+        lead = np.argmax(size >= (1.0 - GAUGE_RTOL) * size.max(axis=0), axis=0)
+        pivots = vectors[lead, np.arange(vectors.shape[1])]
+        vectors *= np.abs(pivots) / pivots
+    return spec
 
 
 def build_stabilizer_code(stabilizers: list[PauliString | str], strength: float = 1.0) -> CodeModel:

@@ -218,7 +218,9 @@ def emr_rank_one(
     out = np.stack([s.state() for s in settings])
     o0, o1 = out[:, 0].conj(), out[:, 1].conj()
     half = 0.5 * ctx.f_rabi * t
-    sine = t * np.sinc(half / np.pi)  # sin(F t / 2) / (F / 2), t at F = 0
+    # sin(F t / 2) / (F / 2), t at F = 0: the sine of half itself, not np.sinc's of pi (half / pi),
+    # which at large F t is another angle than the cosine's, and u would not be unitary
+    sine = np.sin(half) / (0.5 * ctx.f_rabi) if ctx.f_rabi else t
     mean = np.exp(-0.5j * (ctx.e_a + ctx.delta_sum) * t)
     split = 0.5j * (ctx.delta_sum - ctx.e_a) * sine
     u_pp, u_ff, u_pf = mean * (np.cos(half) + split), mean * (np.cos(half) - split), mean * (-1j * ctx.g * sine)

@@ -11,7 +11,10 @@ The measurement is rank one on the auxiliary factor, so the conditioned
 system state is the contraction <psi|rho|psi> over the auxiliary axes
 alone; no joint-dimension projector is formed.  The records returned
 here carry the outcome probability, the conditioned system state and
-its fidelity.
+its fidelity.  :func:`purify_once` is the dense single-shot reference:
+it evolves the whole joint state and measures it.  The CLI's ``purify``
+takes the same shot from the rank-one recursion
+(:func:`logipure.formulas.emr_rank_one`) instead.
 """
 
 from __future__ import annotations
@@ -124,23 +127,6 @@ def measure_aq(
     return records
 
 
-def purify_records(
-    codes: list[CodeModel],
-    spec: InteractionSpec,
-    aux: AuxiliarySpec,
-    thermal: ThermalSpec,
-    t: float,
-    settings: tuple[MeasurementSetting, ...],
-) -> dict[tuple[int, ...], PurificationRecord]:
-    """Evolve the thermal state for time ``t`` and measure the auxiliary qubits along ``settings``.
-
-    Returns the record of every outcome tuple, as :func:`measure_aq`
-    does, with fidelities against the joint logical target of ``spec``.
-    """
-    rho_t = evolved_joint_state(codes, spec, aux, thermal, t)
-    return measure_aq(rho_t, aux.count, settings, target=joint_target_state(codes, spec.targets))
-
-
 def purify_once(
     codes: list[CodeModel],
     spec: InteractionSpec,
@@ -157,4 +143,6 @@ def purify_once(
     """
     if isinstance(settings, MeasurementSetting):
         settings = (settings,)
-    return purify_records(codes, spec, aux, thermal, t, settings)[tuple(s.k for s in settings)]
+    rho_t = evolved_joint_state(codes, spec, aux, thermal, t)
+    records = measure_aq(rho_t, aux.count, settings, target=joint_target_state(codes, spec.targets))
+    return records[tuple(s.k for s in settings)]

@@ -13,6 +13,7 @@ against :func:`evolved_joint_state` in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ class ResonanceContext:
 
     @classmethod
     def build(cls, delta_sum: float, e_a: float, g: float) -> "ResonanceContext":
-        f_rabi = float(np.sqrt((delta_sum - e_a) ** 2 + 4.0 * g**2))
+        f_rabi = math.hypot(delta_sum - e_a, 2.0 * g)  # squaring a float past 1e154 would overflow
         return cls(delta_sum=delta_sum, e_a=e_a, g=g, f_rabi=f_rabi)
 
     @classmethod

@@ -8,20 +8,20 @@ the halves of its magnetization sectors, once per group of rows that
 share a kernel pass.  A solve may split into one call
 per block, or per half of a block, so the budget is the summed
 dimension of the distinct Hamiltonians a command needs, not a count of
-calls, and the largest single call is pinned too.  The
-fast paths form no joint unitary and no dense joint eigenvector array;
-fig2 takes its whole plane from one contraction of the joint spectrum,
-without evolving or measuring a joint state; fig4 solves no joint
-matrix at all, since the rank-one coupling reduces each of its cells to
-a 2 x 2 recursion, and table1 runs in one kernel pass per group of rows
-whose joint spectra split alike.
+calls, and the largest single call is pinned too.  No command forms a
+joint unitary, or prepares, evolves or measures a joint state, and the
+fast paths assemble no dense joint eigenvector array: fig2 takes its
+whole plane from one contraction of the joint spectrum; fig4 and purify
+solve no joint matrix at all, since the rank-one coupling reduces each
+of their cells to a 2 x 2 recursion, and table1 runs in one kernel pass
+per group of rows whose joint spectra split alike.
 """
 
 import json
 
 import pytest
 
-from logipure.cli import main
+from logipure.cli import COMMANDS, main
 
 BUDGET = [
     # (id, command, config, summed dimension, largest call): the comment names what is solved
@@ -33,9 +33,11 @@ BUDGET = [
     # (the largest, 512 rows, as 272 + 240), and the chain's reflection-adapted
     # thermal factor
     ("table1-row12", "table1", {"rows": [12], "max_rounds": 20}, 256 + 1024 + 256, 272),
-    ("purify", "purify", {}, 16, 16),  # H_tot
+    ("purify", "purify", {}, 0, 0),  # the diagonal code only
     ("decompose", "decompose", {}, 0, 0),  # no spectrum needed
 ]
+
+ONE_EACH = [row for row in BUDGET if row[0] in COMMANDS]  # every command once, at a tiny config
 
 
 @pytest.mark.parametrize("command,config,expected,largest", [row[1:] for row in BUDGET], ids=[row[0] for row in BUDGET])
@@ -47,96 +49,83 @@ def test_cli_eigensolve_budget(command, config, expected, largest, tmp_path, eig
     assert max(eigensolves, default=0) <= largest, eigensolves
 
 
-def test_fig4_plane_is_one_rank_one_call(tmp_path, monkeypatch):
-    """The whole fig4 plane is one emr_rank_one call: no kernel pass, no round
-    operators and no eigensolve of a joint matrix, even for two codes."""
+def spy(monkeypatch, functions, record):
+    """Wrap every binding of each named ``(module, function)`` of logipure.
+
+    Each call first passes the function's name and its positional
+    arguments to ``record``, then runs the original.
+    """
     import inspect
 
     import logipure
 
-    calls = {"emr_rank_one": 0, "batch_trajectory_kernel": 0, "round_contraction": 0}
-    solved = []
-    for module_name, name in (
-        ("formulas", "emr_rank_one"),
-        ("_kernels", "batch_trajectory_kernel"),
-        ("emr", "round_contraction"),
-        ("operators", "hermitian_eig"),
-    ):
+    for module_name, name in functions:
         original = getattr(getattr(logipure, module_name), name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
-            if _name == "hermitian_eig":
-                solved.append(len(args[0]))
-            else:
-                calls[_name] += 1
+            record(_name, args)
             return _original(*args, **kwargs)
 
         for module in [logipure, *(v for v in vars(logipure).values() if inspect.ismodule(v))]:
             if vars(module).get(name) is original:  # every module that binds it
                 monkeypatch.setattr(module, name, wrapper)
-    cfg_path = tmp_path / "config.json"
+
+
+def count_calls(monkeypatch, functions) -> dict[str, int]:
+    """A live count of the calls of each named ``(module, function)``, from zero."""
+    calls = {name: 0 for _, name in functions}
+    spy(monkeypatch, functions, lambda name, args: calls.__setitem__(name, calls[name] + 1))
+    return calls
+
+
+def test_fig4_plane_is_one_rank_one_call(tmp_path, monkeypatch):
+    """The whole fig4 plane, and a purify shot with its complement, is one emr_rank_one
+    call: no kernel pass, no round operators and no eigensolve of a joint matrix, even
+    for two codes."""
     code = {"type": "heisenberg", "n": 2}  # solved by hermitian_eig, unlike the diagonal repetition code
-    cfg_path.write_text(json.dumps({"code": code, "L": 2, "a_points": 3, "t_points": 3, "max_rounds": 10}))
-    assert main(["fig4", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"emr_rank_one": 1, "batch_trajectory_kernel": 0, "round_contraction": 0}
-    assert solved == [4], solved  # the chain's own 4 rows; the joint matrix would have 32
+    for command, grid in (("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}), ("purify", {})):
+        with monkeypatch.context() as patch:
+            counted = [("formulas", "emr_rank_one"), ("_kernels", "batch_trajectory_kernel"), ("emr", "round_contraction")]
+            calls = count_calls(patch, counted)
+            solved = []
+            spy(patch, [("operators", "hermitian_eig")], lambda name, args: solved.append(len(args[0])))
+            cfg_path = tmp_path / f"{command}.json"
+            cfg_path.write_text(json.dumps({"code": code, "L": 2, **grid}))
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"emr_rank_one": 1, "batch_trajectory_kernel": 0, "round_contraction": 0}, command
+        assert solved == [4], (command, solved)  # the chain's own 4 rows; the joint matrix would have 32
 
 
-@pytest.mark.parametrize(
-    "command,config",
-    [
-        ("fig2", {"a_points": 3, "t_points": 3}),
-        ("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}),
-        ("table1", {"rows": [1], "max_rounds": 20}),
-    ],
-    ids=["fig2", "fig4", "table1"],
-)
+@pytest.mark.parametrize("command,config", [row[1:3] for row in ONE_EACH], ids=[row[0] for row in ONE_EACH])
 def test_fast_paths_form_no_joint_unitary(command, config, tmp_path, monkeypatch):
-    """fig2, fig4 and table1 build their round operators from the joint spectrum alone."""
+    """No command forms a joint unitary, or prepares, evolves or measures a joint state:
+    fig2, fig4, purify and table1 build what they need from a spectrum alone."""
     from logipure.operators import SpectralDecomposition
 
-    calls = []
+    joint_state_steps = [("measurement", "measure_aq"), ("operators", "evolve"), ("thermal", "initial_state")]
+    calls = count_calls(monkeypatch, joint_state_steps)
     unitary = SpectralDecomposition.unitary
+    times = []
 
     def counted(self, t):
-        calls.append(t)
+        times.append(t)
         return unitary(self, t)
 
     monkeypatch.setattr(SpectralDecomposition, "unitary", counted)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert calls == []
+    assert times == []
+    assert calls == {"measure_aq": 0, "evolve": 0, "initial_state": 0}
 
 
 def test_fig2_plane_is_one_contraction(tmp_path, monkeypatch):
-    """The whole fig2 plane comes from one round_contraction call: no joint state is
-    prepared, evolved or measured."""
-    import inspect
-
-    import logipure
-
-    calls = {}
-    for module_name, name in (
-        ("measurement", "measure_aq"),
-        ("operators", "evolve"),
-        ("thermal", "initial_state"),
-        ("emr", "round_contraction"),
-    ):
-        original = getattr(getattr(logipure, module_name), name)
-
-        def wrapper(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        calls[name] = 0
-        for module in [logipure, *(v for v in vars(logipure).values() if inspect.ismodule(v))]:
-            if vars(module).get(name) is original:  # every module that binds it
-                monkeypatch.setattr(module, name, wrapper)
+    """The whole fig2 plane comes from one round_contraction call."""
+    calls = count_calls(monkeypatch, [("emr", "round_contraction")])
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"a_points": 3, "t_points": 3}))
     assert main(["fig2", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"measure_aq": 0, "evolve": 0, "initial_state": 0, "round_contraction": 1}
+    assert calls == {"round_contraction": 1}
 
 
 def test_table1_groups_rows_into_kernel_passes(tmp_path, monkeypatch):

@@ -24,6 +24,8 @@ REPETITION = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1
 
 SMALL_FIG2 = {"a_points": 6, "t_points": 5}
 SMALL_FIG4 = {"a_points": 5, "t_points": 4, "max_rounds": 8}
+# purify's record of a +1 outcome that cannot occur: its round stopped and was zeroed
+UNATTAINABLE_PLUS = {"attainable": False, "fidelity": None, "outcome": [1], "probability": 0.0, "probability_full": 0.0}
 
 
 def run_cli(tmp_path, experiment, cfg=None, name="out"):
@@ -314,6 +316,51 @@ def test_purify_payload(tmp_path):
     assert abs(res["fidelity_full"] - 1.0) < 1e-10
 
 
+def test_unattainable_outcome_reads_zero_and_null(tmp_path):
+    """At a = pi and the Rabi node t = pi the +1 outcome is out of reach: the recursion stops
+    its round, so it reads probability 0 and fidelity null, not the rounding residue."""
+    rc, out = run_cli(tmp_path, "purify", {"t": float(np.pi)})
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["result"] == UNATTAINABLE_PLUS
+    assert doc["complement"]["attainable"] and doc["complement"]["probability_full"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["fig4", "purify"])
+@pytest.mark.parametrize(
+    "energy,exits",
+    [({"g": 1e160}, {0}), ({"e_a": 1e200}, {0}), ({"g": 1e308}, {2}), ({"e_a": 1e308}, {0, 2})],
+    ids=["g-1e160", "e_a-1e200", "g-1e308", "e_a-1e308"],
+)
+def test_huge_coupling_or_auxiliary_energy_exits_0_or_2(command, energy, exits, tmp_path, capsys):
+    """The pair's Rabi frequency is taken without squaring, so g = 1e160 and e_a = 1e200 run
+    to finite values, and a purify shot's two outcomes still sum to 1.  Past that, an
+    energy whose products overflow exits 2 with a message: g = 1e308 always, e_a = 1e308
+    once it meets a duration past 1.8."""
+    grid = {"a_points": 2, "t_points": 2, "max_rounds": 3} if command == "fig4" else {}
+    rc, out = run_cli(tmp_path, command, {**energy, **grid})
+    assert rc in exits and out.exists() == (rc == 0)
+    if rc == 2:
+        assert "is too large for float64" in capsys.readouterr().err
+    elif command == "purify":
+        doc = json.loads(out.read_text())
+        records = [doc["result"], doc["complement"]]
+        assert abs(sum(r["probability_full"] for r in records) - 1.0) < 1e-12
+        assert all(r["fidelity"] is None or 0.0 <= r["fidelity_full"] <= 1.0 for r in records)
+
+
+def test_overflow_error_exits_2(tmp_path, capsys, monkeypatch):
+    """Python float arithmetic raises OverflowError where numpy would warn; it exits 2 as well."""
+
+    def overflowing(cfg):
+        return str(1e300**2)
+
+    monkeypatch.setitem(cli.COMMANDS, "purify", overflowing)
+    rc, out = run_cli(tmp_path, "purify")
+    assert rc == 2 and not out.exists()
+    assert "a config energy (a code's J, g, e_a) or time is too large for float64" in capsys.readouterr().err
+
+
 def test_certain_outcome_reports_probability_at_most_one(tmp_path):
     """On the 4-site chain at t = 0 and a = 0 the +1 outcome is certain, and its rounding
     reached 1 + 7e-16 in fig2's numeric column and 1 + 4e-16 in purify; both are clipped."""
@@ -540,7 +587,7 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     [
         ("fig2", {"L": 5}, "2^16 = 65536 rows"),
         ("fig2", {"L": 4}, "2^13 = 8192 rows"),
-        ("purify", {"code": {"type": "heisenberg", "n": 12}}, "2^13 = 8192 rows"),
+        ("decompose", {"code": {"type": "heisenberg", "n": 12}}, "2^13 = 8192 rows"),
         ("decompose", {"code": {"type": "heisenberg", "n": 10**6}, "L": 3}, "2^3000001 rows"),
     ],
 )
@@ -626,43 +673,52 @@ def test_plane_and_round_limits_are_inclusive(tmp_path, capsys, monkeypatch):
     ids=["heisenberg-14", "stabilizer-13"],
 )
 def test_fig4_refuses_an_oversized_code_before_allocating(tmp_path, capsys, code, need):
-    """fig4 builds no joint matrix, so its limit is the code's own: it takes any L up to
-    cli.MAX_CODES, and refuses a code past cli.MAX_JOINT_ROWS rows before building it."""
-    tracemalloc.start()
-    try:
-        rc, out = run_cli(tmp_path, "fig4", {"code": code, "a_points": 2, "t_points": 2})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 2
-    assert f"{need}; the limit is 4096 rows" in capsys.readouterr().err
-    assert not out.exists()
-    assert peak < 1 << 20
-    rc, out = run_cli(tmp_path, "fig4", {**SMALL_FIG4, "L": cli.MAX_CODES + 1}, name="many")
-    assert rc == 2 and not out.exists()
-    assert f"L must lie in 1..{cli.MAX_CODES}" in capsys.readouterr().err
-    rc, out = run_cli(tmp_path, "fig4", {**SMALL_FIG4, "L": cli.MAX_CODES}, name="most")
-    assert rc == 0  # the target's weight 1/Z underflows to 0: no cell reaches a target
-    assert all(m == -1 for row in parse_csv(out)[2] for m in row[2:])
+    """fig4 and purify build no joint matrix, so their limit is the code's own: they take any L
+    up to cli.MAX_CODES, and refuse a code past cli.MAX_JOINT_ROWS rows before building it."""
+    for command, small in (("fig4", SMALL_FIG4), ("purify", {})):
+        tracemalloc.start()
+        try:
+            rc, out = run_cli(tmp_path, command, {**small, "code": code})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert f"{need}; the limit is 4096 rows" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 20
+        rc, out = run_cli(tmp_path, command, {**small, "L": cli.MAX_CODES + 1}, name="many")
+        assert rc == 2 and not out.exists()
+        assert f"L must lie in 1..{cli.MAX_CODES}" in capsys.readouterr().err
+        rc, out = run_cli(tmp_path, command, {**small, "L": cli.MAX_CODES}, name=f"most_{command}")
+        assert rc == 0  # the target's weight 1/Z and the excited weight underflow to 0
+    # no fig4 cell reaches a target, and purify's +1 outcome needs the excited weight
+    assert all(m == -1 for row in parse_csv(tmp_path / "most_fig4.csv")[2] for m in row[2:])
+    doc = json.loads(out.read_text())
+    assert doc["result"] == UNATTAINABLE_PLUS
+    assert doc["complement"]["probability"] == 1.0 and doc["complement"]["fidelity"] == 0.0
 
 
 def test_fig4_runs_eight_codes_in_little_memory(tmp_path):
     """Eight repetition codes (a joint matrix of 2^25 rows) run as fast as one: the default
-    plane in well under 2 s, and a 2 x 2 plane within 1 MB of traced memory, code build included."""
+    fig4 plane in well under 2 s, and a 2 x 2 plane or a purify shot within 1 MB of traced
+    memory, code build included."""
     start = time.perf_counter()
     rc, out = run_cli(tmp_path, "fig4", {"L": 8})
     assert rc == 0 and time.perf_counter() - start < 2.0
     _, header, rows = parse_csv(out)
     assert len(rows) == 2500
     assert all(m == -1 or 1 <= m <= 200 for row in rows for m in row[2:])
-    tracemalloc.start()
-    try:
-        rc, out = run_cli(tmp_path, "fig4", {"L": 8, "a_points": 2, "t_points": 2}, name="small")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 0
-    assert peak < 1 << 20, peak
+    for command, grid in (("fig4", {"a_points": 2, "t_points": 2}), ("purify", {})):
+        tracemalloc.start()
+        try:
+            rc, out = run_cli(tmp_path, command, {"L": 8, **grid}, name=f"small_{command}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 1 << 20, (command, peak)
+    doc = json.loads(out.read_text())
+    assert abs(doc["result"]["probability_full"] + doc["complement"]["probability_full"] - 1.0) < 1e-12
 
 
 def test_table1_agrees_across_blas_thread_counts(tmp_path):

@@ -216,6 +216,29 @@ def test_stored_spectrum_reconstructs_hamiltonian(build):
     assert np.max(np.abs(reconstruct(code.spectrum) - code.hamiltonian)) < 1e-12
 
 
+def test_eigenvector_gauge_does_not_depend_on_the_solver(monkeypatch):
+    """The 4-site chain solved by the real and by the complex LAPACK routine: the two return
+    its 3-fold excited basis in another order and with other signs, and the gauge (largest
+    entry real and positive) makes the uniform excited state, and with it the engineered
+    coupling's Pauli expansion, the same."""
+    from logipure.interaction import InteractionSpec, build_interaction, pauli_decompose
+
+    def expansion():
+        code = build_heisenberg_code(HeisenbergSpec(n_qubits=4))
+        spec = InteractionSpec(coupling=1.0, targets=(LogicalTarget(0.3, 0.2),))
+        for v in code.spectrum.eigenvectors.T:
+            lead = np.flatnonzero(np.abs(v) >= (1 - 1e-8) * np.abs(v).max())[0]
+            assert v[lead].real > 0 and abs(v[lead].imag) <= 1e-15
+        return {t.letters: t.coefficient for t in pauli_decompose(build_interaction([code], spec))}
+
+    real = expansion()
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: eigh(np.asarray(a, dtype=complex), *args, **kwargs))
+    complex_ = expansion()
+    assert real.keys() == complex_.keys()
+    assert max(abs(real[k] - complex_[k]) for k in real) <= 1e-12
+
+
 def test_spectral_split_errors():
     with pytest.raises(ValueError):
         spectral_split(np.eye(4, dtype=complex))  # single cluster

@@ -11,9 +11,10 @@ from logipure.codes import (
     build_stabilizer_code,
     code_from_hamiltonian,
 )
-from logipure.emr import thermal_ensemble
+from logipure.emr import KEEP, thermal_ensemble
 from logipure.formulas import (
     a_for_fidelity,
+    emr_rank_one,
     f_plus_resonant,
     p_beta,
     p_plus_resonant,
@@ -190,3 +191,15 @@ def test_inversion_perfect_fidelity():
     res = a_for_fidelity(1.0, 1.0, 0.7, 0.1, [CODE])
     assert res.attainable
     assert abs(res.a - np.pi) < 1e-12
+
+
+@pytest.mark.parametrize("g,e_a", [(1e10, None), (1e160, None), (1.0, 1e200), (1e160, 1e200)])
+def test_emr_rank_one_outcomes_sum_to_one_at_huge_phases(g, e_a):
+    """A round's two outcomes sum to 1 however large F t is: the pair's u takes the sine and
+    the cosine of one angle, F t / 2.  The sine of pi (F t / 2 pi), as np.sinc takes it,
+    is another angle there, and the sums missed 1 by up to 0.1."""
+    settings = [MeasurementSetting(a=a, k=k) for a in np.linspace(0.0, np.pi, 5) for k in (1, -1)]
+    _, p_round, *_ = emr_rank_one(
+        ResonanceContext.from_codes([CODE], e_a, g), ThermalSpec.from_codes([CODE], 0.1), np.linspace(0.1, 7.0, 9), settings, 1, KEEP
+    )
+    assert np.all(np.abs(p_round[0::2, 0] + p_round[1::2, 0] - 1.0) <= 1e-12)

@@ -23,6 +23,7 @@ from logipure._kernels import SMALLEST_NORMAL, batch_trajectory_kernel, trajecto
 from logipure.cli import main
 from logipure.codes import (
     HeisenbergSpec,
+    code_from_json,
     LogicalTarget,
     build_heisenberg_code,
     build_stabilizer_code,
@@ -54,7 +55,7 @@ from logipure.interaction import (
     build_total,
     joint_target_state,
 )
-from logipure.measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq
+from logipure.measurement import UNATTAINABLE_P, MeasurementSetting, measure_aq, purify_once
 from logipure.operators import (
     PAULI_MATRICES,
     PauliString,
@@ -478,12 +479,13 @@ def test_fast_trajectory_matches_dense_loop_on_chain_rows(row, policy, sign, bet
     assert np.allclose(fast.p_cumulative, ref.p_cumulative, rtol=1e-10, atol=0.0)
 
 
-RANK_ONE_HOSTS = {
-    "repetition": lambda: build_stabilizer_code(["ZZI", "IZZ", "ZIZ"]),
-    "two walls": lambda: build_stabilizer_code(["ZZI", "IZZ"], 0.7),
-    "x walls": lambda: build_stabilizer_code(["XXI", "IXX"], 1.3),  # not diagonal: solved
-    "chain 2": lambda: build_heisenberg_code(HeisenbergSpec(2)),
-    "chain 4": lambda: build_heisenberg_code(HeisenbergSpec(4, 0.8)),
+RANK_ONE_HOSTS = {  # as the CLI reads them
+    "repetition": {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"]},
+    "two walls": {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ"], "J": 0.7},
+    "x walls": {"type": "stabilizer", "stabilizers": ["XXI", "IXX"], "J": 1.3},  # not diagonal: solved
+    "one wall": {"type": "stabilizer", "stabilizers": ["XX"]},
+    "chain 2": {"type": "heisenberg", "n": 2},
+    "chain 4": {"type": "heisenberg", "n": 4, "J": 0.8},
 }
 
 
@@ -533,7 +535,7 @@ def test_emr_rank_one_matches_the_joint_spectrum(
         spec = InteractionSpec(coupling=g, variant=variant)
         target = kron_all([c.ls_basis[0] for c in codes])
     else:
-        codes = [RANK_ONE_HOSTS[host]()] * n_codes
+        codes = [code_from_json(RANK_ONE_HOSTS[host])] * n_codes
         spec = InteractionSpec(coupling=g, targets=(LogicalTarget(theta, phi),) * n_codes, variant=variant)
         target = joint_target_state(codes, spec.targets)
     delta_sum = sum(c.gap for c in codes)
@@ -894,7 +896,8 @@ def cli_runs(draw):
     more; j_1 away from 1 breaks the reflection of rows 10 and 12, and a
     negative auxiliary energy is refused.  fig4, which builds no joint
     matrix, takes up to eight stabilizer codes, either outcome and three
-    azimuths.  fig2, fig4, purify and decompose take a 2- or 4-site chain
+    azimuths; so does purify, with any azimuth and with couplings and
+    auxiliary energies up to 1e308.  fig2, fig4, purify and decompose take a 2- or 4-site chain
     as the one code now and then.  Now and then a fig2, fig3 or fig4
     plane is one cell past ``cli.MAX_PLANE_CELLS``, which must be refused.
     """
@@ -923,11 +926,18 @@ def cli_runs(draw):
         cfg = {"code": {"type": "heisenberg", "n": draw(st.sampled_from([2, 4])), "J": J}, "L": 1}
     else:
         code = {"type": "stabilizer", "stabilizers": draw(stabilizer_lists(max_qubits=3, max_strings=3)), "J": J}
-        cfg = {"code": code, "L": draw(st.sampled_from([1, 2, 4, 8] if command == "fig4" else [1, 2]))}
+        cfg = {"code": code, "L": draw(st.sampled_from([1, 2, 4, 8] if command in ("fig4", "purify") else [1, 2]))}
     if command == "decompose":
         cfg["variant"] = draw(st.sampled_from(VARIANTS))
-    elif command == "purify":
-        cfg.update(t=draw(st.floats(0.0, 7.0)), a=draw(st.floats(0.0, np.pi)))
+    elif command == "purify":  # no joint matrix either, and energies up to the largest double
+        cfg.update(
+            t=draw(st.floats(0.0, 7.0)),
+            a=draw(st.floats(0.0, np.pi)),
+            b=draw(st.floats(0.0, 2 * np.pi)),
+            k=draw(st.sampled_from([1, -1])),
+            g=draw(st.sampled_from([0.0, 1.0, 7.0, 1e160, 1e308])),
+            e_a=draw(st.sampled_from([None, 0.0, 3.0, 1e200, 1e308])),
+        )
     elif command == "fig2":
         cfg.update(a_points=n, t_points=m)
     elif command == "fig4":  # no joint matrix: any number of codes
@@ -958,8 +968,9 @@ def test_cli_runs_exit_0_or_2(run):
     or a round that was run.  A fig4 plane that is written holds m_min
     -1 or a round that was run, and reaches 0.9 no sooner than 0.66.  A
     fig2 plane holds probabilities in [0, 1] and fidelities in [0, 1] or
-    NaN, a purify report probabilities in [0, 1] and fidelities in
-    [0, 1] or null, and a fig3 plane weights in [0, 1].
+    NaN, a purify report probabilities in [0, 1], summing to 1 when both
+    outcomes are attainable, and fidelities in [0, 1] or null, and a fig3
+    plane weights in [0, 1].
     """
     command, cfg = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -995,14 +1006,69 @@ def test_cli_runs_exit_0_or_2(run):
                 for f in (row[2], row[4]):
                     assert np.isnan(f) or 0.0 <= f <= 1.0, row
         if command == "purify" and rc == 0:
-            for record in (json.loads(out.read_text())[key] for key in ("result", "complement")):
+            records = [json.loads(out.read_text())[key] for key in ("result", "complement")]
+            for record in records:
                 for key, value in record.items():
                     if key.startswith("probability"):
                         assert 0.0 <= value <= 1.0, (key, value)
                     if key.startswith("fidelity"):
                         assert value is None or 0.0 <= value <= 1.0, (key, value)
+            if all(r["attainable"] for r in records):
+                assert abs(sum(r["probability_full"] for r in records) - 1.0) <= 1e-12, records
         if command == "fig3" and rc == 0:
             header, rows = csv_rows(out)
             assert header == "j_s,beta,p_beta"
             for row in rows:
                 assert 0.0 <= row[2] <= 1.0, row
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    host=st.sampled_from(sorted(RANK_ONE_HOSTS)),
+    n_codes=st.integers(1, 2),
+    detuning=st.sampled_from([None, -0.6, 0.45, 2.0]),
+    g=st.floats(0.0, 7.0),
+    t=st.floats(0.0, 7.0),
+    a=st.floats(0.0, np.pi),
+    b=st.floats(0.0, 2 * np.pi),
+    k=st.sampled_from([1, -1]),
+    theta=st.floats(0.0, np.pi),
+    phi=st.floats(0.0, 2 * np.pi),
+    beta=st.floats(0.0, 3.0),
+)
+def test_purify_matches_the_dense_shot(host, n_codes, detuning, g, t, a, b, k, theta, phi, beta):
+    """The CLI's purify record, from the rank-one recursion, is the dense evolve-and-measure shot.
+
+    One or two small stabilizer codes or one 2- or 4-site chain, on
+    resonance or detuned: equal outcomes and attainability, and where an
+    outcome is attainable, probability and fidelity within 1e-12 of
+    :func:`purify_once`'s; where it is not, 0.0 and null.  The dense
+    fidelity is a quotient by p, so its own rounding, about eps D / p for
+    the system dimension D, is allowed on top.
+    """
+    n_codes = 1 if host == "chain 4" else n_codes
+    codes = [code_from_json(RANK_ONE_HOSTS[host])] * n_codes
+    delta_sum = sum(c.gap for c in codes)
+    e_a = None if detuning is None else max(0.0, delta_sum + detuning)
+    cfg = {"code": RANK_ONE_HOSTS[host], "L": n_codes, "e_a": e_a, "g": g, "t": t, "a": a, "b": b, "k": k}
+    cfg.update(theta=theta, phi=phi, beta=beta)
+    with tempfile.TemporaryDirectory() as tmp:
+        out, cfg_path = Path(tmp) / "out", Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["purify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+    spec = InteractionSpec(coupling=g, targets=(LogicalTarget(theta, phi),) * n_codes)
+    aux = AuxiliarySpec(energy=delta_sum if e_a is None else e_a)
+    thermal = ThermalSpec.from_codes(codes, beta)
+    for key, outcome in (("result", k), ("complement", -k)):
+        got = doc[key]
+        want = purify_once(codes, spec, aux, thermal, t, MeasurementSetting(a=a, b=b, k=outcome))
+        assert got["outcome"] == [outcome] and got["attainable"] == want.attainable, (key, got, want)
+        if not want.attainable:
+            assert (got["probability_full"], got["fidelity"]) == (0.0, None)
+            continue
+        assert abs(got["probability_full"] - want.probability) <= 1e-12, (key, got, want)
+        dimension = 2 ** sum(c.n_qubits for c in codes)
+        tol = 1e-12 + 4 * np.finfo(float).eps * dimension / want.probability
+        assert abs(got["fidelity_full"] - want.fidelity) <= tol, (key, got, want)
