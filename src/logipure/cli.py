@@ -7,7 +7,8 @@ Subcommands:
                   closed forms in one array evaluation, the numeric
                   columns in one contraction of the joint spectrum;
 * ``fig3``      - thermal weight of the excited superposition over the
-                  (J_S, beta) plane for the three-qubit code (CSV);
+                  (J_S, beta) plane for the three-qubit code, from its
+                  levels in one array evaluation (CSV);
 * ``fig4``      - minimum purification rounds over the (a, t) plane for
                   two fidelity targets, sentinel -1 when unreached, from
                   the rank-one coupling's 2 x 2 recursion, with no joint
@@ -21,17 +22,23 @@ Every output embeds the fully resolved configuration, and identical
 configurations produce byte-identical files at a fixed BLAS thread
 count (full-precision floats may move in their last digits with it).
 Integer keys take JSON integers only, and number keys JSON numbers only
-(no booleans or strings).  The engine commands refuse a config whose
-largest matrix would exceed :data:`MAX_JOINT_ROWS` rows before building
-anything: the joint Hamiltonian for ``fig2`` and ``decompose``, the
-code's own for ``fig4`` and ``purify``, which build no joint matrix and
-so take ``"L": 8`` and up to :data:`MAX_CODES` codes.  Planes of
+(no booleans or strings).  ``fig3``, ``fig4`` and ``purify`` read a
+stabilizer code's levels only (:func:`~logipure.codes.stabilizer_levels`),
+so no matrix of the code's 2^n rows is built, and an enumeration past
+:data:`~logipure.codes.MAX_ENUMERATION_BYTES` is refused before it is
+allocated.  The engine commands refuse a config whose largest matrix
+would exceed :data:`MAX_JOINT_ROWS` rows before building anything: the
+joint Hamiltonian for ``fig2`` and ``decompose``, and a chain's own for
+``fig4`` and ``purify``, which build no joint matrix and so take
+``"L": 8`` and up to :data:`MAX_CODES` codes.  Planes of
 more than :data:`MAX_PLANE_CELLS` cells, fig4 planes and table1 runs of
 more than :data:`MAX_CELL_ROUNDS` cells times rounds, and fig2 round
 operators of more than :data:`MAX_OPERATOR_ENTRIES` entries are refused
-the same way, before any grid or code is built.  ``decompose`` refuses
-the ground-prep variant, which needs hosts with a unique ground state:
-every code the CLI builds has a two-fold ground manifold.  A command
+the same way, before any grid or code is built, and so is a negative
+round duration (``t_range`` of fig2 and fig4, ``t`` of purify).
+``decompose`` refuses the ground-prep variant, which needs hosts with a
+unique ground state: every code the CLI builds has a two-fold ground
+manifold.  A command
 whose arithmetic overflows float64 (a code ``J`` of 1e308, say) exits 2
 with a message, not a numpy warning.  CSV numbers carry 17 significant
 digits; JSON reports are rounded to 6 digits with full-precision
@@ -51,14 +58,14 @@ import numpy as np
 
 from .codes import (
     LogicalTarget,
-    build_repetition_code,
+    code_document,
     code_from_json,
-    code_qubits,
     is_json_int,
     is_json_number,
+    stabilizer_levels,
 )
 from .emr import CHAIN_BENCHMARK, KEEP, _first_rounds, plane_one_round, reproduce_table1, thermal_ensemble
-from .formulas import emr_rank_one, p_beta, resonant_plus
+from .formulas import emr_rank_one, resonant_plus
 from .interaction import (
     GROUND_PREP,
     AuxiliarySpec,
@@ -75,8 +82,9 @@ from .thermal import ResonanceContext, ThermalSpec
 REPETITION_DOC = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
 
 # Most rows of the largest matrix an engine command builds: the joint
-# (codes + one auxiliary qubit) Hamiltonian for fig2 and decompose, and the
-# code's own Hamiltonian for fig4 and purify, which build no joint matrix.
+# (codes + one auxiliary qubit) Hamiltonian for fig2 and decompose, and a
+# chain's own Hamiltonian for fig4 and purify, which build no joint matrix
+# and take a stabilizer code's levels from its group, with no matrix.
 # A larger config is refused before anything is allocated.  Measured on 2
 # vCPUs with OpenBLAS 0.3.31: 4096 rows is the joint size of a 10-site chain
 # with two auxiliary qubits, whose 500-round table row runs as a library
@@ -226,6 +234,13 @@ def _grid(cfg: dict, axis: str) -> np.ndarray:
     return np.linspace(rng[0], rng[1], n)
 
 
+def _duration(value: float) -> float:
+    """A round duration from the config: 0 is an empty round, and a negative one is refused."""
+    if value < 0:
+        raise ValueError(f"round duration must be >= 0, got {value}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -288,33 +303,39 @@ def _max_rounds(cfg: dict, cells: int) -> int:
 def _build_engine(cfg: dict, need_aux: bool = True, joint: bool = True, durations: int = 0):
     """Shared setup: codes, interaction spec, auxiliary spec, thermal state.
 
-    The size of the largest matrix the command builds, the joint
-    Hamiltonian or, with ``joint`` False, the code's own, is checked
-    against :data:`MAX_JOINT_ROWS` from the code document alone, before
-    any code is built.  So are the round operators of ``durations``
-    durations (fig2), two system-size operators each, against
-    :data:`MAX_OPERATOR_ENTRIES`.
+    With ``joint`` False (fig4, purify) a stabilizer document gives the
+    code's levels only, from :func:`stabilizer_levels`, which bounds its
+    own work.  Otherwise the size of the largest matrix the command
+    builds, the joint Hamiltonian or, with ``joint`` False, the chain's
+    own, is checked against :data:`MAX_JOINT_ROWS` from the code document
+    alone, before any code is built.  So are the round operators of
+    ``durations`` durations (fig2), two system-size operators each,
+    against :data:`MAX_OPERATOR_ENTRIES`.
     """
     n_codes = _int(cfg, "L")
     if not 1 <= n_codes <= MAX_CODES:
         raise ValueError(f"L must lie in 1..{MAX_CODES}, got {n_codes}")
-    n_qubits = code_qubits(cfg["code"])
-    qubits = n_qubits * n_codes + 1 if joint else n_qubits
-    if qubits > math.log2(MAX_JOINT_ROWS):  # compare exponents: 2**qubits may be astronomically large
-        rows = f"2^{qubits} = {2**qubits}" if qubits <= 64 else f"2^{qubits}"
-        needs = (
-            f"{n_codes} code(s) of {n_qubits} qubits and one auxiliary qubit need a joint Hamiltonian"
-            if joint
-            else f"a code of {n_qubits} qubits needs a Hamiltonian"
-        )
-        raise ValueError(f"{needs} of {rows} rows; the limit is {MAX_JOINT_ROWS} rows")
-    entries = durations * 2 * 4 ** (qubits - 1)
-    if entries > MAX_OPERATOR_ENTRIES:
-        raise ValueError(
-            f"{durations} durations need round operators of {entries} entries on {2**qubits} joint rows; "
-            f"the limit is {MAX_OPERATOR_ENTRIES} entries"
-        )
-    code = code_from_json(cfg["code"])
+    kind, j, payload = code_document(cfg["code"])
+    levels_only = kind == "stabilizer" and not joint
+    if not levels_only:
+        # a stabilizer code counts the letters of its longest string; unequal lengths raise in the build
+        n_qubits = max(map(len, payload)) if kind == "stabilizer" else payload
+        qubits = n_qubits * n_codes + 1 if joint else n_qubits
+        if qubits > math.log2(MAX_JOINT_ROWS):  # compare exponents: 2**qubits may be astronomically large
+            rows = f"2^{qubits} = {2**qubits}" if qubits <= 64 else f"2^{qubits}"
+            needs = (
+                f"{n_codes} code(s) of {n_qubits} qubits and one auxiliary qubit need a joint Hamiltonian"
+                if joint
+                else f"a code of {n_qubits} qubits needs a Hamiltonian"
+            )
+            raise ValueError(f"{needs} of {rows} rows; the limit is {MAX_JOINT_ROWS} rows")
+        entries = durations * 2 * 4 ** (qubits - 1)
+        if entries > MAX_OPERATOR_ENTRIES:
+            raise ValueError(
+                f"{durations} durations need round operators of {entries} entries on {2**qubits} joint rows; "
+                f"the limit is {MAX_OPERATOR_ENTRIES} entries"
+            )
+    code = stabilizer_levels(payload, j) if levels_only else code_from_json(cfg["code"])
     codes = [code] * n_codes
     target = LogicalTarget(_float(cfg, "theta"), _float(cfg, "phi"))
     spec = InteractionSpec(
@@ -337,6 +358,7 @@ def cmd_fig2(cfg: dict) -> str:
     """One round over the (a, t) plane: one :func:`resonant_plus` and one
     :func:`plane_one_round` call, then one row per cell."""
     _plane_cells(cfg, "a", "t")
+    _duration(min(_floats(cfg, "t_range"), default=0.0))
     codes, spec, aux, thermal = _build_engine(cfg, durations=_int(cfg, "t_points"))
     delta_sum = float(sum(c.gap for c in codes))
     if abs(aux.energy - delta_sum) > 1e-12 * max(1.0, delta_sum):
@@ -372,13 +394,24 @@ def cmd_fig2(cfg: dict) -> str:
 
 
 def cmd_fig3(cfg: dict) -> str:
+    """p_beta over the (J_S, beta) plane in one array evaluation of the repetition code's levels.
+
+    The levels scale with J_S, so the weight at (J_S, beta) is the unit
+    code's at beta J_S: e^{-beta J_S gap} / Z(beta J_S).
+    """
     _plane_cells(cfg, "j", "beta")
     j_grid, b_grid = _grid(cfg, "j"), _grid(cfg, "beta")
+    stabilizers = REPETITION_DOC["stabilizers"]
+    stabilizer_levels(stabilizers, float(j_grid[0]))  # the smallest J_S, refused as a code build refuses it
+    if b_grid[0] < 0:
+        raise ValueError(f"inverse temperature must be >= 0, got {float(b_grid[0])}")
+    unit = stabilizer_levels(stabilizers)
+    scaled = j_grid[:, None] * b_grid[None, :]
+    weight = np.exp(-scaled * unit.gap) / unit.partition(scaled)
     lines = []
-    for j_s in j_grid:
-        code = build_repetition_code(float(j_s))
-        for beta in b_grid:
-            lines.append(",".join(_fmt(x) for x in (j_s, beta, p_beta([code], beta))))
+    for j_s, row in zip(j_grid.tolist(), weight.tolist()):
+        j_text = _fmt(j_s)
+        lines += [f"{j_text},{_fmt(beta)},{_fmt(p)}" for beta, p in zip(b_grid.tolist(), row)]
     head = [_config_line(cfg), "j_s,beta,p_beta"]
     return "\n".join(head + lines) + "\n"
 
@@ -394,6 +427,7 @@ def _rank_one(cfg: dict, durations, settings: list[MeasurementSetting], max_roun
 def cmd_fig4(cfg: dict) -> str:
     """m_min over the (a, t) plane: one :func:`_rank_one` call, then one row per cell."""
     max_rounds = _max_rounds(cfg, _plane_cells(cfg, "a", "t"))
+    _duration(min(_floats(cfg, "t_range"), default=0.0))
     f_targets = _floats(cfg, "f_targets")
     b, k = _float(cfg, "b"), _int(cfg, "k")
     a_grid, t_grid = _grid(cfg, "a"), _grid(cfg, "t")
@@ -433,7 +467,7 @@ def cmd_purify(cfg: dict) -> str:
     """
     setting = MeasurementSetting(a=_float(cfg, "a"), b=_float(cfg, "b"), k=_int(cfg, "k"))
     settings = [setting, replace(setting, k=-setting.k)]
-    fidelity, probability, _, n_rounds, _ = _rank_one(cfg, [_float(cfg, "t")], settings, max_rounds=1)
+    fidelity, probability, _, n_rounds, _ = _rank_one(cfg, [_duration(_float(cfg, "t"))], settings, max_rounds=1)
     records = [
         {"outcome": [s.k], "probability": min(p, 1.0), "fidelity": min(f, 1.0) if n else None, "attainable": bool(n)}
         for s, p, f, n in zip(settings, probability[:, 0].tolist(), fidelity[:, 0].tolist(), n_rounds)

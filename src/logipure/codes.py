@@ -6,11 +6,19 @@ zero, the (usually two-fold degenerate) ground-space basis, and the
 first excited manifold.  Builders are provided for stabilizer-code
 Hamiltonians, the three-qubit repetition code, and ferromagnetic
 Heisenberg chains with a polarizing field.
+
+:class:`CodeLevels` is what thermal weights read of a code: its distinct
+energies, their degeneracies and the gap.  :func:`stabilizer_levels`
+takes them from the stabilizer group by GF(2) algebra, with no matrix
+(no array of 2^n entries), so codes of any size within
+:data:`MAX_ENUMERATION_BYTES` have them; a built :class:`CodeModel`
+lists its own sorted eigenvalues as :attr:`CodeModel.levels`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -35,6 +43,16 @@ CLUSTER_RTOL = 1e-8
 # Eigenvector entries within this share of the largest modulus tie for
 # the gauge pivot of :func:`_gauged`, and the lowest index wins.
 GAUGE_RTOL = 1e-8
+# Most bytes of the enumeration :func:`stabilizer_levels` makes: 2^k words,
+# k = min(rank, strings - rank), of 9 W + 10 bytes each for W = ceil(strings
+# / 64) 64-bit parts.  This bounds its tracemalloc peak from k = 17 up (18
+# bytes a word and about 80 KB of numpy buffers: 37.8 MB traced against
+# 39.8 MB counted at k = 21).  Fresh processes on 2 vCPUs, the n-qubit codes
+# of n - 1 nearest- and n - 2 next-nearest-neighbour ZZ strings (k = n - 2):
+# n = 25 (159 MB by this count) took 0.13-0.20 s at 174 MB peak RSS, and at this
+# limit n = 24 (80 MB) 0.07 s at 102 MB; importing the package alone peaks
+# at 30 MB.  The time is a few numpy passes over the words, so memory binds.
+MAX_ENUMERATION_BYTES = 2**27
 
 
 @dataclass(frozen=True)
@@ -53,6 +71,36 @@ class SpectralSplit:
     degeneracies: tuple[int, ...]
     ground_energy: float
     spectrum: SpectralDecomposition
+
+
+@dataclass(frozen=True)
+class CodeLevels:
+    """Energy levels of a code Hamiltonian: all that its thermal weights read.
+
+    ``energies`` ascend from the ground level at 0, ``degeneracies``
+    (floats, exact below 2^53) count the states at each, and ``gap`` is
+    the first excited energy.  :func:`stabilizer_levels` gives distinct
+    levels; :attr:`CodeModel.levels` lists every eigenvalue once.
+    """
+
+    gap: float
+    energies: np.ndarray
+    degeneracies: np.ndarray
+
+    def partition(self, beta):
+        """Z = sum_k d_k exp(-beta E_k), over a trailing axis of levels for an array ``beta``.
+
+        For :attr:`CodeModel.levels` every d_k is 1, so this is the plain
+        sum of exp(-beta E) over the sorted spectrum, bit for bit.  For
+        distinct levels each product d_k e^{-beta E_k} rounds once, so the
+        sum lies within (K + 1) eps Z of the exact one for K levels (the
+        dense sum of 2^n terms within about n eps Z).  The energies of
+        :func:`stabilizer_levels` are a diagonal code's eigenvalues bit for
+        bit; those of any other code differ from its dense solve's by that
+        solve's rounding, a few eps times the spectral radius ||H|| each,
+        which moves the dense Z by about beta eps ||H|| Z beside that.
+        """
+        return (self.degeneracies * np.exp(-np.multiply.outer(beta, self.energies))).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -108,6 +156,11 @@ class CodeModel:
     @property
     def is_logical_qubit(self) -> bool:
         return len(self.ls_basis) == 2
+
+    @property
+    def levels(self) -> CodeLevels:
+        """The sorted eigenvalues as levels of one state each, so thermal weights keep the dense sum's bits."""
+        return CodeLevels(self.gap, self.spectrum.eigenvalues, np.ones(self.dimension))
 
 
 @dataclass(frozen=True)
@@ -230,25 +283,178 @@ def build_stabilizer_code(stabilizers: list[PauliString | str], strength: float 
     which shifts the ground (code-space) energy to zero; for a
     consistent stabilizer set the shift is ``len(stabilizers) * J``.
     """
-    if strength <= 0:
-        raise ValueError(f"coupling must be positive, got {strength}")
-    strings = [s if isinstance(s, PauliString) else PauliString(s) for s in stabilizers]
-    if len({s.n_qubits for s in strings}) > 1:
-        raise ValueError("Pauli strings act on different register sizes")
-    for i, s in enumerate(strings):
-        if not abs(s.coefficient * s.coefficient - 1) <= 1e-12:  # a NaN fails too
-            raise ValueError(f"stabilizer {s.letters!r} does not square to identity")
-        for t in strings[:i]:  # two strings anticommute on each site where both act and differ
-            if sum(a != b and "I" not in (a, b) for a, b in zip(s.letters, t.letters)) % 2:
-                raise ValueError(f"stabilizers {t.letters!r} and {s.letters!r} do not commute")
-
-    code = code_from_hamiltonian(-strength * pauli_sum(strings))  # raises on no strings
+    strings, _ = _checked_strings(stabilizers, strength)
+    code = code_from_hamiltonian(-strength * pauli_sum(strings))
     if len(code.ls_basis) != 2:
         raise ValueError(
             f"ground manifold is {len(code.ls_basis)}-fold degenerate; "
             "a single logical qubit needs exactly 2 ground states"
         )
     return code
+
+
+def _checked_strings(stabilizers, strength: float) -> tuple[list[PauliString], list[tuple[int, int]]]:
+    """The stabilizers as Pauli strings with their (x, z) bit rows, refused as :func:`build_stabilizer_code` refuses them.
+
+    Bit i of x (of z) is set where qubit i's letter is X or Y (Z or Y),
+    qubit 0 the highest bit.  Two strings anticommute when their
+    symplectic product, the parity of x_s & z_t ^ z_s & x_t, is odd.
+    """
+    if strength <= 0:
+        raise ValueError(f"coupling must be positive, got {strength}")
+    strings = [s if isinstance(s, PauliString) else PauliString(s) for s in stabilizers]
+    if not strings:
+        raise ValueError("a stabilizer code needs at least one string")
+    if len({s.n_qubits for s in strings}) > 1:
+        raise ValueError("Pauli strings act on different register sizes")
+    rows = [(int(s.letters.translate(_X_BITS), 2), int(s.letters.translate(_Z_BITS), 2)) for s in strings]
+    for i, (s, (x, z)) in enumerate(zip(strings, rows)):
+        if not abs(s.coefficient * s.coefficient - 1) <= 1e-12:  # a NaN fails too
+            raise ValueError(f"stabilizer {s.letters!r} does not square to identity")
+        for t, (tx, tz) in zip(strings[:i], rows[:i]):
+            if ((x & tz) ^ (z & tx)).bit_count() & 1:
+                raise ValueError(f"stabilizers {t.letters!r} and {s.letters!r} do not commute")
+    return strings, rows
+
+
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+
+
+def stabilizer_levels(stabilizers: list[PauliString | str], strength: float = 1.0) -> CodeLevels:
+    """The levels of ``build_stabilizer_code(stabilizers, strength)``, from the group, with no matrix.
+
+    The same checks refuse the same lists with the same messages, and
+    the energies and degeneracies are the dense spectrum's clusters.
+    GF(2) elimination of the strings' (x, z) rows gives the rank r and
+    writes each dependent string as +-1 times a product of the r
+    independent ones, the generators (D. Gottesman, arXiv:quant-ph/9705052,
+    ch. 3).  The generators commute and no product of them is -I, so each
+    of their 2^r sign patterns (syndromes) has 2^(n - r) states.  String j
+    then adds -J (-1)^y_j, where y is a word of the coset b + C of the
+    binary [m, r] code C of the m strings' syndrome maps, and b marks the
+    strings whose sign (coefficient times product phase) is negative:
+    a level is -J (m - 2 wt(y)).  The weights come from the 2^r syndromes,
+    or from the 2^(m - r) dual words (the products of strings equal to
+    +-I) by the MacWilliams identity (F. J. MacWilliams and N. J. A.
+    Sloane, *The Theory of Error-Correcting Codes*, 1977, ch. 5),
+    whichever are fewer; independent strings (m = r) have one dual word,
+    the product form: level 2Jk holds 2^(n - r) C(r, k) states.  An
+    enumeration past :data:`MAX_ENUMERATION_BYTES` is refused before it
+    is allocated.
+
+    A coefficient counts by its sign (the checks pass only +-1 within
+    1e-12).  Each energy is the dense path's difference of two products
+    -J (m - 2w), so a diagonal code's energies equal its sorted
+    eigenvalues bit for bit.  Distinct levels lie 2J apart, beyond the
+    dense clustering tolerance (1e-8 of J m) for fewer than 10^7 strings,
+    so no two levels merge.
+    """
+    strings, rows = _checked_strings(stabilizers, strength)
+    n, m = strings[0].n_qubits, len(strings)
+    flips = sum(1 << j for j, s in enumerate(strings) if s.coefficient.real < 0)  # the coset's offset b
+    # A string is i^#Y X^x Z^z, and i^a X^x Z^z i^b X^x' Z^z' = i^(a + b + 2 z.x') X^(x ^ x') Z^(z ^ z').
+    basis: dict[int, tuple[int, int, int]] = {}  # top bit -> (x, z) row, phase exponent of i, generators multiplied
+    columns: list[int] = []  # per generator, the strings whose syndrome it enters: a column of C's generator matrix
+    relations: list[int] = []  # per dependent string, it and its generators, whose product is +-I: a word of C's dual
+    for j, (x, z) in enumerate(rows):
+        v, phase, product = x << n | z, strings[j].letters.count("Y"), 0
+        while v and v.bit_length() - 1 in basis:
+            w, p, generators = basis[v.bit_length() - 1]
+            phase += p + 2 * (v & w >> n).bit_count()
+            v, product = v ^ w, product ^ generators
+        if v:  # a new generator
+            basis[v.bit_length() - 1] = (v, phase, product | 1 << len(columns))
+            columns.append(1 << j)
+            continue
+        # P_j times the generators in ``product`` is i^phase: P_j is (-1)^(phase / 2) times their product
+        flips ^= (phase % 4 == 2) << j
+        relations.append(1 << j)
+        for g in range(len(columns)):
+            if product >> g & 1:
+                columns[g] |= 1 << j
+                relations[-1] |= columns[g] & -columns[g]  # the generator's own string, its lowest bit
+    rank = len(columns)
+    words = (m + 63) // 64
+    need = (1 << min(rank, m - rank)) * (9 * words + 10)  # what _span_weights holds per word, and a byte to spare
+    if need > MAX_ENUMERATION_BYTES:
+        raise ValueError(
+            f"{m} stabilizers of rank {rank} need an enumeration of 2^{min(rank, m - rank)} words, "
+            f"{need} bytes; the limit is {MAX_ENUMERATION_BYTES} bytes"
+        )
+    if rank > m - rank:  # a dual word u enters with (-1)^(u.b)
+        signs = [(u & flips).bit_count() & 1 for u in relations]
+        counts = _macwilliams(_span_weights(relations, signs, 0, m, words), m, m - rank)
+    else:
+        counts = _span_weights(columns, [0] * rank, flips, m, words)
+
+    weights = [w for w, c in enumerate(counts) if c]
+    unshifted = [-strength * float(m - 2 * w) for w in weights]  # as the dense path rounds -J times the summed signs
+    energies = [u - unshifted[0] for u in unshifted]
+    degeneracies = [counts[w] << n - rank for w in weights]
+    if not all(map(math.isfinite, energies)):
+        raise FloatingPointError("overflow encountered in the code spectrum")
+    if CLUSTER_RTOL * max(map(abs, unshifted)) == 0.0:
+        raise ValueError("flat spectrum: no gap to split on")
+    if len(weights) < 2:
+        raise ValueError("spectrum forms a single degenerate cluster: no gap")
+    if max(degeneracies).bit_length() > 1023:  # float() would overflow on it
+        raise ValueError(f"a level of the code holds 2^{max(degeneracies).bit_length() - 1} states or more, past float64")
+    if degeneracies[0] > 2:
+        raise ValueError(f"ground manifold is {degeneracies[0]}-fold degenerate")
+    if degeneracies[0] != 2:
+        raise ValueError(
+            f"ground manifold is {degeneracies[0]}-fold degenerate; a single logical qubit needs exactly 2 ground states"
+        )
+    return CodeLevels(energies[1], np.array(energies), np.array(degeneracies, dtype=float))
+
+
+def _span_weights(vectors: list[int], signs: list[int], offset: int, m: int, words: int) -> list[int]:
+    """Signed weight counts of the m-bit words ``offset ^ (a sum of vectors)``.
+
+    Entry w is the sum of (-1)^(the summed vectors' signs) over the 2^k
+    sums of weight w.  The sums are filled in by doubling, one XOR per
+    vector over the half already filled, in ``words`` 64-bit parts each.
+    Per sum this holds the parts (8 bytes each), their bit counts (1
+    each), the sign (1) and the weight (8).
+    """
+    size = 1 << len(vectors)
+    span = np.empty((size, words), dtype=np.uint64)
+    sign = np.zeros(size, dtype=np.uint8)
+
+    def parts(v: int) -> np.ndarray:
+        return np.array([v >> 64 * i & 0xFFFF_FFFF_FFFF_FFFF for i in range(words)], dtype=np.uint64)
+
+    span[0] = parts(offset)
+    for i, (vector, flip) in enumerate(zip(vectors, signs)):
+        half = 1 << i
+        np.bitwise_xor(span[:half], parts(vector), out=span[half : 2 * half])
+        np.bitwise_xor(sign[:half], flip, out=sign[half : 2 * half])
+    weight = np.bitwise_count(span).sum(axis=1, dtype=np.intp)
+    del span
+    weight += np.multiply(sign, m + 1, dtype=np.intp)
+    counts = np.bincount(weight, minlength=2 * m + 2)
+    return (counts[: m + 1] - counts[m + 1 :]).tolist()
+
+
+def _macwilliams(dual: list[int], m: int, k: int) -> list[int]:
+    """Weight counts of a coset of a binary [m, m - k] code from its dual's 2^k signed weight counts.
+
+    A(t) = 2^-k sum_w dual_w (1 - t)^w (1 + t)^(m - w), in exact integers:
+    each step from w to w + 1 multiplies by 1 - t and divides by 1 + t.
+    """
+    poly = [math.comb(m, i) for i in range(m + 1)]  # (1 + t)^m
+    total = [0] * (m + 1)
+    last = max(w for w, h in enumerate(dual) if h)
+    for w, h in enumerate(dual[: last + 1]):
+        if w:
+            prev_c = prev_r = 0
+            for i, c in enumerate(poly):
+                poly[i] = prev_r = c - prev_c - prev_r
+                prev_c = c
+        if h:
+            total = [a + h * c for a, c in zip(total, poly)]
+    return [a >> k for a in total]
 
 
 def build_repetition_code(j_s: float = 1.0) -> CodeModel:
@@ -403,25 +609,14 @@ def code_from_json(doc: str | dict) -> CodeModel:
     be an integer.  Neither may be a boolean.  ``stabilizers`` must be a
     non-empty list of strings.
     """
-    kind, j, payload = _code_document(doc)
+    kind, j, payload = code_document(doc)
     if kind == "stabilizer":
         return build_stabilizer_code(payload, j)
     return build_heisenberg_code(HeisenbergSpec(n_qubits=payload, exchange=j))
 
 
-def code_qubits(doc: str | dict) -> int:
-    """Qubit count of the code a JSON document describes, read without building it.
-
-    The document is checked as :func:`code_from_json` checks it.  A
-    stabilizer code counts the letters of its longest string (strings of
-    unequal length raise once the code is built).
-    """
-    kind, _, payload = _code_document(doc)
-    return max(map(len, payload)) if kind == "stabilizer" else payload
-
-
-def _code_document(doc: str | dict) -> tuple[str, float, list[str] | int]:
-    """(type, J, stabilizer list or chain length) of a checked code document."""
+def code_document(doc: str | dict) -> tuple[str, float, list[str] | int]:
+    """(type, J, stabilizer list or chain length) of a code document, checked as :func:`code_from_json` checks it."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):

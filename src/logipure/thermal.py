@@ -6,7 +6,11 @@ coupling the dynamics closes on a two-level subspace spanned by
 |Psi_S, 1_A> and |Phi_S, 0_A>.  This module carries the bath weights
 (:class:`ThermalSpec`), the constants of that pair that
 :func:`logipure.formulas.emr_rank_one` reads (:class:`ResonanceContext`),
-and the exact numeric evolution of the joint state.  The pair's
+and the exact numeric evolution of the joint state.  The first two read
+only each code's levels (:class:`~logipure.codes.CodeLevels`): a built
+:class:`~logipure.codes.CodeModel` supplies them from its own spectrum,
+and :func:`~logipure.codes.stabilizer_levels` from a stabilizer group
+with no matrix.  The pair's
 closed-form eigenpairs and populations are test oracles, checked
 against :func:`evolved_joint_state` in ``tests/oracles.py``.
 """
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeModel
+from .codes import CodeLevels, CodeModel
 from .interaction import AuxiliarySpec, InteractionSpec, build_interaction, build_total
 from .operators import KET_0, evolve, gibbs, kron_all, require_finite
 
@@ -48,14 +52,16 @@ class ThermalSpec:
         return float(np.prod(self.z_factors))
 
     @classmethod
-    def from_codes(cls, codes: list[CodeModel], beta: float) -> "ThermalSpec":
+    def from_codes(cls, codes: list[CodeModel | CodeLevels], beta: float) -> "ThermalSpec":
+        """The bath of ``codes``, built codes or their levels, from each one's partition function."""
         require_finite("beta", beta)  # before the Boltzmann factors, which a NaN or infinity spoils
         zs = []
         weight = 1.0
         for code in codes:
-            z = float(np.exp(-beta * code.spectrum.eigenvalues).sum())
+            levels = code.levels if isinstance(code, CodeModel) else code
+            z = float(levels.partition(beta))
             zs.append(z)
-            weight *= float(np.exp(-beta * code.gap)) / z
+            weight *= float(np.exp(-beta * levels.gap)) / z
         return cls(beta=beta, z_factors=tuple(zs), p_weight=weight)
 
 
@@ -79,8 +85,8 @@ class ResonanceContext:
         return cls(delta_sum=delta_sum, e_a=e_a, g=g, f_rabi=f_rabi)
 
     @classmethod
-    def from_codes(cls, codes: list[CodeModel], e_a: float | None, g: float) -> "ResonanceContext":
-        """Context for given codes; ``e_a=None`` means resonant (sum of gaps)."""
+    def from_codes(cls, codes: list[CodeModel | CodeLevels], e_a: float | None, g: float) -> "ResonanceContext":
+        """Context for given codes or their levels; ``e_a=None`` means resonant (sum of gaps)."""
         delta_sum = float(sum(c.gap for c in codes))
         return cls.build(delta_sum, delta_sum if e_a is None else e_a, g)
 

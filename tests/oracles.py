@@ -8,7 +8,12 @@
 * :func:`dense_stabilizer_code`, the stabilizer-code builder that checks
   its stabilizers by multiplying their dense matrices, the reference for
   the letter-by-letter checks of
-  :func:`logipure.codes.build_stabilizer_code`.
+  :func:`logipure.codes.build_stabilizer_code`, and
+  :func:`dense_levels`, a built code's spectrum clustered into levels,
+  the reference for :func:`logipure.codes.stabilizer_levels`.
+  :func:`rotated_surface_code`, :func:`next_nearest_zz_chain`,
+  :func:`letter_product` and :func:`letters_commute` make stabilizer
+  lists for both.
 * The closed forms of the coupled pair |Psi_S, 1_A> <-> |Phi_S, 0_A>
   of the rank-one coupling, from a
   :class:`logipure.thermal.ResonanceContext`: its shifted energies and
@@ -54,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from logipure import emr, operators
+from logipure import codes, emr, operators
 from logipure.codes import code_from_hamiltonian
 from logipure.measurement import UNATTAINABLE_P
 from logipure.thermal import ResonanceContext, ThermalSpec
@@ -203,6 +208,65 @@ def dense_stabilizer_code(stabilizers, strength: float = 1.0):
             "a single logical qubit needs exactly 2 ground states"
         )
     return code
+
+
+def dense_levels(code) -> tuple[np.ndarray, list[int]]:
+    """The mean energy and the size of each cluster of a built code's sorted spectrum.
+
+    Eigenvalues within :data:`logipure.codes.CLUSTER_RTOL` of the spectral
+    radius of a cluster's first one join it, as the builder clusters them.
+    """
+    w = code.spectrum.eigenvalues
+    tol = codes.CLUSTER_RTOL * float(np.max(np.abs(w)))
+    clusters = [[w[0]]]
+    for e in w[1:]:
+        if e - clusters[-1][0] <= tol:
+            clusters[-1].append(e)
+        else:
+            clusters.append([e])
+    return np.array([np.mean(c) for c in clusters]), [len(c) for c in clusters]
+
+
+def rotated_surface_code(d: int) -> list[str]:
+    """The d^2 - 1 checks of the rotated surface code of odd distance d on d x d qubits, row-major.
+
+    Each face (i, j), i, j = -1..d-1, covers the qubits (i, j), (i + 1, j),
+    (i, j + 1) and (i + 1, j + 1) that exist; it is an X check when i + j
+    is even and a Z check otherwise.  Every four-qubit face is kept, and
+    of the two-qubit faces the X checks on the top and bottom edges and
+    the Z checks on the left and right ones (Dennis, Kitaev, Landahl and
+    Preskill, J. Math. Phys. 43, 4452 (2002), in its rotated layout).
+    """
+    checks = []
+    for i in range(-1, d):
+        for j in range(-1, d):
+            kind = "X" if (i + j) % 2 == 0 else "Z"
+            qubits = [a * d + b for a in (i, i + 1) for b in (j, j + 1) if 0 <= a < d and 0 <= b < d]
+            edge = i in (-1, d - 1) if kind == "X" else j in (-1, d - 1)
+            if len(qubits) == 4 or (len(qubits) == 2 and edge):
+                checks.append("".join(kind if q in qubits else "I" for q in range(d * d)))
+    return checks
+
+
+def next_nearest_zz_chain(n: int) -> list[str]:
+    """The n - 1 nearest- and n - 2 next-nearest-neighbour ZZ strings on n qubits.
+
+    Rank n - 1 of 2n - 3 strings: its levels take 2^(n - 2) dual words,
+    which puts n = 25 past :data:`logipure.codes.MAX_ENUMERATION_BYTES`.
+    """
+    nearest = ["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1)]
+    return nearest + ["I" * i + "ZIZ" + "I" * (n - 3 - i) for i in range(n - 2)]
+
+
+def letter_product(a: str, b: str) -> str:
+    """The letters of the product of two Pauli strings, its phase dropped."""
+    third = {"XY": "Z", "YX": "Z", "YZ": "X", "ZY": "X", "XZ": "Y", "ZX": "Y"}
+    return "".join(p if q == "I" else q if p == "I" else "I" if p == q else third[p + q] for p, q in zip(a, b))
+
+
+def letters_commute(a: str, b: str) -> bool:
+    """Whether two Pauli strings commute: they differ, neither being I, on an even number of qubits."""
+    return sum(p != q and "I" not in (p, q) for p, q in zip(a, b)) % 2 == 0
 
 
 def shifted_energies(ctx: ResonanceContext) -> tuple[float, float, float, float]:

@@ -151,17 +151,18 @@ def test_table1_groups_rows_into_kernel_passes(tmp_path, monkeypatch):
     "command,config,joint_dims",
     [
         ("fig2", {"a_points": 3, "t_points": 3}, {16}),
-        ("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}, {16}),
+        ("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}, set()),
         ("table1", {"rows": [1, 7], "max_rounds": 20}, {8, 64}),
     ],
     ids=["fig2", "fig4", "table1"],
 )
 def test_fast_paths_assemble_no_joint_eigenvectors(command, config, joint_dims, tmp_path, monkeypatch):
-    """fig2, fig4 and table1 contract the joint spectrum block by block.
+    """fig2 and table1 contract the joint spectrum block by block, and fig4 needs no spectrum.
 
     The dense eigenvector array is assembled only for the codes' own
-    spectra (dimension 8 for fig2 and fig4, 4 and 16 for table1), never
-    for a joint one.
+    spectra (dimension 8 for fig2, 4 and 16 for table1), never for a
+    joint one; fig4 reads the code's levels from its stabilizer group and
+    assembles none.
     """
     from logipure.operators import SpectralDecomposition
 
@@ -176,8 +177,32 @@ def test_fast_paths_assemble_no_joint_eigenvectors(command, config, joint_dims, 
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    if not joint_dims:
+        assert sizes == []
+        return
     assert sizes  # the codes' spectra are read through the patched property
     assert not joint_dims & set(sizes), sizes
+
+
+def test_a_25_qubit_code_allocates_no_array_of_its_size(tmp_path):
+    """fig4 and purify read the d = 5 surface code's levels from its group: nothing of its 2^25
+    rows is allocated (32 MB even as bytes), and a small plane peaks under 1 MB traced."""
+    import tracemalloc
+
+    from oracles import rotated_surface_code
+
+    code = {"type": "stabilizer", "stabilizers": rotated_surface_code(5)}
+    for command, grid in (("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}), ("purify", {})):
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps({"code": code, **grid}))
+        tracemalloc.start()
+        try:
+            rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 1 << 20, (command, peak)
 
 
 def test_table1_row12_forms_no_joint_matrix(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from logipure.codes import LogicalTarget, code_from_json
 from logipure.emr import CALIBRATED_AUX_ENERGY
 from logipure.formulas import p_beta
 from logipure.interaction import InteractionSpec, build_interaction, pauli_decompose
+from oracles import next_nearest_zz_chain, rotated_surface_code
 
 REPETITION = {"type": "stabilizer", "stabilizers": ["ZZI", "IZZ", "ZIZ"], "J": 1.0}
 
@@ -303,6 +304,27 @@ def test_fig3_matches_golden(tmp_path):
         assert abs(float(g[2]) - float(w[2])) <= 1e-13 * abs(float(w[2])), (g, w)
 
 
+@pytest.mark.parametrize("d", [5, 7])
+def test_surface_codes_run_fig4_and_purify_at_their_defaults(tmp_path, d):
+    """The rotated surface codes on 25 and 49 qubits: both commands read the levels from the group.
+
+    At the defaults purify measures a = pi on resonance at g t = pi / 2,
+    so its +1 outcome has probability p_weight = e^{-2 beta} / Z with
+    Z = 2 (1 + e^{-2 beta})^(d^2 - 1), and fidelity 1.
+    """
+    code = {"type": "stabilizer", "stabilizers": rotated_surface_code(d)}
+    rc, out = run_cli(tmp_path, "fig4", {"code": code})
+    assert rc == 0
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 2500 and any(row[2] > 0 for row in rows)
+    rc, out = run_cli(tmp_path, "purify", {"code": code})
+    assert rc == 0
+    result = json.loads(out.read_text())["result"]
+    p_weight = np.exp(-0.2) / (2 * (1 + np.exp(-0.2)) ** (d * d - 1))
+    assert abs(result["probability_full"] - p_weight) <= 1e-12 * p_weight
+    assert abs(result["fidelity_full"] - 1.0) <= 1e-9
+
+
 def test_purify_payload(tmp_path):
     rc, out = run_cli(tmp_path, "purify", {"t": 0.7, "beta": 0.1})
     assert rc == 0
@@ -475,6 +497,31 @@ def test_bad_configs_exit_2(tmp_path, capsys):
         rc, out = run_cli(tmp_path, "table1", {"rows": [1], "duration": duration}, name=f"table1t{duration}")
         assert rc == 2
         assert "round duration must be positive" in capsys.readouterr().err
+        assert not out.exists()
+    # a negative round duration is refused before any grid or code exists (the chain is too large
+    # to build); t = 0 is an empty round, and the default fig2 and fig4 grids start there
+    huge = {"type": "heisenberg", "n": 10**6}
+    for command, cfg, shortest in (
+        ("fig2", {"t_range": [-3.0, -1.0], "a_points": 3, "t_points": 3, "code": huge}, -3.0),
+        ("fig4", {"t_range": [-3.0, -1.0], "a_points": 3, "t_points": 3, "max_rounds": 20, "code": huge}, -3.0),
+        ("fig4", {"t_range": [-1.0, 1.0], "a_points": 3, "t_points": 3, "max_rounds": 20}, -1.0),
+        ("purify", {"t": -1.0, "code": huge}, -1.0),
+    ):
+        rc, out = run_cli(tmp_path, command, cfg, name=f"{command}negt")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: round duration must be >= 0, got {shortest}\n"
+        assert not out.exists()
+    rc, out = run_cli(tmp_path, "purify", {"t": 0.0}, name="purifyt0")
+    assert rc == 0
+    # fig3 refuses the couplings and temperatures a code build and a bath would refuse
+    for cfg, message in (
+        ({"j_range": [-1.0, 1.0]}, "coupling must be positive, got -1.0"),
+        ({"j_range": [0.0, 1.0]}, "coupling must be positive, got 0.0"),
+        ({"beta_range": [-1.0, 1.0]}, "inverse temperature must be >= 0, got -1.0"),
+    ):
+        rc, out = run_cli(tmp_path, "fig3", {**cfg, "j_points": 3, "beta_points": 3}, name="fig3range")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
     for rows in ("12", [1.5], [True], 1):
         rc, out = run_cli(tmp_path, "table1", {"rows": rows, "max_rounds": 5}, name="table1rows")
@@ -665,16 +712,24 @@ def test_plane_and_round_limits_are_inclusive(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "code,need",
+    "code,message",
     [
-        ({"type": "heisenberg", "n": 14}, "a code of 14 qubits needs a Hamiltonian of 2^14 = 16384 rows"),
-        ({"type": "stabilizer", "stabilizers": ["Z" * 13, "X" * 13]}, "a code of 13 qubits needs a Hamiltonian of 2^13 = 8192 rows"),
+        (
+            {"type": "heisenberg", "n": 14},
+            "a code of 14 qubits needs a Hamiltonian of 2^14 = 16384 rows; the limit is 4096 rows",
+        ),
+        (
+            {"type": "stabilizer", "stabilizers": next_nearest_zz_chain(25)},  # rank 24, 2^23 dual words
+            "47 stabilizers of rank 24 need an enumeration of 2^23 words, 159383552 bytes; the limit is 134217728 bytes",
+        ),
     ],
-    ids=["heisenberg-14", "stabilizer-13"],
+    ids=["heisenberg-14", "stabilizer-past-budget"],
 )
-def test_fig4_refuses_an_oversized_code_before_allocating(tmp_path, capsys, code, need):
+def test_fig4_refuses_an_oversized_code_before_allocating(tmp_path, capsys, code, message):
     """fig4 and purify build no joint matrix, so their limit is the code's own: they take any L
-    up to cli.MAX_CODES, and refuse a code past cli.MAX_JOINT_ROWS rows before building it."""
+    up to cli.MAX_CODES, and refuse a chain past cli.MAX_JOINT_ROWS rows before building it, and
+    a stabilizer code whose levels need an enumeration past codes.MAX_ENUMERATION_BYTES before
+    allocating it."""
     for command, small in (("fig4", SMALL_FIG4), ("purify", {})):
         tracemalloc.start()
         try:
@@ -683,7 +738,7 @@ def test_fig4_refuses_an_oversized_code_before_allocating(tmp_path, capsys, code
         finally:
             tracemalloc.stop()
         assert rc == 2
-        assert f"{need}; the limit is 4096 rows" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
         assert peak < 1 << 20
         rc, out = run_cli(tmp_path, command, {**small, "L": cli.MAX_CODES + 1}, name="many")

@@ -1,5 +1,6 @@
 """Code builders, spectral splitting and logical-state helpers."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -19,9 +20,11 @@ from logipure.codes import (
     logical_operators,
     logical_state,
     spectral_split,
+    stabilizer_levels,
 )
 from logipure.operators import PauliString, kron_all, pauli_operator, require_hermitian
-from oracles import reconstruct
+from logipure.thermal import ThermalSpec
+from oracles import dense_levels, next_nearest_zz_chain, reconstruct, rotated_surface_code
 
 GOLDEN_GAP_N6 = 0.3819660112501064  # exact-diagonalization value, N=6 chain
 HADAMARDS = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * 3)
@@ -293,3 +296,106 @@ def test_code_from_json():
     assert code2.n_qubits == 4
     with pytest.raises(ValueError):
         code_from_json({"type": "unknown"})
+
+
+STABILIZER_CODES = {
+    "repetition": ["ZZI", "IZZ", "ZIZ"],  # a dependent string: 2^1 dual words
+    "five-qubit": ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"],
+    "steane": ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"],
+    "shor": ["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX"],
+    "surface-3": rotated_surface_code(3),
+    "ring-6": ["ZZIIII", "IZZIII", "IIZZII", "IIIZZI", "IIIIZZ", "ZIIIIZ", "ZIZIII"],  # rank 5 of 7: 2^2 dual words
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABILIZER_CODES))
+def test_stabilizer_levels_are_the_dense_clusters(name):
+    """The levels from the group are the built code's clusters: energies, degeneracies and gap."""
+    levels = stabilizer_levels(STABILIZER_CODES[name], 0.7)
+    code = build_stabilizer_code(STABILIZER_CODES[name], 0.7)
+    energies, sizes = dense_levels(code)
+    assert levels.degeneracies.tolist() == sizes
+    assert np.max(np.abs(levels.energies - energies)) <= 1e-12 * np.max(np.abs(energies))
+    assert abs(levels.gap - code.gap) <= 1e-12 * code.gap
+
+
+def test_diagonal_code_levels_are_its_eigenvalues_bit_for_bit():
+    """For a Z-only code each level is the dense path's own difference of two products."""
+    for words in (STABILIZER_CODES["repetition"], STABILIZER_CODES["ring-6"]):
+        levels = stabilizer_levels(words, 0.7)
+        dense = build_stabilizer_code(words, 0.7).spectrum.eigenvalues
+        assert np.array_equal(np.repeat(levels.energies, levels.degeneracies.astype(int)), dense)
+
+
+def test_independent_checks_give_the_product_form():
+    """d = 5 and d = 7 surface codes (25 and 49 qubits): level 2Jk holds 2 C(d^2 - 1, k) states."""
+    for d in (5, 7):
+        r = d * d - 1
+        levels = stabilizer_levels(rotated_surface_code(d), 1.5)
+        assert levels.degeneracies.tolist() == [2 * math.comb(r, k) for k in range(r + 1)]
+        assert np.allclose(levels.energies, 3.0 * np.arange(r + 1), rtol=1e-15, atol=0)
+        assert levels.gap == 3.0
+
+
+def test_code_model_levels_keep_the_dense_bits():
+    """A built code's levels are its eigenvalues one by one, so Z is the old sum, bit for bit."""
+    code = build_stabilizer_code(STABILIZER_CODES["steane"], 0.9)
+    for beta in (0.0, 0.1, 0.37, 2.9):
+        z = float(np.exp(-beta * code.spectrum.eigenvalues).sum())
+        assert ThermalSpec.from_codes([code], beta).z_factors == (z,)
+
+
+def test_enumeration_budget_is_inclusive_and_bounds_the_peak(monkeypatch):
+    """A code at codes.MAX_ENUMERATION_BYTES runs and stays within it (numpy's buffers add about
+    80 KB, which the byte a word to spare covers from 2^17 words up); one byte less refuses it
+    before anything of its size is allocated."""
+    import tracemalloc
+
+    words = next_nearest_zz_chain(20)  # 2^18 words of 19 bytes
+    need = 2**18 * 19
+    monkeypatch.setattr(codes, "MAX_ENUMERATION_BYTES", need)
+    tracemalloc.start()
+    try:
+        levels = stabilizer_levels(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    assert levels.degeneracies[0] == 2 and levels.degeneracies.sum() == 2**20
+    monkeypatch.setattr(codes, "MAX_ENUMERATION_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        refusal = f"37 stabilizers of rank 19 need an enumeration of 2\\^18 words, {need} bytes; the limit is {need - 1} bytes"
+        with pytest.raises(ValueError, match=refusal):
+            stabilizer_levels(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize(
+    "stabilizers,message",
+    [
+        (["XX", "ZZ", "YY"], "ground manifold is 3-fold degenerate"),  # XX ZZ YY = -I: frustrated
+        (["XX", "ZZ"], "ground manifold is 1-fold degenerate; a single logical qubit needs exactly 2 ground states"),
+        (["XXXX", "ZZZZ"], "ground manifold is 4-fold degenerate"),
+        (["II"], "spectrum forms a single degenerate cluster: no gap"),
+        ([PauliString("ZZ"), PauliString("ZZ", -1.0)], "flat spectrum: no gap to split on"),
+        (["ZZI", "ZZ"], "Pauli strings act on different register sizes"),
+        (["XI", "ZI"], "stabilizers 'XI' and 'ZI' do not commute"),
+        ([], "a stabilizer code needs at least one string"),
+    ],
+)
+def test_stabilizer_levels_refuse_as_the_build_does(stabilizers, message):
+    for build in (stabilizer_levels, build_stabilizer_code):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(stabilizers)
+
+
+def test_levels_past_float64_are_refused_by_name():
+    """A 1030-qubit repetition chain has levels of about 2^1024 states: refused as such, not as an
+    overflow of some energy."""
+    words = ["I" * i + "ZZ" + "I" * (1028 - i) for i in range(1029)]
+    with pytest.raises(ValueError, match=r"^a level of the code holds 2\^1024 states or more, past float64$"):
+        stabilizer_levels(words)

@@ -1,7 +1,9 @@
 """Property tests of the block-split eigensolve and round kernel, one cell or a batch,
 of the one-round plane, of the auxiliary measurement, of the Pauli-sum builder,
-of the stabilizer checks, of the chain's reflected thermal factor, and of
-the CLI over generated stabilizer codes and table1 rows.
+of the stabilizer checks and the levels read from a stabilizer group, of the
+rank-one recursion's bound on the target's population, of the chain's
+reflected thermal factor, and of the CLI over generated stabilizer codes,
+table1 rows and broken configs.
 
 Random block-diagonal problems are hidden behind a random permutation of
 the basis, so the blocks are only visible through the exactly-zero
@@ -29,11 +31,13 @@ from logipure.codes import (
     build_stabilizer_code,
     cardinal_state,
     code_from_hamiltonian,
+    stabilizer_levels,
 )
 from logipure.emr import (
     CALIBRATED_AUX_ENERGY,
     CHAIN_BENCHMARK,
     POLICIES,
+    _first_rounds,
     RoundSpec,
     XYSetup,
     build_xy_setup,
@@ -69,13 +73,18 @@ from logipure.operators import (
 from logipure.thermal import ResonanceContext, ThermalSpec
 
 from oracles import (
+    dense_levels,
     dense_round_contraction,
     dense_stabilizer_code,
     dense_trajectory,
+    letter_product,
+    letters_commute,
+    next_nearest_zz_chain,
     projector_measurement,
     reconstruct,
     reflected_eig,
     reflected_operators,
+    rotated_surface_code,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -888,23 +897,154 @@ def test_stabilizer_checks_match_dense_oracle(words, data, strength):
         assert got.gap == want.gap
 
 
+KNOWN_CODES = {
+    "repetition-5": ["ZZIII", "IZZII", "IIZZI", "IIIZZ"],
+    "five-qubit": ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"],
+    "steane": ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"],
+    "four-two-two": ["XXXX", "ZZZZ"],  # two logical qubits
+    "frustrated": ["XX", "ZZ", "YY"],  # their product is -I
+}
+
+
+@st.composite
+def commuting_stabilizers(draw, max_qubits=8):
+    """Commuting strings of at most ``max_qubits`` letters, in a random order.
+
+    A known code's checks or a greedy commuting set, with each qubit's
+    letters permuted (which keeps every commutation but may flip the sign
+    of a product), plus up to three products of two of them: dependent
+    strings, frustrated when that sign is negative.
+    """
+    known = sorted(name for name, words in KNOWN_CODES.items() if len(words[0]) <= max_qubits)
+    if draw(st.booleans()):
+        words = KNOWN_CODES[draw(st.sampled_from(known))]
+    else:
+        n = draw(st.integers(1, max_qubits))
+        words = []
+        for word in draw(st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=8)):
+            if all(letters_commute(word, w) for w in words):
+                words.append(word)
+    relabel = [draw(st.permutations("XYZ")) for _ in words[0]]
+    words = ["".join(c if c == "I" else relabel[q]["XYZ".index(c)] for q, c in enumerate(w)) for w in words]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=3)):
+        words.append(letter_product(words[i % len(words)], words[j % len(words)]))
+    return draw(st.permutations(words))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    words=commuting_stabilizers(),
+    data=st.data(),
+    strength=st.sampled_from([0.5, 1.0, 1.7]),
+    beta=st.floats(0.0, 3.0),
+    g=st.floats(0.0, 3.0),
+    detuning=st.sampled_from([None, -0.6, 0.45]),
+    durations=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=2),
+    policy=st.sampled_from(POLICIES),
+)
+def test_stabilizer_levels_match_the_dense_spectrum(words, data, strength, beta, g, detuning, durations, policy):
+    """Levels from the group against the dense build, n <= 8, coefficients +-1, dependent strings.
+
+    A list the build refuses is refused with the same message.  Otherwise
+    the levels are the dense spectrum's clusters, energies within 1e-12
+    of its scale and degeneracies exact, and the fig4 cells and purify
+    shots (the first rounds) that :func:`emr_rank_one` makes from them
+    equal the ones from the built code: fidelities and cumulative
+    probabilities within 1e-12 of theirs, stops and m_min exact.
+    """
+    strings = [PauliString(w, data.draw(st.sampled_from([1.0, -1.0]))) for w in words]
+    got = outcome(lambda: stabilizer_levels(strings, strength))
+    want = outcome(lambda: build_stabilizer_code(strings, strength))
+    if isinstance(want, str):
+        assert got == want
+        return
+    energies, sizes = dense_levels(want)
+    scale = strength * len(strings)
+    assert got.degeneracies.tolist() == sizes
+    assert np.max(np.abs(got.energies - energies)) <= 1e-12 * scale
+    assert abs(got.gap - want.gap) <= 1e-12 * scale
+    a, b = data.draw(st.floats(0.0, np.pi)), data.draw(st.floats(0.0, 2 * np.pi))
+    settings_ = [MeasurementSetting(a=a, b=b, k=k) for k in (1, -1)]
+    runs = []
+    for code in (got, want):
+        e_a = None if detuning is None else max(0.0, code.gap + detuning)
+        ctx = ResonanceContext.from_codes([code], e_a, g)
+        runs.append(emr_rank_one(ctx, ThermalSpec.from_codes([code], beta), durations, settings_, 12, policy))
+    (fid, _, p_cum, n_rounds, reasons), (fid_d, _, p_cum_d, n_rounds_d, reasons_d) = runs
+    assert np.array_equal(n_rounds, n_rounds_d) and reasons == reasons_d
+    assert np.all(np.abs(fid - fid_d) <= 1e-12)
+    assert np.all(np.abs(p_cum - p_cum_d) <= 1e-12 * p_cum_d)
+    assert np.array_equal(_first_rounds(fid, [0.66, 0.9]), _first_rounds(fid_d, [0.66, 0.9]))
+
+
+BOUND_CODES = {
+    "repetition": ["ZZI", "IZZ", "ZIZ"],
+    "steane": KNOWN_CODES["steane"],
+    "surface d=5": rotated_surface_code(5),  # 1/Z is 2.9e-7 at beta = 0.1
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    host=st.sampled_from(sorted(BOUND_CODES)),
+    n_codes=st.integers(1, 3),
+    strength=st.sampled_from([0.5, 1.0, 2.0]),
+    beta=st.floats(0.0, 3.0),
+    g=st.floats(0.0, 3.0),
+    detuning=st.sampled_from([None, -0.7, 0.3, 2.5]),
+    durations=st.lists(st.floats(0.0, 7.0), min_size=1, max_size=3),
+    angles=st.lists(
+        st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi), st.sampled_from([1, -1])), min_size=1, max_size=3
+    ),
+    policy=st.sampled_from(POLICIES),
+    max_rounds=st.sampled_from([1, 7, 40]),
+)
+def test_rank_one_target_population_stays_within_its_thermal_share(
+    host, n_codes, strength, beta, g, detuning, durations, angles, policy, max_rounds
+):
+    """Every round is a contraction on (Psi, Phi), so the postselected target population
+    fidelity * p_cum never exceeds p_Psi + p_Phi, (1 + e^{-beta Delta}) / Z for one code,
+    within a relative 1e-12, at resonance or detuned, under either reset policy."""
+    codes = [stabilizer_levels(BOUND_CODES[host], strength)] * n_codes
+    thermal = ThermalSpec.from_codes(codes, beta)
+    delta = sum(c.gap for c in codes)
+    ctx = ResonanceContext.build(delta, delta if detuning is None else max(0.0, delta + detuning), g)
+    settings_ = [MeasurementSetting(a=a, b=b, k=k) for a, b, k in angles]
+    fid, _, p_cum, _, _ = emr_rank_one(ctx, thermal, durations, settings_, max_rounds, policy)
+    share = float(np.prod(np.reciprocal(thermal.z_factors))) + thermal.p_weight
+    assert np.all(fid * p_cum <= share * (1.0 + 1e-12))
+
+
+# Values that break a config key: the wrong type, out of range, or too large for float64.
+BROKEN_VALUES = [None, True, "1", [], [1.0], [-1.0, 2.0], -1, 0, 1.5, 4.0, 1e308, -1e308, {"type": "stabilizer"}]
+
+
 @st.composite
 def cli_runs(draw):
-    """(command, config) over generated stabilizer codes, small Heisenberg chains and tiny grids, or a few table1 rows.
+    """(command, config, broken) over generated codes, tiny grids and a few table1 rows, one config
+    in three broken.
 
     A table1 run takes one of the sector-built rows 9-12 and up to two
     more; j_1 away from 1 breaks the reflection of rows 10 and 12, and a
-    negative auxiliary energy is refused.  fig4, which builds no joint
-    matrix, takes up to eight stabilizer codes, either outcome and three
-    azimuths; so does purify, with any azimuth and with couplings and
-    auxiliary energies up to 1e308.  fig2, fig4, purify and decompose take a 2- or 4-site chain
-    as the one code now and then.  Now and then a fig2, fig3 or fig4
-    plane is one cell past ``cli.MAX_PLANE_CELLS``, which must be refused.
+    negative auxiliary energy is refused.  fig4 and purify, which build
+    no joint matrix and read a stabilizer code's levels only, take up to
+    eight codes of up to eight qubits from :func:`commuting_stabilizers`
+    (dependent strings, sign-frustrated sets, ground manifolds that are
+    not two-fold), and now and then the d = 5 surface code, a code past
+    codes.MAX_ENUMERATION_BYTES or strings of unequal lengths; fig2 and
+    decompose take one or two such codes of up to three qubits.  fig4
+    takes either outcome and three azimuths; purify any azimuth, and
+    couplings and auxiliary energies up to 1e308.  fig2, fig4, purify and
+    decompose take a 2- or 4-site chain as the one code now and then.
+    Now and then a fig2, fig3 or fig4 plane is one cell past
+    ``cli.MAX_PLANE_CELLS``, which must be refused.  A broken config has
+    one key, the command's own or an unknown one, set to a value of
+    :data:`BROKEN_VALUES`.
     """
     command = draw(st.sampled_from(["decompose", "fig2", "fig3", "fig4", "purify", "table1"]))
     if command == "table1":
         rows = {draw(st.integers(9, 12)), *draw(st.lists(st.integers(1, 12), max_size=2))}
-        return command, {
+        cfg = {
             "rows": sorted(rows),
             "j_1": draw(st.sampled_from([0.5, 1, 1.5])),
             "beta": draw(st.floats(0.0, 5.0)),
@@ -912,21 +1052,42 @@ def cli_runs(draw):
             "aux_energy": draw(st.sampled_from([None, -0.5, 0.0, 0.98, 3.0])),
             "max_rounds": draw(st.integers(1, 5)),
         }
+    else:
+        cfg = draw(_engine_or_fig3_config(command))
+    broken = draw(st.integers(0, 2)) == 0
+    if broken:
+        key = draw(st.sampled_from(sorted(cli.DEFAULTS[command]) + ["bogus"]))
+        cfg[key] = draw(st.sampled_from(BROKEN_VALUES))
+        if key == "rows" and cfg[key] is None:  # every table1 row: valid, and slow
+            cfg["max_rounds"] = 1
+    return command, cfg, broken
+
+
+@st.composite
+def _engine_or_fig3_config(draw, command):
     n, m = (500, 501) if draw(st.integers(0, 9)) == 0 else (2, 2)  # fig2, fig3 and fig4 planes
     if command == "fig3":
         lowest = draw(st.floats(-1.0, 3.0))
-        return command, {
+        return {
             "j_range": [lowest, lowest + draw(st.floats(0.01, 3.0))],
             "j_points": n,
             "beta_range": [0.0, draw(st.floats(0.01, 5.0))],
             "beta_points": m,
         }
     J = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2, 1e308]))
+    levels_only = command in ("fig4", "purify")
     if draw(st.integers(0, 3)) == 0:
         cfg = {"code": {"type": "heisenberg", "n": draw(st.sampled_from([2, 4])), "J": J}, "L": 1}
     else:
-        code = {"type": "stabilizer", "stabilizers": draw(stabilizer_lists(max_qubits=3, max_strings=3)), "J": J}
-        cfg = {"code": code, "L": draw(st.sampled_from([1, 2, 4, 8] if command in ("fig4", "purify") else [1, 2]))}
+        words = draw(
+            st.one_of(
+                commuting_stabilizers(max_qubits=8 if levels_only else 3),
+                stabilizer_lists(max_qubits=3, max_strings=3),  # unequal lengths now and then
+                st.sampled_from([rotated_surface_code(5), next_nearest_zz_chain(25)] if levels_only else [["XX", "ZZ", "YY"]]),
+            )
+        )
+        code = {"type": "stabilizer", "stabilizers": words, "J": J}
+        cfg = {"code": code, "L": draw(st.sampled_from([1, 2, 4, 8] if levels_only else [1, 2]))}
     if command == "decompose":
         cfg["variant"] = draw(st.sampled_from(VARIANTS))
     elif command == "purify":  # no joint matrix either, and energies up to the largest double
@@ -949,7 +1110,7 @@ def cli_runs(draw):
             max_rounds=draw(st.integers(1, 12)),
             aq_reset=draw(st.sampled_from(POLICIES)),
         )
-    return command, cfg
+    return cfg
 
 
 def csv_rows(path):
@@ -958,12 +1119,13 @@ def csv_rows(path):
     return lines[0], [[float(x) for x in line.split(",")] for line in lines[1:]]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(run=cli_runs())
 def test_cli_runs_exit_0_or_2(run):
     """No generated config ends in a traceback, and a refused one writes no file.
 
-    An oversized plane is refused.  A table1 report that is written
+    An oversized plane is refused.  The outputs of configs that are not
+    broken are checked further: a table1 report that is written
     holds probabilities and fidelities in [0, 1], and each m_min is null
     or a round that was run.  A fig4 plane that is written holds m_min
     -1 or a round that was run, and reaches 0.9 no sooner than 0.66.  A
@@ -972,13 +1134,15 @@ def test_cli_runs_exit_0_or_2(run):
     outcomes are attainable, and fidelities in [0, 1] or null, and a fig3
     plane weights in [0, 1].
     """
-    command, cfg = run
+    command, cfg, broken = run
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg_path = Path(tmp) / "out", Path(tmp) / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = main([command, "--config", str(cfg_path), "--out", str(out)])
         assert rc in (0, 2)
         assert out.exists() == (rc == 0)
+        if broken:
+            return
         if np.prod([v for k, v in cfg.items() if k.endswith("_points")]) > cli.MAX_PLANE_CELLS:
             assert rc == 2
         if command == "table1" and rc == 0:
