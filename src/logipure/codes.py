@@ -5,7 +5,12 @@ logical qubit: a gapped Hamiltonian with its ground energy shifted to
 zero, the (usually two-fold degenerate) ground-space basis, and the
 first excited manifold.  Builders are provided for stabilizer-code
 Hamiltonians, the three-qubit repetition code, and ferromagnetic
-Heisenberg chains with a polarizing field.
+Heisenberg chains with a polarizing field.  A chain is built in float64
+and solved one magnetization sector at a time, by the sector solver of
+:mod:`logipure.operators`, so it forms no complex matrix and no dense
+eigenvector array of its size.  Every tolerance of the construction
+checks is relative to the spectrum's own scale, so whether a code is
+accepted does not depend on the units of its energies.
 
 :class:`CodeLevels` is what thermal weights read of a code: its distinct
 energies, their degeneracies and the gap.  :func:`stabilizer_levels`
@@ -27,6 +32,10 @@ import numpy as np
 from .operators import (
     PauliString,
     SpectralDecomposition,
+    _check_chain,
+    _pauli_entries,
+    _sector_labels,
+    _sector_spectrum,
     basis_state,
     hermitian_eig,
     pauli_on_sites,
@@ -35,8 +44,8 @@ from .operators import (
 )
 
 # Residual tolerance for "is an eigenstate" checks at construction time,
-# relative to the energy scale (J for a chain, the spectral radius for a code)
-# once that exceeds 1.
+# relative to the spectral radius, so that a code is accepted or refused
+# whatever the units of its energies.
 RESIDUAL_TOL = 1e-9
 # Eigenvalue-cluster tolerance, relative to the spectral radius.
 CLUSTER_RTOL = 1e-8
@@ -110,9 +119,11 @@ class CodeModel:
     ``ls_basis`` holds one state (ground-state-preparation hosts) or two
     (logical-qubit codes, ordered as ``(|0_S>, |1_S>)``).  ``es_basis``
     spans the first excited manifold at energy ``gap``.  ``hamiltonian``
-    has its ground manifold at exactly zero energy.  ``spectrum`` is its
+    has its ground manifold at exactly zero energy; it is complex, or
+    float64 for a chain, whose terms are all real.  ``spectrum`` is its
     full eigendecomposition: the one the builder clustered to find the
-    two manifolds, shared by every thermal quantity of the code.
+    two manifolds, shared by every thermal quantity of the code, kept
+    per magnetization sector for a chain.
     """
 
     n_qubits: int
@@ -133,12 +144,12 @@ class CodeModel:
         if self.gap <= 0:
             raise ValueError(f"gap must be positive, got {self.gap}")
         # h @ v rounds at about eps times the spectral radius, so the checks scale with it
-        scale = max(1.0, float(np.max(np.abs(self.spectrum.eigenvalues))))
+        scale = float(np.max(np.abs(self.spectrum.eigenvalues)))
         for v in self.ls_basis:
-            if np.linalg.norm(h @ v) > RESIDUAL_TOL * scale:
+            if np.linalg.norm(_times(h, v)) > RESIDUAL_TOL * scale:
                 raise ValueError("ground basis state is not a zero-energy eigenstate")
         for v in self.es_basis:
-            if np.linalg.norm(h @ v - self.gap * v) > RESIDUAL_TOL * scale:
+            if np.linalg.norm(_times(h, v) - self.gap * v) > RESIDUAL_TOL * scale:
                 raise ValueError("excited basis state is not an eigenstate at the gap energy")
         allv = np.column_stack(self.ls_basis + self.es_basis)
         gram = allv.conj().T @ allv
@@ -161,6 +172,13 @@ class CodeModel:
     def levels(self) -> CodeLevels:
         """The sorted eigenvalues as levels of one state each, so thermal weights keep the dense sum's bits."""
         return CodeLevels(self.gap, self.spectrum.eigenvalues, np.ones(self.dimension))
+
+
+def _times(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``h @ v``; a real ``h`` takes a complex ``v`` in two real products rather than as a complex copy of itself."""
+    if np.isrealobj(h) and np.iscomplexobj(v):
+        return h @ v.real + 1j * (h @ v.imag)
+    return h @ v
 
 
 @dataclass(frozen=True)
@@ -207,9 +225,10 @@ def spectral_split(h: np.ndarray) -> SpectralSplit:
     a cluster's first one join it.  Raises when only one cluster exists
     or when the ground gap is below ten times that tolerance
     (unresolvable).
-    For diagonal ``h`` no eigensolve is made: the spectrum is the sorted
-    diagonal and the bases are computational-basis vectors ordered by
-    index, which keeps downstream state labels deterministic.
+    For diagonal ``h`` (no off-diagonal entry above 1e-14 of its largest
+    entry, whatever its units) no eigensolve is made: the spectrum is the
+    sorted diagonal and the bases are computational-basis vectors ordered
+    by index, which keeps downstream state labels deterministic.
     """
     return _split(require_hermitian(h, "hamiltonian"))
 
@@ -217,7 +236,8 @@ def spectral_split(h: np.ndarray) -> SpectralSplit:
 def _split(h: np.ndarray) -> SpectralSplit:
     """:func:`spectral_split` of a matrix already checked by :func:`require_hermitian`."""
     dim = h.shape[0]
-    diagonal = np.max(np.abs(h - np.diag(np.diag(h)))) <= 1e-14 * max(1.0, np.max(np.abs(h)))
+    # relative to the matrix's own largest entry, so that the test does not depend on its units
+    diagonal = np.max(np.abs(h - np.diag(np.diag(h)))) <= 1e-14 * np.max(np.abs(h))
     if diagonal:
         w = np.real(np.diag(h))
         order = np.argsort(w, kind="stable")
@@ -225,7 +245,15 @@ def _split(h: np.ndarray) -> SpectralSplit:
         spec = SpectralDecomposition(w[order], ((rows, rows, np.eye(dim, dtype=complex)[:, order]),))
     else:
         spec = _gauged(hermitian_eig(h))
-    w, vecs = spec.eigenvalues, spec.eigenvectors
+    return _clustered(spec)
+
+
+def _clustered(spec: SpectralDecomposition) -> SpectralSplit:
+    """The :class:`SpectralSplit` of a solved spectrum, clustered as :func:`spectral_split` says.
+
+    The basis vectors are assembled from the spectrum's blocks alone.
+    """
+    w = spec.eigenvalues
     if not np.isfinite(w).all():  # finite entries whose eigenvalues overflow; the solver does not raise
         raise FloatingPointError("overflow encountered in the code spectrum")
 
@@ -234,7 +262,7 @@ def _split(h: np.ndarray) -> SpectralSplit:
         raise ValueError("flat spectrum: no gap to split on")
 
     clusters: list[list[int]] = [[0]]
-    for i in range(1, dim):
+    for i in range(1, w.size):
         if w[i] - w[clusters[-1][0]] <= tol:
             clusters[-1].append(i)
         else:
@@ -249,8 +277,8 @@ def _split(h: np.ndarray) -> SpectralSplit:
         raise ValueError(f"gap {gap:.3e} below 10x cluster tolerance {tol:.3e}: unresolvable split")
 
     return SpectralSplit(
-        ls_basis=tuple(vecs[:, i] for i in clusters[0]),
-        es_basis=tuple(vecs[:, i] for i in clusters[1]),
+        ls_basis=spec.columns(clusters[0]),
+        es_basis=spec.columns(clusters[1]),
         gap=gap,
         degeneracies=tuple(len(c) for c in clusters),
         ground_energy=e0,
@@ -475,20 +503,42 @@ def build_heisenberg_code(spec: HeisenbergSpec) -> CodeModel:
     the staggered one-magnon state are exactly degenerate at zero energy
     and form the logical basis, so E_g is the diagonal element
     <0...0| H |0...0> and no eigensolve is needed to find it.
+
+    Every term is real (each string has an even number of Y letters), so
+    the matrix is float64: the entries of :func:`~logipure.operators.pauli_sum`'s
+    bit rule, real parts, less E_g times the identity, each entry the
+    real part of that complex difference bit for bit.  The chain
+    conserves the magnetization: an entry across two of its sectors
+    raises, and :func:`~logipure.operators._sector_spectrum` solves the
+    sectors one real ``eigh`` each (H. Q. Lin, Phys. Rev. B 42, 6561
+    (1990)), whose eigenvectors the spectrum keeps per sector, so no
+    dense eigenvector array is formed.  The tolerances of the checks
+    are relative to the spectrum's own scale, so a chain builds at any J
+    whose energies stay finite.
     """
     n = spec.n_qubits
     j, h_field = spec.exchange, spec.field
     dim = 2**n
+    index = np.arange(dim)
     bonds = [(0, 1)] if n == 2 else [(s, (s + 1) % n) for s in range(n)]
-    h0 = pauli_sum(
+    entries = _pauli_entries(
         [PauliString(pauli_on_sites(n, bond, p + p), j / 4.0) for bond in bonds for p in "XYZ"]
-        + [PauliString(pauli_on_sites(n, [s], "Z"), h_field / 2.0) for s in range(n)]
+        + [PauliString(pauli_on_sites(n, [s], "Z"), h_field / 2.0) for s in range(n)],
+        index,
     )
+    e_g = entries[0][0].real
+    ham = np.zeros((dim, dim))
+    for flip, column in entries.items():
+        values = column.real - e_g * (flip == 0)  # less E_g times the identity's entry, as the complex difference rounds
+        if not np.isfinite(values).all():
+            raise ValueError("hamiltonian has non-finite entries")
+        ham[index ^ flip, index] = values
 
-    ham = h0 - h0[0, 0].real * np.eye(dim)
-
-    split = spectral_split(ham)
-    if abs(split.ground_energy) > RESIDUAL_TOL * max(1.0, j):
+    labels = _sector_labels(n, True)
+    _check_chain(ham, labels, None)
+    split = _clustered(_gauged(_sector_spectrum(lambda rows, cols: ham[np.ix_(rows, cols)], labels, index, 0)))
+    scale = float(np.max(np.abs(split.spectrum.eigenvalues)))
+    if abs(split.ground_energy) > RESIDUAL_TOL * scale:
         raise ValueError(
             f"chain ground energy {split.ground_energy:.3e} lies below |0...0>: convention is broken"
         )
@@ -498,18 +548,17 @@ def build_heisenberg_code(spec: HeisenbergSpec) -> CodeModel:
             "field/exchange convention is broken"
         )
 
-    zero = basis_state(n, 0)
-    one = np.zeros(dim, dtype=complex)
+    one = np.zeros(dim)
     for s in range(n):
         one[1 << (n - 1 - s)] = (-1.0) ** s / np.sqrt(n)
-    for v, name in ((zero, "|0...0>"), (one, "one-magnon state")):
-        if np.linalg.norm(ham @ v) > RESIDUAL_TOL * max(1.0, j):
+    for v, name in ((ham[:, 0], "|0...0>"), (ham @ one, "one-magnon state")):
+        if np.linalg.norm(v) > RESIDUAL_TOL * scale:
             raise ValueError(f"{name} is not a zero-energy eigenstate: convention is broken")
 
     return CodeModel(
         n_qubits=n,
         hamiltonian=ham,
-        ls_basis=(zero, one),
+        ls_basis=(basis_state(n, 0), one.astype(complex)),
         es_basis=split.es_basis,
         gap=split.gap,
         spectrum=split.spectrum,

@@ -28,8 +28,9 @@ The module also builds the anisotropic-XY auxiliary couplings for
 Heisenberg chains and reproduces the reference benchmark table for that
 protocol family, building the larger chain rows one conserved sector at
 a time, and solving and running them in halves where a reflection of
-the chain keeps its wiring; one sector solver serves the joint rows and
-the chain's thermal factor.
+the chain keeps its wiring; one sector solver
+(:func:`logipure.operators._sector_spectrum`) serves the joint rows, the
+chain's thermal factor and the chain code itself.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .operators import (
     POST_TOL,
     SPLIT_MIN_ROWS,
     SpectralDecomposition,
-    _check_hermitian,
-    _hermitian_measures,
-    _sorted_spectrum,
+    _check_chain,
+    _sector_labels,
+    _sector_spectrum,
     hermitian_eig,
     kron,
     kron_all,
@@ -613,20 +614,6 @@ def _xy_entries(setup: XYSetup, code: CodeModel):
     return block, bonds, diagonal
 
 
-def _sector_labels(n_qubits: int, magnetization: bool) -> np.ndarray:
-    """Each basis index's magnetization (its number of 1 bits), or its parity."""
-    ones = np.bitwise_count(np.arange(2**n_qubits))
-    return ones if magnetization else ones & 1
-
-
-def _check_chain(chain: np.ndarray, labels: np.ndarray, image: np.ndarray | None) -> None:
-    """Raise unless ``chain`` keeps its sectors ``labels`` and, when given, the reflection ``image``, bit for bit."""
-    if chain[labels[:, None] != labels].any():
-        raise ValueError("the chain Hamiltonian couples its own conserved sectors")
-    if image is not None and not np.array_equal(chain[np.ix_(image, image)], chain):
-        raise ValueError("the wiring's reflection does not keep the joint Hamiltonian")
-
-
 def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDecomposition:
     """The spectrum of :func:`build_xy_setup`'s matrix, built and solved one conserved sector at a time.
 
@@ -670,69 +657,6 @@ def _xy_spectrum(setup: XYSetup, code: CodeModel, adapted: bool) -> SpectralDeco
         ):
             raise ValueError("the wiring's reflection does not keep the joint Hamiltonian")
     return _sector_spectrum(block, labels, image, n_aux)
-
-
-def _sector_spectrum(block, labels: np.ndarray, image: np.ndarray, n_aux: int) -> SpectralDecomposition:
-    """The spectrum of the matrix whose entries ``block(rows, cols)`` returns, one sector of ``labels`` at a time.
-
-    The sectors, rows ascending, are gathered in the order of their
-    smallest row, each solved by one ``eigh`` or, when the involution
-    ``image`` pairs some of its rows, as its even and odd halves
-    (:func:`_reflection_halves`).  The caller checks that no entry
-    couples two sectors and that ``image`` keeps the matrix bit for bit,
-    so every entry outside the two pieces gathered equals its mirror
-    inside them, and their hermiticity check is the whole matrix's.
-
-    A row is (system row << n_aux) | auxiliary row, and ``image`` keeps
-    auxiliary row 0.  Each half's eigenvectors stay in its coordinates,
-    on the rows of the reflection-adapted system basis: a fixed or lower
-    row keeps its place, and a pair's odd coordinate goes to the upper
-    system row of its pair.  A pair within one system row holds sqrt 2
-    times that row's even coordinate and none of its odd one.
-    """
-    measures, solved = [], []
-    for label in labels[np.sort(np.unique(labels, return_index=True)[1])]:
-        rows = np.flatnonzero(labels == label)
-        fixed, lo = rows[image[rows] == rows], rows[image[rows] > rows]
-        if not lo.size:
-            h = block(rows, rows)
-            measures.append(_hermitian_measures([h], "hamiltonian"))
-            solved.append((rows, *np.linalg.eigh(h)))
-            continue
-        top_rows = np.concatenate([fixed, lo])
-        top, cross = block(top_rows, top_rows), block(lo, image[lo])
-        measures.append(_hermitian_measures([top, cross], "hamiltonian"))
-        even, odd = _reflection_halves(top, cross, fixed.size)
-        del top, cross
-        system, mirror = lo >> n_aux, image[lo >> n_aux << n_aux] >> n_aux
-        within = mirror == system  # mirror pairs within one system row
-        w, v = np.linalg.eigh(even)
-        del even
-        v[fixed.size :][within] *= np.sqrt(2.0)
-        solved.append((top_rows, w, v))
-        w, v = np.linalg.eigh(odd)
-        del odd
-        upper = (mirror << n_aux) | (lo & (2**n_aux - 1))
-        solved.append((upper[~within], w, v[~within]))
-    scales, asyms = zip(*measures)
-    _check_hermitian(np.max(scales), np.max(asyms), "hamiltonian")
-    return _sorted_spectrum(solved)
-
-
-def _reflection_halves(top: np.ndarray, cross: np.ndarray, n_fixed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd halves of a mirror-symmetric block from ``top`` = m[F + A, F + A] and ``cross`` = m[A, B].
-
-    F holds the fixed rows, A the lower row of each mirror pair and B
-    the upper one.  In the basis of the fixed rows, (e_a + e_b)/sqrt 2
-    and (e_a - e_b)/sqrt 2 for each pair (a, b), the block is the even
-    half [[m_FF, sqrt 2 m_FA], [sqrt 2 m_AF, m_AA + m_AB]], built in
-    place of ``top``, and the odd half m_AA - m_AB.
-    """
-    odd = top[..., n_fixed:, n_fixed:] - cross
-    top[..., n_fixed:, n_fixed:] += cross
-    top[..., n_fixed:, :n_fixed] *= np.sqrt(2.0)
-    top[..., :n_fixed, n_fixed:] *= np.sqrt(2.0)
-    return top, odd
 
 
 @dataclass(frozen=True)

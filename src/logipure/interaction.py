@@ -22,8 +22,6 @@ import numpy as np
 
 from .codes import CodeModel, LogicalTarget, logical_state
 from .operators import (
-    KET_0,
-    KET_1,
     PauliString,
     kron,
     kron_all,
@@ -132,9 +130,18 @@ def build_interaction(codes: list[CodeModel], spec: InteractionSpec) -> np.ndarr
     if spec.variant == TARGETED:
         phi = phi * np.sqrt(float(np.prod([c.es_degeneracy for c in codes])))
 
-    flip = np.outer(KET_1, KET_0.conj())
-    half = g * kron(np.outer(psi, phi.conj()), flip)
-    return half + half.conj().T
+    # g |Psi><Phi| (x) |1><0| + h.c., written block by block into one array: |Psi><Phi| times the
+    # flip's entry 1 or 0, as np.kron multiplies it, scaled by g, and each block summed with the
+    # adjoint of its mirror, so every entry, signed zeros included, is the dense sum's
+    outer = np.outer(psi, phi.conj())
+    one, zero = g * (outer * (1 + 0j)), g * (outer * 0j)
+    d = outer.shape[0]
+    out = np.empty((2 * d, 2 * d), dtype=complex)
+    np.add(one, zero.conj().T, out=out[1::2, ::2])
+    np.add(zero, one.conj().T, out=out[::2, 1::2])
+    np.add(zero, zero.conj().T, out=out[::2, ::2])
+    out[1::2, 1::2] = out[::2, ::2]
+    return out
 
 
 def build_total(codes: list[CodeModel], interaction: np.ndarray, aux: AuxiliarySpec) -> np.ndarray:

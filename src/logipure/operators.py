@@ -12,20 +12,27 @@ Conventions used throughout the package:
 
 The primitives here build complex numpy arrays.  A Hamiltonian whose
 imaginary part is exactly zero is solved, and its spectrum kept, in
-real arithmetic, and so is a float64 one: the joint chain Hamiltonian
-of :mod:`logipure.emr`, every term of which is real, is built in
-float64 from the start.  The code Hamiltonians are built from Pauli
-strings (:func:`pauli_sum`, by bit operations on the basis index).  The
-joint Hamiltonians place them with Kronecker products with identities
-(:func:`kron`, :func:`kron_all`) and scatter their remaining diagonal
-and bond terms straight onto the basis index.  Many of them
-conserve a quantity (magnetization, Z2 parity), so they are exactly
-block diagonal in the computational basis.  :func:`coupled_blocks`
-finds those blocks from the exactly-nonzero pattern alone, and
-:func:`hermitian_eig` checks and solves each block of a large matrix on
-its own and keeps the solution per block in a
+real arithmetic, and so is a float64 one: the chain code of
+:mod:`logipure.codes` and the joint chain Hamiltonian of
+:mod:`logipure.emr`, every term of which is real, are built in float64
+from the start.  The code Hamiltonians are built from Pauli strings
+(:func:`pauli_sum`, whose entries :func:`_pauli_entries` sums by bit
+operations on the basis index).  The joint Hamiltonians place them with
+Kronecker products with identities (:func:`kron`, :func:`kron_all`) and
+scatter their remaining diagonal and bond terms straight onto the basis
+index.  Many of them conserve a quantity (magnetization, Z2 parity), so
+they are exactly block diagonal in the computational basis.
+:func:`coupled_blocks` finds those blocks from the exactly-nonzero
+pattern alone, and :func:`hermitian_eig` checks and solves each block
+of a large matrix on its own and keeps the solution per block in a
 :class:`SpectralDecomposition`; a small matrix, or one without such
-structure, is the one-block case.
+structure, is the one-block case.  Where the conserved sectors are
+known beforehand, :func:`_sector_spectrum` gathers and solves them one
+at a time, without any search: whole, or as the even and odd halves of
+a reflection that keeps the matrix (:func:`_reflection_halves`), after
+:func:`_check_chain` has checked that no entry crosses two sectors.
+The chain code and the chain stacks of :mod:`logipure.emr` are solved
+this way.
 """
 
 from __future__ import annotations
@@ -101,7 +108,7 @@ class SpectralDecomposition:
     column per position.  Every eigenvector is zero outside its entry's
     rows.  Each position belongs to one entry, but two entries may share
     rows: the even and odd halves of a block split by a reflection (see
-    :func:`logipure.emr._reflection_halves`) both reach the block's
+    :func:`_reflection_halves`) both reach the block's
     mirror pairs.  An unsplit matrix is the one-entry case.  The vectors
     are float64 when the decomposed matrix is real, complex otherwise.
     """
@@ -117,6 +124,16 @@ class SpectralDecomposition:
         for rows, positions, vb in self.blocks:
             v[np.ix_(rows, positions)] = vb
         return v
+
+    def columns(self, positions: Iterable[int]) -> tuple[np.ndarray, ...]:
+        """The eigenvectors at ``positions``, each assembled from its own block, without :attr:`eigenvectors`."""
+        out = []
+        for p in positions:
+            rows, at, vectors = next(b for b in self.blocks if p in b[1])
+            v = np.zeros(self.eigenvalues.size, dtype=vectors.dtype)
+            v[rows] = vectors[:, np.flatnonzero(at == p)[0]]
+            out.append(v)
+        return tuple(out)
 
     def unitary(self, t: float) -> np.ndarray:
         """Time-evolution operator exp(-i H t) assembled from the spectrum."""
@@ -147,11 +164,7 @@ def pauli_on_sites(n_qubits: int, sites: Sequence[int], letters: str) -> str:
 def pauli_sum(terms: Iterable[PauliString | str]) -> np.ndarray:
     """Dense matrix of ``sum_k c_k P_k`` over Pauli strings of one length.
 
-    A string maps each basis state to one basis state: X and Y flip their
-    bit, Y and Z give -1 on every site whose bit is 0 (``SIGMA_Z =
-    diag(-1, +1)``), and each Y adds a factor i (``SIGMA_Y = i SIGMA_X
-    SIGMA_Z``).  Each string therefore takes one pass over the basis
-    states, and the strings are added in the order given.
+    Each entry is the one :func:`_pauli_entries` sums by its bit rule.
     """
     strings = [t if isinstance(t, PauliString) else PauliString(t) for t in terms]
     if not strings:
@@ -161,11 +174,29 @@ def pauli_sum(terms: Iterable[PauliString | str]) -> np.ndarray:
         raise ValueError("Pauli strings act on different register sizes")
     cols = np.arange(2**n)
     out = np.zeros((2**n, 2**n), dtype=complex)
+    for flip, entries in _pauli_entries(strings, cols).items():
+        out[cols ^ flip, cols] = entries
+    return out
+
+
+def _pauli_entries(strings: Sequence[PauliString], cols: np.ndarray) -> dict[int, np.ndarray]:
+    """The entries (c ^ flip, c) of ``sum_k c_k P_k`` for each column c of ``cols``, per bit mask ``flip``.
+
+    A string maps each basis state to one basis state: X and Y flip their
+    bit, Y and Z give -1 on every site whose bit is 0 (``SIGMA_Z =
+    diag(-1, +1)``), and each Y adds a factor i (``SIGMA_Y = i SIGMA_X
+    SIGMA_Z``).  Each string therefore takes one pass over the columns,
+    and the strings that flip the same bits are added onto one complex
+    entry per column from 0, in the order given.  No two masks share an
+    entry.
+    """
+    out: dict[int, np.ndarray] = {}
     for s in strings:
         flip = int("".join("1" if c in "XY" else "0" for c in s.letters), 2)
         signed = int("".join("1" if c in "YZ" else "0" for c in s.letters), 2)
         weight = s.coefficient * (1, 1j, -1, -1j)[s.letters.count("Y") % 4]
-        out[cols ^ flip, cols] += weight * np.where(np.bitwise_count(~cols & signed) & 1, -1, 1)
+        entries = out.setdefault(flip, np.zeros(cols.size, dtype=complex))
+        entries += weight * np.where(np.bitwise_count(~cols & signed) & 1, -1, 1)
     return out
 
 
@@ -285,6 +316,84 @@ def _sorted_spectrum(solved) -> SpectralDecomposition:
         kept.append((idx, position[start : start + wb.size], vb))
         start += wb.size
     return SpectralDecomposition(eigenvalues=w[order], blocks=tuple(kept))
+
+
+def _sector_labels(n_qubits: int, magnetization: bool) -> np.ndarray:
+    """Each basis index's magnetization (its number of 1 bits), or its parity."""
+    ones = np.bitwise_count(np.arange(2**n_qubits))
+    return ones if magnetization else ones & 1
+
+
+def _check_chain(chain: np.ndarray, labels: np.ndarray, image: np.ndarray | None) -> None:
+    """Raise unless ``chain`` keeps its sectors ``labels`` and, when given, the reflection ``image``, bit for bit."""
+    if np.any(chain, where=labels[:, None] != labels):
+        raise ValueError("the chain Hamiltonian couples its own conserved sectors")
+    if image is not None and not np.array_equal(chain[np.ix_(image, image)], chain):
+        raise ValueError("the wiring's reflection does not keep the joint Hamiltonian")
+
+
+def _sector_spectrum(block, labels: np.ndarray, image: np.ndarray, n_aux: int) -> SpectralDecomposition:
+    """The spectrum of the matrix whose entries ``block(rows, cols)`` returns, one sector of ``labels`` at a time.
+
+    The sectors, rows ascending, are gathered in the order of their
+    smallest row, each solved by one ``eigh`` or, when the involution
+    ``image`` pairs some of its rows, as its even and odd halves
+    (:func:`_reflection_halves`); with the identity for ``image`` every
+    sector is solved whole.  The caller checks that no entry
+    couples two sectors and that ``image`` keeps the matrix bit for bit,
+    so every entry outside the two pieces gathered equals its mirror
+    inside them, and their hermiticity check is the whole matrix's.
+
+    A row is (system row << n_aux) | auxiliary row, and ``image`` keeps
+    auxiliary row 0.  Each half's eigenvectors stay in its coordinates,
+    on the rows of the reflection-adapted system basis: a fixed or lower
+    row keeps its place, and a pair's odd coordinate goes to the upper
+    system row of its pair.  A pair within one system row holds sqrt 2
+    times that row's even coordinate and none of its odd one.
+    """
+    measures, solved = [], []
+    for label in labels[np.sort(np.unique(labels, return_index=True)[1])]:
+        rows = np.flatnonzero(labels == label)
+        fixed, lo = rows[image[rows] == rows], rows[image[rows] > rows]
+        if not lo.size:
+            h = block(rows, rows)
+            measures.append(_hermitian_measures([h], "hamiltonian"))
+            solved.append((rows, *np.linalg.eigh(h)))
+            continue
+        top_rows = np.concatenate([fixed, lo])
+        top, cross = block(top_rows, top_rows), block(lo, image[lo])
+        measures.append(_hermitian_measures([top, cross], "hamiltonian"))
+        even, odd = _reflection_halves(top, cross, fixed.size)
+        del top, cross
+        system, mirror = lo >> n_aux, image[lo >> n_aux << n_aux] >> n_aux
+        within = mirror == system  # mirror pairs within one system row
+        w, v = np.linalg.eigh(even)
+        del even
+        v[fixed.size :][within] *= np.sqrt(2.0)
+        solved.append((top_rows, w, v))
+        w, v = np.linalg.eigh(odd)
+        del odd
+        upper = (mirror << n_aux) | (lo & (2**n_aux - 1))
+        solved.append((upper[~within], w, v[~within]))
+    scales, asyms = zip(*measures)
+    _check_hermitian(np.max(scales), np.max(asyms), "hamiltonian")
+    return _sorted_spectrum(solved)
+
+
+def _reflection_halves(top: np.ndarray, cross: np.ndarray, n_fixed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd halves of a mirror-symmetric block from ``top`` = m[F + A, F + A] and ``cross`` = m[A, B].
+
+    F holds the fixed rows, A the lower row of each mirror pair and B
+    the upper one.  In the basis of the fixed rows, (e_a + e_b)/sqrt 2
+    and (e_a - e_b)/sqrt 2 for each pair (a, b), the block is the even
+    half [[m_FF, sqrt 2 m_FA], [sqrt 2 m_AF, m_AA + m_AB]], built in
+    place of ``top``, and the odd half m_AA - m_AB.
+    """
+    odd = top[..., n_fixed:, n_fixed:] - cross
+    top[..., n_fixed:, n_fixed:] += cross
+    top[..., n_fixed:, :n_fixed] *= np.sqrt(2.0)
+    top[..., :n_fixed, n_fixed:] *= np.sqrt(2.0)
+    return top, odd
 
 
 def evolve(

@@ -14,6 +14,10 @@
   :func:`rotated_surface_code`, :func:`next_nearest_zz_chain`,
   :func:`letter_product` and :func:`letters_commute` make stabilizer
   lists for both.
+* :func:`dense_heisenberg_code`, the chain code built as a dense complex
+  ``pauli_sum`` matrix and clustered by one solve of the whole matrix,
+  the reference for the sector build of
+  :func:`logipure.codes.build_heisenberg_code`.
 * The closed forms of the coupled pair |Psi_S, 1_A> <-> |Phi_S, 0_A>
   of the rank-one coupling, from a
   :class:`logipure.thermal.ResonanceContext`: its shifted energies and
@@ -46,6 +50,9 @@
   joint dimension: a ``kron(I_S, |psi><psi|)`` sandwich followed by
   :func:`partial_trace`, the reference for
   :func:`logipure.measurement.measure_aq`.
+* :func:`kron_coupling`, the rank-one coupling as a Kronecker product
+  summed with its adjoint, the reference for the block-wise
+  :func:`logipure.interaction.build_interaction`.
 * :func:`embed`, which places an operator on named sites by permuting
   tensor axes, and the Hamiltonian builders written with it: the
   references for the Pauli-sum and Kronecker-block builders of
@@ -59,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from logipure import codes, emr, operators
+from logipure import codes, operators
 from logipure.codes import code_from_hamiltonian
 from logipure.measurement import UNATTAINABLE_P
 from logipure.thermal import ResonanceContext, ThermalSpec
@@ -225,6 +232,33 @@ def dense_levels(code) -> tuple[np.ndarray, list[int]]:
         else:
             clusters.append([e])
     return np.array([np.mean(c) for c in clusters]), [len(c) for c in clusters]
+
+
+def dense_heisenberg_code(spec) -> codes.CodeModel:
+    """The chain code of :func:`logipure.codes.build_heisenberg_code`, built densely.
+
+    The complex ``pauli_sum`` matrix of the same strings less E_g times
+    the identity, clustered by :func:`logipure.codes.spectral_split`: one
+    ``hermitian_eig`` of the whole matrix, split into its nonzero blocks
+    from ``SPLIT_MIN_ROWS`` rows on.  The logical basis is |0...0> and
+    the staggered one-magnon state.
+    """
+    n = spec.n_qubits
+    j, h_field = spec.exchange, spec.field
+    dim = 2**n
+    bonds = [(0, 1)] if n == 2 else [(s, (s + 1) % n) for s in range(n)]
+    h0 = pauli_sum(
+        [PauliString(operators.pauli_on_sites(n, bond, p + p), j / 4.0) for bond in bonds for p in "XYZ"]
+        + [PauliString(operators.pauli_on_sites(n, [s], "Z"), h_field / 2.0) for s in range(n)]
+    )
+    ham = h0 - h0[0, 0].real * np.eye(dim)
+    split = codes.spectral_split(ham)
+    if len(split.ls_basis) != 2:
+        raise ValueError(f"chain ground manifold is {len(split.ls_basis)}-fold degenerate")
+    one = np.zeros(dim, dtype=complex)
+    for s in range(n):
+        one[1 << (n - 1 - s)] = (-1.0) ** s / np.sqrt(n)
+    return codes.CodeModel(n, ham, (operators.basis_state(n, 0), one), split.es_basis, split.gap, split.spectrum)
 
 
 def rotated_surface_code(d: int) -> list[str]:
@@ -471,7 +505,7 @@ def reflected_eig(h: np.ndarray, reflection: np.ndarray) -> operators.SpectralDe
     further.  A block that holds the image of each of its rows and that
     the involution leaves unchanged bit for bit (:func:`_reflection_pieces`)
     is solved as its even and odd halves
-    (:func:`~logipure.emr._reflection_halves`), one ``eigh`` each, and
+    (:func:`~logipure.operators._reflection_halves`), one ``eigh`` each, and
     each half's eigenvectors are lifted back onto the block rows they
     reach: the even ones onto all of them, the odd ones
     onto the mirror pairs.  Any other block is solved whole.  The halves
@@ -501,7 +535,7 @@ def reflected_eig(h: np.ndarray, reflection: np.ndarray) -> operators.SpectralDe
             continue
         fixed, lo, hi, top, cross = pieces
         measures.append(operators._hermitian_measures([top, cross], "hamiltonian"))
-        even, odd = emr._reflection_halves(top, cross, fixed.size)
+        even, odd = operators._reflection_halves(top, cross, fixed.size)
         w, v = np.linalg.eigh(even)
         solved.append((np.concatenate([fixed, lo, hi]), w, _lift(v, fixed.size, 1.0)))
         w, v = np.linalg.eigh(odd)
@@ -596,6 +630,12 @@ def embed(op: np.ndarray, n_qubits: int, sites: Sequence[int]) -> np.ndarray:
     perm_cols = [p + k if p < 2 * k else p + len(rest) for p in perm_rows]
     tensor[...] = src.transpose(perm_rows + perm_cols)
     return full
+
+
+def kron_coupling(psi: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
+    """g |psi><phi| (x) |1><0| + h.c. as ``kron`` and a sum with the conjugate transpose."""
+    half = g * kron(np.outer(psi, phi.conj()), np.outer(KET_1, KET_0.conj()))
+    return half + half.conj().T
 
 
 def heisenberg_hamiltonian_by_embed(spec) -> np.ndarray:

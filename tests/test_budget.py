@@ -1,7 +1,8 @@
 """Eigensolve work each CLI command does, on tiny configs.
 
 Every code solves its Hamiltonian at most once (a diagonal one not at
-all) and every joint Hamiltonian is solved once.  The one exception is a
+all; a chain one magnetization sector at a time, with no complex matrix
+of its size) and every joint Hamiltonian is solved once.  The one exception is a
 chain whose table1 rows run in the reflection-adapted basis: its thermal
 factor is solved once more, by the sector solver of the joint rows, as
 the halves of its magnetization sectors, once per group of rows that
@@ -18,6 +19,7 @@ per group of rows whose joint spectra split alike.
 """
 
 import json
+import math
 
 import pytest
 
@@ -78,22 +80,22 @@ def count_calls(monkeypatch, functions) -> dict[str, int]:
     return calls
 
 
-def test_fig4_plane_is_one_rank_one_call(tmp_path, monkeypatch):
+def test_fig4_plane_is_one_rank_one_call(tmp_path, monkeypatch, eigensolves):
     """The whole fig4 plane, and a purify shot with its complement, is one emr_rank_one
     call: no kernel pass, no round operators and no eigensolve of a joint matrix, even
     for two codes."""
-    code = {"type": "heisenberg", "n": 2}  # solved by hermitian_eig, unlike the diagonal repetition code
+    code = {"type": "heisenberg", "n": 2}  # solved one magnetization sector at a time, unlike the diagonal repetition code
     for command, grid in (("fig4", {"a_points": 3, "t_points": 3, "max_rounds": 10}), ("purify", {})):
+        eigensolves.clear()
         with monkeypatch.context() as patch:
             counted = [("formulas", "emr_rank_one"), ("_kernels", "batch_trajectory_kernel"), ("emr", "round_contraction")]
             calls = count_calls(patch, counted)
-            solved = []
-            spy(patch, [("operators", "hermitian_eig")], lambda name, args: solved.append(len(args[0])))
             cfg_path = tmp_path / f"{command}.json"
             cfg_path.write_text(json.dumps({"code": code, "L": 2, **grid}))
             assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         assert calls == {"emr_rank_one": 1, "batch_trajectory_kernel": 0, "round_contraction": 0}, command
-        assert solved == [4], (command, solved)  # the chain's own 4 rows; the joint matrix would have 32
+        # the chain's own 4 rows, as its sectors |00>, (|01>, |10>) and |11>; the joint matrix would have 32
+        assert eigensolves == [1, 2, 1], (command, eigensolves)
 
 
 @pytest.mark.parametrize("command,config", [row[1:3] for row in ONE_EACH], ids=[row[0] for row in ONE_EACH])
@@ -236,3 +238,22 @@ def test_table1_row12_forms_no_joint_matrix(tmp_path, monkeypatch):
     assert main(["table1", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert built == []
     assert all(rows < 1024 for rows in searched), searched
+
+
+def test_chain_code_is_solved_one_sector_at_a_time(eigensolves):
+    """The 10-site chain's 1024 rows are solved as its magnetization sectors, in order, the largest
+    C(10, 5) = 252 rows, and its build allocates no complex 1024 x 1024 array (16 MiB) traced: its
+    float64 Hamiltonian is half that."""
+    import tracemalloc
+
+    from logipure.codes import HeisenbergSpec, build_heisenberg_code
+
+    tracemalloc.start()
+    try:
+        build_heisenberg_code(HeisenbergSpec(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eigensolves == [math.comb(10, k) for k in range(11)]
+    assert sum(eigensolves) == 1024 and max(eigensolves) == 252
+    assert peak < 1024 * 1024 * 16, peak

@@ -3,8 +3,9 @@
 The builders add Pauli strings (``pauli_sum``) and Kronecker blocks in the
 order the ``embed`` construction of ``tests/oracles.py`` adds its terms,
 so the matrices must be identical to the last bit, not merely close.  The
-joint chain Hamiltonian is built in float64: it must equal the real part
-of the complex construction, whose imaginary part must be exactly zero.
+chain code's Hamiltonian and the joint chain Hamiltonian are built in
+float64: each must equal the real part of the complex construction,
+whose imaginary part must be exactly zero.
 """
 
 import numpy as np
@@ -25,7 +26,9 @@ def assert_bitwise(got, want):
 @pytest.mark.parametrize("exchange", [1.0, 0.37])
 def test_heisenberg_code_matches_embed(n, exchange):
     spec = HeisenbergSpec(n_qubits=n, exchange=exchange)
-    assert_bitwise(build_heisenberg_code(spec).hamiltonian, heisenberg_hamiltonian_by_embed(spec))
+    want = heisenberg_hamiltonian_by_embed(spec)
+    assert not want.imag.any()
+    assert_bitwise(build_heisenberg_code(spec).hamiltonian, np.ascontiguousarray(want.real))
 
 
 @pytest.mark.parametrize("row", CHAIN_BENCHMARK, ids=lambda r: f"row{r.index}")

@@ -384,9 +384,10 @@ def test_overflow_error_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_certain_outcome_reports_probability_at_most_one(tmp_path):
-    """On the 4-site chain at t = 0 and a = 0 the +1 outcome is certain, and its rounding
-    reached 1 + 7e-16 in fig2's numeric column and 1 + 4e-16 in purify; both are clipped."""
-    chain = {"code": {"type": "heisenberg", "n": 4}}
+    """On the 4-site chain at t = 0 and a = 0 the +1 outcome is certain, and at J = 1.3 its
+    rounding reaches 1 + 4e-16 in fig2's numeric column (at J = 1 the chain's sector-solved
+    spectrum rounds it to 1 - 6e-16); it is clipped, and so is purify's."""
+    chain = {"code": {"type": "heisenberg", "n": 4, "J": 1.3}}
     rc, out = run_cli(tmp_path, "fig2", {**chain, "a_points": 2, "t_points": 2})
     assert rc == 0
     for row in parse_csv(out)[2]:

@@ -1,6 +1,7 @@
 """Code builders, spectral splitting and logical-state helpers."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -125,6 +126,63 @@ def test_heisenberg_chain_builds_at_large_exchange(exchange):
     code = build_heisenberg_code(HeisenbergSpec(6, exchange))
     assert abs(code.gap - GOLDEN_GAP_N6 * exchange) <= 1e-9 * exchange
     assert len(code.ls_basis) == 2
+
+
+@pytest.mark.parametrize("exchange", [1e-20, 1.0, 1e8])
+@pytest.mark.parametrize(
+    "broken,message",
+    [
+        ("transverse field", "the chain Hamiltonian couples its own conserved sectors"),
+        ("field 1.9 J", "chain ground energy {:.3e} lies below |0...0>: convention is broken"),
+        ("field 2.5 J", "chain ground manifold is 1-fold degenerate; field/exchange convention is broken"),
+        ("hop 1e-8", "one-magnon state is not a zero-energy eigenstate: convention is broken"),
+        ("hop 1e-9", "ground/excited bases are not orthonormal"),
+    ],
+)
+def test_chain_build_checks_keep_their_messages(broken, message, exchange):
+    """Each check of the 4-site chain build refuses a chain broken for it, at any J: an extra X
+    on site 0 crosses the magnetization sectors; a field below 2J puts a magnon below |0...0>
+    (at -0.1 J), and one above it leaves |0...0> alone at the bottom; an extra hop of 1e-8 J on
+    bond (0, 1) keeps a two-fold ground level but moves the magnon off the staggered state by
+    more than the residual tolerance, and one of 1e-9 J by less, so that it is no longer
+    orthogonal to the excited states.  A tolerance floored at 1 would let the broken chains
+    at J = 1e-20 pass the chain's own checks."""
+    strings = {
+        "transverse field": [PauliString("XIII", 0.1 * exchange)],
+        "hop 1e-8": [PauliString("XXII", 1e-8 * exchange), PauliString("YYII", 1e-8 * exchange)],
+        "hop 1e-9": [PauliString("XXII", 1e-9 * exchange), PauliString("YYII", 1e-9 * exchange)],
+    }.get(broken, [])
+    field = {"field 1.9 J": 1.9, "field 2.5 J": 2.5}.get(broken, 2.0)
+    entries = codes._pauli_entries
+    with (
+        mock.patch.object(codes, "_pauli_entries", lambda terms, cols: entries(list(terms) + strings, cols)),
+        mock.patch.object(HeisenbergSpec, "field", property(lambda spec: field * spec.exchange)),
+        pytest.raises(ValueError, match=f"^{re.escape(message.format(-0.1 * exchange))}$"),
+    ):
+        build_heisenberg_code(HeisenbergSpec(4, exchange))
+
+
+@pytest.mark.parametrize("strength", [1e-20, 1.0, 1e8])
+def test_code_model_checks_scale_with_the_spectrum(strength):
+    """The repetition code with a ground state swapped for an excited one, or a ground state
+    duplicated, is refused at any J: the eigenstate checks are relative to the spectrum's own
+    scale, not floored at 1, which would pass a residual of 4e-20 as zero."""
+    code = build_repetition_code(strength)
+    swapped = (code.es_basis[0], code.ls_basis[1])
+    with pytest.raises(ValueError, match="ground basis state is not a zero-energy eigenstate"):
+        codes.CodeModel(3, code.hamiltonian, swapped, code.es_basis, code.gap, code.spectrum)
+    with pytest.raises(ValueError, match="excited basis state is not an eigenstate at the gap energy"):
+        codes.CodeModel(3, code.hamiltonian, code.ls_basis, code.es_basis, 2 * code.gap, code.spectrum)
+    with pytest.raises(ValueError, match="ground/excited bases are not orthonormal"):
+        codes.CodeModel(3, code.hamiltonian, (code.ls_basis[0],) * 2, code.es_basis, code.gap, code.spectrum)
+
+
+@pytest.mark.parametrize("exchange", [float("nan"), 1e308], ids=["nan", "overflowing-field"])
+def test_heisenberg_chain_refuses_non_finite_entries(exchange):
+    """A NaN exchange, or one whose field 2J overflows, is refused for its entries, before the
+    sector check could read a NaN entry as one that couples two sectors."""
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="hamiltonian has non-finite entries"):
+        build_heisenberg_code(HeisenbergSpec(4, exchange))
 
 
 def test_heisenberg_field_rule():

@@ -14,7 +14,7 @@ from logipure.interaction import (
     pauli_decompose,
 )
 from logipure.operators import KET_0, KET_1, kron, kron_all, pauli_operator
-from oracles import compare_term_lists, pauli_reconstruct, three_qubit_coupling_reference
+from oracles import compare_term_lists, kron_coupling, pauli_reconstruct, three_qubit_coupling_reference
 
 
 def rep_code():
@@ -37,6 +37,28 @@ def test_rank_one_action():
     # logical states orthogonal to |Psi> are left alone
     other = joint_target_state([code], (LogicalTarget(np.pi - 0.7, 1.1 + np.pi),))
     assert np.allclose(h @ kron(other, KET_0), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("coupling", [0.9, -0.4, 1])
+def test_coupling_is_the_kron_sum_bit_for_bit(coupling):
+    """The coupling written block by block equals the Kronecker product summed with its adjoint
+    in every bit, signed zeros included: on the repetition code, where |Psi> and |Phi> have
+    disjoint supports, and on the 4-site chain, where both reach the one-magnon sector."""
+    hosts = [[rep_code()], [build_heisenberg_code(HeisenbergSpec(n_qubits=4))], [rep_code(), rep_code()]]
+    negative_zeros = 0
+    for codes in hosts:
+        for theta, phi in ((0.0, 0.0), (np.pi, 0.0), (np.pi / 2, np.pi), (0.7, 1.1), (np.pi / 2, 3 * np.pi / 2)):
+            targets = (LogicalTarget(theta, phi),) * len(codes)
+            for variant in ("rank-one", "targeted"):
+                spec = InteractionSpec(coupling=coupling, targets=targets, variant=variant)
+                psi, uniform = joint_target_state(codes, targets), es_uniform_state(codes)
+                if variant == "targeted":
+                    uniform = uniform * np.sqrt(float(np.prod([c.es_degeneracy for c in codes])))
+                want = kron_coupling(psi, uniform, coupling)
+                assert build_interaction(codes, spec).tobytes() == want.tobytes()
+                parts = want.view(float)
+                negative_zeros += np.count_nonzero((parts == 0) & np.signbit(parts))
+    assert negative_zeros  # the sum leaves some, which a plain write of the two blocks would not
 
 
 def test_es_states():

@@ -73,6 +73,7 @@ from logipure.operators import (
 from logipure.thermal import ResonanceContext, ThermalSpec
 
 from oracles import (
+    dense_heisenberg_code,
     dense_levels,
     dense_round_contraction,
     dense_stabilizer_code,
@@ -698,6 +699,35 @@ def test_sector_spectrum_matches_the_dense_solve(
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 4, 6, 8]), exchange=st.floats(1e-3, 1e3))
+@hypothesis.example(n=10, exchange=1.0)
+def test_sector_built_chain_matches_the_dense_build(n, exchange):
+    """The chain code built and solved one magnetization sector at a time against the dense complex build.
+
+    The float64 Hamiltonian is the dense one's real part bit for bit, and
+    its imaginary part is exactly zero.  The eigenvalues agree within
+    1e-12 of the spectral radius and the gap within 1e-12 of itself, the
+    logical basis is the same array, and so are the sizes of every
+    cluster; the first excited manifold, whose basis either solve picks
+    freely inside it, has the same projector within 1e-10.
+    """
+    spec = HeisenbergSpec(n, exchange)
+    got, want = build_heisenberg_code(spec), dense_heisenberg_code(spec)
+    assert got.hamiltonian.dtype == np.float64 and not want.hamiltonian.imag.any()
+    assert got.hamiltonian.tobytes() == np.ascontiguousarray(want.hamiltonian.real).tobytes()
+    scale = np.max(np.abs(want.spectrum.eigenvalues))
+    assert np.max(np.abs(got.spectrum.eigenvalues - want.spectrum.eigenvalues)) <= 1e-12 * scale
+    assert abs(got.gap - want.gap) <= 1e-12 * want.gap
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got.ls_basis, want.ls_basis))
+    assert dense_levels(got)[1] == dense_levels(want)[1]
+
+    def projector(basis):
+        return sum(np.outer(v, v.conj()) for v in basis)
+
+    assert np.max(np.abs(projector(got.es_basis) - projector(want.es_basis))) <= 1e-10
+
+
 @pytest.mark.parametrize(
     "broken", ["bond sector", "chain sector", "bond mirror", "coupling mirror", "chain mirror", "diagonal mirror"]
 )
@@ -975,6 +1005,34 @@ def test_stabilizer_levels_match_the_dense_spectrum(words, data, strength, beta,
     assert np.all(np.abs(fid - fid_d) <= 1e-12)
     assert np.all(np.abs(p_cum - p_cum_d) <= 1e-12 * p_cum_d)
     assert np.array_equal(_first_rounds(fid, [0.66, 0.9]), _first_rounds(fid_d, [0.66, 0.9]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(words=commuting_stabilizers(), data=st.data())
+def test_acceptance_does_not_depend_on_the_units_of_j(words, data):
+    """A code is accepted or refused whatever the units of J, its levels with it.
+
+    At J = 1e-20, 1e-8, 1 and 1e8 the dense build and the levels from the
+    group accept the same lists, with the same gap / J within 1e-12, and
+    refuse the others with the same message, the one they give at J = 1.
+    The chains of 2 and 4 sites build at each J with gap / J their own.
+    """
+    strings = [PauliString(w, data.draw(st.sampled_from([1.0, -1.0]))) for w in words]
+    reference = outcome(lambda: build_stabilizer_code(strings, 1.0))
+    for strength in (1e-20, 1e-8, 1.0, 1e8):
+        built = outcome(lambda: build_stabilizer_code(strings, strength))
+        levels = outcome(lambda: stabilizer_levels(strings, strength))
+        if isinstance(reference, str):
+            assert built == levels == reference, strength
+            continue
+        assert not isinstance(built, str) and not isinstance(levels, str), (strength, built, levels)
+        assert abs(built.gap / strength - reference.gap) <= 1e-12 * reference.gap, strength
+        assert abs(levels.gap / strength - reference.gap) <= 1e-12 * reference.gap, strength
+    for n, gap in ((2, 1.0), (4, 1.0)):
+        for strength in (1e-20, 1e-8, 1.0, 1e8):
+            code = build_heisenberg_code(HeisenbergSpec(n, strength))
+            assert len(code.ls_basis) == 2
+            assert abs(code.gap / strength - gap) <= 1e-12, (n, strength)
 
 
 BOUND_CODES = {
